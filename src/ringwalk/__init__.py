@@ -37,7 +37,6 @@ from .simulate import (
     gate_set_comparison,
     hellinger_fidelity,
     run_ideal,
-    run_ideal_dense_oracle,
     run_noisy,
     steps_within_tolerance,
     tolerance_report,

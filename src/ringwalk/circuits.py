@@ -209,14 +209,23 @@ def build_shift_abstract(spec: WalkSpec) -> tuple[GateApplication, ...]:
     return tuple(ops)
 
 
+def _ladder_shape(k: int, max_rank: int) -> tuple[int, int]:
+    """Ladder size (m, q) for a CkX above max_rank: m rungs of rank
+    max_rank, each carrying onto its own ancilla, and a deepest rung with
+    q controls."""
+    width = max_rank - 2  # controls consumed per rung beyond the carried ancilla
+    m = math.ceil((k - (max_rank - 1)) / width)
+    return m, k - width * m
+
+
 def decompose_ckx(k: int, max_rank: int) -> tuple[tuple[GateApplication, ...], int]:
     """Rewrite a CkX as a ladder of gates of rank <= max_rank.
 
     Local wire convention: controls 0..k-1, target k, ancillas k+1 onward.
     The ladder zig-zags carries down a chain of ancillas and runs twice, so
     every ancilla is returned to its incoming value (dirty ancillas are
-    fine) and no phase is left behind. A CkX at rank r > max_rank = rho
-    costs 4m gates and m = ceil((k - rho + 1)/(rho - 2)) ancillas.
+    fine) and no phase is left behind. A CkX above max_rank costs 4m gates
+    and m ancillas, with m from _ladder_shape.
     """
     if k < 1:
         raise ValueError("need at least one control")
@@ -226,9 +235,8 @@ def decompose_ckx(k: int, max_rank: int) -> tuple[tuple[GateApplication, ...], i
         return (GateApplication(f"C{k}X", tuple(range(k + 1))),), 0
 
     rho = max_rank
-    width = rho - 2  # controls consumed per rung beyond the carried ancilla
-    m = math.ceil((k - (rho - 1)) / width)
-    q = k - width * m
+    width = rho - 2
+    m, q = _ladder_shape(k, rho)
     target = k
     anc = [k + 1 + i for i in range(m)]
 
@@ -253,7 +261,7 @@ def ancilla_requirement(spec: WalkSpec, max_rank: int) -> int:
     worst_k = spec.position_qubits - 1 + spec.coin_qubits
     if worst_k + 1 <= max_rank:
         return 0
-    return decompose_ckx(worst_k, max_rank)[1]
+    return _ladder_shape(worst_k, max_rank)[0]
 
 
 def _with_move_markers(ops: Iterable[CircuitOp]) -> tuple[CircuitOp, ...]:
@@ -316,9 +324,7 @@ def count_multiqubit_gates(spec: WalkSpec, gates: NativeGateSet | int) -> dict[i
         if k + 1 <= max_rank:
             counts[k + 1] = counts.get(k + 1, 0) + 2
             continue
-        width = max_rank - 2
-        m = math.ceil((k - (max_rank - 1)) / width)
-        q = k - width * m
+        m, q = _ladder_shape(k, max_rank)
         counts[max_rank] = counts.get(max_rank, 0) + 2 * (2 + 4 * (m - 1))
         counts[q + 1] = counts.get(q + 1, 0) + 2 * 2
     return dict(sorted(counts.items()))

@@ -126,8 +126,12 @@ def _number(text: str) -> float:
         bottom = _atom(den)
         if bottom == 0:
             raise ConfigError(f"division by zero in {text!r}")
-        return _atom(num) / bottom
-    return _atom(text)
+        value = _atom(num) / bottom
+    else:
+        value = _atom(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
 def _boolean(text: str) -> bool:
@@ -141,6 +145,13 @@ def _boolean(text: str) -> bool:
 
 def _number_list(text: str) -> tuple[float, ...]:
     return tuple(_number(part) for part in text.split(",") if part.strip())
+
+
+def _integer_list(text: str) -> tuple[int, ...]:
+    values = _number_list(text)
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"expected whole numbers, got {text.strip()!r}")
+    return tuple(int(v) for v in values)
 
 
 # section -> key -> (config attribute, parser)
@@ -170,7 +181,7 @@ _CONFIG_SCHEMA = {
         "moves_per_step": ("moves_per_step", lambda s: int(s)),
     },
     "composite": {
-        "n_list": ("n_list", lambda s: tuple(int(round(v)) for v in _number_list(s))),
+        "n_list": ("n_list", _integer_list),
         "fidelity_sets": (
             "fidelity_sets",
             lambda s: tuple(tuple(_number(v) for v in group.split()) for group in s.split(";") if group.strip()),
@@ -209,8 +220,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             attribute, parse = _CONFIG_SCHEMA[section][key]
             try:
                 setattr(config, attribute, parse(raw))
-            except ConfigError:
-                raise
+            except ConfigError as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
     if config.kind is not None and config.kind not in KINDS:

@@ -4,18 +4,15 @@ Every channel here multiplies the whole statevector by a real factor in
 (0, 1], so channels commute with everything and the accumulated factor is
 auditable. The rates are population losses: a qubit exposed to error eps
 keeps probability 1 - eps, so the statevector is scaled by
-(1 - eps) ** (count / 2). The factor helpers are the single source of
-truth; the apply_* wrappers scale a state and the simulation loop logs the
-same numbers.
+(1 - eps) ** (count / 2). This module only computes the factors; the
+executor multiplies them into one running factor and applies it to each
+readout snapshot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-from .statevector import StateVector, scale_amplitudes
 
 
 @dataclass(frozen=True)
@@ -91,28 +88,3 @@ def movement_factor(params: NoiseParams, qubit_count: int) -> float:
         return 1.0
     eps = wait_error(params.tau_move, params.t1)
     return (1.0 - eps) ** (0.5 * qubit_count)
-
-
-def apply_state_prep(state: StateVector, params: NoiseParams) -> StateVector:
-    """Per-qubit preparation loss, applied once to the fresh register."""
-    return scale_amplitudes(state, state_prep_factor(params, state.qubit_count))
-
-
-def apply_readout(state: StateVector, params: NoiseParams) -> StateVector:
-    """Per-qubit readout loss on an evaluation snapshot.
-
-    Returns a new state; callers keep evolving the original, since the
-    walk is not actually interrupted by the per-step evaluations.
-    """
-    return scale_amplitudes(state, readout_factor(params, state.qubit_count))
-
-
-def idle_damping_for_gate(state: StateVector, active_qubits: Iterable[int], params: NoiseParams) -> StateVector:
-    active = tuple(active_qubits)
-    if any(not 0 <= q < state.qubit_count for q in active):
-        raise ValueError("active qubit out of range")
-    return scale_amplitudes(state, idle_factor(params, state.qubit_count, len(active)))
-
-
-def movement_damping(state: StateVector, params: NoiseParams) -> StateVector:
-    return scale_amplitudes(state, movement_factor(params, state.qubit_count))

@@ -1,11 +1,12 @@
 """Step-by-step walk execution, Hellinger state fidelity, tolerance
 reports, and the composite-fidelity gate-set comparison.
 
-run_ideal executes the abstract (rank-unbounded) circuits with exact
-gates; run_ideal_dense_oracle rebuilds the same evolution from explicit
-shift and coin matrices and exists purely as a cross-check; run_noisy
-compiles to a native gate set and threads the scalar noise channels
-through, logging every amplitude factor it applies.
+run_ideal evolves the walk from its definition (a coin at every node,
+then a roll of each coin column around the ring) and shares no code with
+the compiler. run_noisy is the only circuit executor: it compiles each
+step to a native gate set, evolves the state under the gates alone, and
+multiplies the scalar noise channels into one logged factor that it
+applies to each per-step readout snapshot.
 """
 
 from __future__ import annotations
@@ -24,15 +25,12 @@ from .circuits import (
     MoveMarker,
     NativeGateSet,
     WalkSpec,
-    build_coin,
-    build_shift_abstract,
     build_step_circuit,
     ckx_rank,
     count_multiqubit_gates,
 )
 from .statevector import (
     ProbabilityTable,
-    StateVector,
     apply_gate,
     marginal_probabilities,
     new_basis_state,
@@ -133,85 +131,57 @@ def _ideal_label_gate(label: str, theta: float | None) -> gatelib.GateMatrix:
 
 
 @lru_cache(maxsize=None)
-def _effective_label_gate(label: str, max_rank: int, param_a: float | None) -> gatelib.GateMatrix:
-    rank = ckx_rank(label)
-    if rank is None or rank == 1:
-        raise ValueError(f"no effective matrix for label {label!r}")
-    gate_set = NativeGateSet(max_rank=max_rank, param_a=param_a)
+def _effective_ckx(rank: int, gate_set: NativeGateSet) -> gatelib.GateMatrix:
     return gatelib.ckx_from_ckz(gate_set.effective_ckz(rank - 1))
 
 
-def _resolve(op: GateApplication, gate_set: NativeGateSet | None, gate_errors: bool) -> gatelib.GateMatrix:
+def _resolve(op: GateApplication, gate_set: NativeGateSet, gate_errors: bool) -> gatelib.GateMatrix:
     if gate_errors and op.rank >= 2:
-        return _effective_label_gate(op.label, gate_set.max_rank, gate_set.param_a)
+        return _effective_ckx(op.rank, gate_set)
     return _ideal_label_gate(op.label, op.theta)
 
 
+def _ry(theta: float) -> np.ndarray:
+    half = theta / 2.0
+    return np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
+
+
 def run_ideal(spec: WalkSpec) -> list[ProbabilityTable]:
-    """Ideal per-step position marginals from the abstract circuits."""
-    _check_simulable(spec)
-    state = new_basis_state(spec.data_qubit_count, "0" * spec.data_qubit_count)
-    shift_ops = build_shift_abstract(spec)
-    tables = []
-    for t in range(spec.steps):
-        for op in build_coin(spec, t) + shift_ops:
-            state = apply_gate(state, _ideal_label_gate(op.label, op.theta), op.targets)
-        tables.append(marginal_probabilities(state, spec.position_indices))
-    return tables
+    """Ideal per-step position marginals from the walk's definition.
 
-
-def run_ideal_dense_oracle(spec: WalkSpec) -> list[ProbabilityTable]:
-    """Same contract as run_ideal via explicit S and C matrices.
-
-    Builds the coin-conditioned shift as a permutation over the full
-    register and the coin as a Kronecker product, then multiplies dense
-    matrices. Deliberately shares no code with the circuit path.
+    The state is a real (nodes, coin values) array started at node 0,
+    coin 0, with coin values big-endian over the coin qubits. A step
+    applies the coin at every node, then rolls each coin column around the
+    ring: the 1-qubit coin steps down on 0 and up on 1; the lazy coin
+    (c1 c2) rests while c2 = 0, else steps up on c1 = 1 and down on c1 = 0.
     """
     _check_simulable(spec)
-    if spec.data_qubit_count > 6:
-        raise UnsupportedSizeError("dense oracle is limited to 6 qubits")
-    n_nodes = spec.node_count
-    coin_dim = 2**spec.coin_qubits
-    dim = n_nodes * coin_dim
-
-    shift = np.zeros((dim, dim))
-    for x in range(n_nodes):
-        for c in range(coin_dim):
-            if spec.coin_qubits == 1:
-                x_next = (x + 1) % n_nodes if c == 1 else (x - 1) % n_nodes
-            else:
-                c1, c2 = divmod(c, 2)
-                if c2 == 0:
-                    x_next = x
-                else:
-                    x_next = (x + 1) % n_nodes if c1 == 1 else (x - 1) % n_nodes
-            shift[x_next * coin_dim + c, x * coin_dim + c] = 1.0
-
-    def ry(theta: float) -> np.ndarray:
-        half = theta / 2.0
-        return np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
-
-    psi = np.zeros(dim)
-    psi[0] = 1.0
+    moves = (-1, 1) if spec.coin_qubits == 1 else (0, -1, 0, 1)
+    psi = np.zeros((spec.node_count, len(moves)))
+    psi[0, 0] = 1.0
     tables = []
     for t in range(spec.steps):
-        coin = ry(spec.theta_schedule[t])
+        coin = _ry(spec.theta_schedule[t])
         if spec.coin_qubits == 2:
-            coin = np.kron(coin, ry(spec.phi_schedule[t]))
-        psi = shift @ np.kron(np.eye(n_nodes), coin) @ psi
-        positions = np.sum((psi**2).reshape(n_nodes, coin_dim), axis=1)
-        tables.append(ProbabilityTable(spec.position_indices, positions))
+            coin = np.kron(coin, _ry(spec.phi_schedule[t]))
+        psi = psi @ coin.T
+        psi = np.stack([np.roll(psi[:, c], shift) for c, shift in enumerate(moves)], axis=1)
+        tables.append(ProbabilityTable(spec.position_indices, np.sum(psi**2, axis=1)))
     return tables
 
 
 def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoiseParams) -> RunResult:
     """Compile each step to the native gate set and execute with noise.
 
-    Gate errors swap in the effective matrices for every multiqubit gate;
-    passive noise damps idle qubits during each multiqubit gate and all
-    qubits at each movement marker; SPAM damps once at preparation and on
-    a snapshot at every per-step readout. Fidelity compares the snapshot's
-    position marginal against run_ideal at the same step.
+    Gate errors swap in the effective matrices for every multiqubit gate.
+    The scalar channels are real factors that commute with every gate, so
+    the state evolves under the gates alone and the channels accumulate in
+    one running factor: SPAM preparation loss once, idle-qubit damping
+    during each multiqubit gate, all-qubit damping at each movement marker
+    (or moves_per_step times per step). Each per-step readout snapshot is
+    the state scaled by that factor times the readout loss. Fidelity
+    compares the snapshot's position marginal against run_ideal at the
+    same step.
     """
     circuits = [build_step_circuit(spec, gate_set, t) for t in range(spec.steps)]
     n_q = circuits[0].qubit_count
@@ -219,10 +189,7 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
     ideal_tables = run_ideal(spec)
 
     state = new_basis_state(n_q, "0" * n_q)
-    running_factor = 1.0
-    prep = noiselib.state_prep_factor(noise, n_q)
-    state = scale_amplitudes(state, prep)
-    running_factor *= prep
+    running_factor = noiselib.state_prep_factor(noise, n_q)
     read = noiselib.readout_factor(noise, n_q)
     move = noiselib.movement_factor(noise, n_q)
 
@@ -231,20 +198,16 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
         for op in circuit.ops:
             if isinstance(op, MoveMarker):
                 if noise.moves_per_step is None:
-                    state = scale_amplitudes(state, move)
                     running_factor *= move
                 continue
             state = apply_gate(state, _resolve(op, gate_set, noise.gate_errors_enabled), op.targets)
             if op.rank >= 2:
-                idle = noiselib.idle_factor(noise, n_q, op.rank)
-                state = scale_amplitudes(state, idle)
-                running_factor *= idle
+                running_factor *= noiselib.idle_factor(noise, n_q, op.rank)
         if noise.moves_per_step is not None:
-            factor = move**noise.moves_per_step
-            state = scale_amplitudes(state, factor)
-            running_factor *= factor
+            running_factor *= move**noise.moves_per_step
 
-        snapshot = scale_amplitudes(state, read)
+        scalar_factor = running_factor * read
+        snapshot = scale_amplitudes(state, scalar_factor)
         table = marginal_probabilities(snapshot, spec.position_indices)
         records.append(
             StepRecord(
@@ -253,7 +216,7 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
                 noisy_positions=table,
                 fidelity=hellinger_fidelity(ideal_tables[t], table),
                 total_probability=total_probability(snapshot),
-                scalar_factor=running_factor * read,
+                scalar_factor=scalar_factor,
             )
         )
     return RunResult(spec=spec, gate_set=gate_set, noise=noise, steps=tuple(records))
@@ -329,7 +292,8 @@ def gate_set_comparison(
 
     Each fidelity set lists F(CCZ-level), F(C3Z-level), F(C4Z-level), i.e.
     ranks 3, 4, 5 in order, and must be non-increasing (wider gates are
-    never better). Counts come from the 2q-coin walk census, which only
+    never better). Each transition raises the bound from low to high, so
+    3 <= low < high. Counts come from the 2q-coin walk census, which only
     uses gates of rank 3 and up, matching the composite product's range.
     """
     sets = [tuple(s) for s in fidelity_sets]
@@ -340,6 +304,9 @@ def gate_set_comparison(
             raise ValueError(f"fidelity set {s} outside (0, 1]")
         if s[0] < s[1] or s[1] < s[2]:
             raise ValueError(f"fidelity set {s} increases with rank")
+    for low, high in transitions:
+        if not 3 <= low < high:
+            raise ValueError(f"transitions entry {low}->{high} needs 3 <= low < high")
 
     entries = []
     for n in n_list:

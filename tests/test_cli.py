@@ -98,17 +98,26 @@ def test_config_rejects_unknown_key(tmp_path):
     assert "step_count" in str(err.value)
 
 
+BAD_VALUES = (
+    ("[walk]\ntheta = three\n", "walk.theta"),
+    ("[walk]\ntheta = 1/0\n", "walk.theta"),
+    ("[walk]\ntheta = nan\n", "walk.theta"),
+    ("[gates]\nparam_a = nan\n", "gates.param_a"),
+    ("[gates]\nparam_a = 1e309\n", "gates.param_a"),
+    ("[gates]\na_list = 0, 1e308/1e-308\n", "gates.a_list"),
+    ("[noise]\ntau_move_seconds = inf\n", "noise.tau_move_seconds"),
+    ("[noise]\nspam = maybe\n", "noise.spam"),
+    ("[composite]\nn_list = 2.5\n", "composite.n_list"),
+    ("[experiment]\nkind = walkabout\n", "walkabout"),
+    ("[output]\nformat = yaml\n", "yaml"),
+)
+
+
 def test_config_rejects_bad_values(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, "[walk]\ntheta = three\n"))
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, "[walk]\ntheta = 1/0\n"))
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, "[noise]\nspam = maybe\n"))
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, "[experiment]\nkind = walkabout\n"))
-    with pytest.raises(ConfigError):
-        load_config(write_config(tmp_path, "[output]\nformat = yaml\n"))
+    for text, key in BAD_VALUES:
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, text))
+        assert key in str(err.value), text
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
 

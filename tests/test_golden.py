@@ -49,7 +49,7 @@ def render(case: str, fmt: str, workdir: Path) -> str:
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_payload_matches_golden(case, fmt, tmp_path, capsys):
+def test_payload_matches_golden(case, fmt, tmp_path):
     expected = (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
     assert render(case, fmt, tmp_path) == expected
 

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 from ringwalk.noise import (
     IDEAL,
     NoiseParams,
-    apply_readout,
-    apply_state_prep,
-    idle_damping_for_gate,
     idle_factor,
-    movement_damping,
     movement_factor,
     readout_factor,
     state_prep_factor,
     wait_error,
 )
-from ringwalk.statevector import new_basis_state, total_probability
+from ringwalk.statevector import new_basis_state, scale_amplitudes, total_probability
 
 
 def test_wait_error_frozen_values():
@@ -69,26 +65,20 @@ def test_disabled_channels_are_unit_factors():
 def test_apply_wrappers_scale_probability():
     state = new_basis_state(3, "000")
     params = NoiseParams()
-    prepared = apply_state_prep(state, params)
+    prepared = scale_amplitudes(state, state_prep_factor(params, 3))
     assert total_probability(prepared) == pytest.approx(0.997**3, rel=1e-14)
     # Readout returns a snapshot and leaves the input alone.
-    snap = apply_readout(prepared, params)
+    snap = scale_amplitudes(prepared, readout_factor(params, 3))
     assert total_probability(snap) == pytest.approx(0.997**3 * 0.9983**3, rel=1e-14)
     assert total_probability(prepared) == pytest.approx(0.997**3, rel=1e-14)
 
-    idled = idle_damping_for_gate(prepared, (0, 2), params)
+    idled = scale_amplitudes(prepared, idle_factor(params, 3, 2))
     eps_g = wait_error(params.tau_gate, params.t1)
     assert total_probability(idled) == pytest.approx(0.997**3 * (1 - eps_g), rel=1e-13)
 
-    moved = movement_damping(prepared, params)
+    moved = scale_amplitudes(prepared, movement_factor(params, 3))
     eps_m = wait_error(params.tau_move, params.t1)
     assert total_probability(moved) == pytest.approx(0.997**3 * (1 - eps_m) ** 3, rel=1e-13)
-
-
-def test_idle_damping_validates_active_set():
-    state = new_basis_state(2, "00")
-    with pytest.raises(ValueError):
-        idle_damping_for_gate(state, (0, 5), NoiseParams())
 
 
 def test_params_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import run_ideal_dense_oracle
 from ringwalk import noise as noiselib
 from ringwalk.circuits import (
     GateApplication,
@@ -24,7 +25,6 @@ from ringwalk.simulate import (
     gate_set_comparison,
     hellinger_fidelity,
     run_ideal,
-    run_ideal_dense_oracle,
     run_noisy,
     steps_within_tolerance,
     tolerance_report,
@@ -247,5 +247,8 @@ def test_gate_set_comparison_validates_fidelity_sets():
         gate_set_comparison(fidelity_sets=((0.99, 0.0, 0.98),))
     with pytest.raises(ValueError):
         gate_set_comparison(fidelity_sets=((0.99, 0.995, 0.99),))
+    for transition in ((4, 3), (3, 3), (2, 4)):
+        with pytest.raises(ValueError):
+            gate_set_comparison(n_list=(5,), transitions=(transition,))
     ok = gate_set_comparison(n_list=(5,), fidelity_sets=DEFAULT_FIDELITY_SETS)
     assert len(ok.entries) == 2
