@@ -80,6 +80,9 @@ class WalkSpec:
     steps: int
 
     def __post_init__(self) -> None:
+        for name in ("position_qubits", "coin_qubits", "steps"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} = {getattr(self, name)!r} is not an integer")
         if not 2 <= self.position_qubits <= 20:
             raise ValueError(f"position_qubits {self.position_qubits} outside [2, 20]")
         if self.coin_qubits not in (1, 2):
@@ -93,6 +96,10 @@ class WalkSpec:
                 raise ValueError("phi_schedule must cover every step of a 2q-coin walk")
         elif self.phi_schedule is not None:
             raise ValueError("phi_schedule is only meaningful for a 2q-coin walk")
+        for name in ("theta_schedule", "phi_schedule"):
+            for t, angle in enumerate(getattr(self, name) or ()):
+                if not math.isfinite(angle):
+                    raise ValueError(f"{name} entry {t} is {angle}, not a finite angle")
 
     @property
     def node_count(self) -> int:
@@ -137,10 +144,10 @@ class NativeGateSet:
     param_a: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_rank not in (3, 4):
+        if not isinstance(self.max_rank, int) or self.max_rank not in (3, 4):
             raise ValueError(f"max_rank must be 3 or 4, got {self.max_rank}")
-        if self.param_a is not None and self.param_a < 0:
-            raise ValueError("param_a must be nonnegative")
+        if self.param_a is not None and not (math.isfinite(self.param_a) and self.param_a >= 0):
+            raise ValueError(f"param_a = {self.param_a} must be finite and nonnegative")
 
     def effective_ckz(self, k: int):
         from . import gates as _g

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import gates as gatelib
+from . import simulate  # run_ideal is called through the module, where tracers wrap it
 from .circuits import NativeGateSet, WalkSpec, uniform_spec
 from .noise import NoiseParams
 from .simulate import (
@@ -31,6 +32,7 @@ from .simulate import (
     TOLERANCES,
     RunResult,
     UnsupportedSizeError,
+    compile_step,
     gate_set_comparison,
     run_noisy,
     tolerance_report,
@@ -287,7 +289,7 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[str, str, str]:
     csv_text = "\n".join(lines) + "\n"
 
     payload = {"kind": "simulate", "config": _config_echo(config), "steps": _step_rows(result)}
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    json_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     fids = result.fidelities
     report = "\n".join(
@@ -306,10 +308,17 @@ def cmd_sweep_a(config: ExperimentConfig) -> tuple[str, str, str]:
     spec = config.walk_spec()
     noise = config.noise_params()
     series = []
+    ideal_tables = compiled = None
     for a in config.a_list:
         if a < 0:
             raise ConfigError(f"a_list entries must be nonnegative, got {a}")
-        result = run_noisy(spec, config.gate_set(param_a=a), noise)
+        gate_set = config.gate_set(param_a=a)
+        if compiled is None:
+            # Every effort runs the same walk at the same rank bound, so one
+            # ideal reference and one compiled step serve the whole sweep.
+            ideal_tables = simulate.run_ideal(spec)
+            compiled = compile_step(spec, gate_set)
+        result = run_noisy(spec, gate_set, noise, ideal_tables=ideal_tables, compiled=compiled)
         f_cz = gatelib.gate_fidelity(gatelib.param_gate("CZ", a), gatelib.ideal_ckz(1))
         f_ccz = gatelib.gate_fidelity(gatelib.param_gate("CCZ", a), gatelib.ideal_ckz(2))
         series.append((a, f_cz, f_ccz, result))
@@ -336,7 +345,7 @@ def cmd_sweep_a(config: ExperimentConfig) -> tuple[str, str, str]:
             for a, f_cz, f_ccz, result in series
         ],
     }
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    json_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     report_lines = ["a        F(CZ(a))      F(CCZ(a))     f_final"]
     for a, f_cz, f_ccz, result in series:
@@ -347,13 +356,18 @@ def cmd_sweep_a(config: ExperimentConfig) -> tuple[str, str, str]:
 
 
 def cmd_tolerance(config: ExperimentConfig) -> tuple[str, str, str]:
+    noise = config.noise_params()
     reports = []
+    ideal_tables = {}  # both rank bounds run each walk against one ideal reference
     for max_rank in (3, 4):
         for coin_qubits in (1, 2):
             for position_qubits in (2, 3, 4):
                 spec = uniform_spec(position_qubits, coin_qubits, steps=config.steps)
+                if spec not in ideal_tables:
+                    ideal_tables[spec] = simulate.run_ideal(spec)
                 gate_set = NativeGateSet(max_rank=max_rank, param_a=config.param_a)
-                reports.append(tolerance_report(run_noisy(spec, gate_set, config.noise_params())))
+                result = run_noisy(spec, gate_set, noise, ideal_tables=ideal_tables[spec])
+                reports.append(tolerance_report(result))
 
     lines = ["max_rank,coin_qubits,position_qubits,tolerance,steps_within"]
     for rep in reports:
@@ -374,7 +388,7 @@ def cmd_tolerance(config: ExperimentConfig) -> tuple[str, str, str]:
             for rep in reports
         ],
     }
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    json_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     report_lines = ["rank  coin  nodes  " + "  ".join(f"<={tol:g}" for tol in TOLERANCES)]
     for rep in reports:
@@ -428,7 +442,7 @@ def cmd_composite(config: ExperimentConfig) -> tuple[str, str, str]:
             for entry in comparison.entries
         ],
     }
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    json_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     report_lines = ["composite fidelity gains (2q-coin walk, per-step gate census)"]
     for entry in comparison.entries:

@@ -42,10 +42,13 @@ class NoiseParams:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
         for name in ("t1", "tau_gate", "tau_move"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.moves_per_step is not None and self.moves_per_step < 0:
-            raise ValueError("moves_per_step must be nonnegative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value} must be finite and positive")
+        if self.moves_per_step is not None and not (
+            isinstance(self.moves_per_step, int) and self.moves_per_step >= 0
+        ):
+            raise ValueError(f"moves_per_step = {self.moves_per_step!r} must be a nonnegative integer")
 
 
 IDEAL = NoiseParams(gate_errors_enabled=False, passive_enabled=False, spam_enabled=False)

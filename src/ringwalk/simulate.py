@@ -3,10 +3,13 @@ reports, and the composite-fidelity gate-set comparison.
 
 run_ideal evolves the walk from its definition (a coin at every node,
 then a roll of each coin column around the ring) and shares no code with
-the compiler. run_noisy is the only circuit executor: it compiles each
-step to a native gate set, evolves the state under the gates alone, and
-multiplies the scalar noise channels into one logged factor that it
-applies to each per-step readout snapshot.
+the compiler. run_noisy is the only circuit executor. Steps of one walk
+differ only in their coin angles, so it compiles the step once
+(compile_step), resolves the shift to (matrix, gate plan) pairs, and then
+per step re-emits only the coin layer and runs the shift in place on one
+flat amplitude array. The state evolves under the gates alone; the scalar
+noise channels multiply into one logged factor that is applied to each
+per-step readout snapshot.
 """
 
 from __future__ import annotations
@@ -21,19 +24,22 @@ import numpy as np
 from . import gates as gatelib
 from . import noise as noiselib
 from .circuits import (
+    Circuit,
     GateApplication,
     MoveMarker,
     NativeGateSet,
     WalkSpec,
+    build_coin,
     build_step_circuit,
     ckx_rank,
     count_multiqubit_gates,
 )
 from .statevector import (
     ProbabilityTable,
-    apply_gate,
+    StateVector,
+    apply_gate,  # noqa: F401 -- kept bound here for tracers; run_noisy inlines its kernel
+    gate_plan,
     marginal_probabilities,
-    new_basis_state,
     scale_amplitudes,
     total_probability,
 )
@@ -66,6 +72,21 @@ class RunResult:
     @property
     def fidelities(self) -> tuple[float, ...]:
         return tuple(rec.fidelity for rec in self.steps)
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledStep:
+    """A checked step circuit for one walk shape at one rank bound.
+
+    The compiler's output depends on the spec only through its qubit
+    counts and coin angles, so one step-0 circuit serves every step of
+    every walk with the same (position qubits, coin qubits, max rank):
+    its leading coin layer is re-emitted per step, the shift after it is
+    reused as it stands.
+    """
+
+    shape: tuple[int, int, int]
+    circuit: Circuit
 
 
 @dataclass(frozen=True)
@@ -118,7 +139,7 @@ def _ideal_ckx_matrix(rank: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # keyed on coin angles, which a schedule may draw at random
 def _ideal_label_gate(label: str, theta: float | None) -> gatelib.GateMatrix:
     rank = ckx_rank(label)
     if rank is not None:
@@ -156,7 +177,10 @@ def run_ideal(spec: WalkSpec) -> list[ProbabilityTable]:
     (c1 c2) rests while c2 = 0, else steps up on c1 = 1 and down on c1 = 0.
     """
     _check_simulable(spec)
-    moves = (-1, 1) if spec.coin_qubits == 1 else (0, -1, 0, 1)
+    moves = np.array((-1, 1) if spec.coin_qubits == 1 else (0, -1, 0, 1))
+    # Rolling column c by moves[c] is one gather: row i takes row i - moves[c].
+    rows = (np.arange(spec.node_count)[:, None] - moves) % spec.node_count
+    cols = np.arange(len(moves))
     psi = np.zeros((spec.node_count, len(moves)))
     psi[0, 0] = 1.0
     tables = []
@@ -164,50 +188,101 @@ def run_ideal(spec: WalkSpec) -> list[ProbabilityTable]:
         coin = _ry(spec.theta_schedule[t])
         if spec.coin_qubits == 2:
             coin = np.kron(coin, _ry(spec.phi_schedule[t]))
-        psi = psi @ coin.T
-        psi = np.stack([np.roll(psi[:, c], shift) for c, shift in enumerate(moves)], axis=1)
+        psi = (psi @ coin.T)[rows, cols]
         tables.append(ProbabilityTable(spec.position_indices, np.sum(psi**2, axis=1)))
     return tables
 
 
-def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoiseParams) -> RunResult:
-    """Compile each step to the native gate set and execute with noise.
+def compile_step(spec: WalkSpec, gate_set: NativeGateSet) -> CompiledStep:
+    """Compile step 0 of the walk and check it once for every step.
 
-    Gate errors swap in the effective matrices for every multiqubit gate.
+    Checks the ring size before compiling and the total qubit count after,
+    that the circuit opens with the coin layer, and every gate's targets.
+    """
+    _check_simulable(spec)
+    circuit = build_step_circuit(spec, gate_set, 0)
+    _check_simulable(spec, circuit.qubit_count)
+    if circuit.ops[: spec.coin_qubits] != build_coin(spec, 0):
+        raise ValueError("step circuit does not open with its coin layer")
+    for op in circuit.ops:
+        if isinstance(op, GateApplication):
+            gate_plan(circuit.qubit_count, op.targets)
+    return CompiledStep((spec.position_qubits, spec.coin_qubits, gate_set.max_rank), circuit)
+
+
+def run_noisy(
+    spec: WalkSpec,
+    gate_set: NativeGateSet,
+    noise: noiselib.NoiseParams,
+    *,
+    ideal_tables: Sequence[ProbabilityTable] | None = None,
+    compiled: CompiledStep | None = None,
+) -> RunResult:
+    """Execute the walk compiled to the native gate set, with noise.
+
+    The step is compiled once (compile_step, unless a CompiledStep for
+    the same walk shape and rank bound is passed) and its shift resolved
+    to (matrix, gate plan) pairs; each step re-emits only the coin RY
+    layer from the schedules and runs the shift in place on one flat
+    amplitude array. Gate errors swap in the effective matrices for every
+    multiqubit gate.
+
     The scalar channels are real factors that commute with every gate, so
     the state evolves under the gates alone and the channels accumulate in
     one running factor: SPAM preparation loss once, idle-qubit damping
     during each multiqubit gate, all-qubit damping at each movement marker
-    (or moves_per_step times per step). Each per-step readout snapshot is
-    the state scaled by that factor times the readout loss. Fidelity
-    compares the snapshot's position marginal against run_ideal at the
-    same step.
+    (or moves_per_step times per step). A step's factors are multiplied in
+    one at a time in circuit order. Each per-step readout snapshot is the
+    state scaled by that factor times the readout loss. Fidelity compares
+    the snapshot's position marginal against run_ideal at the same step;
+    callers running one spec several times may pass its run_ideal tables.
     """
-    circuits = [build_step_circuit(spec, gate_set, t) for t in range(spec.steps)]
-    n_q = circuits[0].qubit_count
-    _check_simulable(spec, n_q)
-    ideal_tables = run_ideal(spec)
+    if compiled is None:
+        compiled = compile_step(spec, gate_set)
+    elif compiled.shape != (spec.position_qubits, spec.coin_qubits, gate_set.max_rank):
+        raise ValueError(f"compiled step for shape {compiled.shape} does not fit this walk and gate set")
+    if ideal_tables is None:
+        ideal_tables = run_ideal(spec)
+    elif len(ideal_tables) != spec.steps:
+        raise ValueError(f"{len(ideal_tables)} ideal tables for a {spec.steps}-step walk")
 
-    state = new_basis_state(n_q, "0" * n_q)
-    running_factor = noiselib.state_prep_factor(noise, n_q)
+    n_q = compiled.circuit.qubit_count
+    coin_ops = compiled.circuit.ops[: spec.coin_qubits]
+    shift_ops = compiled.circuit.ops[spec.coin_qubits :]
     read = noiselib.readout_factor(noise, n_q)
     move = noiselib.movement_factor(noise, n_q)
+    shift = []
+    step_factors = []
+    for op in shift_ops:
+        if isinstance(op, MoveMarker):
+            if noise.moves_per_step is None:
+                step_factors.append(move)
+            continue
+        gate = _resolve(op, gate_set, noise.gate_errors_enabled)
+        if gate.rank != op.rank:
+            raise ValueError(f"{op.label} resolved to a rank-{gate.rank} gate on targets {op.targets}")
+        shift.append((gate.matrix, gate_plan(n_q, op.targets)))
+        if op.rank >= 2:
+            step_factors.append(noiselib.idle_factor(noise, n_q, op.rank))
+    if noise.moves_per_step is not None:
+        step_factors.append(move**noise.moves_per_step)
+    schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
+    coin = [(schedule, gate_plan(n_q, op.targets)) for schedule, op in zip(schedules, coin_ops)]
 
+    amps = np.zeros(2**n_q, dtype=np.complex128)
+    amps[0] = 1.0
+    running_factor = noiselib.state_prep_factor(noise, n_q)
     records = []
-    for t, circuit in enumerate(circuits):
-        for op in circuit.ops:
-            if isinstance(op, MoveMarker):
-                if noise.moves_per_step is None:
-                    running_factor *= move
-                continue
-            state = apply_gate(state, _resolve(op, gate_set, noise.gate_errors_enabled), op.targets)
-            if op.rank >= 2:
-                running_factor *= noiselib.idle_factor(noise, n_q, op.rank)
-        if noise.moves_per_step is not None:
-            running_factor *= move**noise.moves_per_step
+    for t in range(spec.steps):
+        for schedule, plan in coin:
+            amps[plan] = _ideal_label_gate("RY", schedule[t]).matrix @ amps[plan]
+        for matrix, plan in shift:
+            amps[plan] = matrix @ amps[plan]
+        for factor in step_factors:
+            running_factor *= factor
 
         scalar_factor = running_factor * read
-        snapshot = scale_amplitudes(state, scalar_factor)
+        snapshot = scale_amplitudes(StateVector(amps, n_q), scalar_factor)
         table = marginal_probabilities(snapshot, spec.position_indices)
         records.append(
             StepRecord(

@@ -4,11 +4,17 @@ Qubit order is big-endian throughout: qubit 0 is the most significant bit
 of a basis index, so ``new_basis_state(3, "110")`` puts qubits 0 and 1 in
 state 1. States are plain value objects; every operation returns a fresh
 StateVector and never mutates its input.
+
+A gate reaches its target qubits through a gate plan: the basis indices of
+the state laid out as a (2^r, 2^(n-r)) array whose row is the target bits
+and whose column is the rest. ``amps[plan] = M @ amps[plan]`` applies the
+gate, so the executor can run a compiled step in place on one flat array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,14 +69,28 @@ def new_basis_state(qubit_count: int, bits: str) -> StateVector:
     return StateVector(amps, qubit_count)
 
 
-def _check_targets(state: StateVector, targets: Sequence[int], rank: int) -> None:
-    if len(targets) != rank:
-        raise ValueError(f"gate acts on {rank} qubits, got targets {tuple(targets)}")
+def _check_targets(qubit_count: int, targets: tuple[int, ...]) -> None:
     if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits in {tuple(targets)}")
+        raise ValueError(f"duplicate target qubits in {targets}")
     for q in targets:
-        if not 0 <= q < state.qubit_count:
-            raise ValueError(f"target qubit {q} out of range for {state.qubit_count} qubits")
+        if not 0 <= q < qubit_count:
+            raise ValueError(f"target qubit {q} out of range for {qubit_count} qubits")
+
+
+@lru_cache(maxsize=256)  # every walk the simulator admits needs under 60 plans
+def gate_plan(qubit_count: int, targets: tuple[int, ...]) -> np.ndarray:
+    """Read-only (2^r, 2^(n-r)) array of basis indices for a gate on ``targets``.
+
+    Row i holds the indices whose target bits, in the order given, spell
+    i; each row lists the other qubits' values in ascending order. It is
+    the index array moved through the same axis shuffle a gate would be.
+    """
+    _check_targets(qubit_count, targets)
+    r = len(targets)
+    indices = np.arange(2**qubit_count).reshape((2,) * qubit_count)
+    plan = np.ascontiguousarray(np.moveaxis(indices, targets, range(r)).reshape(2**r, -1))
+    plan.flags.writeable = False
+    return plan
 
 
 def apply_gate(state: StateVector, gate: GateMatrix, targets: Sequence[int]) -> StateVector:
@@ -79,18 +99,16 @@ def apply_gate(state: StateVector, gate: GateMatrix, targets: Sequence[int]) -> 
     For controlled gates the convention is controls first, target last,
     matching the row ordering of the gate matrix itself.
     """
-    _check_targets(state, targets, gate.rank)
-    n = state.qubit_count
-    r = gate.rank
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = np.moveaxis(psi, list(targets), range(r))
-    block = psi.reshape(2**r, -1)
+    targets = tuple(targets)
+    if len(targets) != gate.rank:
+        raise ValueError(f"gate acts on {gate.rank} qubits, got targets {targets}")
+    plan = gate_plan(state.qubit_count, targets)
+    amps = state.amplitudes.copy()
     if gate.diagonal is not None:
-        block = gate.diagonal[:, None] * block
+        amps[plan] = gate.diagonal[:, None] * amps[plan]
     else:
-        block = gate.matrix @ block
-    psi = np.moveaxis(block.reshape((2,) * n), range(r), list(targets))
-    return StateVector(np.ascontiguousarray(psi).reshape(-1), n)
+        amps[plan] = gate.matrix @ amps[plan]
+    return StateVector(amps, state.qubit_count)
 
 
 def scale_amplitudes(state: StateVector, factor: float) -> StateVector:
@@ -107,7 +125,7 @@ def marginal_probabilities(state: StateVector, qubits: Iterable[int]) -> Probabi
     visible to downstream metrics.
     """
     subset = tuple(qubits)
-    _check_targets(state, subset, len(subset))
+    _check_targets(state.qubit_count, subset)
     n = state.qubit_count
     probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
     keep = set(subset)

@@ -1,0 +1,39 @@
+"""Reference executor for run_noisy: compile every step, apply every gate.
+
+Compiles each step with build_step_circuit, coin angles and all, and runs
+its ops one by one through apply_gate on immutable StateVectors, with the
+scalar channels multiplied into the running factor in circuit order. It
+does the same arithmetic as run_noisy, so run_noisy must match it exactly;
+it shares none of run_noisy's compile-once and in-place machinery.
+"""
+
+from ringwalk import noise as noiselib
+from ringwalk.circuits import MoveMarker, build_step_circuit
+from ringwalk.simulate import _resolve
+from ringwalk.statevector import apply_gate, marginal_probabilities, new_basis_state, scale_amplitudes
+
+
+def run_noisy_stepwise(spec, gate_set, noise):
+    """Per step: (noisy position marginal, scalar factor)."""
+    circuits = [build_step_circuit(spec, gate_set, t) for t in range(spec.steps)]
+    n_q = circuits[0].qubit_count
+    state = new_basis_state(n_q, "0" * n_q)
+    running_factor = noiselib.state_prep_factor(noise, n_q)
+    read = noiselib.readout_factor(noise, n_q)
+    move = noiselib.movement_factor(noise, n_q)
+    out = []
+    for circuit in circuits:
+        for op in circuit.ops:
+            if isinstance(op, MoveMarker):
+                if noise.moves_per_step is None:
+                    running_factor *= move
+                continue
+            state = apply_gate(state, _resolve(op, gate_set, noise.gate_errors_enabled), op.targets)
+            if op.rank >= 2:
+                running_factor *= noiselib.idle_factor(noise, n_q, op.rank)
+        if noise.moves_per_step is not None:
+            running_factor *= move**noise.moves_per_step
+        scalar_factor = running_factor * read
+        snapshot = scale_amplitudes(state, scalar_factor)
+        out.append((marginal_probabilities(snapshot, spec.position_indices), scalar_factor))
+    return out

@@ -371,6 +371,12 @@ def test_walk_spec_validation():
         WalkSpec(3, 2, theta_schedule=(1.0,), phi_schedule=None, steps=1)
     with pytest.raises(ValueError):
         WalkSpec(3, 1, theta_schedule=(1.0,), phi_schedule=(1.0,), steps=1)
+    with pytest.raises(ValueError, match="theta_schedule"):
+        WalkSpec(3, 1, theta_schedule=(1.0, math.nan), phi_schedule=None, steps=2)
+    with pytest.raises(ValueError, match="phi_schedule"):
+        WalkSpec(3, 2, theta_schedule=(1.0,), phi_schedule=(math.inf,), steps=1)
+    with pytest.raises(ValueError, match="position_qubits"):
+        WalkSpec(2.5, 1, theta_schedule=(1.0,), phi_schedule=None, steps=1)
 
 
 def test_walk_spec_derived_layout():
@@ -387,6 +393,11 @@ def test_native_gate_set_validation():
         NativeGateSet(max_rank=5)
     with pytest.raises(ValueError):
         NativeGateSet(max_rank=3, param_a=-0.5)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="param_a"):
+            NativeGateSet(max_rank=3, param_a=value)
+    with pytest.raises(ValueError, match="max_rank"):
+        NativeGateSet(max_rank=3.0)
     with pytest.raises(ValueError):
         NativeGateSet(max_rank=3).effective_ckz(3)
     tuned = NativeGateSet(max_rank=3, param_a=13.0)

@@ -92,6 +92,10 @@ def test_params_validation():
         NoiseParams(tau_gate=-1.0)
     with pytest.raises(ValueError):
         NoiseParams(moves_per_step=-1)
+    for field, value in (("t1", math.nan), ("tau_gate", math.inf), ("tau_move", math.inf),
+                         ("moves_per_step", 2.5)):
+        with pytest.raises(ValueError, match=field):
+            NoiseParams(**{field: value})
     assert NoiseParams(moves_per_step=0).moves_per_step == 0
 
 

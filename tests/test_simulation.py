@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import run_ideal_dense_oracle
+from stepwise_reference import run_noisy_stepwise
 from ringwalk import noise as noiselib
 from ringwalk.circuits import (
     GateApplication,
     MoveMarker,
     NativeGateSet,
+    WalkSpec,
     build_step_circuit,
     count_multiqubit_gates,
     uniform_spec,
@@ -21,6 +23,7 @@ from ringwalk.simulate import (
     CompositeReport,
     RunResult,
     UnsupportedSizeError,
+    compile_step,
     composite_fidelity,
     gate_set_comparison,
     hellinger_fidelity,
@@ -172,6 +175,44 @@ def test_moves_per_step_override():
     frozen = run_noisy(spec, NativeGateSet(3), noiselib.NoiseParams(moves_per_step=0))
     marked = run_noisy(spec, NativeGateSet(3), FULL)
     assert frozen.steps[-1].scalar_factor > marked.steps[-1].scalar_factor
+
+
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("rho", [3, 4])
+@pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), noiselib.IDEAL],
+                         ids=["full", "two-moves", "ideal"])
+def test_compiled_once_matches_stepwise_reference(nc, rho, noise):
+    # Distinct coin angles at every step, so reusing any step's coin for
+    # another would show.
+    rng = np.random.default_rng(10 * nc + rho)
+    steps = 6
+    spec = WalkSpec(3, nc, tuple(rng.uniform(0.1, math.pi, steps)),
+                    tuple(rng.uniform(0.1, math.pi, steps)) if nc == 2 else None, steps)
+    gate_set = NativeGateSet(max_rank=rho)
+    result = run_noisy(spec, gate_set, noise)
+    reference = run_noisy_stepwise(spec, gate_set, noise)
+    assert len(result.steps) == len(reference) == steps
+    for rec, (table, scalar_factor) in zip(result.steps, reference):
+        assert np.array_equal(rec.noisy_positions.values, table.values)
+        assert rec.scalar_factor == scalar_factor
+
+
+def test_shared_compiled_step_and_ideal_tables():
+    spec = uniform_spec(3, 2, steps=4)
+    compiled = compile_step(spec, NativeGateSet(3))
+    ideal = run_ideal(spec)
+    tuned = NativeGateSet(3, param_a=13.0)
+    shared = run_noisy(spec, tuned, FULL, ideal_tables=ideal, compiled=compiled)
+    alone = run_noisy(spec, tuned, FULL)
+    for a, b in zip(shared.steps, alone.steps):
+        assert np.array_equal(a.noisy_positions.values, b.noisy_positions.values)
+        assert a.fidelity == b.fidelity and a.scalar_factor == b.scalar_factor
+    with pytest.raises(ValueError):
+        run_noisy(spec, NativeGateSet(4), FULL, compiled=compiled)
+    with pytest.raises(ValueError):
+        run_noisy(uniform_spec(3, 1, steps=4), NativeGateSet(3), FULL, compiled=compiled)
+    with pytest.raises(ValueError):
+        run_noisy(spec, tuned, FULL, ideal_tables=ideal[:3])
 
 
 def test_fidelity_decreases_with_worse_preparation():

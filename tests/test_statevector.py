@@ -10,6 +10,7 @@ from ringwalk.statevector import (
     ProbabilityTable,
     StateVector,
     apply_gate,
+    gate_plan,
     marginal_probabilities,
     new_basis_state,
     scale_amplitudes,
@@ -50,18 +51,32 @@ def random_state(rng, n):
 
 def test_apply_gate_matches_dense_embedding():
     rng = np.random.default_rng(7)
-    for n in (2, 3, 4, 5):
-        for r in (1, 2, 3):
-            if r > n:
-                continue
+    for n in range(1, 7):
+        for r in range(1, min(n, 4) + 1):
             for _ in range(4):
                 mat = rng.standard_normal((2**r, 2**r)) + 1j * rng.standard_normal((2**r, 2**r))
                 gate = GateMatrix("T", r, dense=mat)
                 targets = tuple(rng.permutation(n)[:r])
                 state = random_state(rng, n)
+                before = state.amplitudes.copy()
                 got = apply_gate(state, gate, targets).amplitudes
                 want = dense_embed(mat, targets, n) @ state.amplitudes
                 assert np.allclose(got, want, atol=1e-12)
+                assert np.array_equal(state.amplitudes, before)  # the input state is untouched
+
+
+def test_gate_plans_are_cached_and_read_only():
+    plan = gate_plan(4, (2, 0))
+    assert plan is gate_plan(4, (2, 0))
+    assert plan.shape == (4, 4)
+    assert not plan.flags.writeable
+    with pytest.raises(ValueError):
+        plan[0, 0] = 1
+    # Row i lists the indices whose bits on (q2, q0) spell i.
+    assert sorted(plan.ravel()) == list(range(16))
+    for row, indices in enumerate(plan):
+        for index in indices:
+            assert ((index >> 1) & 1, (index >> 3) & 1) == (row >> 1, row & 1)
 
 
 def test_apply_diagonal_gate_matches_dense_path():
