@@ -9,6 +9,14 @@ Subcommands:
 Configs are INI-style text (section headers, key = value). Unknown
 sections or keys are rejected. Everything is deterministic; the
 --seedless flag exists only to say so out loud.
+
+Each subcommand computes its results once and returns one Output: the
+JSON payload (floats rounded to 12 significant digits), the CSV table
+as records from that payload under a header, and the report lines.
+render() builds only the format asked for. With --out the payload goes
+to that file and the report to stdout; without it the payload is
+printed. Exit codes: 0 success, 2 config error (an unwritable --out
+path included), 3 unsupported size.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ KINDS = ("simulate", "sweep-a", "tolerance", "composite")
 DEFAULT_A_LIST = (0.0, 13.0 / 3, 26.0 / 3, 13.0, 52.0 / 3, 65.0 / 3, 26.0)
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad experiment config; the message names the offending key."""
 
 
@@ -156,6 +164,13 @@ def _integer_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def _transition(text: str) -> tuple[int, int]:
+    ranks = text.split("->")
+    if len(ranks) != 2:
+        raise ConfigError(f"expected one low->high pair, got {text.strip()!r}")
+    return int(ranks[0]), int(ranks[1])
+
+
 # section -> key -> (config attribute, parser)
 _CONFIG_SCHEMA = {
     "experiment": {"kind": ("kind", str.strip)},
@@ -190,9 +205,7 @@ _CONFIG_SCHEMA = {
         ),
         "transitions": (
             "transitions",
-            lambda s: tuple(
-                tuple(int(r) for r in part.split("->")) for part in s.split(",") if part.strip()
-            ),
+            lambda s: tuple(_transition(part) for part in s.split(",") if part.strip()),
         ),
     },
     "output": {
@@ -241,6 +254,30 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
+@dataclass(frozen=True)
+class Output:
+    """One subcommand's results, built once.
+
+    ``payload`` is the JSON document, every float rounded once by
+    ``_round12``. The CSV table is ``header`` over ``rows``: records taken
+    from the payload, each cell looked up by its column name (a missing
+    cell is empty). ``report`` holds the lines of the human report.
+    """
+
+    payload: dict
+    header: tuple[str, ...]
+    rows: list[dict]
+    report: list[str]
+
+
+def render(output: Output, fmt: str) -> str:
+    """The payload text in ``fmt`` ("json" or "csv"); only that one is built."""
+    if fmt == "json":
+        return json.dumps(output.payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    lines = [output.header] + [[row.get(column, "") for column in output.header] for row in output.rows]
+    return "\n".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line) for line in lines) + "\n"
+
+
 def _config_echo(config: ExperimentConfig) -> dict:
     return {
         "position_qubits": config.position_qubits,
@@ -250,17 +287,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "phi": [_round12(v) for v in config.phi] if config.coin_qubits == 2 else None,
         "max_rank": config.max_rank,
         "param_a": None if config.param_a is None else _round12(config.param_a),
-        "noise": {
-            "eps_init": config.eps_init,
-            "eps_read": config.eps_read,
-            "t1_seconds": config.t1_seconds,
-            "tau_gate_seconds": config.tau_gate_seconds,
-            "tau_move_seconds": config.tau_move_seconds,
-            "gate_errors": config.gate_errors,
-            "passive": config.passive,
-            "spam": config.spam,
-            "moves_per_step": config.moves_per_step,
-        },
+        "noise": {key: getattr(config, attribute) for key, (attribute, _) in _CONFIG_SCHEMA["noise"].items()},
     }
 
 
@@ -280,31 +307,24 @@ def _step_rows(result: RunResult) -> list[dict]:
     return rows
 
 
-def cmd_simulate(config: ExperimentConfig) -> tuple[str, str, str]:
-    """Returns (csv_text, json_text, report_text)."""
+def cmd_simulate(config: ExperimentConfig) -> Output:
     result = run_noisy(config.walk_spec(), config.gate_set(), config.noise_params())
-    lines = ["step,fidelity,total_probability"]
-    for rec in result.steps:
-        lines.append(f"{rec.step},{_fmt(rec.fidelity)},{_fmt(rec.total_probability)}")
-    csv_text = "\n".join(lines) + "\n"
-
-    payload = {"kind": "simulate", "config": _config_echo(config), "steps": _step_rows(result)}
-    json_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-    fids = result.fidelities
-    report = "\n".join(
-        [
+    steps = _step_rows(result)
+    within = tolerance_report(result).steps_within
+    return Output(
+        payload={"kind": "simulate", "config": _config_echo(config), "steps": steps},
+        header=("step", "fidelity", "total_probability"),
+        rows=steps,
+        report=[
             f"walk: {config.coin_qubits}q-coin on {2**config.position_qubits} nodes, "
             f"{config.steps} steps, native max rank {config.max_rank}",
-            f"f_1 = {_fmt(fids[0])}   f_{len(fids)} = {_fmt(fids[-1])}",
-            "steps within tolerance: "
-            + "  ".join(f"{tol:g}: {n}" for tol, n in tolerance_report(result).steps_within.items()),
-        ]
-    ) + "\n"
-    return csv_text, json_text, report
+            f"f_1 = {_fmt(steps[0]['fidelity'])}   f_{len(steps)} = {_fmt(steps[-1]['fidelity'])}",
+            "steps within tolerance: " + "  ".join(f"{tol:g}: {n}" for tol, n in within.items()),
+        ],
+    )
 
 
-def cmd_sweep_a(config: ExperimentConfig) -> tuple[str, str, str]:
+def cmd_sweep_a(config: ExperimentConfig) -> Output:
     spec = config.walk_spec()
     noise = config.noise_params()
     series = []
@@ -319,43 +339,27 @@ def cmd_sweep_a(config: ExperimentConfig) -> tuple[str, str, str]:
             ideal_tables = simulate.run_ideal(spec)
             compiled = compile_step(spec, gate_set)
         result = run_noisy(spec, gate_set, noise, ideal_tables=ideal_tables, compiled=compiled)
-        f_cz = gatelib.gate_fidelity(gatelib.param_gate("CZ", a), gatelib.ideal_ckz(1))
-        f_ccz = gatelib.gate_fidelity(gatelib.param_gate("CCZ", a), gatelib.ideal_ckz(2))
-        series.append((a, f_cz, f_ccz, result))
-
-    lines = ["a,step,fidelity,total_probability,f_cz,f_ccz"]
-    for a, f_cz, f_ccz, result in series:
-        for rec in result.steps:
-            lines.append(
-                f"{_fmt(a)},{rec.step},{_fmt(rec.fidelity)},{_fmt(rec.total_probability)},"
-                f"{_fmt(f_cz)},{_fmt(f_ccz)}"
-            )
-    csv_text = "\n".join(lines) + "\n"
-
-    payload = {
-        "kind": "sweep-a",
-        "config": _config_echo(config),
-        "series": [
+        series.append(
             {
                 "a": _round12(a),
-                "f_cz": _round12(f_cz),
-                "f_ccz": _round12(f_ccz),
+                "f_cz": _round12(gatelib.gate_fidelity(gatelib.param_gate("CZ", a), gatelib.ideal_ckz(1))),
+                "f_ccz": _round12(gatelib.gate_fidelity(gatelib.param_gate("CCZ", a), gatelib.ideal_ckz(2))),
                 "steps": _step_rows(result),
             }
-            for a, f_cz, f_ccz, result in series
-        ],
-    }
-    json_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-    report_lines = ["a        F(CZ(a))      F(CCZ(a))     f_final"]
-    for a, f_cz, f_ccz, result in series:
-        report_lines.append(
-            f"{_fmt(a):<8} {_fmt(f_cz):<13} {_fmt(f_ccz):<13} {_fmt(result.fidelities[-1])}"
         )
-    return csv_text, json_text, "\n".join(report_lines) + "\n"
+    return Output(
+        payload={"kind": "sweep-a", "config": _config_echo(config), "series": series},
+        header=("a", "step", "fidelity", "total_probability", "f_cz", "f_ccz"),
+        rows=[{**s, **row} for s in series for row in s["steps"]],
+        report=["a        F(CZ(a))      F(CCZ(a))     f_final"]
+        + [
+            f"{_fmt(s['a']):<8} {_fmt(s['f_cz']):<13} {_fmt(s['f_ccz']):<13} {_fmt(s['steps'][-1]['fidelity'])}"
+            for s in series
+        ],
+    )
 
 
-def cmd_tolerance(config: ExperimentConfig) -> tuple[str, str, str]:
+def cmd_tolerance(config: ExperimentConfig) -> Output:
     noise = config.noise_params()
     reports = []
     ideal_tables = {}  # both rank bounds run each walk against one ideal reference
@@ -369,93 +373,80 @@ def cmd_tolerance(config: ExperimentConfig) -> tuple[str, str, str]:
                 result = run_noisy(spec, gate_set, noise, ideal_tables=ideal_tables[spec])
                 reports.append(tolerance_report(result))
 
-    lines = ["max_rank,coin_qubits,position_qubits,tolerance,steps_within"]
-    for rep in reports:
-        for tol, steps in rep.steps_within.items():
-            lines.append(f"{rep.max_rank},{rep.coin_qubits},{rep.position_qubits},{_fmt(tol)},{steps}")
-    csv_text = "\n".join(lines) + "\n"
-
-    payload = {
-        "kind": "tolerance",
-        "config": _config_echo(config),
-        "rows": [
-            {
-                "max_rank": rep.max_rank,
-                "coin_qubits": rep.coin_qubits,
-                "position_qubits": rep.position_qubits,
-                "steps_within": {_fmt(tol): steps for tol, steps in rep.steps_within.items()},
-            }
+    rows = [
+        {
+            "max_rank": rep.max_rank,
+            "coin_qubits": rep.coin_qubits,
+            "position_qubits": rep.position_qubits,
+            "steps_within": {_fmt(tol): steps for tol, steps in rep.steps_within.items()},
+        }
+        for rep in reports
+    ]
+    return Output(
+        payload={"kind": "tolerance", "config": _config_echo(config), "rows": rows},
+        header=("max_rank", "coin_qubits", "position_qubits", "tolerance", "steps_within"),
+        rows=[{**row, "tolerance": tol, "steps_within": n} for row in rows for tol, n in row["steps_within"].items()],
+        report=["rank  coin  nodes  " + "  ".join(f"<={tol:g}" for tol in TOLERANCES)]
+        + [
+            f"{rep.max_rank:>4}  {rep.coin_qubits:>4}  {2**rep.position_qubits:>5}  "
+            + "  ".join(f"{rep.steps_within[tol]:6d}" for tol in TOLERANCES)
             for rep in reports
         ],
-    }
-    json_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-    report_lines = ["rank  coin  nodes  " + "  ".join(f"<={tol:g}" for tol in TOLERANCES)]
-    for rep in reports:
-        cells = "  ".join(f"{rep.steps_within[tol]:6d}" for tol in TOLERANCES)
-        report_lines.append(
-            f"{rep.max_rank:>4}  {rep.coin_qubits:>4}  {2**rep.position_qubits:>5}  {cells}"
-        )
-    return csv_text, json_text, "\n".join(report_lines) + "\n"
+    )
 
 
-def cmd_composite(config: ExperimentConfig) -> tuple[str, str, str]:
-    try:
-        comparison = gate_set_comparison(config.n_list, config.fidelity_sets, config.transitions)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    lines = ["position_qubits,transition,set_index,f_low,f_high,percent_increase"]
+def cmd_composite(config: ExperimentConfig) -> Output:
+    comparison = gate_set_comparison(config.n_list, config.fidelity_sets, config.transitions)
+    entries = []
+    rows = []
+    report = ["composite fidelity gains (2q-coin walk, per-step gate census)"]
     for entry in comparison.entries:
-        name = f"{entry.rank_low}->{entry.rank_high}"
-        for i, (_, f_low, f_high, pct) in enumerate(entry.per_set):
-            lines.append(
-                f"{entry.position_qubits},{name},{i},{_fmt(f_low)},{_fmt(f_high)},{_fmt(pct)}"
-            )
-        lines.append(f"{entry.position_qubits},{name},mean,,,{_fmt(entry.mean_percent_increase)}")
-    csv_text = "\n".join(lines) + "\n"
-
-    payload = {
-        "kind": "composite",
-        "config": {
-            "n_list": list(config.n_list),
-            "fidelity_sets": [[_round12(f) for f in s] for s in config.fidelity_sets],
-            "transitions": [f"{lo}->{hi}" for lo, hi in config.transitions],
-        },
-        "entries": [
+        per_set = [
             {
-                "position_qubits": entry.position_qubits,
-                "transition": f"{entry.rank_low}->{entry.rank_high}",
+                "fidelities": [_round12(f) for f in s],
+                "f_low": _round12(f_low),
+                "f_high": _round12(f_high),
+                "percent_increase": _round12(pct),
+            }
+            for s, f_low, f_high, pct in entry.per_set
+        ]
+        key = {"position_qubits": entry.position_qubits, "transition": f"{entry.rank_low}->{entry.rank_high}"}
+        mean = _round12(entry.mean_percent_increase)
+        entries.append(
+            {
+                **key,
                 "counts_low": {str(r): c for r, c in entry.counts_low.items()},
                 "counts_high": {str(r): c for r, c in entry.counts_high.items()},
-                "per_set": [
-                    {
-                        "fidelities": [_round12(f) for f in s],
-                        "f_low": _round12(f_low),
-                        "f_high": _round12(f_high),
-                        "percent_increase": _round12(pct),
-                    }
-                    for s, f_low, f_high, pct in entry.per_set
-                ],
-                "mean_percent_increase": _round12(entry.mean_percent_increase),
+                "per_set": per_set,
+                "mean_percent_increase": mean,
             }
-            for entry in comparison.entries
-        ],
-    }
-    json_text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-    report_lines = ["composite fidelity gains (2q-coin walk, per-step gate census)"]
-    for entry in comparison.entries:
-        report_lines.append(
+        )
+        rows += [{**key, "set_index": i, **s} for i, s in enumerate(per_set)]
+        rows.append({**key, "set_index": "mean", "percent_increase": mean})
+        report.append(
             f"n={entry.position_qubits} G({entry.rank_low})->G({entry.rank_high}): "
             f"counts {entry.counts_low} -> {entry.counts_high}"
         )
-        for s, f_low, f_high, pct in entry.per_set:
-            report_lines.append(
-                f"  set {tuple(_round12(f) for f in s)}: f {_fmt(f_low)} -> {_fmt(f_high)}  ({_fmt(pct)}%)"
-            )
-        report_lines.append(f"  mean increase: {_fmt(entry.mean_percent_increase)}%")
-    return csv_text, json_text, "\n".join(report_lines) + "\n"
+        report += [
+            f"  set {tuple(s['fidelities'])}: f {_fmt(s['f_low'])} -> {_fmt(s['f_high'])}  "
+            f"({_fmt(s['percent_increase'])}%)"
+            for s in per_set
+        ]
+        report.append(f"  mean increase: {_fmt(mean)}%")
+    return Output(
+        payload={
+            "kind": "composite",
+            "config": {
+                "n_list": list(config.n_list),
+                "fidelity_sets": [[_round12(f) for f in s] for s in config.fidelity_sets],
+                "transitions": [f"{lo}->{hi}" for lo, hi in config.transitions],
+            },
+            "entries": entries,
+        },
+        header=("position_qubits", "transition", "set_index", "f_low", "f_high", "percent_increase"),
+        rows=rows,
+        report=report,
+    )
 
 
 _COMMANDS = {
@@ -465,95 +456,49 @@ _COMMANDS = {
     "composite": cmd_composite,
 }
 
-_POSITIONS_SCHEMA = {"type": "object", "additionalProperties": {"type": "number"}}
-_STEP_SCHEMA = {
-    "type": "object",
-    "required": ["step", "fidelity", "total_probability", "scalar_factor", "ideal_positions", "noisy_positions"],
-    "properties": {
-        "step": {"type": "integer", "minimum": 1},
-        "fidelity": {"type": "number", "minimum": 0, "maximum": 1},
-        "total_probability": {"type": "number", "minimum": 0, "maximum": 1},
-        "scalar_factor": {"type": "number", "minimum": 0, "maximum": 1},
-        "ideal_positions": _POSITIONS_SCHEMA,
-        "noisy_positions": _POSITIONS_SCHEMA,
-    },
-}
+
+def _record(**properties) -> dict:
+    """JSON schema of an object that requires every property it lists."""
+    return {"type": "object", "required": list(properties), "properties": properties}
+
+
+def _payload_schema(kind: str, key: str, items: dict) -> dict:
+    return _record(kind={"const": kind}, config={"type": "object"}, **{key: {"type": "array", "items": items}})
+
+
+_NUMBER = {"type": "number"}
+_INTEGER = {"type": "integer"}
+_PROBABILITY = {"type": "number", "minimum": 0, "maximum": 1}
+_POSITIONS = {"type": "object", "additionalProperties": _NUMBER}
+_COUNTS = {"type": "object", "additionalProperties": _INTEGER}
+_STEP_SCHEMA = _record(
+    step={"type": "integer", "minimum": 1},
+    fidelity=_PROBABILITY,
+    total_probability=_PROBABILITY,
+    scalar_factor=_PROBABILITY,
+    ideal_positions=_POSITIONS,
+    noisy_positions=_POSITIONS,
+)
 
 SCHEMAS = {
-    "simulate": {
-        "type": "object",
-        "required": ["kind", "config", "steps"],
-        "properties": {
-            "kind": {"const": "simulate"},
-            "config": {"type": "object"},
-            "steps": {"type": "array", "items": _STEP_SCHEMA},
-        },
-    },
-    "sweep-a": {
-        "type": "object",
-        "required": ["kind", "config", "series"],
-        "properties": {
-            "kind": {"const": "sweep-a"},
-            "config": {"type": "object"},
-            "series": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["a", "f_cz", "f_ccz", "steps"],
-                    "properties": {
-                        "a": {"type": "number", "minimum": 0},
-                        "f_cz": {"type": "number"},
-                        "f_ccz": {"type": "number"},
-                        "steps": {"type": "array", "items": _STEP_SCHEMA},
-                    },
-                },
-            },
-        },
-    },
-    "tolerance": {
-        "type": "object",
-        "required": ["kind", "config", "rows"],
-        "properties": {
-            "kind": {"const": "tolerance"},
-            "config": {"type": "object"},
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["max_rank", "coin_qubits", "position_qubits", "steps_within"],
-                    "properties": {
-                        "max_rank": {"type": "integer"},
-                        "coin_qubits": {"type": "integer"},
-                        "position_qubits": {"type": "integer"},
-                        "steps_within": {"type": "object", "additionalProperties": {"type": "integer"}},
-                    },
-                },
-            },
-        },
-    },
-    "composite": {
-        "type": "object",
-        "required": ["kind", "config", "entries"],
-        "properties": {
-            "kind": {"const": "composite"},
-            "config": {"type": "object"},
-            "entries": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["position_qubits", "transition", "counts_low", "counts_high", "per_set", "mean_percent_increase"],
-                    "properties": {
-                        "position_qubits": {"type": "integer"},
-                        "transition": {"type": "string"},
-                        "counts_low": {"type": "object", "additionalProperties": {"type": "integer"}},
-                        "counts_high": {"type": "object", "additionalProperties": {"type": "integer"}},
-                        "per_set": {"type": "array"},
-                        "mean_percent_increase": {"type": "number"},
-                    },
-                },
-            },
-        },
-    },
+    "simulate": _payload_schema("simulate", "steps", _STEP_SCHEMA),
+    "sweep-a": _payload_schema(
+        "sweep-a",
+        "series",
+        _record(a={"type": "number", "minimum": 0}, f_cz=_NUMBER, f_ccz=_NUMBER,
+                steps={"type": "array", "items": _STEP_SCHEMA}),
+    ),
+    "tolerance": _payload_schema(
+        "tolerance",
+        "rows",
+        _record(max_rank=_INTEGER, coin_qubits=_INTEGER, position_qubits=_INTEGER, steps_within=_COUNTS),
+    ),
+    "composite": _payload_schema(
+        "composite",
+        "entries",
+        _record(position_qubits=_INTEGER, transition={"type": "string"}, counts_low=_COUNTS,
+                counts_high=_COUNTS, per_set={"type": "array"}, mean_percent_increase=_NUMBER),
+    ),
 }
 
 
@@ -582,24 +527,24 @@ def main(argv: list[str] | None = None) -> int:
             config.out_path = args.out
         if args.format:
             config.out_format = args.format
-        csv_text, json_text, report = _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        output = _COMMANDS[args.command](config)
+        text = render(output, config.out_format)
+        if config.out_path:
+            try:
+                Path(config.out_path).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write output.path {config.out_path!r}: {exc.strerror or exc}") from exc
     except UnsupportedSizeError as exc:
         print(f"unsupported size: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    payload = json_text if config.out_format == "json" else csv_text
     if config.out_path:
-        Path(config.out_path).write_text(payload, encoding="utf-8")
-        sys.stdout.write(report)
-        sys.stdout.write(f"wrote {config.out_path}\n")
+        sys.stdout.write("\n".join(output.report) + f"\nwrote {config.out_path}\n")
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(text)
     return 0
 
 

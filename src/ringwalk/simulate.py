@@ -372,6 +372,8 @@ def gate_set_comparison(
     uses gates of rank 3 and up, matching the composite product's range.
     """
     sets = [tuple(s) for s in fidelity_sets]
+    if not sets:
+        raise ValueError("fidelity_sets must list at least one set")
     for s in sets:
         if len(s) != 3:
             raise ValueError(f"fidelity set {s} must list ranks 3, 4, 5")
@@ -394,6 +396,10 @@ def gate_set_comparison(
                 by_rank = {3: s[0], 4: s[1], 5: s[2]}
                 f_low = composite_fidelity(counts_low, by_rank)
                 f_high = composite_fidelity(counts_high, by_rank)
+                if f_low == 0:
+                    raise ValueError(
+                        f"fidelity set {s} at n = {n}: composite fidelity under G({low}) underflows to 0"
+                    )
                 rows.append((s, f_low, f_high, (f_high - f_low) / f_low * 100.0))
             entries.append(
                 TransitionEntry(

@@ -17,7 +17,7 @@ from dense_oracle import run_ideal_dense_oracle
 from ringwalk import gates as gatelib
 from ringwalk import noise as noiselib
 from ringwalk.circuits import NativeGateSet, decompose_ckx, uniform_spec
-from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_simulate
+from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_simulate, render
 from ringwalk.simulate import (
     gate_set_comparison,
     run_noisy,
@@ -188,7 +188,7 @@ PUBLISHED_MEAN_INCREASES = {
 
 def test_composite_increases_or_attributable_counts():
     report = gate_set_comparison()
-    _, _, text = cmd_composite(ExperimentConfig())
+    lines = cmd_composite(ExperimentConfig()).report
     for entry in report.entries:
         target = PUBLISHED_MEAN_INCREASES[(entry.rank_low, entry.rank_high)][entry.position_qubits]
         within = abs(entry.mean_percent_increase - target) <= 0.2 * abs(target)
@@ -200,7 +200,7 @@ def test_composite_increases_or_attributable_counts():
             f"n={entry.position_qubits} G({entry.rank_low})->G({entry.rank_high}): "
             f"counts {entry.counts_low} -> {entry.counts_high}"
         )
-        assert header in text
+        assert header in lines
 
 
 def test_composite_counts_follow_census_scaling():
@@ -254,4 +254,6 @@ def test_property_output_determinism():
     config = ExperimentConfig(position_qubits=2, coin_qubits=2, steps=4)
     first = cmd_simulate(config)
     second = cmd_simulate(config)
-    assert first == second
+    assert first.report == second.report
+    for fmt in ("csv", "json"):
+        assert render(first, fmt) == render(second, fmt)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringwalk import cli
 from ringwalk.cli import (
@@ -108,6 +112,7 @@ BAD_VALUES = (
     ("[noise]\ntau_move_seconds = inf\n", "noise.tau_move_seconds"),
     ("[noise]\nspam = maybe\n", "noise.spam"),
     ("[composite]\nn_list = 2.5\n", "composite.n_list"),
+    ("[composite]\ntransitions = 3->4->5\n", "composite.transitions"),
     ("[experiment]\nkind = walkabout\n", "walkabout"),
     ("[output]\nformat = yaml\n", "yaml"),
 )
@@ -148,6 +153,23 @@ def test_main_kind_mismatch_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, "[experiment]\nkind = tolerance\n")
     assert main(["simulate", "--config", path]) == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def test_main_composite_underflow_exit_code(tmp_path, capsys):
+    path = write_config(tmp_path, "[composite]\nfidelity_sets = 0.5 0.4 0.3\nn_list = 20\n")
+    for fmt in ("csv", "json"):
+        assert main(["composite", "--config", path, "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: fidelity set (0.5, 0.4, 0.3) at n = 20")
+
+
+def test_main_unwritable_out_exit_code(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["simulate", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot write output.path {str(target)!r}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 def test_main_unsupported_size_exit_code(tmp_path, capsys):
@@ -213,6 +235,17 @@ def test_json_payloads_validate_against_schema(command, tmp_path, capsys):
     jsonschema.validate(payload, cli.SCHEMAS[command])
 
 
+def test_csv_run_never_encodes_json(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called on a CSV run")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    for command in sorted(CSV_HEADERS):
+        path = write_config(tmp_path, FAST_INI[command])
+        assert main([command, "--config", path, "--out", str(tmp_path / "run.csv")]) == 0
+    capsys.readouterr()
+
+
 def test_tolerance_covers_both_gate_sets(tmp_path, capsys):
     path = write_config(tmp_path, FAST_INI["tolerance"])
     assert main(["tolerance", "--config", path]) == 0
@@ -227,12 +260,103 @@ def test_tolerance_covers_both_gate_sets(tmp_path, capsys):
 
 def test_composite_report_prints_per_rank_counts():
     config = ExperimentConfig(n_list=(5,), transitions=((3, 4),))
-    _, _, report = cmd_composite(config)
+    report = cmd_composite(config).report
     assert "n=5 G(3)->G(4): counts {3: 82} -> {3: 10, 4: 26}" in report
-    assert "mean increase:" in report
+    assert any(line.startswith("  mean increase:") for line in report)
 
 
 def test_sweep_a_rejects_negative_effort():
     config = ExperimentConfig(a_list=(0.0, -1.0), steps=2)
     with pytest.raises(ConfigError):
         cli.cmd_sweep_a(config)
+
+
+# ------------------------------------------------------ generated configs
+
+# Plausible INI values per section and key, including out-of-range ring
+# sizes and rank bounds, empty lists and composite sets that underflow.
+# Every key but walk.position_qubits and walk.steps is optional, and
+# steps stays at most 6 so a tolerance grid runs in milliseconds. At most
+# one key then gets a bad number, so both clean outcomes come up often.
+CONFIG_VALUES = {
+    "walk": {
+        "coin_qubits": ("1", "2", "3"),
+        "theta": ("pi/2", "0", "pi/4, pi/3", ""),
+        "phi": ("pi/2", "pi", ""),
+    },
+    "gates": {
+        "max_rank": ("3", "4", "5"),
+        "param_a": ("0", "26/3", "1e3"),
+        "a_list": ("0, 13", "5", "", "0, 1e6"),
+    },
+    "noise": {
+        "eps_init": ("0", "0.003", "1"),
+        "eps_read": ("0.0017", "1"),
+        "t1_seconds": ("4", "1e-6"),
+        "tau_gate_seconds": ("1.8e-6", "0", "1"),
+        "tau_move_seconds": ("1e-4", "0", "10"),
+        "gate_errors": ("on", "off"),
+        "spam": ("yes", "no"),
+        "moves_per_step": ("0", "2"),
+    },
+    "composite": {
+        "n_list": ("5", "5, 20", "", "1", "21"),
+        "fidelity_sets": ("0.993 0.992 0.991", "0.5 0.4 0.3", "", "1 1 1", "0.99 0.98", "0.9 0.95 0.8"),
+        "transitions": ("3->4", "4->5, 3->5", "", "3->4->5", "4->3"),
+    },
+}
+BAD_NUMBERS = ("nan", "inf", "-1", "2.5", "1/0", "1e309", "x", "0")
+FIDELITY_KEYS = ("fidelity", "f_cz", "f_ccz", "f_low", "f_high")
+
+
+@st.composite
+def _ini_text(draw):
+    sections = {}
+    for name, keys in CONFIG_VALUES.items():
+        picked = draw(st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in keys.items()}))
+        sections[name] = picked
+    sections["walk"]["position_qubits"] = draw(st.sampled_from(("2", "3", "4", "5", "6", "1")))
+    sections["walk"]["steps"] = draw(st.sampled_from(("1", "2", "6")))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(CONFIG_VALUES)))
+        key = draw(st.sampled_from(sorted(sections[name]) or sorted(CONFIG_VALUES[name])))
+        sections[name][key] = draw(st.sampled_from(BAD_NUMBERS))
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def _fidelities(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in FIDELITY_KEYS:
+                yield value
+            else:
+                yield from _fidelities(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _fidelities(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(cli.KINDS), text=_ini_text())
+def test_property_every_config_exits_cleanly(command, text, tmp_path_factory):
+    path = write_config(tmp_path_factory.mktemp("ini"), text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", path, "--format", "json"])
+    if code == 0:
+        assert err.getvalue() == ""
+        payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(payload, cli.SCHEMAS[command])
+        assert all(0 <= f <= 1 for f in _fidelities(payload))
+    else:
+        prefix = {2: "config error: ", 3: "unsupported size: "}[code]
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(prefix)
+        assert err.getvalue().count("\n") == 1

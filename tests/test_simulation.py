@@ -288,6 +288,11 @@ def test_gate_set_comparison_validates_fidelity_sets():
         gate_set_comparison(fidelity_sets=((0.99, 0.0, 0.98),))
     with pytest.raises(ValueError):
         gate_set_comparison(fidelity_sets=((0.99, 0.995, 0.99),))
+    with pytest.raises(ValueError, match="at least one"):
+        gate_set_comparison(fidelity_sets=())
+    # 0.5**1522 underflows to 0, so the percent increase has no denominator.
+    with pytest.raises(ValueError, match=r"fidelity set \(0\.5, 0\.4, 0\.3\) at n = 20"):
+        gate_set_comparison(n_list=(20,), fidelity_sets=((0.5, 0.4, 0.3),))
     for transition in ((4, 3), (3, 3), (2, 4)):
         with pytest.raises(ValueError):
             gate_set_comparison(n_list=(5,), transitions=(transition,))
