@@ -4,18 +4,14 @@ bounded-rank CkX decomposition, and movement markers.
 Wire layout is fixed: position qubits x1..xn first (x1 is the most
 significant position bit), then the coin qubit(s), then any ancillas the
 decomposition needs. Circuits carry gate labels, not matrices; the
-executor decides whether a label resolves to an ideal or an effective
-matrix.
+executor picks each gate's ideal or effective matrix by its rank.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
-
-_CKX_LABEL = re.compile(r"^C(\d+)X$")
 
 
 @dataclass(frozen=True)
@@ -161,12 +157,6 @@ class NativeGateSet:
         return _g.c3z_eff()
 
 
-def ckx_rank(label: str) -> int | None:
-    """Rank of a C..X label ("C3X" -> 4), or None for other labels."""
-    m = _CKX_LABEL.match(label)
-    return int(m.group(1)) + 1 if m else None
-
-
 def build_coin(spec: WalkSpec, step_index: int) -> tuple[GateApplication, ...]:
     """Coin layer for one step: RY(theta) on c1, and RY(phi) on c2 if lazy."""
     if not 0 <= step_index < spec.steps:
@@ -296,14 +286,13 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
 
     compiled: list[CircuitOp] = list(build_coin(spec, step_index))
     for op in build_shift_abstract(spec):
-        k = ckx_rank(op.label)
-        if k is None or k <= gates.max_rank:
+        if op.rank <= gates.max_rank:
             compiled.append(op)
             continue
-        local_ops, used = decompose_ckx(k - 1, gates.max_rank)
+        local_ops, used = decompose_ckx(op.rank - 1, gates.max_rank)
         wire_map = dict(enumerate(op.targets))
         for i in range(used):
-            wire_map[k + i] = ancillas[i]
+            wire_map[op.rank + i] = ancillas[i]
         for local in local_ops:
             compiled.append(GateApplication(local.label, tuple(wire_map[w] for w in local.targets)))
 

@@ -7,8 +7,8 @@ Subcommands:
   composite  composite-fidelity gain from raising the native rank bound
 
 Configs are INI-style text (section headers, key = value). Unknown
-sections or keys are rejected. Everything is deterministic; the
---seedless flag exists only to say so out loud.
+sections and keys, and keys the subcommand does not read, are rejected.
+Everything is deterministic; --seedless only says so out loud.
 
 Each subcommand computes its results once and returns one Output: the
 JSON payload (floats rounded to 12 significant digits), the CSV table
@@ -26,7 +26,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import gates as gatelib
@@ -66,58 +66,45 @@ class ExperimentConfig:
     max_rank: int = 3
     param_a: float | None = None
     a_list: tuple[float, ...] = DEFAULT_A_LIST
-    eps_init: float = 0.003
-    eps_read: float = 0.0017
-    t1_seconds: float = 4.0
-    tau_gate_seconds: float = 1.8e-6
-    tau_move_seconds: float = 100e-6
-    gate_errors: bool = True
-    passive: bool = True
-    spam: bool = True
-    moves_per_step: int | None = None
+    eps_init: float = NoiseParams.eps_init
+    eps_read: float = NoiseParams.eps_read
+    t1_seconds: float = NoiseParams.t1
+    tau_gate_seconds: float = NoiseParams.tau_gate
+    tau_move_seconds: float = NoiseParams.tau_move
+    gate_errors: bool = NoiseParams.gate_errors_enabled
+    passive: bool = NoiseParams.passive_enabled
+    spam: bool = NoiseParams.spam_enabled
+    moves_per_step: int | None = NoiseParams.moves_per_step
     n_list: tuple[int, ...] = DEFAULT_COMPARISON_NS
     fidelity_sets: tuple[tuple[float, ...], ...] = DEFAULT_FIDELITY_SETS
     transitions: tuple[tuple[int, int], ...] = DEFAULT_TRANSITIONS
     out_path: str | None = None
     out_format: str = "csv"
+    given: set[str] = field(default_factory=set, init=False, repr=False)  # "section.key" the file sets
 
     def walk_spec(self) -> WalkSpec:
         theta = self.theta if len(self.theta) > 1 else self.theta * self.steps
         phi = self.phi if len(self.phi) > 1 else self.phi * self.steps
-        try:
-            return WalkSpec(
-                position_qubits=self.position_qubits,
-                coin_qubits=self.coin_qubits,
-                theta_schedule=theta,
-                phi_schedule=phi if self.coin_qubits == 2 else None,
-                steps=self.steps,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def gate_set(self, param_a: float | None = None) -> NativeGateSet:
-        if param_a is None:
-            param_a = self.param_a
-        try:
-            return NativeGateSet(max_rank=self.max_rank, param_a=param_a)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return WalkSpec(
+            position_qubits=self.position_qubits,
+            coin_qubits=self.coin_qubits,
+            theta_schedule=theta,
+            phi_schedule=phi if self.coin_qubits == 2 else None,
+            steps=self.steps,
+        )
 
     def noise_params(self) -> NoiseParams:
-        try:
-            return NoiseParams(
-                eps_init=self.eps_init,
-                eps_read=self.eps_read,
-                t1=self.t1_seconds,
-                tau_gate=self.tau_gate_seconds,
-                tau_move=self.tau_move_seconds,
-                gate_errors_enabled=self.gate_errors,
-                passive_enabled=self.passive,
-                spam_enabled=self.spam,
-                moves_per_step=self.moves_per_step,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return NoiseParams(
+            eps_init=self.eps_init,
+            eps_read=self.eps_read,
+            t1=self.t1_seconds,
+            tau_gate=self.tau_gate_seconds,
+            tau_move=self.tau_move_seconds,
+            gate_errors_enabled=self.gate_errors,
+            passive_enabled=self.passive,
+            spam_enabled=self.spam,
+            moves_per_step=self.moves_per_step,
+        )
 
 
 def _atom(text: str) -> float:
@@ -157,6 +144,13 @@ def _number_list(text: str) -> tuple[float, ...]:
     return tuple(_number(part) for part in text.split(",") if part.strip())
 
 
+def _effort_list(text: str) -> tuple[float, ...]:
+    values = _number_list(text)
+    if any(v < 0 for v in values):
+        raise ConfigError(f"efforts must be nonnegative, got {text.strip()!r}")
+    return values
+
+
 def _integer_list(text: str) -> tuple[int, ...]:
     values = _number_list(text)
     if not all(v.is_integer() for v in values):
@@ -184,7 +178,7 @@ _CONFIG_SCHEMA = {
     "gates": {
         "max_rank": ("max_rank", lambda s: int(s)),
         "param_a": ("param_a", _number),
-        "a_list": ("a_list", _number_list),
+        "a_list": ("a_list", _effort_list),
     },
     "noise": {
         "eps_init": ("eps_init", _number),
@@ -214,6 +208,15 @@ _CONFIG_SCHEMA = {
     },
 }
 
+# The sections and "section.key" each subcommand reads; main rejects every
+# other key a config sets.
+_READS = {
+    "simulate": ("experiment", "output", "walk", "gates.max_rank", "gates.param_a", "noise"),
+    "sweep-a": ("experiment", "output", "walk", "gates.max_rank", "gates.a_list", "noise"),
+    "tolerance": ("experiment", "output", "walk.steps", "gates.param_a", "noise"),
+    "composite": ("experiment", "output", "composite"),
+}
+
 
 def load_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
@@ -239,6 +242,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+            config.given.add(f"{section}.{key}")
     if config.kind is not None and config.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
     if config.out_format not in ("csv", "json"):
@@ -308,7 +312,8 @@ def _step_rows(result: RunResult) -> list[dict]:
 
 
 def cmd_simulate(config: ExperimentConfig) -> Output:
-    result = run_noisy(config.walk_spec(), config.gate_set(), config.noise_params())
+    gate_set = NativeGateSet(max_rank=config.max_rank, param_a=config.param_a)
+    result = run_noisy(config.walk_spec(), gate_set, config.noise_params())
     steps = _step_rows(result)
     within = tolerance_report(result).steps_within
     return Output(
@@ -327,17 +332,14 @@ def cmd_simulate(config: ExperimentConfig) -> Output:
 def cmd_sweep_a(config: ExperimentConfig) -> Output:
     spec = config.walk_spec()
     noise = config.noise_params()
+    gate_sets = [NativeGateSet(max_rank=config.max_rank, param_a=a) for a in config.a_list]
+    # Each effort's gate set is checked before the first walk. All efforts
+    # run the same walk at the same rank bound, so one ideal reference and
+    # one compiled step serve the whole sweep (an empty a_list runs none).
+    ideal_tables = simulate.run_ideal(spec) if gate_sets else None
+    compiled = compile_step(spec, gate_sets[0]) if gate_sets else None
     series = []
-    ideal_tables = compiled = None
-    for a in config.a_list:
-        if a < 0:
-            raise ConfigError(f"a_list entries must be nonnegative, got {a}")
-        gate_set = config.gate_set(param_a=a)
-        if compiled is None:
-            # Every effort runs the same walk at the same rank bound, so one
-            # ideal reference and one compiled step serve the whole sweep.
-            ideal_tables = simulate.run_ideal(spec)
-            compiled = compile_step(spec, gate_set)
+    for a, gate_set in zip(config.a_list, gate_sets):
         result = run_noisy(spec, gate_set, noise, ideal_tables=ideal_tables, compiled=compiled)
         series.append(
             {
@@ -523,6 +525,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(
                 f"config kind {config.kind!r} does not match subcommand {args.command!r}"
             )
+        reads = _READS[args.command]
+        unread = sorted(key for key in config.given if key not in reads and key.partition(".")[0] not in reads)
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
         if args.out:
             config.out_path = args.out
         if args.format:

@@ -25,13 +25,10 @@ from . import gates as gatelib
 from . import noise as noiselib
 from .circuits import (
     Circuit,
-    GateApplication,
     MoveMarker,
     NativeGateSet,
     WalkSpec,
-    build_coin,
     build_step_circuit,
-    ckx_rank,
     count_multiqubit_gates,
 )
 from .statevector import (
@@ -130,36 +127,22 @@ def _check_simulable(spec: WalkSpec, total_qubits: int | None = None) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _ideal_ckx_matrix(rank: int) -> np.ndarray:
-    """Exact permutation matrix for a CkX (controls first, target last)."""
-    dim = 2**rank
-    mat = np.eye(dim, dtype=np.complex128)
-    mat[[dim - 2, dim - 1]] = mat[[dim - 1, dim - 2]]
-    return mat
+@lru_cache(maxsize=256)  # keyed on gate sets, and a sweep may draw efforts at random
+def shift_matrix(rank: int, gate_set: NativeGateSet, gate_errors: bool) -> np.ndarray:
+    """Read-only matrix of a shift gate (X or CkX, controls first, target last).
 
-
-@lru_cache(maxsize=1024)  # keyed on coin angles, which a schedule may draw at random
-def _ideal_label_gate(label: str, theta: float | None) -> gatelib.GateMatrix:
-    rank = ckx_rank(label)
-    if rank is not None:
-        return gatelib.GateMatrix(label, rank, dense=_ideal_ckx_matrix(rank))
-    if label == "RY":
-        return gatelib.ideal_gate("Ry", theta)
-    if label == "X":
-        return gatelib.ideal_gate("X")
-    raise ValueError(f"unknown gate label {label!r}")
-
-
-@lru_cache(maxsize=None)
-def _effective_ckx(rank: int, gate_set: NativeGateSet) -> gatelib.GateMatrix:
-    return gatelib.ckx_from_ckz(gate_set.effective_ckz(rank - 1))
-
-
-def _resolve(op: GateApplication, gate_set: NativeGateSet, gate_errors: bool) -> gatelib.GateMatrix:
-    if gate_errors and op.rank >= 2:
-        return _effective_ckx(op.rank, gate_set)
-    return _ideal_label_gate(op.label, op.theta)
+    With gate errors a multiqubit gate is the effective CkX built from the
+    gate set's C(rank-1)Z; otherwise it is the exact permutation swapping
+    the last two basis states, which at rank 1 is X.
+    """
+    if gate_errors and rank >= 2:
+        matrix = gatelib.ckx_from_ckz(gate_set.effective_ckz(rank - 1)).matrix
+    else:
+        dim = 2**rank
+        matrix = np.eye(dim, dtype=np.complex128)
+        matrix[[dim - 2, dim - 1]] = matrix[[dim - 1, dim - 2]]
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -194,19 +177,13 @@ def run_ideal(spec: WalkSpec) -> list[ProbabilityTable]:
 
 
 def compile_step(spec: WalkSpec, gate_set: NativeGateSet) -> CompiledStep:
-    """Compile step 0 of the walk and check it once for every step.
+    """Compile step 0 of the walk once for every step.
 
-    Checks the ring size before compiling and the total qubit count after,
-    that the circuit opens with the coin layer, and every gate's targets.
+    Checks the ring size before compiling and the total qubit count after.
     """
     _check_simulable(spec)
     circuit = build_step_circuit(spec, gate_set, 0)
     _check_simulable(spec, circuit.qubit_count)
-    if circuit.ops[: spec.coin_qubits] != build_coin(spec, 0):
-        raise ValueError("step circuit does not open with its coin layer")
-    for op in circuit.ops:
-        if isinstance(op, GateApplication):
-            gate_plan(circuit.qubit_count, op.targets)
     return CompiledStep((spec.position_qubits, spec.coin_qubits, gate_set.max_rank), circuit)
 
 
@@ -221,11 +198,11 @@ def run_noisy(
     """Execute the walk compiled to the native gate set, with noise.
 
     The step is compiled once (compile_step, unless a CompiledStep for
-    the same walk shape and rank bound is passed) and its shift resolved
-    to (matrix, gate plan) pairs; each step re-emits only the coin RY
-    layer from the schedules and runs the shift in place on one flat
-    amplitude array. Gate errors swap in the effective matrices for every
-    multiqubit gate.
+    the same walk shape and rank bound is passed) and each shift gate
+    resolved by its rank (shift_matrix) to a (matrix, gate plan) pair.
+    Each step re-emits only the coin RY layer, built once per distinct
+    angle in the schedules, and runs the shift in place on one flat
+    amplitude array. Gate errors swap in the effective multiqubit gates.
 
     The scalar channels are real factors that commute with every gate, so
     the state evolves under the gates alone and the channels accumulate in
@@ -258,16 +235,14 @@ def run_noisy(
             if noise.moves_per_step is None:
                 step_factors.append(move)
             continue
-        gate = _resolve(op, gate_set, noise.gate_errors_enabled)
-        if gate.rank != op.rank:
-            raise ValueError(f"{op.label} resolved to a rank-{gate.rank} gate on targets {op.targets}")
-        shift.append((gate.matrix, gate_plan(n_q, op.targets)))
+        shift.append((shift_matrix(op.rank, gate_set, noise.gate_errors_enabled), gate_plan(n_q, op.targets)))
         if op.rank >= 2:
             step_factors.append(noiselib.idle_factor(noise, n_q, op.rank))
     if noise.moves_per_step is not None:
         step_factors.append(move**noise.moves_per_step)
     schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
     coin = [(schedule, gate_plan(n_q, op.targets)) for schedule, op in zip(schedules, coin_ops)]
+    rotations = {theta: _ry(theta).astype(np.complex128) for theta in set().union(*schedules)}
 
     amps = np.zeros(2**n_q, dtype=np.complex128)
     amps[0] = 1.0
@@ -275,7 +250,7 @@ def run_noisy(
     records = []
     for t in range(spec.steps):
         for schedule, plan in coin:
-            amps[plan] = _ideal_label_gate("RY", schedule[t]).matrix @ amps[plan]
+            amps[plan] = rotations[schedule[t]] @ amps[plan]
         for matrix, plan in shift:
             amps[plan] = matrix @ amps[plan]
         for factor in step_factors:

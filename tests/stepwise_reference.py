@@ -4,13 +4,31 @@ Compiles each step with build_step_circuit, coin angles and all, and runs
 its ops one by one through apply_gate on immutable StateVectors, with the
 scalar channels multiplied into the running factor in circuit order. It
 does the same arithmetic as run_noisy, so run_noisy must match it exactly;
-it shares none of run_noisy's compile-once and in-place machinery.
+it shares none of run_noisy's compile-once and in-place machinery, and
+resolves each gate itself from the gate library and its own exact CkX
+permutation rather than through run_noisy's resolver.
 """
+
+import numpy as np
 
 from ringwalk import noise as noiselib
 from ringwalk.circuits import MoveMarker, build_step_circuit
-from ringwalk.simulate import _resolve
+from ringwalk.gates import GateMatrix, ckx_from_ckz, ideal_gate
 from ringwalk.statevector import apply_gate, marginal_probabilities, new_basis_state, scale_amplitudes
+
+
+def resolve(op, gate_set, gate_errors):
+    """GateMatrix for one compiled gate: RY from its angle, X and CkX by label."""
+    if op.label == "RY":
+        return ideal_gate("Ry", op.theta)
+    if op.label == "X":
+        return ideal_gate("X")
+    k = int(op.label[1:-1])  # "C{k}X"
+    if gate_errors:
+        return ckx_from_ckz(gate_set.effective_ckz(k))
+    dense = np.eye(2 ** (k + 1), dtype=np.complex128)
+    dense[[-2, -1]] = dense[[-1, -2]]
+    return GateMatrix(op.label, k + 1, dense=dense)
 
 
 def run_noisy_stepwise(spec, gate_set, noise):
@@ -28,7 +46,7 @@ def run_noisy_stepwise(spec, gate_set, noise):
                 if noise.moves_per_step is None:
                     running_factor *= move
                 continue
-            state = apply_gate(state, _resolve(op, gate_set, noise.gate_errors_enabled), op.targets)
+            state = apply_gate(state, resolve(op, gate_set, noise.gate_errors_enabled), op.targets)
             if op.rank >= 2:
                 running_factor *= noiselib.idle_factor(noise, n_q, op.rank)
         if noise.moves_per_step is not None:

@@ -22,7 +22,6 @@ from ringwalk.circuits import (
     build_coin,
     build_shift_abstract,
     build_step_circuit,
-    ckx_rank,
     count_multiqubit_gates,
     decompose_ckx,
     uniform_spec,
@@ -40,7 +39,7 @@ def run_classically(ops, bits):
         if op.label == "X":
             bits[op.targets[0]] ^= 1
             continue
-        assert ckx_rank(op.label) == len(op.targets), op
+        assert op.label == f"C{op.rank - 1}X", op
         *controls, target = op.targets
         if all(bits[c] for c in controls):
             bits[target] ^= 1
@@ -219,8 +218,7 @@ def ideal_dense(op):
         return ideal_gate("Ry", op.theta)
     if op.label == "X":
         return ideal_gate("X")
-    k = ckx_rank(op.label)
-    return ckx_from_ckz(ideal_ckz(k - 1))
+    return ckx_from_ckz(ideal_ckz(op.rank - 1))
 
 
 def apply_all(ops, state):
@@ -405,11 +403,18 @@ def test_native_gate_set_validation():
     assert NativeGateSet(max_rank=4).effective_ckz(3).rank == 4
 
 
-def test_ckx_rank_parsing():
-    assert ckx_rank("C2X") == 3
-    assert ckx_rank("C12X") == 13
-    assert ckx_rank("X") is None
-    assert ckx_rank("RY") is None
+@pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (4, 2, 3), (4, 2, 4), (6, 2, 3)])
+def test_multiqubit_labels_spell_their_rank(n, nc, rho):
+    """The executor resolves gates by rank alone; the labels that serialize
+    prints must still name that rank."""
+    circ = build_step_circuit(uniform_spec(n, nc, steps=1), NativeGateSet(max_rank=rho), 0)
+    gates = [op for op in circ.ops if isinstance(op, GateApplication)]
+    assert {op.label for op in gates if op.rank == 1} <= {"RY", "X"}
+    multi = [op for op in gates if op.rank >= 2]
+    assert multi and all(op.label == f"C{op.rank - 1}X" for op in multi)
+    assert {op.rank for op in multi} == set(count_multiqubit_gates(uniform_spec(n, nc, steps=1), rho))
+    for op in multi:
+        assert f"GATE {op.label} " + " ".join(map(str, op.targets)) in circ.serialize()
 
 
 def test_build_coin_layers():

@@ -127,10 +127,12 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(tmp_path / "missing.ini")
 
 
-def test_config_surfaces_walk_validation_as_config_error(tmp_path):
-    config = load_config(write_config(tmp_path, "[walk]\ncoin_qubits = 3\n"))
-    with pytest.raises(ConfigError):
-        config.walk_spec()
+def test_config_surfaces_walk_validation_as_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, "[walk]\ncoin_qubits = 3\n")
+    with pytest.raises(ValueError, match="coin_qubits"):
+        load_config(path).walk_spec()
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: coin_qubits must be 1 or 2")
 
 
 # ------------------------------------------------------------ exit codes
@@ -170,6 +172,37 @@ def test_main_unwritable_out_exit_code(tmp_path, capsys):
         assert captured.err.startswith(f"config error: cannot write output.path {str(target)!r}: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+UNREAD_KEYS = (
+    ("tolerance", "[gates]\nmax_rank = 5\n", "gates.max_rank"),
+    ("tolerance", "[walk]\ncoin_qubits = 3\n", "walk.coin_qubits"),
+    ("tolerance", "[walk]\ntheta = 0\n", "walk.theta"),
+    ("composite", "[walk]\nposition_qubits = 6\n", "walk.position_qubits"),
+    ("composite", "[noise]\nspam = off\n", "noise.spam"),
+    ("sweep-a", "[gates]\nparam_a = 5\n", "gates.param_a"),
+    ("simulate", "[gates]\na_list = 0, 13\n", "gates.a_list"),
+    ("simulate", "[composite]\nn_list = 5\n", "composite.n_list"),
+)
+
+
+@pytest.mark.parametrize("command,text,key", UNREAD_KEYS)
+def test_main_rejects_keys_the_subcommand_does_not_read(command, text, key, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_COMMANDS", {**cli._COMMANDS, command: calls.append})
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {command} does not read {key}\n"
+    assert captured.out == "" and calls == []
+
+
+def test_sweep_a_checks_a_list_before_any_walk(tmp_path, capsys, monkeypatch):
+    walks = []
+    monkeypatch.setattr(cli, "run_noisy", lambda *args, **kwargs: walks.append(args))
+    text = "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n[gates]\na_list = 0, 13, 26, -1\n"
+    assert main(["sweep-a", "--config", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad value for gates.a_list: ")
+    assert walks == []
 
 
 def test_main_unsupported_size_exit_code(tmp_path, capsys):
@@ -265,21 +298,29 @@ def test_composite_report_prints_per_rank_counts():
     assert any(line.startswith("  mean increase:") for line in report)
 
 
-def test_sweep_a_rejects_negative_effort():
+def test_sweep_a_rejects_negative_effort(monkeypatch):
+    walks = []
+    monkeypatch.setattr(cli, "run_noisy", lambda *args, **kwargs: walks.append(args))
     config = ExperimentConfig(a_list=(0.0, -1.0), steps=2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="param_a"):
         cli.cmd_sweep_a(config)
+    assert walks == []  # every effort's gate set is built before the first walk
 
 
 # ------------------------------------------------------ generated configs
 
 # Plausible INI values per section and key, including out-of-range ring
-# sizes and rank bounds, empty lists and composite sets that underflow.
-# Every key but walk.position_qubits and walk.steps is optional, and
-# steps stays at most 6 so a tolerance grid runs in milliseconds. At most
-# one key then gets a bad number, so both clean outcomes come up often.
+# sizes and rank bounds, empty lists and composite sets that underflow;
+# the first value of each key is a valid one. A config draws only keys
+# its subcommand reads: walk.position_qubits and walk.steps whenever they
+# are read, every other key optionally. steps stays at most 6 so a
+# tolerance grid runs in milliseconds.
+# Then at most one key gets a bad number or one unread key is added, so
+# both clean outcomes come up often, composite success included.
 CONFIG_VALUES = {
     "walk": {
+        "position_qubits": ("2", "3", "4", "5", "6", "1"),
+        "steps": ("1", "2", "6"),
         "coin_qubits": ("1", "2", "3"),
         "theta": ("pi/2", "0", "pi/4, pi/3", ""),
         "phi": ("pi/2", "pi", ""),
@@ -309,22 +350,44 @@ BAD_NUMBERS = ("nan", "inf", "-1", "2.5", "1/0", "1e309", "x", "0")
 FIDELITY_KEYS = ("fidelity", "f_cz", "f_ccz", "f_low", "f_high")
 
 
+# Sections and "section.key" entries each subcommand reads.
+READS = {
+    "simulate": ("walk", "gates.max_rank", "gates.param_a", "noise"),
+    "sweep-a": ("walk", "gates.max_rank", "gates.a_list", "noise"),
+    "tolerance": ("walk.steps", "gates.param_a", "noise"),
+    "composite": ("composite",),
+}
+
+
+def _reads(command, section, key):
+    return section in READS[command] or f"{section}.{key}" in READS[command]
+
+
 @st.composite
-def _ini_text(draw):
+def _config_case(draw):
+    """(subcommand, INI text, the unread "section.key" added or None)."""
+    command = draw(st.sampled_from(cli.KINDS))
     sections = {}
     for name, keys in CONFIG_VALUES.items():
-        picked = draw(st.fixed_dictionaries({}, optional={k: st.sampled_from(v) for k, v in keys.items()}))
-        sections[name] = picked
-    sections["walk"]["position_qubits"] = draw(st.sampled_from(("2", "3", "4", "5", "6", "1")))
-    sections["walk"]["steps"] = draw(st.sampled_from(("1", "2", "6")))
-    if draw(st.booleans()):
-        name = draw(st.sampled_from(sorted(CONFIG_VALUES)))
-        key = draw(st.sampled_from(sorted(sections[name]) or sorted(CONFIG_VALUES[name])))
+        read = {k: st.sampled_from(v) for k, v in keys.items() if _reads(command, name, k)}
+        required = {k: read.pop(k) for k in ("position_qubits", "steps") if name == "walk" and k in read}
+        sections[name] = draw(st.fixed_dictionaries(required, optional=read))
+    unread = None
+    outcome = draw(st.sampled_from(("clean", "bad number", "unread key")))
+    if outcome == "bad number":
+        name, key = draw(st.sampled_from([(n, k) for n in CONFIG_VALUES for k in CONFIG_VALUES[n]
+                                          if _reads(command, n, k)]))
         sections[name][key] = draw(st.sampled_from(BAD_NUMBERS))
-    return "".join(
+    elif outcome == "unread key":
+        name, key = draw(st.sampled_from([(n, k) for n in CONFIG_VALUES for k in CONFIG_VALUES[n]
+                                          if not _reads(command, n, k)]))
+        sections[name][key] = CONFIG_VALUES[name][key][0]
+        unread = f"{name}.{key}"
+    text = "".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
         for name, keys in sections.items()
     )
+    return command, text, unread
 
 
 def _reject_constant(token):
@@ -344,12 +407,19 @@ def _fidelities(node):
 
 
 @settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(cli.KINDS), text=_ini_text())
-def test_property_every_config_exits_cleanly(command, text, tmp_path_factory):
+@given(case=_config_case())
+def test_property_every_config_exits_cleanly(case, tmp_path_factory):
+    command, text, unread = case
     path = write_config(tmp_path_factory.mktemp("ini"), text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--config", path, "--format", "json"])
+    if unread is not None:
+        # A read key may hold a value that fails to parse, which is reported first.
+        assert code == 2
+        assert err.getvalue() == f"config error: {command} does not read {unread}\n" or (
+            err.getvalue().startswith("config error: bad value for ")
+        )
     if code == 0:
         assert err.getvalue() == ""
         payload = json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -29,9 +29,11 @@ from ringwalk.simulate import (
     hellinger_fidelity,
     run_ideal,
     run_noisy,
+    shift_matrix,
     steps_within_tolerance,
     tolerance_report,
 )
+from ringwalk.gates import ckx_from_ckz, ideal_ckz, ideal_gate
 from ringwalk.statevector import ProbabilityTable
 
 
@@ -195,6 +197,21 @@ def test_compiled_once_matches_stepwise_reference(nc, rho, noise):
     for rec, (table, scalar_factor) in zip(result.steps, reference):
         assert np.array_equal(rec.noisy_positions.values, table.values)
         assert rec.scalar_factor == scalar_factor
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_exact_shift_gate_is_the_ideal_ckx(rank):
+    gate_set = NativeGateSet(max_rank=4, param_a=13.0)
+    exact = shift_matrix(rank, gate_set, False)
+    assert np.allclose(exact, ckx_from_ckz(ideal_ckz(rank - 1)).matrix, rtol=0, atol=1e-12)
+    effective = shift_matrix(rank, gate_set, True)
+    assert np.array_equal(effective, ckx_from_ckz(gate_set.effective_ckz(rank - 1)).matrix)
+    assert not exact.flags.writeable and not effective.flags.writeable
+
+
+def test_rank_one_shift_gate_is_x_with_or_without_gate_errors():
+    for gate_errors in (False, True):
+        assert np.array_equal(shift_matrix(1, NativeGateSet(), gate_errors), ideal_gate("X").matrix)
 
 
 def test_shared_compiled_step_and_ideal_tables():

@@ -4,7 +4,9 @@ The benchmark's tracer (bench/tracing.py) replaces module attributes
 rather than editing the program: the layer functions that
 ``ringwalk.simulate`` calls by its own global names, the entry points that
 ``ringwalk.cli`` calls, and ``cli._COMMANDS``. It counts walk steps by
-wrapping ``cli.run_noisy``, so every walk must go through one call of it.
+wrapping ``cli.run_noisy``, so every walk must go through one call of it,
+and counts native gates by recompiling each walk's steps with
+``ringwalk.circuits``, so the compiler's names and fields must hold too.
 A refactor that binds these names elsewhere breaks its traced run or
 silently zeroes its throughput metrics; these tests catch that.
 """
@@ -13,6 +15,7 @@ import pytest
 
 import ringwalk.cli as cli
 import ringwalk.simulate as simulate
+from ringwalk.circuits import GateApplication, MoveMarker, NativeGateSet, build_step_circuit, uniform_spec
 
 SIMULATE_NAMES = ("apply_gate", "scale_amplitudes", "marginal_probabilities", "build_step_circuit",
                   "count_multiqubit_gates", "run_ideal", "hellinger_fidelity")
@@ -27,6 +30,23 @@ def test_simulate_binds_traced_name(name):
 @pytest.mark.parametrize("name", CLI_NAMES)
 def test_cli_binds_traced_name(name):
     assert hasattr(cli, name)
+
+
+@pytest.mark.parametrize("coin_qubits,max_rank", [(1, 3), (2, 3), (2, 4)])
+def test_circuits_expose_what_the_gate_count_reads(coin_qubits, max_rank):
+    # bench/tracing.py count_work: build_step_circuit(spec, gate_set, t) for
+    # every step, counting GateApplication ops (its circuit observer reads
+    # .qubit_count, .label and .targets and skips MoveMarker ops).
+    spec = uniform_spec(4, coin_qubits, steps=2)
+    for t in range(spec.steps):
+        circuit = build_step_circuit(spec, NativeGateSet(max_rank=max_rank), t)
+        assert circuit.qubit_count >= spec.data_qubit_count
+        gates = [op for op in circuit.ops if isinstance(op, GateApplication)]
+        moves = [op for op in circuit.ops if isinstance(op, MoveMarker)]
+        assert gates and moves and len(gates) + len(moves) == len(circuit.ops)
+        for op in gates:
+            assert isinstance(op.label, str)
+            assert all(0 <= q < circuit.qubit_count for q in op.targets)
 
 
 def _recorder(monkeypatch, module, name):
