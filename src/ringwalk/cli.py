@@ -209,7 +209,7 @@ _CONFIG_SCHEMA = {
 }
 
 # The sections and "section.key" each subcommand reads; main rejects every
-# other key a config sets.
+# other key a config sets, and walk.phi unless the coin has two qubits.
 _READS = {
     "simulate": ("experiment", "output", "walk", "gates.max_rank", "gates.param_a", "noise"),
     "sweep-a": ("experiment", "output", "walk", "gates.max_rank", "gates.a_list", "noise"),
@@ -296,19 +296,15 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 def _step_rows(result: RunResult) -> list[dict]:
-    rows = []
-    for rec in result.steps:
-        rows.append(
-            {
-                "step": rec.step,
-                "fidelity": _round12(rec.fidelity),
-                "total_probability": _round12(rec.total_probability),
-                "scalar_factor": _round12(rec.scalar_factor),
-                "ideal_positions": {k: _round12(v) for k, v in rec.ideal_positions.as_dict().items()},
-                "noisy_positions": {k: _round12(v) for k, v in rec.noisy_positions.as_dict().items()},
-            }
-        )
-    return rows
+    keys = [format(i, f"0{result.spec.position_qubits}b") for i in range(result.spec.node_count)]
+    columns = (result.fidelities, result.total_probability, result.scalar_factor,
+               result.ideal_positions, result.noisy_positions)
+    return [
+        {"step": t + 1, "fidelity": _round12(f), "total_probability": _round12(p), "scalar_factor": _round12(s),
+         "ideal_positions": dict(zip(keys, map(_round12, ideal))),
+         "noisy_positions": dict(zip(keys, map(_round12, noisy)))}
+        for t, (f, p, s, ideal, noisy) in enumerate(zip(*(column.tolist() for column in columns)))
+    ]
 
 
 def cmd_simulate(config: ExperimentConfig) -> Output:
@@ -526,7 +522,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"config kind {config.kind!r} does not match subcommand {args.command!r}"
             )
         reads = _READS[args.command]
-        unread = sorted(key for key in config.given if key not in reads and key.partition(".")[0] not in reads)
+        unread = sorted(key for key in config.given if key not in reads and key.partition(".")[0] not in reads
+                        or key == "walk.phi" and config.coin_qubits != 2)
         if unread:
             raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
         if args.out:

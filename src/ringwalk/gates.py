@@ -63,8 +63,9 @@ class GateMatrix:
 
 
 def _ry(theta: float) -> np.ndarray:
+    """Real RY(theta) matrix; the ideal walk and the executor's coin use it."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[c, -s], [s, c]])
 
 
 def ideal_gate(name: str, theta: float | None = None) -> GateMatrix:
@@ -72,7 +73,7 @@ def ideal_gate(name: str, theta: float | None = None) -> GateMatrix:
     if name == "Ry":
         if theta is None:
             raise ValueError("Ry requires an angle")
-        return GateMatrix(f"RY({theta:.12g})", 1, dense=_ry(theta))
+        return GateMatrix(f"RY({theta:.12g})", 1, dense=_ry(theta).astype(np.complex128))
     if theta is not None:
         raise ValueError(f"{name} takes no angle")
     if name == "H":

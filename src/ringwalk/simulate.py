@@ -8,8 +8,8 @@ differ only in their coin angles, so it compiles the step once
 (compile_step), resolves the shift to (matrix, gate plan) pairs, and then
 per step re-emits only the coin layer and runs the shift in place on one
 flat amplitude array. The state evolves under the gates alone; the scalar
-noise channels multiply into one logged factor that is applied to each
-per-step readout snapshot.
+noise channels multiply into one logged factor. A walk's readout is one
+set of arrays with a row per step (RunResult).
 """
 
 from __future__ import annotations
@@ -31,15 +31,8 @@ from .circuits import (
     build_step_circuit,
     count_multiqubit_gates,
 )
-from .statevector import (
-    ProbabilityTable,
-    StateVector,
-    apply_gate,  # noqa: F401 -- kept bound here for tracers; run_noisy inlines its kernel
-    gate_plan,
-    marginal_probabilities,
-    scale_amplitudes,
-    total_probability,
-)
+from .statevector import gate_plan
+from .statevector import apply_gate, marginal_probabilities, scale_amplitudes  # noqa: F401 -- bound here for tracers
 
 MAX_SIMULATED_POSITION_QUBITS = 4
 MAX_SIMULATED_QUBITS = 12
@@ -49,26 +42,18 @@ class UnsupportedSizeError(ValueError):
     """Raised when a walk is too large to simulate at desk scale."""
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    ideal_positions: ProbabilityTable
-    noisy_positions: ProbabilityTable
-    fidelity: float
-    total_probability: float
-    scalar_factor: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
+    """One walk's readout: row t is step t + 1, positions are (steps, nodes), the rest (steps,)."""
+
     spec: WalkSpec
     gate_set: NativeGateSet
     noise: noiselib.NoiseParams
-    steps: tuple[StepRecord, ...]
-
-    @property
-    def fidelities(self) -> tuple[float, ...]:
-        return tuple(rec.fidelity for rec in self.steps)
+    ideal_positions: np.ndarray
+    noisy_positions: np.ndarray
+    fidelities: np.ndarray
+    total_probability: np.ndarray
+    scalar_factor: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,13 +130,11 @@ def shift_matrix(rank: int, gate_set: NativeGateSet, gate_errors: bool) -> np.nd
     return matrix
 
 
-def _ry(theta: float) -> np.ndarray:
-    half = theta / 2.0
-    return np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
+def run_ideal(spec: WalkSpec) -> np.ndarray:
+    """Ideal position marginals from the walk's definition, one row per step.
 
-
-def run_ideal(spec: WalkSpec) -> list[ProbabilityTable]:
-    """Ideal per-step position marginals from the walk's definition.
+    Returns a read-only (steps, nodes) array, so every walk run against
+    the same spec can share it.
 
     The state is a real (nodes, coin values) array started at node 0,
     coin 0, with coin values big-endian over the coin qubits. A step
@@ -166,13 +149,14 @@ def run_ideal(spec: WalkSpec) -> list[ProbabilityTable]:
     cols = np.arange(len(moves))
     psi = np.zeros((spec.node_count, len(moves)))
     psi[0, 0] = 1.0
-    tables = []
+    tables = np.empty((spec.steps, spec.node_count))
     for t in range(spec.steps):
-        coin = _ry(spec.theta_schedule[t])
+        coin = gatelib._ry(spec.theta_schedule[t])
         if spec.coin_qubits == 2:
-            coin = np.kron(coin, _ry(spec.phi_schedule[t]))
+            coin = np.kron(coin, gatelib._ry(spec.phi_schedule[t]))
         psi = (psi @ coin.T)[rows, cols]
-        tables.append(ProbabilityTable(spec.position_indices, np.sum(psi**2, axis=1)))
+        tables[t] = np.sum(psi**2, axis=1)
+    tables.flags.writeable = False
     return tables
 
 
@@ -192,7 +176,7 @@ def run_noisy(
     gate_set: NativeGateSet,
     noise: noiselib.NoiseParams,
     *,
-    ideal_tables: Sequence[ProbabilityTable] | None = None,
+    ideal_tables: np.ndarray | None = None,
     compiled: CompiledStep | None = None,
 ) -> RunResult:
     """Execute the walk compiled to the native gate set, with noise.
@@ -209,19 +193,23 @@ def run_noisy(
     one running factor: SPAM preparation loss once, idle-qubit damping
     during each multiqubit gate, all-qubit damping at each movement marker
     (or moves_per_step times per step). A step's factors are multiplied in
-    one at a time in circuit order. Each per-step readout snapshot is the
-    state scaled by that factor times the readout loss. Fidelity compares
-    the snapshot's position marginal against run_ideal at the same step;
-    callers running one spec several times may pass its run_ideal tables.
+    one at a time in circuit order. Each step's readout is the state
+    scaled by that factor times the readout loss: its total probability
+    and its position marginal, one row of a (steps, nodes) array. The
+    position qubits are the leading wires, so the marginal sums each run
+    of 2^(n - position qubits) consecutive probabilities. After the walk
+    one Hellinger pass compares every row against run_ideal's; callers
+    running one spec several times may pass its run_ideal array.
     """
+    if ideal_tables is not None and np.shape(ideal_tables) != (spec.steps, spec.node_count):
+        raise ValueError(f"ideal tables of shape {np.shape(ideal_tables)} for a {spec.steps}-step walk "
+                         f"on {spec.node_count} nodes")
     if compiled is None:
         compiled = compile_step(spec, gate_set)
     elif compiled.shape != (spec.position_qubits, spec.coin_qubits, gate_set.max_rank):
         raise ValueError(f"compiled step for shape {compiled.shape} does not fit this walk and gate set")
     if ideal_tables is None:
         ideal_tables = run_ideal(spec)
-    elif len(ideal_tables) != spec.steps:
-        raise ValueError(f"{len(ideal_tables)} ideal tables for a {spec.steps}-step walk")
 
     n_q = compiled.circuit.qubit_count
     coin_ops = compiled.circuit.ops[: spec.coin_qubits]
@@ -242,12 +230,14 @@ def run_noisy(
         step_factors.append(move**noise.moves_per_step)
     schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
     coin = [(schedule, gate_plan(n_q, op.targets)) for schedule, op in zip(schedules, coin_ops)]
-    rotations = {theta: _ry(theta).astype(np.complex128) for theta in set().union(*schedules)}
+    rotations = {theta: gatelib._ry(theta).astype(np.complex128) for theta in set().union(*schedules)}
 
     amps = np.zeros(2**n_q, dtype=np.complex128)
     amps[0] = 1.0
     running_factor = noiselib.state_prep_factor(noise, n_q)
-    records = []
+    noisy = np.empty((spec.steps, spec.node_count))
+    totals = np.empty(spec.steps)
+    scalar_factors = np.empty(spec.steps)
     for t in range(spec.steps):
         for schedule, plan in coin:
             amps[plan] = rotations[schedule[t]] @ amps[plan]
@@ -256,36 +246,29 @@ def run_noisy(
         for factor in step_factors:
             running_factor *= factor
 
-        scalar_factor = running_factor * read
-        snapshot = scale_amplitudes(StateVector(amps, n_q), scalar_factor)
-        table = marginal_probabilities(snapshot, spec.position_indices)
-        records.append(
-            StepRecord(
-                step=t + 1,
-                ideal_positions=ideal_tables[t],
-                noisy_positions=table,
-                fidelity=hellinger_fidelity(ideal_tables[t], table),
-                total_probability=total_probability(snapshot),
-                scalar_factor=scalar_factor,
-            )
-        )
-    return RunResult(spec=spec, gate_set=gate_set, noise=noise, steps=tuple(records))
+        scalar_factors[t] = running_factor * read
+        probs = np.abs(amps * scalar_factors[t]) ** 2
+        totals[t] = probs.sum()
+        noisy[t] = probs.reshape(spec.node_count, -1).sum(1)
+    return RunResult(spec, gate_set, noise, ideal_tables, noisy, hellinger_fidelity(ideal_tables, noisy),
+                     totals, scalar_factors)
 
 
-def hellinger_fidelity(p: ProbabilityTable, q: ProbabilityTable) -> float:
-    """State fidelity (1 - H^2)^2 between unnormalized probability tables.
+def hellinger_fidelity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """State fidelity (1 - H^2)^2 between unnormalized distributions.
 
-    H^2 is half the squared Euclidean distance between the square-root
-    vectors. No renormalization: probability lost to damping lowers the
-    fidelity, which is the point.
+    Compares p and q along their last axis, so (steps, nodes) arrays give
+    one fidelity per step. H^2 is half the squared Euclidean distance
+    between the square-root vectors. No renormalization: probability lost
+    to damping lowers the fidelity, which is the point.
     """
-    if len(p.values) != len(q.values):
-        raise ValueError("tables cover different key domains")
-    pv = np.asarray(p.values, dtype=float)
-    qv = np.asarray(q.values, dtype=float)
-    if np.any(pv < 0) or np.any(qv < 0):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"distributions of shapes {p.shape} and {q.shape} do not match")
+    if np.any(p < 0) or np.any(q < 0):
         raise ValueError("probability tables cannot hold negative entries")
-    h2 = 0.5 * float(np.sum((np.sqrt(pv) - np.sqrt(qv)) ** 2))
+    h2 = 0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
     return (1.0 - h2) ** 2
 
 

@@ -10,11 +10,9 @@ import math
 
 import numpy as np
 
-from ringwalk.statevector import ProbabilityTable
-
 
 def run_ideal_dense_oracle(spec):
-    """Per-step ideal position marginals, the same contract as run_ideal."""
+    """(steps, nodes) ideal position marginals, the same contract as run_ideal."""
     if spec.data_qubit_count > 6:
         raise ValueError("dense oracle is limited to 6 qubits")
     n_nodes = spec.node_count
@@ -40,12 +38,11 @@ def run_ideal_dense_oracle(spec):
 
     psi = np.zeros(dim)
     psi[0] = 1.0
-    tables = []
+    tables = np.empty((spec.steps, n_nodes))
     for t in range(spec.steps):
         coin = ry(spec.theta_schedule[t])
         if spec.coin_qubits == 2:
             coin = np.kron(coin, ry(spec.phi_schedule[t]))
         psi = shift @ np.kron(np.eye(n_nodes), coin) @ psi
-        positions = np.sum((psi**2).reshape(n_nodes, coin_dim), axis=1)
-        tables.append(ProbabilityTable(spec.position_indices, positions))
+        tables[t] = np.sum((psi**2).reshape(n_nodes, coin_dim), axis=1)
     return tables

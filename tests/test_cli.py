@@ -183,6 +183,9 @@ UNREAD_KEYS = (
     ("sweep-a", "[gates]\nparam_a = 5\n", "gates.param_a"),
     ("simulate", "[gates]\na_list = 0, 13\n", "gates.a_list"),
     ("simulate", "[composite]\nn_list = 5\n", "composite.n_list"),
+    # phi is read only on a 2-qubit coin.
+    ("simulate", "[walk]\nphi = pi\nsteps = 2\n", "walk.phi"),
+    ("sweep-a", "[walk]\ncoin_qubits = 1\nphi = pi/4\n", "walk.phi"),
 )
 
 
@@ -315,6 +318,7 @@ def test_sweep_a_rejects_negative_effort(monkeypatch):
 # its subcommand reads: walk.position_qubits and walk.steps whenever they
 # are read, every other key optionally. steps stays at most 6 so a
 # tolerance grid runs in milliseconds.
+# walk.phi is dropped unless coin_qubits = 2, the only coin that reads it.
 # Then at most one key gets a bad number or one unread key is added, so
 # both clean outcomes come up often, composite success included.
 CONFIG_VALUES = {
@@ -372,6 +376,11 @@ def _config_case(draw):
         read = {k: st.sampled_from(v) for k, v in keys.items() if _reads(command, name, k)}
         required = {k: read.pop(k) for k in ("position_qubits", "steps") if name == "walk" and k in read}
         sections[name] = draw(st.fixed_dictionaries(required, optional=read))
+    unread_keys = [(n, k) for n in CONFIG_VALUES for k in CONFIG_VALUES[n] if not _reads(command, n, k)]
+    if sections["walk"].get("coin_qubits") != "2":
+        sections["walk"].pop("phi", None)
+        if _reads(command, "walk", "phi"):
+            unread_keys.append(("walk", "phi"))
     unread = None
     outcome = draw(st.sampled_from(("clean", "bad number", "unread key")))
     if outcome == "bad number":
@@ -379,8 +388,7 @@ def _config_case(draw):
                                           if _reads(command, n, k)]))
         sections[name][key] = draw(st.sampled_from(BAD_NUMBERS))
     elif outcome == "unread key":
-        name, key = draw(st.sampled_from([(n, k) for n in CONFIG_VALUES for k in CONFIG_VALUES[n]
-                                          if not _reads(command, n, k)]))
+        name, key = draw(st.sampled_from(unread_keys))
         sections[name][key] = CONFIG_VALUES[name][key][0]
         unread = f"{name}.{key}"
     text = "".join(

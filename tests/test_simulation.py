@@ -34,7 +34,6 @@ from ringwalk.simulate import (
     tolerance_report,
 )
 from ringwalk.gates import ckx_from_ckz, ideal_ckz, ideal_gate
-from ringwalk.statevector import ProbabilityTable
 
 
 FULL = noiselib.NoiseParams()
@@ -48,23 +47,22 @@ def test_circuit_walk_matches_dense_matrix_oracle(n, nc):
     spec = uniform_spec(n, nc, steps=6)
     via_circuits = run_ideal(spec)
     via_matrices = run_ideal_dense_oracle(spec)
-    for a, b in zip(via_circuits, via_matrices):
-        assert np.max(np.abs(np.asarray(a.values) - np.asarray(b.values))) < 1e-12
+    assert via_circuits.shape == via_matrices.shape == (6, 2**n)
+    assert np.max(np.abs(via_circuits - via_matrices)) < 1e-12
 
 
 def test_ideal_walk_conserves_probability():
     for table in run_ideal(uniform_spec(3, 2, steps=8)):
-        assert table.total() == pytest.approx(1.0, abs=1e-12)
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lazy_walk_rests_on_even_support():
     # One step from node 0 with a balanced lazy coin: half the weight
     # stays home, the rest splits between the two neighbours.
-    tables = run_ideal(uniform_spec(3, 2, steps=1))
-    probs = tables[0].as_dict()
-    assert probs["000"] == pytest.approx(0.5, abs=1e-12)
-    assert probs["001"] == pytest.approx(0.25, abs=1e-12)
-    assert probs["111"] == pytest.approx(0.25, abs=1e-12)
+    probs = run_ideal(uniform_spec(3, 2, steps=1))[0]
+    assert probs[0b000] == pytest.approx(0.5, abs=1e-12)
+    assert probs[0b001] == pytest.approx(0.25, abs=1e-12)
+    assert probs[0b111] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_simulation_size_guard():
@@ -79,7 +77,7 @@ def test_simulation_size_guard():
 
 
 def test_hellinger_identical_tables():
-    p = ProbabilityTable((0, 1), np.array([0.5, 0.25, 0.125, 0.125]))
+    p = np.array([0.5, 0.25, 0.125, 0.125])
     assert hellinger_fidelity(p, p) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -89,20 +87,34 @@ def test_hellinger_closed_form_for_scaled_tables(s, seed):
     rng = np.random.default_rng(seed)
     p = rng.random(8)
     p /= p.sum()
-    table_p = ProbabilityTable((0, 1, 2), p)
-    table_q = ProbabilityTable((0, 1, 2), s**2 * p)
     expected = (1.0 - 0.5 * (1.0 - s) ** 2) ** 2
-    assert hellinger_fidelity(table_p, table_q) == pytest.approx(expected, abs=1e-12)
+    assert hellinger_fidelity(p, s**2 * p) == pytest.approx(expected, abs=1e-12)
 
 
 def test_hellinger_input_validation():
-    p = ProbabilityTable((0,), np.array([0.5, 0.5]))
-    q = ProbabilityTable((0, 1), np.array([0.25] * 4))
+    p = np.array([0.5, 0.5])
+    q = np.array([0.25] * 4)
     with pytest.raises(ValueError):
         hellinger_fidelity(p, q)
-    bad = ProbabilityTable((0,), np.array([0.5, -0.1]))
+    bad = np.array([0.5, -0.1])
     with pytest.raises(ValueError):
         hellinger_fidelity(p, bad)
+    rows = np.full((3, 2), 0.5)
+    with pytest.raises(ValueError):
+        hellinger_fidelity(rows, np.full((3, 4), 0.25))  # same step count, another ring
+    with pytest.raises(ValueError):
+        hellinger_fidelity(rows, np.vstack([rows[:2], bad]))
+
+
+@pytest.mark.parametrize("nodes", [2, 4, 8, 16])
+def test_hellinger_per_step_rows_match_row_by_row(nodes):
+    rng = np.random.default_rng(nodes)
+    p = rng.random((21, nodes))
+    p /= p.sum(axis=1, keepdims=True)
+    q = p * rng.uniform(0.5, 1.0, p.shape)
+    fidelities = hellinger_fidelity(p, q)
+    assert fidelities.shape == (21,)
+    assert np.array_equal(fidelities, [hellinger_fidelity(a, b) for a, b in zip(p, q)])
 
 
 def test_steps_within_tolerance_is_prefix_length():
@@ -121,12 +133,11 @@ def test_steps_within_tolerance_is_prefix_length():
 def test_disabled_noise_reproduces_ideal_walk():
     spec = uniform_spec(2, 2, steps=5)
     result = run_noisy(spec, NativeGateSet(3), noiselib.IDEAL)
-    for rec in result.steps:
-        assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert rec.total_probability == pytest.approx(1.0, abs=1e-12)
-        assert rec.scalar_factor == 1.0
-    assert result.steps[0].step == 1
-    assert result.steps[-1].step == 5
+    assert result.noisy_positions.shape == result.ideal_positions.shape == (5, 4)
+    assert result.fidelities.shape == result.total_probability.shape == result.scalar_factor.shape == (5,)
+    assert np.allclose(result.fidelities, 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(result.total_probability, 1.0, rtol=0, atol=1e-12)
+    assert np.all(result.scalar_factor == 1.0)
 
 
 def expected_scalars(spec, gate_set, noise):
@@ -153,30 +164,27 @@ def expected_scalars(spec, gate_set, noise):
 def test_scalar_factor_audit(rho):
     spec = uniform_spec(2, 2, steps=4)
     result = run_noisy(spec, NativeGateSet(rho), FULL)
-    for rec, want in zip(result.steps, expected_scalars(spec, NativeGateSet(rho), FULL)):
-        assert rec.scalar_factor == pytest.approx(want, rel=1e-13)
-        # Effective gates only remove additional population.
-        assert rec.total_probability <= rec.scalar_factor**2 + 1e-12
+    assert result.scalar_factor == pytest.approx(expected_scalars(spec, NativeGateSet(rho), FULL), rel=1e-13)
+    # Effective gates only remove additional population.
+    assert np.all(result.total_probability <= result.scalar_factor**2 + 1e-12)
 
 
 def test_scalar_only_noise_loses_exactly_the_scalar():
     spec = uniform_spec(2, 2, steps=4)
     params = noiselib.NoiseParams(gate_errors_enabled=False)
     result = run_noisy(spec, NativeGateSet(3), params)
-    for rec in result.steps:
-        assert rec.total_probability == pytest.approx(rec.scalar_factor**2, rel=1e-12)
+    assert result.total_probability == pytest.approx(result.scalar_factor**2, rel=1e-12)
 
 
 def test_moves_per_step_override():
     spec = uniform_spec(2, 2, steps=3)
     fixed = noiselib.NoiseParams(moves_per_step=2)
     result = run_noisy(spec, NativeGateSet(3), fixed)
-    for rec, want in zip(result.steps, expected_scalars(spec, NativeGateSet(3), fixed)):
-        assert rec.scalar_factor == pytest.approx(want, rel=1e-13)
+    assert result.scalar_factor == pytest.approx(expected_scalars(spec, NativeGateSet(3), fixed), rel=1e-13)
     # Zero moves must beat the marker-driven schedule.
     frozen = run_noisy(spec, NativeGateSet(3), noiselib.NoiseParams(moves_per_step=0))
     marked = run_noisy(spec, NativeGateSet(3), FULL)
-    assert frozen.steps[-1].scalar_factor > marked.steps[-1].scalar_factor
+    assert frozen.scalar_factor[-1] > marked.scalar_factor[-1]
 
 
 @pytest.mark.parametrize("nc", [1, 2])
@@ -193,10 +201,10 @@ def test_compiled_once_matches_stepwise_reference(nc, rho, noise):
     gate_set = NativeGateSet(max_rank=rho)
     result = run_noisy(spec, gate_set, noise)
     reference = run_noisy_stepwise(spec, gate_set, noise)
-    assert len(result.steps) == len(reference) == steps
-    for rec, (table, scalar_factor) in zip(result.steps, reference):
-        assert np.array_equal(rec.noisy_positions.values, table.values)
-        assert rec.scalar_factor == scalar_factor
+    assert len(result.noisy_positions) == len(result.scalar_factor) == len(reference) == steps
+    for positions, factor, (table, scalar_factor) in zip(result.noisy_positions, result.scalar_factor, reference):
+        assert np.array_equal(positions, table.values)
+        assert factor == scalar_factor
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -218,40 +226,46 @@ def test_shared_compiled_step_and_ideal_tables():
     spec = uniform_spec(3, 2, steps=4)
     compiled = compile_step(spec, NativeGateSet(3))
     ideal = run_ideal(spec)
+    assert ideal.shape == (4, 8) and not ideal.flags.writeable
+    with pytest.raises(ValueError):
+        ideal[0, 0] = 0.5
     tuned = NativeGateSet(3, param_a=13.0)
     shared = run_noisy(spec, tuned, FULL, ideal_tables=ideal, compiled=compiled)
     alone = run_noisy(spec, tuned, FULL)
-    for a, b in zip(shared.steps, alone.steps):
-        assert np.array_equal(a.noisy_positions.values, b.noisy_positions.values)
-        assert a.fidelity == b.fidelity and a.scalar_factor == b.scalar_factor
+    assert shared.ideal_positions is ideal  # one array serves every walk that shares it
+    assert np.array_equal(shared.ideal_positions, alone.ideal_positions)
+    for name in ("noisy_positions", "fidelities", "total_probability", "scalar_factor"):
+        assert np.array_equal(getattr(shared, name), getattr(alone, name))
     with pytest.raises(ValueError):
         run_noisy(spec, NativeGateSet(4), FULL, compiled=compiled)
     with pytest.raises(ValueError):
         run_noisy(uniform_spec(3, 1, steps=4), NativeGateSet(3), FULL, compiled=compiled)
     with pytest.raises(ValueError):
         run_noisy(spec, tuned, FULL, ideal_tables=ideal[:3])
+    # Another ring with the same step count: caught before the walk runs.
+    with pytest.raises(ValueError, match="ideal tables of shape"):
+        run_noisy(spec, tuned, FULL, ideal_tables=run_ideal(uniform_spec(2, 2, steps=4)), compiled=compiled)
 
 
 def test_fidelity_decreases_with_worse_preparation():
     spec = uniform_spec(2, 2, steps=2)
     mild = run_noisy(spec, NativeGateSet(3), noiselib.NoiseParams(eps_init=0.001))
     harsh = run_noisy(spec, NativeGateSet(3), noiselib.NoiseParams(eps_init=0.02))
-    assert harsh.steps[0].fidelity < mild.steps[0].fidelity < 1.0
+    assert harsh.fidelities[0] < mild.fidelities[0] < 1.0
 
 
 def test_noisy_marginal_total_matches_probability():
     result = run_noisy(uniform_spec(3, 1, steps=4), NativeGateSet(3), FULL)
-    for rec in result.steps:
-        assert rec.noisy_positions.total() == pytest.approx(rec.total_probability, rel=1e-12)
-        assert rec.ideal_positions.total() == pytest.approx(1.0, abs=1e-12)
+    assert result.noisy_positions.sum(axis=1) == pytest.approx(result.total_probability, rel=1e-12)
+    assert result.ideal_positions.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
 
 
 def test_runs_are_deterministic():
     spec = uniform_spec(2, 2, steps=5)
     a = run_noisy(spec, NativeGateSet(3), FULL)
     b = run_noisy(spec, NativeGateSet(3), FULL)
-    assert a.fidelities == b.fidelities
-    assert [r.scalar_factor for r in a.steps] == [r.scalar_factor for r in b.steps]
+    assert np.array_equal(a.fidelities, b.fidelities)
+    assert np.array_equal(a.scalar_factor, b.scalar_factor)
 
 
 # --------------------------------------------------------------- reports

@@ -66,6 +66,7 @@ def test_each_walk_is_one_run_noisy_call(command, walks, specs, monkeypatch, cap
     noisy = _recorder(monkeypatch, cli, "run_noisy")
     ideal = _recorder(monkeypatch, simulate, "run_ideal")
     compiles = _recorder(monkeypatch, simulate, "build_step_circuit")
+    hellinger = _recorder(monkeypatch, simulate, "hellinger_fidelity")
     assert cli.main([command]) == 0
     capsys.readouterr()
     assert len(noisy) == walks
@@ -73,3 +74,5 @@ def test_each_walk_is_one_run_noisy_call(command, walks, specs, monkeypatch, cap
     assert len(ideal) == len(set(ideal)) == specs
     # sweep-a compiles its one walk once; tolerance compiles each walk once.
     assert len(compiles) == (1 if command == "sweep-a" else walks)
+    # Each walk's fidelities come from one Hellinger pass over all its steps.
+    assert len(hellinger) == walks
