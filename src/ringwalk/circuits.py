@@ -146,6 +146,7 @@ class NativeGateSet:
             raise ValueError(f"param_a = {self.param_a} must be finite and nonnegative")
 
     def effective_ckz(self, k: int):
+        """Diagonal of this set's effective CkZ (rank k + 1)."""
         from . import gates as _g
 
         if not 1 <= k <= self.max_rank - 1:
@@ -303,14 +304,13 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
     )
 
 
-def count_multiqubit_gates(spec: WalkSpec, gates: NativeGateSet | int) -> dict[int, int]:
+def count_multiqubit_gates(spec: WalkSpec, max_rank: int) -> dict[int, int]:
     """Per-step census of multiqubit gates (rank >= 2) after rank bounding.
 
-    Takes a NativeGateSet or a bare max rank; the latter admits rank 5 for
-    the forward-looking gate-set comparison. Pure arithmetic on ladder
-    sizes, so ring exponents up to 20 cost nothing.
+    max_rank may be 5, above any NativeGateSet, for the forward-looking
+    gate-set comparison. Pure arithmetic on ladder sizes, so ring exponents
+    up to 20 cost nothing.
     """
-    max_rank = gates if isinstance(gates, int) else gates.max_rank
     if max_rank < 3:
         raise ValueError("native rank must be at least 3")
     counts: dict[int, int] = {}

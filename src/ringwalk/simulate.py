@@ -121,7 +121,7 @@ def shift_matrix(rank: int, gate_set: NativeGateSet, gate_errors: bool) -> np.nd
     the last two basis states, which at rank 1 is X.
     """
     if gate_errors and rank >= 2:
-        matrix = gatelib.ckx_from_ckz(gate_set.effective_ckz(rank - 1)).matrix
+        matrix = gatelib.ckx_from_ckz(gate_set.effective_ckz(rank - 1))
     else:
         dim = 2**rank
         matrix = np.eye(dim, dtype=np.complex128)
@@ -326,8 +326,10 @@ def gate_set_comparison(
     Each fidelity set lists F(CCZ-level), F(C3Z-level), F(C4Z-level), i.e.
     ranks 3, 4, 5 in order, and must be non-increasing (wider gates are
     never better). Each transition raises the bound from low to high, so
-    3 <= low < high. Counts come from the 2q-coin walk census, which only
-    uses gates of rank 3 and up, matching the composite product's range.
+    3 <= low < high <= 5. Each n is a ring exponent in [2, 20]. Counts come
+    from the 2q-coin walk census, which only uses gates of rank 3 and up,
+    matching the composite product's range. Every argument is checked
+    before the first census.
     """
     sets = [tuple(s) for s in fidelity_sets]
     if not sets:
@@ -340,8 +342,11 @@ def gate_set_comparison(
         if s[0] < s[1] or s[1] < s[2]:
             raise ValueError(f"fidelity set {s} increases with rank")
     for low, high in transitions:
-        if not 3 <= low < high:
-            raise ValueError(f"transitions entry {low}->{high} needs 3 <= low < high")
+        if not 3 <= low < high <= 5:
+            raise ValueError(f"transitions entry {low}->{high} needs 3 <= low < high <= 5")
+    for n in n_list:
+        if not 2 <= n <= 20:
+            raise ValueError(f"n_list entry {n} outside [2, 20]")
 
     entries = []
     for n in n_list:

@@ -1,9 +1,11 @@
-"""Dense statevector engine with subnormalized (trace-decaying) states.
+"""Dense statevector kernels on flat, subnormalized amplitude arrays.
 
-Qubit order is big-endian throughout: qubit 0 is the most significant bit
-of a basis index, so ``new_basis_state(3, "110")`` puts qubits 0 and 1 in
-state 1. States are plain value objects; every operation returns a fresh
-StateVector and never mutates its input.
+A state on n qubits is a plain complex array of 2^n amplitudes. Qubit
+order is big-endian throughout: qubit 0 is the most significant bit of a
+basis index, so |110> on 3 qubits is index 0b110. A gate is a dense
+(2^r, 2^r) array, controls first, target last. apply_gate,
+scale_amplitudes and marginal_probabilities return fresh arrays and never
+change their input.
 
 A gate reaches its target qubits through a gate plan: the basis indices of
 the state laid out as a (2^r, 2^(n-r)) array whose row is the target bits
@@ -13,60 +15,17 @@ gate, so the executor can run a compiled step in place on one flat array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .gates import GateMatrix
 
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Complex amplitude vector over ``2**qubit_count`` big-endian basis states."""
-
-    amplitudes: np.ndarray
-    qubit_count: int
-
-    def __post_init__(self) -> None:
-        if self.qubit_count < 1:
-            raise ValueError("qubit_count must be at least 1")
-        if self.amplitudes.shape != (2**self.qubit_count,):
-            raise ValueError(
-                f"amplitude vector has length {self.amplitudes.shape}, "
-                f"expected {2**self.qubit_count}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class ProbabilityTable:
-    """Unnormalized probabilities for a subset of qubits.
-
-    ``values[i]`` is the probability of the big-endian bitstring of ``i``
-    over ``qubits`` in the order given. The values sum to the total
-    probability of the state they came from, which may be below 1 for
-    subnormalized states; no renormalization is ever applied.
-    """
-
-    qubits: tuple[int, ...]
-    values: np.ndarray
-
-    def as_dict(self) -> dict[str, float]:
-        width = len(self.qubits)
-        return {format(i, f"0{width}b"): float(v) for i, v in enumerate(self.values)}
-
-    def total(self) -> float:
-        return float(np.sum(self.values))
-
-
-def new_basis_state(qubit_count: int, bits: str) -> StateVector:
-    """Return |bits> with amplitude 1, e.g. new_basis_state(3, "010")."""
-    if len(bits) != qubit_count or any(b not in "01" for b in bits):
-        raise ValueError(f"bits {bits!r} is not a {qubit_count}-bit string")
-    amps = np.zeros(2**qubit_count, dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(amps, qubit_count)
+def _qubit_count(amps: np.ndarray) -> int:
+    n = amps.size.bit_length() - 1
+    if n < 1 or amps.shape != (2**n,):
+        raise ValueError(f"amplitude array of shape {amps.shape} is not a state of one or more qubits")
+    return n
 
 
 def _check_targets(qubit_count: int, targets: tuple[int, ...]) -> None:
@@ -93,50 +52,36 @@ def gate_plan(qubit_count: int, targets: tuple[int, ...]) -> np.ndarray:
     return plan
 
 
-def apply_gate(state: StateVector, gate: GateMatrix, targets: Sequence[int]) -> StateVector:
-    """Apply a rank-r gate to the given target qubits (controls included).
+def apply_gate(amps: np.ndarray, gate: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Apply a dense rank-r gate to the given target qubits (controls included).
 
     For controlled gates the convention is controls first, target last,
     matching the row ordering of the gate matrix itself.
     """
     targets = tuple(targets)
-    if len(targets) != gate.rank:
-        raise ValueError(f"gate acts on {gate.rank} qubits, got targets {targets}")
-    plan = gate_plan(state.qubit_count, targets)
-    amps = state.amplitudes.copy()
-    if gate.diagonal is not None:
-        amps[plan] = gate.diagonal[:, None] * amps[plan]
-    else:
-        amps[plan] = gate.matrix @ amps[plan]
-    return StateVector(amps, state.qubit_count)
+    if gate.shape != (2 ** len(targets),) * 2:
+        raise ValueError(f"gate of shape {gate.shape} does not act on targets {targets}")
+    plan = gate_plan(_qubit_count(amps), targets)
+    out = amps.copy()
+    out[plan] = gate @ out[plan]
+    return out
 
 
-def scale_amplitudes(state: StateVector, factor: float) -> StateVector:
+def scale_amplitudes(amps: np.ndarray, factor: float) -> np.ndarray:
     """Multiply every amplitude by a real factor in [0, 1] (scalar damping)."""
     if not 0.0 <= factor <= 1.0:
         raise ValueError(f"scale factor {factor} outside [0, 1]")
-    return StateVector(state.amplitudes * factor, state.qubit_count)
+    return amps * factor
 
 
-def marginal_probabilities(state: StateVector, qubits: Iterable[int]) -> ProbabilityTable:
-    """Probability table over ``qubits``, tracing out everything else.
+def marginal_probabilities(amps: np.ndarray, qubits: int) -> np.ndarray:
+    """Probabilities of the leading ``qubits`` qubits, tracing out the rest.
 
-    The result is left unnormalized so probability lost to damping stays
+    Entry i is the probability that those qubits spell i big-endian. The
+    result is left unnormalized so probability lost to damping stays
     visible to downstream metrics.
     """
-    subset = tuple(qubits)
-    _check_targets(state.qubit_count, subset)
-    n = state.qubit_count
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    keep = set(subset)
-    summed = np.sum(probs, axis=tuple(ax for ax in range(n) if ax not in keep))
-    # Axes of `summed` are the kept qubits in index order; put them in
-    # the caller's requested order.
-    order = sorted(range(len(subset)), key=lambda i: subset[i])
-    inverse = np.argsort(order)
-    summed = np.transpose(summed, axes=inverse)
-    return ProbabilityTable(subset, np.ascontiguousarray(summed).reshape(-1))
-
-
-def total_probability(state: StateVector) -> float:
-    return float(np.sum(np.abs(state.amplitudes) ** 2))
+    n = _qubit_count(amps)
+    if not 1 <= qubits <= n:
+        raise ValueError(f"cannot keep {qubits} leading qubits of {n}")
+    return (np.abs(amps) ** 2).reshape(2**qubits, -1).sum(1)

@@ -1,41 +1,43 @@
 """Reference executor for run_noisy: compile every step, apply every gate.
 
 Compiles each step with build_step_circuit, coin angles and all, and runs
-its ops one by one through apply_gate on immutable StateVectors, with the
-scalar channels multiplied into the running factor in circuit order. It
-does the same arithmetic as run_noisy, so run_noisy must match it exactly;
-it shares none of run_noisy's compile-once and in-place machinery, and
-resolves each gate itself from the gate library and its own exact CkX
-permutation rather than through run_noisy's resolver.
+its ops one by one through apply_gate, each returning a fresh amplitude
+array, with the scalar channels multiplied into the running factor in
+circuit order. It does the same arithmetic as run_noisy, so run_noisy
+must match it exactly; it shares none of run_noisy's compile-once and
+in-place machinery, and resolves each gate itself from the gate library
+and its own exact CkX permutation rather than through run_noisy's
+resolver.
 """
 
 import numpy as np
 
 from ringwalk import noise as noiselib
 from ringwalk.circuits import MoveMarker, build_step_circuit
-from ringwalk.gates import GateMatrix, ckx_from_ckz, ideal_gate
-from ringwalk.statevector import apply_gate, marginal_probabilities, new_basis_state, scale_amplitudes
+from ringwalk.gates import X, _ry, ckx_from_ckz
+from ringwalk.statevector import apply_gate, marginal_probabilities, scale_amplitudes
 
 
 def resolve(op, gate_set, gate_errors):
-    """GateMatrix for one compiled gate: RY from its angle, X and CkX by label."""
+    """Dense matrix for one compiled gate: RY from its angle, X and CkX by label."""
     if op.label == "RY":
-        return ideal_gate("Ry", op.theta)
+        return _ry(op.theta).astype(np.complex128)
     if op.label == "X":
-        return ideal_gate("X")
+        return X
     k = int(op.label[1:-1])  # "C{k}X"
     if gate_errors:
         return ckx_from_ckz(gate_set.effective_ckz(k))
     dense = np.eye(2 ** (k + 1), dtype=np.complex128)
     dense[[-2, -1]] = dense[[-1, -2]]
-    return GateMatrix(op.label, k + 1, dense=dense)
+    return dense
 
 
 def run_noisy_stepwise(spec, gate_set, noise):
     """Per step: (noisy position marginal, scalar factor)."""
     circuits = [build_step_circuit(spec, gate_set, t) for t in range(spec.steps)]
     n_q = circuits[0].qubit_count
-    state = new_basis_state(n_q, "0" * n_q)
+    state = np.zeros(2**n_q, dtype=np.complex128)
+    state[0] = 1.0
     running_factor = noiselib.state_prep_factor(noise, n_q)
     read = noiselib.readout_factor(noise, n_q)
     move = noiselib.movement_factor(noise, n_q)
@@ -53,5 +55,5 @@ def run_noisy_stepwise(spec, gate_set, noise):
             running_factor *= move**noise.moves_per_step
         scalar_factor = running_factor * read
         snapshot = scale_amplitudes(state, scalar_factor)
-        out.append((marginal_probabilities(snapshot, spec.position_indices), scalar_factor))
+        out.append((marginal_probabilities(snapshot, spec.position_qubits), scalar_factor))
     return out

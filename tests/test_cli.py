@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringwalk import cli
+from ringwalk import cli, simulate
 from ringwalk.cli import (
     ConfigError,
     ExperimentConfig,
@@ -163,6 +163,22 @@ def test_main_composite_underflow_exit_code(tmp_path, capsys):
         assert main(["composite", "--config", path, "--format", fmt]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: fidelity set (0.5, 0.4, 0.3) at n = 20")
+
+
+COMPOSITE_RANGE_ERRORS = (
+    ("n_list = 1", "n_list entry 1 outside [2, 20]"),
+    ("n_list = 5, 21", "n_list entry 21 outside [2, 20]"),
+    ("transitions = 3->4, 3->6", "transitions entry 3->6 needs 3 <= low < high <= 5"),
+)
+
+
+@pytest.mark.parametrize("line,message", COMPOSITE_RANGE_ERRORS)
+def test_main_composite_range_errors_name_the_key(line, message, tmp_path, capsys, monkeypatch):
+    census = []
+    monkeypatch.setattr(simulate, "count_multiqubit_gates", lambda *args: census.append(args))
+    assert main(["composite", "--config", write_config(tmp_path, f"[composite]\n{line}\n")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert census == []  # rejected before the first census
 
 
 def test_main_unwritable_out_exit_code(tmp_path, capsys):
@@ -347,7 +363,7 @@ CONFIG_VALUES = {
     "composite": {
         "n_list": ("5", "5, 20", "", "1", "21"),
         "fidelity_sets": ("0.993 0.992 0.991", "0.5 0.4 0.3", "", "1 1 1", "0.99 0.98", "0.9 0.95 0.8"),
-        "transitions": ("3->4", "4->5, 3->5", "", "3->4->5", "4->3"),
+        "transitions": ("3->4", "4->5, 3->5", "", "3->4->5", "4->3", "3->6"),
     },
 }
 BAD_NUMBERS = ("nan", "inf", "-1", "2.5", "1/0", "1e309", "x", "0")

@@ -16,15 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwalk.gates import (
-    GateMatrix,
+    X,
+    ZHZ,
     c3z_eff,
     ccz_eff,
     ckx_from_ckz,
     cz_eff,
-    equivalent_two_qubit_fidelity,
     gate_fidelity,
     ideal_ckz,
-    ideal_gate,
     param_gate,
 )
 
@@ -54,10 +53,10 @@ def fidelity_oracle(weights):
 
 def test_effective_diagonals_match_weight_tables():
     for gate, weights in [(cz_eff(), CZ_WEIGHTS), (ccz_eff(), CCZ_WEIGHTS), (c3z_eff(), C3Z_WEIGHTS)]:
-        for idx, entry in enumerate(gate.diagonal):
+        assert gate.shape == (2 ** (len(weights) - 1),)
+        for idx, entry in enumerate(gate):
             mag, frac = weights[bin(idx).count("1")]
             assert entry == pytest.approx(mag * cmath.exp(1j * math.pi * frac), abs=1e-15)
-        assert gate.is_effective
 
 
 def test_gate_fidelity_matches_binomial_oracle():
@@ -75,28 +74,28 @@ def test_gate_fidelity_frozen_values():
 def test_ideal_ckz_is_symmetric_reflection():
     for k in (1, 2, 3):
         gate = ideal_ckz(k)
-        assert gate.diagonal[0] == 1.0
-        assert np.all(gate.diagonal[1:] == -1.0)
+        assert gate.shape == (2 ** (k + 1),)
+        assert gate[0] == 1.0
+        assert np.all(gate[1:] == -1.0)
     with pytest.raises(ValueError):
         ideal_ckz(0)
 
 
 def test_ckx_from_ideal_ckz_is_exact():
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    got = ckx_from_ckz(ideal_ckz(1)).matrix
+    got = ckx_from_ckz(ideal_ckz(1))
     assert np.max(np.abs(got - cnot)) < 1e-14
     for k in (2, 3):
         dim = 2 ** (k + 1)
         toffoli = np.eye(dim, dtype=complex)
         toffoli[[dim - 2, dim - 1]] = toffoli[[dim - 1, dim - 2]]
-        got = ckx_from_ckz(ideal_ckz(k)).matrix
+        got = ckx_from_ckz(ideal_ckz(k))
         assert np.max(np.abs(got - toffoli)) < 1e-14
 
 
 def test_ckx_from_ckz_requires_diagonal():
-    dense_only = GateMatrix("D", 2, dense=np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
-        ckx_from_ckz(dense_only)
+        ckx_from_ckz(np.eye(4, dtype=complex))
 
 
 def test_ckx_fidelity_equals_ckz_fidelity():
@@ -104,8 +103,7 @@ def test_ckx_fidelity_equals_ckz_fidelity():
     # of the X forms must equal the Z forms'.
     for k, eff in [(1, cz_eff()), (2, ccz_eff()), (3, c3z_eff())]:
         f_z = gate_fidelity(eff, ideal_ckz(k))
-        ideal_x = GateMatrix(f"C{k}X", k + 1, dense=ckx_from_ckz(ideal_ckz(k)).matrix)
-        f_x = gate_fidelity(ckx_from_ckz(eff), ideal_x)
+        f_x = gate_fidelity(ckx_from_ckz(eff), ckx_from_ckz(ideal_ckz(k)))
         assert f_x == pytest.approx(f_z, abs=1e-13)
 
 
@@ -115,15 +113,15 @@ def test_gate_fidelity_rank_mismatch():
 
 
 def test_param_gate_anchor_at_zero():
-    assert np.allclose(param_gate("CZ", 0.0).diagonal, cz_eff().diagonal, atol=1e-15)
-    assert np.allclose(param_gate("CCZ", 0.0).diagonal, ccz_eff().diagonal, atol=1e-15)
+    assert np.allclose(param_gate("CZ", 0.0), cz_eff(), atol=1e-15)
+    assert np.allclose(param_gate("CCZ", 0.0), ccz_eff(), atol=1e-15)
 
 
 def test_param_gate_saturates_to_ideal_phases():
     # Past the cap the weight-1 entry sits exactly on -1.
     gate = param_gate("CZ", 26.0)
-    assert gate.diagonal[1] == pytest.approx(-1.0, abs=1e-15)
-    assert np.allclose(param_gate("CZ", 13.0).diagonal, gate.diagonal, atol=1e-15)
+    assert gate[1] == pytest.approx(-1.0, abs=1e-15)
+    assert np.allclose(param_gate("CZ", 13.0), gate, atol=1e-15)
 
 
 def test_param_gate_frozen_fidelities():
@@ -153,44 +151,22 @@ def test_param_fidelity_monotone_in_effort(a_low, a_high):
 @given(st.floats(min_value=0.0, max_value=100.0))
 def test_param_magnitudes_capped(a):
     for kind in ("CZ", "CCZ"):
-        assert np.max(np.abs(param_gate(kind, a).diagonal)) <= 1.0 + 1e-12
+        assert np.max(np.abs(param_gate(kind, a))) <= 1.0 + 1e-12
 
 
-def test_ideal_gate_identities():
-    h = ideal_gate("H").matrix
-    x = ideal_gate("X").matrix
-    assert np.allclose(h @ h, np.eye(2), atol=1e-15)
-    assert np.allclose(x @ x, np.eye(2), atol=1e-15)
-    assert np.allclose(h @ ideal_gate("Z").matrix @ h, x, atol=1e-15)
-    theta = 0.7
-    ry = ideal_gate("Ry", theta).matrix
-    ry_inv = ideal_gate("Ry", -theta).matrix
-    assert np.allclose(ry @ ry_inv, np.eye(2), atol=1e-15)
-    assert np.allclose(ideal_gate("Rz2pi").matrix, -np.eye(2), atol=1e-15)
-
-
-def test_ideal_gate_argument_errors():
-    with pytest.raises(ValueError):
-        ideal_gate("Ry")
-    with pytest.raises(ValueError):
-        ideal_gate("H", theta=1.0)
-    with pytest.raises(ValueError):
-        ideal_gate("CNOT")
-
-
-def test_equivalent_two_qubit_fidelity_roots():
-    assert equivalent_two_qubit_fidelity(0.9954, 5) == pytest.approx(0.9991, abs=1e-4)
-    assert equivalent_two_qubit_fidelity(0.9850, 20) == pytest.approx(0.9992, abs=1e-4)
-    with pytest.raises(ValueError):
-        equivalent_two_qubit_fidelity(0.99, 0)
-    with pytest.raises(ValueError):
-        equivalent_two_qubit_fidelity(0.0, 3)
+def test_conjugating_layer_constants():
+    assert np.array_equal(X @ X, np.eye(2))
+    assert np.allclose(ZHZ @ ZHZ, np.eye(2), atol=1e-15)
+    # ZHZ maps |0> to |-> = (|0> - |1>) / sqrt(2).
+    assert np.allclose(ZHZ[:, 0], np.array([1, -1]) / math.sqrt(2), atol=1e-15)
+    assert not X.flags.writeable and not ZHZ.flags.writeable
 
 
 def test_gate_matrix_shape_validation():
+    for bad in (np.ones(3, dtype=complex), np.ones(2, dtype=complex), np.ones((4, 2), dtype=complex)):
+        with pytest.raises(ValueError):
+            ckx_from_ckz(bad)
     with pytest.raises(ValueError):
-        GateMatrix("bad", 2, diagonal=np.ones(3, dtype=complex))
+        gate_fidelity(np.eye(4, dtype=complex), ideal_ckz(1))
     with pytest.raises(ValueError):
-        GateMatrix("bad", 1, dense=np.eye(4, dtype=complex))
-    with pytest.raises(ValueError):
-        GateMatrix("empty", 1)
+        gate_fidelity(np.ones((4, 2), dtype=complex), np.ones((4, 2), dtype=complex))

@@ -14,7 +14,7 @@ from ringwalk.noise import (
     state_prep_factor,
     wait_error,
 )
-from ringwalk.statevector import new_basis_state, scale_amplitudes, total_probability
+from ringwalk.statevector import scale_amplitudes
 
 
 def test_wait_error_frozen_values():
@@ -62,8 +62,13 @@ def test_disabled_channels_are_unit_factors():
     assert state_prep_factor(only_spam, 3) < 1.0
 
 
+def total_probability(amps):
+    return float(np.sum(np.abs(amps) ** 2))
+
+
 def test_apply_wrappers_scale_probability():
-    state = new_basis_state(3, "000")
+    state = np.zeros(8, dtype=np.complex128)
+    state[0] = 1.0
     params = NoiseParams()
     prepared = scale_amplitudes(state, state_prep_factor(params, 3))
     assert total_probability(prepared) == pytest.approx(0.997**3, rel=1e-14)

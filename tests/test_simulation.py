@@ -33,7 +33,7 @@ from ringwalk.simulate import (
     steps_within_tolerance,
     tolerance_report,
 )
-from ringwalk.gates import ckx_from_ckz, ideal_ckz, ideal_gate
+from ringwalk.gates import X, ckx_from_ckz, ideal_ckz
 
 
 FULL = noiselib.NoiseParams()
@@ -203,7 +203,7 @@ def test_compiled_once_matches_stepwise_reference(nc, rho, noise):
     reference = run_noisy_stepwise(spec, gate_set, noise)
     assert len(result.noisy_positions) == len(result.scalar_factor) == len(reference) == steps
     for positions, factor, (table, scalar_factor) in zip(result.noisy_positions, result.scalar_factor, reference):
-        assert np.array_equal(positions, table.values)
+        assert np.array_equal(positions, table)
         assert factor == scalar_factor
 
 
@@ -211,15 +211,15 @@ def test_compiled_once_matches_stepwise_reference(nc, rho, noise):
 def test_exact_shift_gate_is_the_ideal_ckx(rank):
     gate_set = NativeGateSet(max_rank=4, param_a=13.0)
     exact = shift_matrix(rank, gate_set, False)
-    assert np.allclose(exact, ckx_from_ckz(ideal_ckz(rank - 1)).matrix, rtol=0, atol=1e-12)
+    assert np.allclose(exact, ckx_from_ckz(ideal_ckz(rank - 1)), rtol=0, atol=1e-12)
     effective = shift_matrix(rank, gate_set, True)
-    assert np.array_equal(effective, ckx_from_ckz(gate_set.effective_ckz(rank - 1)).matrix)
+    assert np.array_equal(effective, ckx_from_ckz(gate_set.effective_ckz(rank - 1)))
     assert not exact.flags.writeable and not effective.flags.writeable
 
 
 def test_rank_one_shift_gate_is_x_with_or_without_gate_errors():
     for gate_errors in (False, True):
-        assert np.array_equal(shift_matrix(1, NativeGateSet(), gate_errors), ideal_gate("X").matrix)
+        assert np.array_equal(shift_matrix(1, NativeGateSet(), gate_errors), X)
 
 
 def test_shared_compiled_step_and_ideal_tables():

@@ -9,6 +9,12 @@ and counts native gates by recompiling each walk's steps with
 ``ringwalk.circuits``, so the compiler's names and fields must hold too.
 A refactor that binds these names elsewhere breaks its traced run or
 silently zeroes its throughput metrics; these tests catch that.
+
+``apply_gate``, ``scale_amplitudes`` and ``marginal_probabilities`` stay
+bound in ``simulate`` only because the tracer patches them there with
+``getattr``, which fails on a missing name. The walk path must never call
+them: the tracer's gate observer reads ``args[0].qubit_count``, which the
+flat amplitude arrays these functions take do not have.
 """
 
 import pytest
@@ -76,3 +82,14 @@ def test_each_walk_is_one_run_noisy_call(command, walks, specs, monkeypatch, cap
     assert len(compiles) == (1 if command == "sweep-a" else walks)
     # Each walk's fidelities come from one Hellinger pass over all its steps.
     assert len(hellinger) == walks
+
+
+STATEVECTOR_NAMES = ("apply_gate", "scale_amplitudes", "marginal_probabilities")
+
+
+@pytest.mark.parametrize("command", cli.KINDS)
+def test_default_runs_never_call_the_statevector_kernels(command, monkeypatch, capsys):
+    calls = {name: _recorder(monkeypatch, simulate, name) for name in STATEVECTOR_NAMES}
+    assert cli.main([command]) == 0
+    capsys.readouterr()
+    assert calls == {name: [] for name in STATEVECTOR_NAMES}
