@@ -5,11 +5,12 @@ run_ideal evolves the walk from its definition (a coin at every node,
 then a roll of each coin column around the ring) and shares no code with
 the compiler. run_noisy is the only circuit executor. Steps of one walk
 differ only in their coin angles, so it compiles the step once
-(compile_step), resolves the shift to (matrix, gate plan) pairs, and then
-per step re-emits only the coin layer and runs the shift in place on one
-flat amplitude array. The state evolves under the gates alone; the scalar
-noise channels multiply into one logged factor. A walk's readout is one
-set of arrays with a row per step (RunResult).
+(compile_step), fuses the shift into dense blocks where the walk's steps
+pay for them (shift_blocks), and then per step re-emits only the coin
+layer and runs the shift in place on one flat amplitude array. The state
+evolves under the gates alone; the scalar noise channels multiply into
+one logged factor. A walk's readout is one set of arrays with a row per
+step (RunResult).
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .statevector import apply_gate, marginal_probabilities, scale_amplitudes  #
 
 MAX_SIMULATED_POSITION_QUBITS = 4
 MAX_SIMULATED_QUBITS = 12
+FUSED_MAX_WIRES = 5
+CALL_AMPLITUDES = 650  # one numpy call's overhead, as the amplitudes a gate pass moves in that time
 
 
 class UnsupportedSizeError(ValueError):
@@ -130,6 +133,62 @@ def shift_matrix(rank: int, gate_set: NativeGateSet, gate_errors: bool) -> np.nd
     return matrix
 
 
+Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (wires, its gates' targets in circuit order)
+
+
+def _pays_back(steps: int, gates: int, wires: int, qubit_count: int) -> bool:
+    """Whether a block of gates saves, over the walk, the passes its build costs.
+
+    Per step it saves gates - 1 passes over the 2^n state; its build costs
+    about 2 * gates passes over 4^w entries. A pass also pays one numpy call.
+    """
+    saved = steps * (gates - 1) * (2**qubit_count + CALL_AMPLITUDES)
+    return saved >= 2 * gates * (4**wires + CALL_AMPLITUDES)
+
+
+@lru_cache(maxsize=64)  # one entry per compiled shape and step count
+def shift_blocks(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: int) -> tuple[Block, ...]:
+    """Split the shift's gates, in circuit order, into runs on at most FUSED_MAX_WIRES wires.
+
+    A run that pays back within the walk is one block on its sorted wires;
+    each gate of any other run is a block of its own on its own targets.
+    """
+    runs: list[list[tuple[int, ...]]] = [[]]
+    for targets in gates:
+        if len(set().union(*runs[-1], targets)) > FUSED_MAX_WIRES:
+            runs.append([])
+        runs[-1].append(targets)
+    blocks: list[Block] = []
+    for run in runs:
+        wires = tuple(sorted(set().union(*run)))
+        fused = _pays_back(steps, len(run), len(wires), qubit_count)
+        blocks += [(wires, tuple(run))] if fused else [(targets, (targets,)) for targets in run]
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=64)  # per plan, gate set and flag: each sweep effort builds its own
+def block_matrices(blocks: tuple[Block, ...], gate_set: NativeGateSet, gate_errors: bool) -> tuple[np.ndarray, ...]:
+    """Read-only matrix of each block on its wires, in their order.
+
+    A lone gate is its shift_matrix. A run's gates go through
+    gate_plan(2w, local targets) over the 2^w identity taken as a flat
+    2w-qubit state, whose leading w qubits are the block's wires.
+    """
+    matrices = []
+    for wires, gates in blocks:
+        if len(gates) == 1:
+            matrices.append(shift_matrix(len(wires), gate_set, gate_errors))
+            continue
+        block = np.eye(2 ** len(wires), dtype=np.complex128)
+        flat = block.reshape(-1)
+        for targets in gates:
+            plan = gate_plan(2 * len(wires), tuple(wires.index(q) for q in targets))
+            flat[plan] = shift_matrix(len(targets), gate_set, gate_errors) @ flat[plan]
+        block.setflags(write=False)
+        matrices.append(block)
+    return tuple(matrices)
+
+
 def run_ideal(spec: WalkSpec) -> np.ndarray:
     """Ideal position marginals from the walk's definition, one row per step.
 
@@ -182,8 +241,10 @@ def run_noisy(
     """Execute the walk compiled to the native gate set, with noise.
 
     The step is compiled once (compile_step, unless a CompiledStep for
-    the same walk shape and rank bound is passed) and each shift gate
-    resolved by its rank (shift_matrix) to a (matrix, gate plan) pair.
+    the same walk shape and rank bound is passed) and its shift resolved
+    to (matrix, gate plan) pairs: dense blocks where a run of gates pays
+    back over spec.steps (shift_blocks), else gates by rank (shift_matrix).
+    Blocks round in another order, so results may move in the last bits.
     Each step re-emits only the coin RY layer, built once per distinct
     angle in the schedules, and runs the shift in place on one flat
     amplitude array. Gate errors swap in the effective multiqubit gates.
@@ -216,18 +277,21 @@ def run_noisy(
     shift_ops = compiled.circuit.ops[spec.coin_qubits :]
     read = noiselib.readout_factor(noise, n_q)
     move = noiselib.movement_factor(noise, n_q)
-    shift = []
+    gates = []
     step_factors = []
     for op in shift_ops:
         if isinstance(op, MoveMarker):
             if noise.moves_per_step is None:
                 step_factors.append(move)
             continue
-        shift.append((shift_matrix(op.rank, gate_set, noise.gate_errors_enabled), gate_plan(n_q, op.targets)))
+        gates.append(op.targets)
         if op.rank >= 2:
             step_factors.append(noiselib.idle_factor(noise, n_q, op.rank))
     if noise.moves_per_step is not None:
         step_factors.append(move**noise.moves_per_step)
+    blocks = shift_blocks(n_q, tuple(gates), spec.steps)
+    shift = [(matrix, gate_plan(n_q, wires))
+             for matrix, (wires, _) in zip(block_matrices(blocks, gate_set, noise.gate_errors_enabled), blocks)]
     schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
     coin = [(schedule, gate_plan(n_q, op.targets)) for schedule, op in zip(schedules, coin_ops)]
     rotations = {theta: gatelib._ry(theta).astype(np.complex128) for theta in set().union(*schedules)}

@@ -36,7 +36,7 @@ def _check_targets(qubit_count: int, targets: tuple[int, ...]) -> None:
             raise ValueError(f"target qubit {q} out of range for {qubit_count} qubits")
 
 
-@lru_cache(maxsize=256)  # every walk the simulator admits needs under 60 plans
+@lru_cache(maxsize=256)  # the default tolerance table, shift blocks included, needs 66 plans
 def gate_plan(qubit_count: int, targets: tuple[int, ...]) -> np.ndarray:
     """Read-only (2^r, 2^(n-r)) array of basis indices for a gate on ``targets``.
 

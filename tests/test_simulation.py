@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from dense_oracle import run_ideal_dense_oracle
 from stepwise_reference import run_noisy_stepwise
 from ringwalk import noise as noiselib
+from ringwalk import simulate
 from ringwalk.circuits import (
     GateApplication,
     MoveMarker,
@@ -19,16 +21,19 @@ from ringwalk.circuits import (
 )
 from ringwalk.simulate import (
     DEFAULT_FIDELITY_SETS,
+    FUSED_MAX_WIRES,
     TOLERANCES,
     CompositeReport,
     RunResult,
     UnsupportedSizeError,
+    block_matrices,
     compile_step,
     composite_fidelity,
     gate_set_comparison,
     hellinger_fidelity,
     run_ideal,
     run_noisy,
+    shift_blocks,
     shift_matrix,
     steps_within_tolerance,
     tolerance_report,
@@ -187,24 +192,92 @@ def test_moves_per_step_override():
     assert frozen.scalar_factor[-1] > marked.scalar_factor[-1]
 
 
+@contextlib.contextmanager
+def never_fused(monkeypatch):
+    """Run the shift gate by gate: no run of gates pays back its block."""
+    shift_blocks.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_pays_back", lambda *args: False)
+        try:
+            yield
+        finally:
+            shift_blocks.cache_clear()
+
+
+def random_spec(n, nc, steps, seed):
+    # Distinct coin angles at every step, so reusing any step's coin for
+    # another would show.
+    rng = np.random.default_rng(seed)
+    return WalkSpec(n, nc, tuple(rng.uniform(0.1, math.pi, steps)),
+                    tuple(rng.uniform(0.1, math.pi, steps)) if nc == 2 else None, steps)
+
+
+def shift_gates(n, nc, rho):
+    """(qubit count, shift gate targets in circuit order) of the compiled step."""
+    circuit = compile_step(uniform_spec(n, nc, steps=1), NativeGateSet(rho)).circuit
+    return circuit.qubit_count, tuple(op.targets for op in circuit.ops[nc:] if not isinstance(op, MoveMarker))
+
+
 @pytest.mark.parametrize("nc", [1, 2])
 @pytest.mark.parametrize("rho", [3, 4])
 @pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), noiselib.IDEAL],
                          ids=["full", "two-moves", "ideal"])
-def test_compiled_once_matches_stepwise_reference(nc, rho, noise):
-    # Distinct coin angles at every step, so reusing any step's coin for
-    # another would show.
-    rng = np.random.default_rng(10 * nc + rho)
+def test_compiled_once_matches_stepwise_reference(nc, rho, noise, monkeypatch):
+    # The unfused path does the reference's arithmetic in the same order.
     steps = 6
-    spec = WalkSpec(3, nc, tuple(rng.uniform(0.1, math.pi, steps)),
-                    tuple(rng.uniform(0.1, math.pi, steps)) if nc == 2 else None, steps)
+    spec = random_spec(3, nc, steps, 10 * nc + rho)
     gate_set = NativeGateSet(max_rank=rho)
-    result = run_noisy(spec, gate_set, noise)
+    with never_fused(monkeypatch):
+        result = run_noisy(spec, gate_set, noise)
     reference = run_noisy_stepwise(spec, gate_set, noise)
     assert len(result.noisy_positions) == len(result.scalar_factor) == len(reference) == steps
     for positions, factor, (table, scalar_factor) in zip(result.noisy_positions, result.scalar_factor, reference):
         assert np.array_equal(positions, table)
         assert factor == scalar_factor
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("rho", [3, 4])
+@pytest.mark.parametrize("noise,param_a", [
+    (FULL, None), (noiselib.NoiseParams(moves_per_step=2), None), (noiselib.IDEAL, None),
+    (noiselib.NoiseParams(gate_errors_enabled=False), None), (FULL, 13.0),
+], ids=["full", "two-moves", "ideal", "no-gate-errors", "a13"])
+def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
+    # Blocks change the summation order, so the two paths agree to rounding.
+    steps = 8
+    spec = random_spec(n, nc, steps, 100 * n + 10 * nc + rho)
+    gate_set = NativeGateSet(max_rank=rho, param_a=param_a)
+    n_q, gates = shift_gates(n, nc, rho)
+    assert len(shift_blocks(n_q, gates, steps)) < len(gates)
+    fused = run_noisy(spec, gate_set, noise)
+    with never_fused(monkeypatch):
+        unfused = run_noisy(spec, gate_set, noise)
+    for name in ("noisy_positions", "fidelities", "total_probability"):
+        assert np.max(np.abs(getattr(fused, name) - getattr(unfused, name))) < 1e-12
+    assert np.array_equal(fused.scalar_factor, unfused.scalar_factor)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("rho", [3, 4])
+def test_shift_block_plan_invariants(n, nc, rho):
+    n_q, gates = shift_gates(n, nc, rho)
+    for steps in (1, 4, 8, 21):
+        blocks = shift_blocks(n_q, gates, steps)
+        assert sum((block_gates for _, block_gates in blocks), ()) == gates
+        for wires, block_gates in blocks:
+            assert len(wires) <= FUSED_MAX_WIRES
+            assert set(wires) == set().union(*block_gates)
+        for gate_errors in (False, True):
+            matrices = block_matrices(blocks, NativeGateSet(rho), gate_errors)
+            assert [m.shape for m in matrices] == [(2 ** len(wires),) * 2 for wires, _ in blocks]
+            assert not any(m.flags.writeable for m in matrices)
+        if steps == 1:
+            assert blocks == tuple((targets, (targets,)) for targets in gates)
+    if (n, nc, rho) == (4, 2, 3):
+        assert n_q == 9 and len(gates) == 58
+        assert [len(shift_blocks(n_q, gates, steps)) for steps in (4, 8, 21)] == [44, 20, 20]
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
