@@ -13,20 +13,24 @@ Everything is deterministic; --seedless only says so out loud.
 Each subcommand computes its results once and returns one Output: the
 JSON payload (floats rounded to 12 significant digits), the CSV table
 as records from that payload under a header, and the report lines.
-render() builds only the format asked for. With --out the payload goes
-to that file and the report to stdout; without it the payload is
-printed. Exit codes: 0 success, 2 config error (an unwritable --out
-path included), 3 unsupported size.
+render() builds only the format asked for. Its JSON is byte for byte
+json.dumps(indent=2, sort_keys=True, allow_nan=False), written with the
+C encoder wherever a container holds no container. With --out the
+payload goes to that file and the report to stdout; without it the
+payload is printed. Exit codes: 0 success, 2 config error (an
+unwritable --out path included), 3 unsupported size.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from . import gates as gatelib
@@ -274,10 +278,62 @@ class Output:
     report: list[str]
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The C encoder for a value at ``depth``: items go on their own lines.
+
+    It writes ``json.dumps(indent=2)``'s item separator for depth + 1 but
+    no newline after an opening or before a closing bracket, so it is
+    exact only for a scalar, an empty container or, once the caller adds
+    those two newlines, a container of scalars.
+    """
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * (depth + 1), True, False, False,
+    )
+
+
+def _item_texts(values, depth: int) -> list[str]:
+    """The JSON text of each of ``values``, written as items at ``depth``."""
+    encoder = _flat_encoder(depth)
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    texts = []
+    for value in values:
+        if not isinstance(value, _CONTAINERS) or not value:
+            texts.append("".join(encoder(value, 0)))
+        elif _SCALARS.issuperset(map(type, value.values() if isinstance(value, dict) else value)):
+            text = "".join(encoder(value, 0))
+            texts.append(text[0] + inner + text[1:-1] + outer + text[-1])
+        elif isinstance(value, dict):
+            keys, children = zip(*sorted(value.items()))
+            items = [encode_basestring_ascii(k) + ": " + t for k, t in zip(keys, _item_texts(children, depth + 1))]
+            texts.append("{" + inner + ("," + inner).join(items) + outer + "}")
+        else:
+            texts.append("[" + inner + ("," + inner).join(_item_texts(value, depth + 1)) + outer + "]")
+    return texts
+
+
+def _write_json(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
+
+    The stdlib writes every value in Python once ``indent`` is set. Here a
+    scalar, and a container of plain scalars, goes to the C encoder in one
+    call; only containers that hold containers are walked in Python (their
+    keys are str, as every payload's are). NaN and infinities raise
+    ValueError.
+    """
+    return _item_texts((payload,), 0)[0]
+
+
 def render(output: Output, fmt: str) -> str:
     """The payload text in ``fmt`` ("json" or "csv"); only that one is built."""
     if fmt == "json":
-        return json.dumps(output.payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _write_json(output.payload) + "\n"
     lines = [output.header] + [[row.get(column, "") for column in output.header] for row in output.rows]
     return "\n".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line) for line in lines) + "\n"
 
@@ -500,7 +556,9 @@ SCHEMAS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ringwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -513,7 +571,11 @@ def main(argv: list[str] | None = None) -> int:
             action="store_true",
             help="no-op: runs are deterministic, there is no seed to set",
         )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()

@@ -4,8 +4,9 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringwalk import cli, simulate
@@ -16,6 +17,8 @@ from ringwalk.cli import (
     load_config,
     main,
 )
+from ringwalk.simulate import run_noisy
+from ringwalk.statevector import gate_plan
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -289,13 +292,93 @@ def test_json_payloads_validate_against_schema(command, tmp_path, capsys):
 
 def test_csv_run_never_encodes_json(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("json.dumps called on a CSV run")
+        raise AssertionError("JSON encoded on a CSV run")
 
-    monkeypatch.setattr(cli.json, "dumps", refuse)
+    monkeypatch.setattr(cli, "_write_json", refuse)
     for command in sorted(CSV_HEADERS):
         path = write_config(tmp_path, FAST_INI[command])
         assert main([command, "--config", path, "--out", str(tmp_path / "run.csv")]) == 0
     capsys.readouterr()
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    with pytest.raises(SystemExit) as rejected:
+        main(["simulate", "--format", "xml"])
+    assert rejected.value.code == 2
+    assert main(["simulate", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "simulate"
+    assert main(["simulate"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == CSV_HEADERS["simulate"]
+
+
+def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monkeypatch):
+    # Fusion is decided from the walk alone: the blocks a longer walk of the
+    # same shape leaves in the caches must not change how 4 steps are summed.
+    walks = []
+
+    def recorded(*args, **kwargs):
+        walks.append(run_noisy(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(cli, "run_noisy", recorded)
+
+    def sweep(steps):
+        walks.clear()
+        path = write_config(tmp_path, f"[walk]\nposition_qubits = 4\ncoin_qubits = 2\nsteps = {steps}\n")
+        assert main(["sweep-a", "--config", path, "--format", "json"]) == 0
+        return capsys.readouterr().out, list(walks)
+
+    def clear_caches():
+        for cached in (simulate.shift_blocks, simulate.block_matrices, simulate.shift_matrix, gate_plan):
+            cached.cache_clear()
+
+    clear_caches()
+    fresh, fresh_walks = sweep(4)
+    clear_caches()
+    sweep(21)
+    text, later_walks = sweep(4)
+    assert text == fresh
+    # The payload rounds to 12 digits; the walks must agree bit for bit.
+    for a, b in zip(fresh_walks, later_walks, strict=True):
+        for name in ("noisy_positions", "fidelities", "total_probability", "scalar_factor"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+# ----------------------------------------------------------- JSON writer
+
+JSON_KEYS = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€\U0001f600ab'), max_size=4) | st.text(max_size=4)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | JSON_KEYS
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308])
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_KEYS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+def stdlib_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=st.dictionaries(JSON_KEYS, JSON_TREES, max_size=5))
+@example(payload={"a": [{"b": [[{}, [], {"c": [1.5, -0.0]}], {"d\u00e9\n": None}]}, []], '"': {"x": {"y": {"z": [True]}}}})
+def test_property_json_writer_matches_stdlib(payload):
+    assert cli.render(cli.Output(payload, (), [], []), "json") == stdlib_json(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["flat", "nested"])
+def test_json_writer_rejects_nonfinite_floats(bad, where, capsys, monkeypatch):
+    payload = {"kind": "simulate", "steps": [1.0, bad]} if where == "flat" else {"steps": [{"x": [{}], "y": bad}]}
+    with pytest.raises(ValueError):
+        cli.render(cli.Output(payload, (), [], []), "json")
+    monkeypatch.setitem(cli._COMMANDS, "simulate", lambda config: cli.Output(payload, (), [], []))
+    assert main(["simulate", "--format", "json"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_tolerance_covers_both_gate_sets(tmp_path, capsys):
