@@ -53,6 +53,7 @@ from .simulate import (
 KINDS = ("simulate", "sweep-a", "tolerance", "composite")
 
 DEFAULT_A_LIST = (0.0, 13.0 / 3, 26.0 / 3, 13.0, 52.0 / 3, 65.0 / 3, 26.0)
+MAX_STEPS = 10_000  # desk scale: a 2^4 lazy sweep-a of this many steps holds about 0.5 GB
 
 
 class ConfigError(ValueError):
@@ -162,6 +163,13 @@ def _integer_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def _step_count(text: str) -> int:
+    steps = int(text)
+    if steps > MAX_STEPS:
+        raise ConfigError(f"{steps} steps is above the desk-scale bound {MAX_STEPS}")
+    return steps
+
+
 def _transition(text: str) -> tuple[int, int]:
     ranks = text.split("->")
     if len(ranks) != 2:
@@ -175,7 +183,7 @@ _CONFIG_SCHEMA = {
     "walk": {
         "position_qubits": ("position_qubits", lambda s: int(s)),
         "coin_qubits": ("coin_qubits", lambda s: int(s)),
-        "steps": ("steps", lambda s: int(s)),
+        "steps": ("steps", _step_count),
         "theta": ("theta", _number_list),
         "phi": ("phi", _number_list),
     },

@@ -9,8 +9,10 @@ differ only in their coin angles, so it compiles the step once
 pay for them (shift_blocks), and then per step re-emits only the coin
 layer and runs the shift in place on one flat amplitude array. The state
 evolves under the gates alone; the scalar noise channels multiply into
-one logged factor. A walk's readout is one set of arrays with a row per
-step (RunResult).
+one logged factor. Each step's state is copied into a buffer of at most
+READOUT_AMPLITUDES amplitudes, which is read out a batch of steps at a
+time, so a walk's readout is one set of arrays with a row per step
+(RunResult) at a few numpy calls per batch rather than per step.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ MAX_SIMULATED_POSITION_QUBITS = 4
 MAX_SIMULATED_QUBITS = 12
 FUSED_MAX_WIRES = 5
 CALL_AMPLITUDES = 650  # one numpy call's overhead, as the amplitudes a gate pass moves in that time
+READOUT_AMPLITUDES = 2**16  # amplitudes run_noisy holds between readouts (1 MiB)
 
 
 class UnsupportedSizeError(ValueError):
@@ -200,21 +203,28 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     applies the coin at every node, then rolls each coin column around the
     ring: the 1-qubit coin steps down on 0 and up on 1; the lazy coin
     (c1 c2) rests while c2 = 0, else steps up on c1 = 1 and down on c1 = 0.
+    Each distinct (theta, phi) coin is built once. Each step's readout is
+    its state's squared amplitudes summed over the coin values, taken for
+    every step in one call after the walk.
     """
     _check_simulable(spec)
     moves = np.array((-1, 1) if spec.coin_qubits == 1 else (0, -1, 0, 1))
     # Rolling column c by moves[c] is one gather: row i takes row i - moves[c].
     rows = (np.arange(spec.node_count)[:, None] - moves) % spec.node_count
     cols = np.arange(len(moves))
+    schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
+    coins = {}
+    for angles in set(zip(*schedules)):
+        coin = gatelib._ry(angles[0])
+        if spec.coin_qubits == 2:
+            coin = np.kron(coin, gatelib._ry(angles[1]))
+        coins[angles] = coin.T
     psi = np.zeros((spec.node_count, len(moves)))
     psi[0, 0] = 1.0
-    tables = np.empty((spec.steps, spec.node_count))
-    for t in range(spec.steps):
-        coin = gatelib._ry(spec.theta_schedule[t])
-        if spec.coin_qubits == 2:
-            coin = np.kron(coin, gatelib._ry(spec.phi_schedule[t]))
-        psi = (psi @ coin.T)[rows, cols]
-        tables[t] = np.sum(psi**2, axis=1)
+    states = np.empty((spec.steps, spec.node_count, len(moves)))
+    for t, angles in enumerate(zip(*schedules)):
+        psi = states[t] = (psi @ coins[angles])[rows, cols]
+    tables = np.sum(states**2, axis=2)
     tables.flags.writeable = False
     return tables
 
@@ -258,9 +268,12 @@ def run_noisy(
     scaled by that factor times the readout loss: its total probability
     and its position marginal, one row of a (steps, nodes) array. The
     position qubits are the leading wires, so the marginal sums each run
-    of 2^(n - position qubits) consecutive probabilities. After the walk
-    one Hellinger pass compares every row against run_ideal's; callers
-    running one spec several times may pass its run_ideal array.
+    of 2^(n - position qubits) consecutive probabilities. The step's
+    state is copied into a buffer of READOUT_AMPLITUDES // 2^n rows (at
+    least one), and a full buffer, or the last partial one, is scaled and
+    read out in one pass. After the walk one Hellinger pass compares every
+    row against run_ideal's; callers running one spec several times may
+    pass its run_ideal array.
     """
     if ideal_tables is not None and np.shape(ideal_tables) != (spec.steps, spec.node_count):
         raise ValueError(f"ideal tables of shape {np.shape(ideal_tables)} for a {spec.steps}-step walk "
@@ -299,9 +312,12 @@ def run_noisy(
     amps = np.zeros(2**n_q, dtype=np.complex128)
     amps[0] = 1.0
     running_factor = noiselib.state_prep_factor(noise, n_q)
+    batch = max(1, READOUT_AMPLITUDES // amps.size)
+    states = np.empty((min(batch, spec.steps), amps.size), dtype=np.complex128)
     noisy = np.empty((spec.steps, spec.node_count))
     totals = np.empty(spec.steps)
     scalar_factors = np.empty(spec.steps)
+    start = 0
     for t in range(spec.steps):
         for schedule, plan in coin:
             amps[plan] = rotations[schedule[t]] @ amps[plan]
@@ -311,9 +327,13 @@ def run_noisy(
             running_factor *= factor
 
         scalar_factors[t] = running_factor * read
-        probs = np.abs(amps * scalar_factors[t]) ** 2
-        totals[t] = probs.sum()
-        noisy[t] = probs.reshape(spec.node_count, -1).sum(1)
+        states[t - start] = amps
+        stop = t + 1
+        if stop - start == len(states) or stop == spec.steps:
+            probs = np.abs(states[: stop - start] * scalar_factors[start:stop, None]) ** 2
+            totals[start:stop] = probs.sum(1)
+            noisy[start:stop] = probs.reshape(stop - start, spec.node_count, -1).sum(2)
+            start = stop
     return RunResult(spec, gate_set, noise, ideal_tables, noisy, hellinger_fidelity(ideal_tables, noisy),
                      totals, scalar_factors)
 

@@ -227,6 +227,23 @@ def test_sweep_a_checks_a_list_before_any_walk(tmp_path, capsys, monkeypatch):
     assert walks == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-a", "tolerance"])
+@pytest.mark.parametrize("steps", [cli.MAX_STEPS + 1, 10**12, 10**20])
+def test_step_count_above_bound_is_rejected_before_any_walk(command, steps, tmp_path, capsys, monkeypatch):
+    # Without the bound a schedule of 10^12 angles runs out of memory.
+    monkeypatch.setattr(cli, "uniform_spec", None)
+    monkeypatch.setattr(cli.ExperimentConfig, "walk_spec", None)
+    assert main([command, "--config", write_config(tmp_path, f"[walk]\nsteps = {steps}\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: bad value for walk.steps: {steps} steps is above "
+                            f"the desk-scale bound {cli.MAX_STEPS}\n")
+    assert captured.out == ""
+
+
+def test_step_count_at_bound_is_accepted(tmp_path):
+    assert load_config(write_config(tmp_path, f"[walk]\nsteps = {cli.MAX_STEPS}\n")).steps == cli.MAX_STEPS
+
+
 def test_main_unsupported_size_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, "[walk]\nposition_qubits = 6\nsteps = 1\n")
     assert main(["simulate", "--config", path]) == 3
@@ -449,7 +466,7 @@ CONFIG_VALUES = {
         "transitions": ("3->4", "4->5, 3->5", "", "3->4->5", "4->3", "3->6"),
     },
 }
-BAD_NUMBERS = ("nan", "inf", "-1", "2.5", "1/0", "1e309", "x", "0")
+BAD_NUMBERS = ("nan", "inf", "-1", "2.5", "1/0", "1e309", "x", "0", "1000000000000", "100000000000000000000")
 FIDELITY_KEYS = ("fidelity", "f_cz", "f_ccz", "f_low", "f_high")
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import run_ideal_dense_oracle
-from stepwise_reference import run_noisy_stepwise
+from stepwise_reference import run_ideal_stepwise, run_noisy_stepwise
 from ringwalk import noise as noiselib
 from ringwalk import simulate
 from ringwalk.circuits import (
@@ -54,6 +54,15 @@ def test_circuit_walk_matches_dense_matrix_oracle(n, nc):
     via_matrices = run_ideal_dense_oracle(spec)
     assert via_circuits.shape == via_matrices.shape == (6, 2**n)
     assert np.max(np.abs(via_circuits - via_matrices)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("schedule", ["random", "alternating", "one-step"])
+def test_ideal_walk_matches_stepwise_reference(n, nc, schedule):
+    spec = {"random": random_spec(n, nc, 9, 10 * n + nc), "alternating": alternating_spec(n, nc, 9),
+            "one-step": random_spec(n, nc, 1, 10 * n + nc)}[schedule]
+    assert np.array_equal(run_ideal(spec), run_ideal_stepwise(spec))
 
 
 def test_ideal_walk_conserves_probability():
@@ -212,6 +221,14 @@ def random_spec(n, nc, steps, seed):
                     tuple(rng.uniform(0.1, math.pi, steps)) if nc == 2 else None, steps)
 
 
+def alternating_spec(n, nc, steps):
+    # Theta alternates every step and phi every other step, so four coins
+    # recur and neither angle alone tells which one a step needs.
+    theta = tuple((0.7, 2.3)[t % 2] for t in range(steps))
+    phi = tuple((1.1, 0.4)[t // 2 % 2] for t in range(steps))
+    return WalkSpec(n, nc, theta, phi if nc == 2 else None, steps)
+
+
 def shift_gates(n, nc, rho):
     """(qubit count, shift gate targets in circuit order) of the compiled step."""
     circuit = compile_step(uniform_spec(n, nc, steps=1), NativeGateSet(rho)).circuit
@@ -224,16 +241,29 @@ def shift_gates(n, nc, rho):
                          ids=["full", "two-moves", "ideal"])
 def test_compiled_once_matches_stepwise_reference(nc, rho, noise, monkeypatch):
     # The unfused path does the reference's arithmetic in the same order.
-    steps = 6
-    spec = random_spec(3, nc, steps, 10 * nc + rho)
-    gate_set = NativeGateSet(max_rank=rho)
+    assert_matches_stepwise_reference(random_spec(3, nc, 6, 10 * nc + rho), NativeGateSet(max_rank=rho), noise,
+                                      monkeypatch)
+
+
+@pytest.mark.parametrize("nc", [1, 2])
+def test_batched_readout_matches_stepwise_reference(nc, monkeypatch):
+    # A buffer of four states reads the 6-step walk out as 4 steps, then 2.
+    spec = random_spec(3, nc, 6, 50 + nc)
+    gate_set = NativeGateSet(max_rank=3)
+    monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", 4 * 2 ** compile_step(spec, gate_set).circuit.qubit_count)
+    assert_matches_stepwise_reference(spec, gate_set, FULL, monkeypatch)
+
+
+def assert_matches_stepwise_reference(spec, gate_set, noise, monkeypatch):
     with never_fused(monkeypatch):
         result = run_noisy(spec, gate_set, noise)
     reference = run_noisy_stepwise(spec, gate_set, noise)
-    assert len(result.noisy_positions) == len(result.scalar_factor) == len(reference) == steps
-    for positions, factor, (table, scalar_factor) in zip(result.noisy_positions, result.scalar_factor, reference):
+    assert len(result.noisy_positions) == len(result.scalar_factor) == len(reference) == spec.steps
+    for positions, factor, total, (table, scalar_factor, total_probability) in zip(
+            result.noisy_positions, result.scalar_factor, result.total_probability, reference):
         assert np.array_equal(positions, table)
         assert factor == scalar_factor
+        assert total == total_probability
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
