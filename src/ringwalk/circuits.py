@@ -35,7 +35,7 @@ class GateApplication:
 
 @dataclass(frozen=True)
 class MoveMarker:
-    """Atom rearrangement point; every qubit waits out tau_move here."""
+    """Atom rearrangement point; every qubit waits out tau_move_seconds here."""
 
 
 CircuitOp = Union[GateApplication, MoveMarker]
@@ -104,10 +104,6 @@ class WalkSpec:
     @property
     def data_qubit_count(self) -> int:
         return self.position_qubits + self.coin_qubits
-
-    @property
-    def position_indices(self) -> tuple[int, ...]:
-        return tuple(range(self.position_qubits))
 
     @property
     def coin_indices(self) -> tuple[int, ...]:

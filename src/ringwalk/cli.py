@@ -29,7 +29,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
@@ -47,7 +47,7 @@ from .simulate import (
     compile_step,
     gate_set_comparison,
     run_noisy,
-    tolerance_report,
+    steps_within_tolerance,
 )
 
 KINDS = ("simulate", "sweep-a", "tolerance", "composite")
@@ -71,15 +71,7 @@ class ExperimentConfig:
     max_rank: int = 3
     param_a: float | None = None
     a_list: tuple[float, ...] = DEFAULT_A_LIST
-    eps_init: float = NoiseParams.eps_init
-    eps_read: float = NoiseParams.eps_read
-    t1_seconds: float = NoiseParams.t1
-    tau_gate_seconds: float = NoiseParams.tau_gate
-    tau_move_seconds: float = NoiseParams.tau_move
-    gate_errors: bool = NoiseParams.gate_errors_enabled
-    passive: bool = NoiseParams.passive_enabled
-    spam: bool = NoiseParams.spam_enabled
-    moves_per_step: int | None = NoiseParams.moves_per_step
+    noise: NoiseParams = NoiseParams()
     n_list: tuple[int, ...] = DEFAULT_COMPARISON_NS
     fidelity_sets: tuple[tuple[float, ...], ...] = DEFAULT_FIDELITY_SETS
     transitions: tuple[tuple[int, int], ...] = DEFAULT_TRANSITIONS
@@ -88,6 +80,10 @@ class ExperimentConfig:
     given: set[str] = field(default_factory=set, init=False, repr=False)  # "section.key" the file sets
 
     def walk_spec(self) -> WalkSpec:
+        for key in ("theta", "phi")[: self.coin_qubits]:
+            if len(getattr(self, key)) not in (1, self.steps):
+                raise ConfigError(f"bad value for walk.{key}: {len(getattr(self, key))} angles "
+                                  f"for {self.steps} steps; give one angle or one per step")
         theta = self.theta if len(self.theta) > 1 else self.theta * self.steps
         phi = self.phi if len(self.phi) > 1 else self.phi * self.steps
         return WalkSpec(
@@ -96,19 +92,6 @@ class ExperimentConfig:
             theta_schedule=theta,
             phi_schedule=phi if self.coin_qubits == 2 else None,
             steps=self.steps,
-        )
-
-    def noise_params(self) -> NoiseParams:
-        return NoiseParams(
-            eps_init=self.eps_init,
-            eps_read=self.eps_read,
-            t1=self.t1_seconds,
-            tau_gate=self.tau_gate_seconds,
-            tau_move=self.tau_move_seconds,
-            gate_errors_enabled=self.gate_errors,
-            passive_enabled=self.passive,
-            spam_enabled=self.spam,
-            moves_per_step=self.moves_per_step,
         )
 
 
@@ -165,6 +148,8 @@ def _integer_list(text: str) -> tuple[int, ...]:
 
 def _step_count(text: str) -> int:
     steps = int(text)
+    if steps < 1:
+        raise ConfigError(f"{steps} steps; a walk needs at least one")
     if steps > MAX_STEPS:
         raise ConfigError(f"{steps} steps is above the desk-scale bound {MAX_STEPS}")
     return steps
@@ -192,16 +177,17 @@ _CONFIG_SCHEMA = {
         "param_a": ("param_a", _number),
         "a_list": ("a_list", _effort_list),
     },
+    # Each key is a NoiseParams field, set on config.noise.
     "noise": {
-        "eps_init": ("eps_init", _number),
-        "eps_read": ("eps_read", _number),
-        "t1_seconds": ("t1_seconds", _number),
-        "tau_gate_seconds": ("tau_gate_seconds", _number),
-        "tau_move_seconds": ("tau_move_seconds", _number),
-        "gate_errors": ("gate_errors", _boolean),
-        "passive": ("passive", _boolean),
-        "spam": ("spam", _boolean),
-        "moves_per_step": ("moves_per_step", lambda s: int(s)),
+        "eps_init": ("noise", _number),
+        "eps_read": ("noise", _number),
+        "t1_seconds": ("noise", _number),
+        "tau_gate_seconds": ("noise", _number),
+        "tau_move_seconds": ("noise", _number),
+        "gate_errors": ("noise", _boolean),
+        "passive": ("noise", _boolean),
+        "spam": ("noise", _boolean),
+        "moves_per_step": ("noise", lambda s: int(s)),
     },
     "composite": {
         "n_list": ("n_list", _integer_list),
@@ -249,11 +235,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             attribute, parse = _CONFIG_SCHEMA[section][key]
             try:
-                setattr(config, attribute, parse(raw))
-            except ConfigError as exc:
+                value = parse(raw)
+                if attribute == "noise":  # NoiseParams checks the value here
+                    value = replace(config.noise, **{key: value})
+            except ValueError as exc:  # ConfigError included
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+            setattr(config, attribute, value)
             config.given.add(f"{section}.{key}")
     if config.kind is not None and config.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
@@ -355,7 +342,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "phi": [_round12(v) for v in config.phi] if config.coin_qubits == 2 else None,
         "max_rank": config.max_rank,
         "param_a": None if config.param_a is None else _round12(config.param_a),
-        "noise": {key: getattr(config, attribute) for key, (attribute, _) in _CONFIG_SCHEMA["noise"].items()},
+        "noise": asdict(config.noise),
     }
 
 
@@ -373,9 +360,8 @@ def _step_rows(result: RunResult) -> list[dict]:
 
 def cmd_simulate(config: ExperimentConfig) -> Output:
     gate_set = NativeGateSet(max_rank=config.max_rank, param_a=config.param_a)
-    result = run_noisy(config.walk_spec(), gate_set, config.noise_params())
+    result = run_noisy(config.walk_spec(), gate_set, config.noise)
     steps = _step_rows(result)
-    within = tolerance_report(result).steps_within
     return Output(
         payload={"kind": "simulate", "config": _config_echo(config), "steps": steps},
         header=("step", "fidelity", "total_probability"),
@@ -384,14 +370,14 @@ def cmd_simulate(config: ExperimentConfig) -> Output:
             f"walk: {config.coin_qubits}q-coin on {2**config.position_qubits} nodes, "
             f"{config.steps} steps, native max rank {config.max_rank}",
             f"f_1 = {_fmt(steps[0]['fidelity'])}   f_{len(steps)} = {_fmt(steps[-1]['fidelity'])}",
-            "steps within tolerance: " + "  ".join(f"{tol:g}: {n}" for tol, n in within.items()),
+            "steps within tolerance: "
+            + "  ".join(f"{tol:g}: {steps_within_tolerance(result.fidelities, tol)}" for tol in TOLERANCES),
         ],
     )
 
 
 def cmd_sweep_a(config: ExperimentConfig) -> Output:
     spec = config.walk_spec()
-    noise = config.noise_params()
     gate_sets = [NativeGateSet(max_rank=config.max_rank, param_a=a) for a in config.a_list]
     # Each effort's gate set is checked before the first walk. All efforts
     # run the same walk at the same rank bound, so one ideal reference and
@@ -400,7 +386,7 @@ def cmd_sweep_a(config: ExperimentConfig) -> Output:
     compiled = compile_step(spec, gate_sets[0]) if gate_sets else None
     series = []
     for a, gate_set in zip(config.a_list, gate_sets):
-        result = run_noisy(spec, gate_set, noise, ideal_tables=ideal_tables, compiled=compiled)
+        result = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables, compiled=compiled)
         series.append(
             {
                 "a": _round12(a),
@@ -422,8 +408,7 @@ def cmd_sweep_a(config: ExperimentConfig) -> Output:
 
 
 def cmd_tolerance(config: ExperimentConfig) -> Output:
-    noise = config.noise_params()
-    reports = []
+    rows = []
     ideal_tables = {}  # both rank bounds run each walk against one ideal reference
     for max_rank in (3, 4):
         for coin_qubits in (1, 2):
@@ -432,27 +417,22 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
                 if spec not in ideal_tables:
                     ideal_tables[spec] = simulate.run_ideal(spec)
                 gate_set = NativeGateSet(max_rank=max_rank, param_a=config.param_a)
-                result = run_noisy(spec, gate_set, noise, ideal_tables=ideal_tables[spec])
-                reports.append(tolerance_report(result))
-
-    rows = [
-        {
-            "max_rank": rep.max_rank,
-            "coin_qubits": rep.coin_qubits,
-            "position_qubits": rep.position_qubits,
-            "steps_within": {_fmt(tol): steps for tol, steps in rep.steps_within.items()},
-        }
-        for rep in reports
-    ]
+                fidelities = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables[spec]).fidelities
+                rows.append({
+                    "max_rank": max_rank,
+                    "coin_qubits": coin_qubits,
+                    "position_qubits": position_qubits,
+                    "steps_within": {_fmt(tol): steps_within_tolerance(fidelities, tol) for tol in TOLERANCES},
+                })
     return Output(
         payload={"kind": "tolerance", "config": _config_echo(config), "rows": rows},
         header=("max_rank", "coin_qubits", "position_qubits", "tolerance", "steps_within"),
         rows=[{**row, "tolerance": tol, "steps_within": n} for row in rows for tol, n in row["steps_within"].items()],
         report=["rank  coin  nodes  " + "  ".join(f"<={tol:g}" for tol in TOLERANCES)]
         + [
-            f"{rep.max_rank:>4}  {rep.coin_qubits:>4}  {2**rep.position_qubits:>5}  "
-            + "  ".join(f"{rep.steps_within[tol]:6d}" for tol in TOLERANCES)
-            for rep in reports
+            f"{row['max_rank']:>4}  {row['coin_qubits']:>4}  {2**row['position_qubits']:>5}  "
+            + "  ".join(f"{n:6d}" for n in row["steps_within"].values())
+            for row in rows
         ],
     )
 
@@ -462,7 +442,7 @@ def cmd_composite(config: ExperimentConfig) -> Output:
     entries = []
     rows = []
     report = ["composite fidelity gains (2q-coin walk, per-step gate census)"]
-    for entry in comparison.entries:
+    for n, low, high, counts_low, counts_high, set_rows in comparison:
         per_set = [
             {
                 "fidelities": [_round12(f) for f in s],
@@ -470,25 +450,22 @@ def cmd_composite(config: ExperimentConfig) -> Output:
                 "f_high": _round12(f_high),
                 "percent_increase": _round12(pct),
             }
-            for s, f_low, f_high, pct in entry.per_set
+            for s, f_low, f_high, pct in set_rows
         ]
-        key = {"position_qubits": entry.position_qubits, "transition": f"{entry.rank_low}->{entry.rank_high}"}
-        mean = _round12(entry.mean_percent_increase)
+        key = {"position_qubits": n, "transition": f"{low}->{high}"}
+        mean = _round12(sum(row[3] for row in set_rows) / len(set_rows))
         entries.append(
             {
                 **key,
-                "counts_low": {str(r): c for r, c in entry.counts_low.items()},
-                "counts_high": {str(r): c for r, c in entry.counts_high.items()},
+                "counts_low": {str(r): c for r, c in counts_low.items()},
+                "counts_high": {str(r): c for r, c in counts_high.items()},
                 "per_set": per_set,
                 "mean_percent_increase": mean,
             }
         )
         rows += [{**key, "set_index": i, **s} for i, s in enumerate(per_set)]
         rows.append({**key, "set_index": "mean", "percent_increase": mean})
-        report.append(
-            f"n={entry.position_qubits} G({entry.rank_low})->G({entry.rank_high}): "
-            f"counts {entry.counts_low} -> {entry.counts_high}"
-        )
+        report.append(f"n={n} G({low})->G({high}): counts {counts_low} -> {counts_high}")
         report += [
             f"  set {tuple(s['fidelities'])}: f {_fmt(s['f_low'])} -> {_fmt(s['f_high'])}  "
             f"({_fmt(s['percent_increase'])}%)"

@@ -1,5 +1,7 @@
 """Scalar noise channels: SPAM and passive T1 waiting error.
 
+NoiseParams is also the config's [noise] section: each field is a key.
+
 Every channel here multiplies the whole statevector by a real factor in
 (0, 1], so channels commute with everything and the accumulated factor is
 auditable. The rates are population losses: a qubit exposed to error eps
@@ -19,21 +21,24 @@ from dataclasses import dataclass
 class NoiseParams:
     """Error rates and timing constants, defaulting to the published values.
 
-    eps_init and eps_read are per-qubit population losses at preparation
-    and at each readout evaluation. T1 drives the waiting error
-    1 - exp(-dt/T1) during gates (idle qubits only) and movements (all
-    qubits). moves_per_step, when set, replaces marker-driven movement
-    counting with a fixed number of rearrangements per step.
+    The field names are the [noise] config keys. eps_init and eps_read
+    are per-qubit population losses at preparation and at each readout
+    evaluation. t1_seconds drives the waiting error 1 - exp(-dt/T1)
+    during gates (tau_gate_seconds, idle qubits only) and movements
+    (tau_move_seconds, all qubits). gate_errors, passive and spam switch
+    the effective multiqubit gates and the two scalar channels on or off.
+    moves_per_step, when set, replaces marker-driven movement counting
+    with a fixed number of rearrangements per step.
     """
 
     eps_init: float = 0.003
     eps_read: float = 0.0017
-    t1: float = 4.0
-    tau_gate: float = 1.8e-6
-    tau_move: float = 100e-6
-    gate_errors_enabled: bool = True
-    passive_enabled: bool = True
-    spam_enabled: bool = True
+    t1_seconds: float = 4.0
+    tau_gate_seconds: float = 1.8e-6
+    tau_move_seconds: float = 100e-6
+    gate_errors: bool = True
+    passive: bool = True
+    spam: bool = True
     moves_per_step: int | None = None
 
     def __post_init__(self) -> None:
@@ -41,7 +46,7 @@ class NoiseParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} = {value} outside [0, 1]")
-        for name in ("t1", "tau_gate", "tau_move"):
+        for name in ("t1_seconds", "tau_gate_seconds", "tau_move_seconds"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} = {value} must be finite and positive")
@@ -51,43 +56,42 @@ class NoiseParams:
             raise ValueError(f"moves_per_step = {self.moves_per_step!r} must be a nonnegative integer")
 
 
-IDEAL = NoiseParams(gate_errors_enabled=False, passive_enabled=False, spam_enabled=False)
+IDEAL = NoiseParams(gate_errors=False, passive=False, spam=False)
 
 
 def wait_error(dt: float, t1: float) -> float:
-    """Population decay probability 1 - exp(-dt/T1) for an idle interval."""
-    if dt < 0:
-        raise ValueError("idle interval cannot be negative")
-    if t1 <= 0:
-        raise ValueError("T1 must be positive")
+    """Population decay probability 1 - exp(-dt/T1) for an idle interval.
+
+    Both times come from NoiseParams, which has checked them.
+    """
     return -math.expm1(-dt / t1)
 
 
 def state_prep_factor(params: NoiseParams, qubit_count: int) -> float:
-    if not params.spam_enabled:
+    if not params.spam:
         return 1.0
     return (1.0 - params.eps_init) ** (0.5 * qubit_count)
 
 
 def readout_factor(params: NoiseParams, qubit_count: int) -> float:
-    if not params.spam_enabled:
+    if not params.spam:
         return 1.0
     return (1.0 - params.eps_read) ** (0.5 * qubit_count)
 
 
 def idle_factor(params: NoiseParams, qubit_count: int, active_count: int) -> float:
     """Damping for the qubits that sit out one multiqubit gate."""
-    if not params.passive_enabled:
+    if not params.passive:
         return 1.0
     if active_count > qubit_count:
         raise ValueError("more active qubits than qubits")
-    eps = wait_error(params.tau_gate, params.t1)
+    eps = wait_error(params.tau_gate_seconds, params.t1_seconds)
     return (1.0 - eps) ** (0.5 * (qubit_count - active_count))
 
 
 def movement_factor(params: NoiseParams, qubit_count: int) -> float:
-    """Damping for one rearrangement; every qubit rides out tau_move."""
-    if not params.passive_enabled:
+    """Damping for one rearrangement; every qubit rides out tau_move_seconds."""
+    if not params.passive:
         return 1.0
-    eps = wait_error(params.tau_move, params.t1)
+    eps = wait_error(params.tau_move_seconds, params.t1_seconds)
     return (1.0 - eps) ** (0.5 * qubit_count)

@@ -1,5 +1,5 @@
-"""Step-by-step walk execution, Hellinger state fidelity, tolerance
-reports, and the composite-fidelity gate-set comparison.
+"""Step-by-step walk execution, Hellinger state fidelity, steps within
+tolerance, and the composite-fidelity gate-set comparison.
 
 run_ideal evolves the walk from its definition (a coin at every node,
 then a roll of each coin column around the ring) and shares no code with
@@ -53,8 +53,6 @@ class RunResult:
     """One walk's readout: row t is step t + 1, positions are (steps, nodes), the rest (steps,)."""
 
     spec: WalkSpec
-    gate_set: NativeGateSet
-    noise: noiselib.NoiseParams
     ideal_positions: np.ndarray
     noisy_positions: np.ndarray
     fidelities: np.ndarray
@@ -75,35 +73,6 @@ class CompiledStep:
 
     shape: tuple[int, int, int]
     circuit: Circuit
-
-
-@dataclass(frozen=True)
-class ToleranceReport:
-    """steps_within_tolerance per tolerance for one walk and gate set."""
-
-    position_qubits: int
-    coin_qubits: int
-    max_rank: int
-    steps_within: dict[float, int]
-
-
-@dataclass(frozen=True)
-class TransitionEntry:
-    position_qubits: int
-    rank_low: int
-    rank_high: int
-    counts_low: dict[int, int]
-    counts_high: dict[int, int]
-    per_set: tuple[tuple[tuple[float, ...], float, float, float], ...]
-
-    @property
-    def mean_percent_increase(self) -> float:
-        return sum(row[3] for row in self.per_set) / len(self.per_set)
-
-
-@dataclass(frozen=True)
-class CompositeReport:
-    entries: tuple[TransitionEntry, ...]
 
 
 def _check_simulable(spec: WalkSpec, total_qubits: int | None = None) -> None:
@@ -304,7 +273,7 @@ def run_noisy(
         step_factors.append(move**noise.moves_per_step)
     blocks = shift_blocks(n_q, tuple(gates), spec.steps)
     shift = [(matrix, gate_plan(n_q, wires))
-             for matrix, (wires, _) in zip(block_matrices(blocks, gate_set, noise.gate_errors_enabled), blocks)]
+             for matrix, (wires, _) in zip(block_matrices(blocks, gate_set, noise.gate_errors), blocks)]
     schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
     coin = [(schedule, gate_plan(n_q, op.targets)) for schedule, op in zip(schedules, coin_ops)]
     rotations = {theta: gatelib._ry(theta).astype(np.complex128) for theta in set().union(*schedules)}
@@ -334,8 +303,7 @@ def run_noisy(
             totals[start:stop] = probs.sum(1)
             noisy[start:stop] = probs.reshape(stop - start, spec.node_count, -1).sum(2)
             start = stop
-    return RunResult(spec, gate_set, noise, ideal_tables, noisy, hellinger_fidelity(ideal_tables, noisy),
-                     totals, scalar_factors)
+    return RunResult(spec, ideal_tables, noisy, hellinger_fidelity(ideal_tables, noisy), totals, scalar_factors)
 
 
 def hellinger_fidelity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -371,16 +339,6 @@ def steps_within_tolerance(fidelities: Sequence[float], tolerance: float) -> int
 TOLERANCES = (0.99, 0.999, 0.9999)
 
 
-def tolerance_report(result: RunResult, tolerances: Sequence[float] = TOLERANCES) -> ToleranceReport:
-    fids = result.fidelities
-    return ToleranceReport(
-        position_qubits=result.spec.position_qubits,
-        coin_qubits=result.spec.coin_qubits,
-        max_rank=result.gate_set.max_rank,
-        steps_within={tol: steps_within_tolerance(fids, tol) for tol in tolerances},
-    )
-
-
 def composite_fidelity(counts: dict[int, int], fidelities: dict[int, float]) -> float:
     """Product of per-rank gate fidelities raised to their usage counts."""
     out = 1.0
@@ -404,8 +362,13 @@ def gate_set_comparison(
     n_list: Sequence[int] = DEFAULT_COMPARISON_NS,
     fidelity_sets: Sequence[Sequence[float]] = DEFAULT_FIDELITY_SETS,
     transitions: Sequence[tuple[int, int]] = DEFAULT_TRANSITIONS,
-) -> CompositeReport:
+) -> list[tuple]:
     """Composite-fidelity gain from raising the native rank bound.
+
+    Returns one (n, low, high, counts_low, counts_high, rows) tuple per
+    ring exponent n and transition low->high, n-major. counts_* are the
+    per-rank gate counts of one step under G(low) and G(high); rows holds
+    one (fidelity set, f_low, f_high, percent increase) per set.
 
     Each fidelity set lists F(CCZ-level), F(C3Z-level), F(C4Z-level), i.e.
     ranks 3, 4, 5 in order, and must be non-increasing (wider gates are
@@ -448,14 +411,5 @@ def gate_set_comparison(
                         f"fidelity set {s} at n = {n}: composite fidelity under G({low}) underflows to 0"
                     )
                 rows.append((s, f_low, f_high, (f_high - f_low) / f_low * 100.0))
-            entries.append(
-                TransitionEntry(
-                    position_qubits=n,
-                    rank_low=low,
-                    rank_high=high,
-                    counts_low=counts_low,
-                    counts_high=counts_high,
-                    per_set=tuple(rows),
-                )
-            )
-    return CompositeReport(entries=tuple(entries))
+            entries.append((n, low, high, counts_low, counts_high, rows))
+    return entries

@@ -53,7 +53,7 @@ def run_noisy_stepwise(spec, gate_set, noise):
                 if noise.moves_per_step is None:
                     running_factor *= move
                 continue
-            state = apply_gate(state, resolve(op, gate_set, noise.gate_errors_enabled), op.targets)
+            state = apply_gate(state, resolve(op, gate_set, noise.gate_errors), op.targets)
             if op.rank >= 2:
                 running_factor *= noiselib.idle_factor(noise, n_q, op.rank)
         if noise.moves_per_step is not None:

@@ -381,7 +381,6 @@ def test_walk_spec_derived_layout():
     spec = uniform_spec(3, 2, steps=4)
     assert spec.node_count == 8
     assert spec.data_qubit_count == 5
-    assert spec.position_indices == (0, 1, 2)
     assert spec.coin_indices == (3, 4)
     assert len(spec.theta_schedule) == 4
 

@@ -1,7 +1,12 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -17,6 +22,7 @@ from ringwalk.cli import (
     load_config,
     main,
 )
+from ringwalk.noise import NoiseParams
 from ringwalk.simulate import run_noisy
 from ringwalk.statevector import gate_plan
 
@@ -57,7 +63,7 @@ def test_load_config_defaults(tmp_path):
     assert config.position_qubits == 2
     assert config.coin_qubits == 1
     assert config.max_rank == 3
-    assert config.eps_init == 0.003
+    assert config.noise == NoiseParams()
     assert config.out_format == "csv"
 
 
@@ -86,8 +92,7 @@ def test_config_booleans_and_composite_grammar(tmp_path):
         "transitions = 3->4, 4->5\n"
     )
     config = load_config(write_config(tmp_path, text))
-    assert config.gate_errors is False
-    assert config.passive is True
+    assert config.noise == NoiseParams(gate_errors=False, passive=True)
     assert config.n_list == (5, 10)
     assert config.fidelity_sets == ((0.999, 0.995, 0.99), (0.993, 0.992, 0.991))
     assert config.transitions == ((3, 4), (4, 5))
@@ -138,7 +143,69 @@ def test_config_surfaces_walk_validation_as_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: coin_qubits must be 1 or 2")
 
 
+def test_noise_keys_are_the_noise_params_fields():
+    assert set(cli._CONFIG_SCHEMA["noise"]) == {f.name for f in dataclasses.fields(NoiseParams)}
+
+
+NOISE_CHECKS = (
+    ("eps_init", "2", "eps_init = 2.0 outside [0, 1]"),
+    ("eps_read", "1.5", "eps_read = 1.5 outside [0, 1]"),
+    ("t1_seconds", "-1", "t1_seconds = -1.0 must be finite and positive"),
+    ("tau_gate_seconds", "0", "tau_gate_seconds = 0.0 must be finite and positive"),
+    ("tau_move_seconds", "0", "tau_move_seconds = 0.0 must be finite and positive"),
+    ("moves_per_step", "-1", "moves_per_step = -1 must be a nonnegative integer"),
+)
+
+
+@pytest.mark.parametrize("key,value,reason", NOISE_CHECKS)
+def test_noise_params_checks_name_the_key(key, value, reason, tmp_path, capsys):
+    path = write_config(tmp_path, f"[noise]\n{key} = {value}\n")
+    assert main(["simulate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: bad value for noise.{key}: {reason}\n"
+    assert captured.out == ""
+
+
+WALK_ERRORS = (
+    ("[walk]\nsteps = 0\n", "walk.steps"),
+    ("[walk]\ntheta = pi, pi\n", "walk.theta"),  # 2 angles for the default 21 steps
+    ("[walk]\ntheta =\n", "walk.theta"),
+    ("[walk]\ncoin_qubits = 2\nphi = 1, 2\nsteps = 1\n", "walk.phi"),
+)
+
+
+@pytest.mark.parametrize("text,key", WALK_ERRORS)
+def test_walk_errors_name_the_key(text, key, tmp_path, capsys):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=rf"^bad value for {key}: "):
+        load_config(path).walk_spec()
+    for command in ("simulate", "sweep-a"):
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: bad value for {key}: ")
+
+
 # ------------------------------------------------------------ exit codes
+
+
+def run_module(*args, config=None, cwd):
+    """Run ``python -m ringwalk.cli`` in a fresh process on this checkout's sources."""
+    if config is not None:
+        args += ("--config", write_config(cwd, config))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "ringwalk.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_exit_codes_through_a_process(tmp_path):
+    done = run_module("composite", "--format", "json", cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["kind"] == "composite"
+    for config, code, prefix in (("[walk]\nsteps = 0\n", 2, "config error: bad value for walk.steps: "),
+                                 ("[walk]\nposition_qubits = 5\n", 3, "unsupported size: ")):
+        done = run_module("simulate", config=config, cwd=tmp_path)
+        assert done.returncode == code
+        assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1
+        assert done.stdout == ""
 
 
 def test_main_default_simulate_exits_zero(capsys):
@@ -408,6 +475,12 @@ def test_tolerance_covers_both_gate_sets(tmp_path, capsys):
     assert ranks == {"3", "4"}
     assert coins == {"1", "2"}
     assert sizes == {"2", "3", "4"}
+
+
+def test_composite_mean_is_the_mean_of_its_sets():
+    for entry in cmd_composite(ExperimentConfig(n_list=(5, 10))).payload["entries"]:
+        percents = [s["percent_increase"] for s in entry["per_set"]]
+        assert entry["mean_percent_increase"] == pytest.approx(sum(percents) / len(percents), rel=1e-10)
 
 
 def test_composite_report_prints_per_rank_counts():

@@ -24,13 +24,6 @@ def test_wait_error_frozen_values():
     assert wait_error(0.0, 4.0) == 0.0
 
 
-def test_wait_error_validation():
-    with pytest.raises(ValueError):
-        wait_error(-1e-6, 4.0)
-    with pytest.raises(ValueError):
-        wait_error(1e-6, 0.0)
-
-
 def test_factors_are_population_losses():
     params = NoiseParams()
     # Three qubits each losing 0.3% of their population: probability
@@ -38,9 +31,9 @@ def test_factors_are_population_losses():
     assert state_prep_factor(params, 3) == pytest.approx(0.997**1.5, rel=1e-14)
     assert state_prep_factor(params, 3) ** 2 == pytest.approx(0.997**3, rel=1e-14)
     assert readout_factor(params, 4) == pytest.approx((1 - 0.0017) ** 2.0, rel=1e-14)
-    eps_m = wait_error(params.tau_move, params.t1)
+    eps_m = wait_error(params.tau_move_seconds, params.t1_seconds)
     assert movement_factor(params, 5) == pytest.approx((1 - eps_m) ** 2.5, rel=1e-14)
-    eps_g = wait_error(params.tau_gate, params.t1)
+    eps_g = wait_error(params.tau_gate_seconds, params.t1_seconds)
     assert idle_factor(params, 5, 2) == pytest.approx((1 - eps_g) ** 1.5, rel=1e-14)
 
 
@@ -57,7 +50,7 @@ def test_disabled_channels_are_unit_factors():
     assert readout_factor(IDEAL, 10) == 1.0
     assert idle_factor(IDEAL, 10, 0) == 1.0
     assert movement_factor(IDEAL, 10) == 1.0
-    only_spam = NoiseParams(passive_enabled=False)
+    only_spam = NoiseParams(passive=False)
     assert movement_factor(only_spam, 3) == 1.0
     assert state_prep_factor(only_spam, 3) < 1.0
 
@@ -78,11 +71,11 @@ def test_apply_wrappers_scale_probability():
     assert total_probability(prepared) == pytest.approx(0.997**3, rel=1e-14)
 
     idled = scale_amplitudes(prepared, idle_factor(params, 3, 2))
-    eps_g = wait_error(params.tau_gate, params.t1)
+    eps_g = wait_error(params.tau_gate_seconds, params.t1_seconds)
     assert total_probability(idled) == pytest.approx(0.997**3 * (1 - eps_g), rel=1e-13)
 
     moved = scale_amplitudes(prepared, movement_factor(params, 3))
-    eps_m = wait_error(params.tau_move, params.t1)
+    eps_m = wait_error(params.tau_move_seconds, params.t1_seconds)
     assert total_probability(moved) == pytest.approx(0.997**3 * (1 - eps_m) ** 3, rel=1e-13)
 
 
@@ -92,12 +85,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         NoiseParams(eps_read=1.5)
     with pytest.raises(ValueError):
-        NoiseParams(t1=0.0)
+        NoiseParams(t1_seconds=0.0)
     with pytest.raises(ValueError):
-        NoiseParams(tau_gate=-1.0)
+        NoiseParams(tau_gate_seconds=-1.0)
     with pytest.raises(ValueError):
         NoiseParams(moves_per_step=-1)
-    for field, value in (("t1", math.nan), ("tau_gate", math.inf), ("tau_move", math.inf),
+    for field, value in (("t1_seconds", math.nan), ("tau_gate_seconds", math.inf), ("tau_move_seconds", math.inf),
                          ("moves_per_step", 2.5)):
         with pytest.raises(ValueError, match=field):
             NoiseParams(**{field: value})
@@ -108,9 +101,9 @@ def test_published_defaults():
     params = NoiseParams()
     assert params.eps_init == 0.003
     assert params.eps_read == 0.0017
-    assert params.t1 == 4.0
-    assert params.tau_gate == 1.8e-6
-    assert params.tau_move == 100e-6
+    assert params.t1_seconds == 4.0
+    assert params.tau_gate_seconds == 1.8e-6
+    assert params.tau_move_seconds == 100e-6
     assert params.moves_per_step is None
 
 

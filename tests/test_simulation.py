@@ -19,11 +19,11 @@ from ringwalk.circuits import (
     count_multiqubit_gates,
     uniform_spec,
 )
+from ringwalk.cli import ExperimentConfig, cmd_tolerance
 from ringwalk.simulate import (
     DEFAULT_FIDELITY_SETS,
     FUSED_MAX_WIRES,
     TOLERANCES,
-    CompositeReport,
     RunResult,
     UnsupportedSizeError,
     block_matrices,
@@ -36,7 +36,6 @@ from ringwalk.simulate import (
     shift_blocks,
     shift_matrix,
     steps_within_tolerance,
-    tolerance_report,
 )
 from ringwalk.gates import X, ckx_from_ckz, ideal_ckz
 
@@ -185,7 +184,7 @@ def test_scalar_factor_audit(rho):
 
 def test_scalar_only_noise_loses_exactly_the_scalar():
     spec = uniform_spec(2, 2, steps=4)
-    params = noiselib.NoiseParams(gate_errors_enabled=False)
+    params = noiselib.NoiseParams(gate_errors=False)
     result = run_noisy(spec, NativeGateSet(3), params)
     assert result.total_probability == pytest.approx(result.scalar_factor**2, rel=1e-12)
 
@@ -271,7 +270,7 @@ def assert_matches_stepwise_reference(spec, gate_set, noise, monkeypatch):
 @pytest.mark.parametrize("rho", [3, 4])
 @pytest.mark.parametrize("noise,param_a", [
     (FULL, None), (noiselib.NoiseParams(moves_per_step=2), None), (noiselib.IDEAL, None),
-    (noiselib.NoiseParams(gate_errors_enabled=False), None), (FULL, 13.0),
+    (noiselib.NoiseParams(gate_errors=False), None), (FULL, 13.0),
 ], ids=["full", "two-moves", "ideal", "no-gate-errors", "a13"])
 def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
     # Blocks change the summation order, so the two paths agree to rounding.
@@ -375,17 +374,14 @@ def test_runs_are_deterministic():
 
 
 def test_tolerance_report_matches_recount():
-    result = run_noisy(uniform_spec(2, 2, steps=21), NativeGateSet(3), FULL)
-    report = tolerance_report(result)
-    assert report.position_qubits == 2
-    assert report.coin_qubits == 2
-    assert report.max_rank == 3
-    assert tuple(report.steps_within) == TOLERANCES
-    fids = result.fidelities
-    for tol, steps in report.steps_within.items():
-        assert steps == steps_within_tolerance(fids, tol)
-    counts = list(report.steps_within.values())
-    assert counts == sorted(counts, reverse=True)
+    rows = cmd_tolerance(ExperimentConfig(steps=8)).payload["rows"]
+    assert len(rows) == 12
+    for row in rows:
+        spec = uniform_spec(row["position_qubits"], row["coin_qubits"], steps=8)
+        fids = run_noisy(spec, NativeGateSet(row["max_rank"]), FULL).fidelities
+        assert row["steps_within"] == {f"{tol:.12g}": steps_within_tolerance(fids, tol) for tol in TOLERANCES}
+        counts = list(row["steps_within"].values())
+        assert counts == sorted(counts, reverse=True)
 
 
 def test_composite_fidelity_product():
@@ -398,21 +394,19 @@ def test_composite_fidelity_product():
 
 
 def test_gate_set_comparison_structure():
-    report = gate_set_comparison(n_list=(4, 5))
-    assert isinstance(report, CompositeReport)
-    assert len(report.entries) == 4  # 2 ring sizes x 2 transitions
-    for entry in report.entries:
-        spec = uniform_spec(entry.position_qubits, 2, steps=1)
-        assert entry.counts_low == count_multiqubit_gates(spec, entry.rank_low)
-        assert entry.counts_high == count_multiqubit_gates(spec, entry.rank_high)
-        for fid_set, f_low, f_high, pct in entry.per_set:
+    entries = gate_set_comparison(n_list=(4, 5))
+    # n-major: 2 ring sizes x 2 transitions
+    assert [entry[:3] for entry in entries] == [(4, 3, 4), (4, 4, 5), (5, 3, 4), (5, 4, 5)]
+    for n, low, high, counts_low, counts_high, rows in entries:
+        spec = uniform_spec(n, 2, steps=1)
+        assert counts_low == count_multiqubit_gates(spec, low)
+        assert counts_high == count_multiqubit_gates(spec, high)
+        assert [row[0] for row in rows] == list(DEFAULT_FIDELITY_SETS)
+        for fid_set, f_low, f_high, pct in rows:
             by_rank = {3: fid_set[0], 4: fid_set[1], 5: fid_set[2]}
-            assert f_low == pytest.approx(composite_fidelity(entry.counts_low, by_rank), rel=1e-12)
-            assert f_high == pytest.approx(composite_fidelity(entry.counts_high, by_rank), rel=1e-12)
+            assert f_low == pytest.approx(composite_fidelity(counts_low, by_rank), rel=1e-12)
+            assert f_high == pytest.approx(composite_fidelity(counts_high, by_rank), rel=1e-12)
             assert pct == pytest.approx((f_high - f_low) / f_low * 100.0, rel=1e-12)
-        assert entry.mean_percent_increase == pytest.approx(
-            sum(r[3] for r in entry.per_set) / len(entry.per_set), rel=1e-12
-        )
 
 
 def test_gate_set_comparison_validates_fidelity_sets():
@@ -431,4 +425,4 @@ def test_gate_set_comparison_validates_fidelity_sets():
         with pytest.raises(ValueError):
             gate_set_comparison(n_list=(5,), transitions=(transition,))
     ok = gate_set_comparison(n_list=(5,), fidelity_sets=DEFAULT_FIDELITY_SETS)
-    assert len(ok.entries) == 2
+    assert len(ok) == 2
