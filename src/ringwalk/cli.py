@@ -11,14 +11,20 @@ sections and keys, and keys the subcommand does not read, are rejected.
 Everything is deterministic; --seedless only says so out loud.
 
 Each subcommand computes its results once and returns one Output: the
-JSON payload (floats rounded to 12 significant digits), the CSV table
-as records from that payload under a header, and the report lines.
-render() builds only the format asked for. Its JSON is byte for byte
-json.dumps(indent=2, sort_keys=True, allow_nan=False), written with the
-C encoder wherever a container holds no container. With --out the
-payload goes to that file and the report to stdout; without it the
-payload is printed. Exit codes: 0 success, 2 config error (an
-unwritable --out path included), 3 unsupported size.
+JSON payload (floats rounded to 12 significant digits), the CSV records
+under a header, the report lines, and the walks whose steps the payload
+holds. A walk's steps are never built as dicts: payload_chunks writes
+them straight from its result arrays, each number's text taken once and
+each step filled into one template per walk shape and depth, a chunk of
+at most WRITE_STEPS steps at a time. The rest of the JSON document goes
+through the C encoder wherever a container holds no container, and the
+whole is byte for byte json.dumps(indent=2, sort_keys=True,
+allow_nan=False) of the rounded payload. Only the format asked for is
+built, and every check, for NaN and infinities included, runs before the
+first byte goes out. With --out the chunks go to that file and the
+report to stdout; without it the chunks are printed. Exit codes: 0
+success, 2 config error (an unwritable --out path included), 3
+unsupported size.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from .simulate import (
 KINDS = ("simulate", "sweep-a", "tolerance", "composite")
 
 DEFAULT_A_LIST = (0.0, 13.0 / 3, 26.0 / 3, 13.0, 52.0 / 3, 65.0 / 3, 26.0)
-MAX_STEPS = 10_000  # desk scale: a 2^4 lazy sweep-a of this many steps holds about 0.5 GB
+MAX_STEPS = 10_000  # desk scale: a 2^4 lazy sweep-a of this many steps runs in about 25 s at 52 MB peak RSS
 
 
 class ConfigError(ValueError):
@@ -249,12 +255,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+_fmt = "{:.12g}".format  # a number's text in CSV cells and reports
 
 
 def _round12(value: float) -> float:
     return float(_fmt(value))
+
+
+# Stands in for each walk's "steps" array in a walk command's payload, and for
+# each number in a step template. Encoded it reads "\u0000", which no other
+# string in those documents does.
+_HOLE = "\x00"
+_HOLE_TEXT = '"\\u0000"'
+WRITE_STEPS = 512  # walk steps formatted per chunk of payload text
 
 
 @dataclass(frozen=True)
@@ -262,15 +275,19 @@ class Output:
     """One subcommand's results, built once.
 
     ``payload`` is the JSON document, every float rounded once by
-    ``_round12``. The CSV table is ``header`` over ``rows``: records taken
-    from the payload, each cell looked up by its column name (a missing
-    cell is empty). ``report`` holds the lines of the human report.
+    ``_round12``, except that each walk's ``steps`` array is ``_HOLE``;
+    ``walks`` holds those walks, in document order, each with the constant
+    CSV cells of its rows. The CSV table is ``header`` over ``rows``
+    (records, each cell looked up by its column name, a missing cell
+    empty) and then a line per step of each walk. ``report`` holds the
+    lines of the human report.
     """
 
     payload: dict
     header: tuple[str, ...]
     rows: list[dict]
     report: list[str]
+    walks: tuple[tuple[RunResult, dict], ...] = ()
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -325,12 +342,99 @@ def _write_json(payload) -> str:
     return _item_texts((payload,), 0)[0]
 
 
-def render(output: Output, fmt: str) -> str:
-    """The payload text in ``fmt`` ("json" or "csv"); only that one is built."""
-    if fmt == "json":
-        return _write_json(output.payload) + "\n"
+def _json_numbers(values: list[float]) -> list[str]:
+    """Each finite float as ``json.dumps`` writes it once ``_round12`` has rounded it.
+
+    The ``.12g`` text, taken for all values in one call, is that, bar the
+    ``.0`` of a whole number, unless it has an exponent: then the rounded
+    float's repr is taken, because a subnormal's digits do not survive
+    rounding and ``.12g`` writes 1e12 to 1e16 with an exponent where repr
+    does not.
+    """
+    texts = ("%.12g " * len(values) % tuple(values)).split()
+    return [repr(float(t)) if "e" in t else t if "." in t else t + ".0" for t in texts]
+
+
+@functools.cache
+def _step_template(position_qubits: int, depth: int) -> str:
+    """``str.format`` template of one step object written as an item at ``depth``.
+
+    Its fields take the step's numbers in document order: fidelity, the
+    ideal then the noisy position marginals, scalar factor, step, total
+    probability.
+    """
+    positions = dict.fromkeys((format(i, f"0{position_qubits}b") for i in range(2**position_qubits)), _HOLE)
+    step = dict.fromkeys(("fidelity", "scalar_factor", "step", "total_probability"), _HOLE)
+    text = _item_texts(({**step, "ideal_positions": positions, "noisy_positions": positions},), depth)[0]
+    return text.replace("{", "{{").replace("}", "}}").replace(_HOLE_TEXT, "{}")
+
+
+def _json_steps(result: RunResult, depth: int):
+    """The text of a walk's ``steps`` array at ``depth``, WRITE_STEPS steps a chunk."""
+    template = _step_template(result.spec.position_qubits, depth + 1)
+    nodes = result.spec.node_count
+    separator = ",\n" + "  " * (depth + 1)
+    opening = "[\n" + "  " * (depth + 1)
+    for lo in range(0, len(result.fidelities), WRITE_STEPS):
+        chunk = slice(lo, lo + WRITE_STEPS)
+        fidelity, factor, total = (_json_numbers(column[chunk].tolist()) for column in
+                                   (result.fidelities, result.scalar_factor, result.total_probability))
+        ideal, noisy = (zip(*[iter(_json_numbers(table[chunk].ravel().tolist()))] * nodes) for table in
+                        (result.ideal_positions, result.noisy_positions))
+        rows = zip(fidelity, ideal, noisy, factor, total)
+        yield opening + separator.join(template.format(f, *i, *n, s, step, p)
+                                       for step, (f, i, n, s, p) in enumerate(rows, lo + 1))
+        opening = separator
+    yield "\n" + "  " * depth + "]"
+
+
+def _json_chunks(pieces: list[str], walks):
+    """The JSON text around and in each walk's steps; ``pieces`` is the document split at the holes."""
+    for piece, (result, _) in zip(pieces, walks):
+        yield piece
+        line = piece.rpartition("\n")[2]  # the indented '"steps": ' before the hole
+        yield from _json_steps(result, (len(line) - len(line.lstrip(" "))) // 2)
+    yield pieces[-1] + "\n"
+
+
+_STEP_FIELDS = {"step": "{0}", "fidelity": "{1:.12g}", "total_probability": "{2:.12g}"}
+
+
+def _csv_steps(result: RunResult, header: tuple[str, ...], cells: dict):
+    """A walk's CSV lines, WRITE_STEPS steps a chunk; ``cells`` hold the numbers of the other columns."""
+    template = ",".join(_STEP_FIELDS.get(column) or _fmt(cells[column]) for column in header) + "\n"
+    for lo in range(0, len(result.fidelities), WRITE_STEPS):
+        chunk = slice(lo, lo + WRITE_STEPS)
+        rows = zip(result.fidelities[chunk].tolist(), result.total_probability[chunk].tolist())
+        yield "".join(template.format(step, f, p) for step, (f, p) in enumerate(rows, lo + 1))
+
+
+def _csv_chunks(output: Output):
     lines = [output.header] + [[row.get(column, "") for column in output.header] for row in output.rows]
-    return "\n".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line) for line in lines) + "\n"
+    yield "".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line) + "\n" for line in lines)
+    for result, cells in output.walks:
+        yield from _csv_steps(result, output.header, cells)
+
+
+def payload_chunks(output: Output, fmt: str):
+    """The payload text in ``fmt`` ("json" or "csv"), as an iterator of chunks.
+
+    Every check runs here, before the first chunk is built: a NaN or an
+    infinity anywhere raises ValueError. After that the iterator formats
+    at most WRITE_STEPS walk steps per chunk, so the text never exists
+    whole. JSON is ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
+    of the payload with the ``_round12``-rounded steps in place, byte for
+    byte: ``_write_json`` writes the rest of the document, each walk's
+    steps fill one template per step.
+    """
+    for result, _ in output.walks:
+        for name in ("fidelities", "total_probability", "scalar_factor", "ideal_positions", "noisy_positions"):
+            values = getattr(result, name)
+            if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+                raise ValueError(f"{name} of a walk holds a value that is not finite")
+    if fmt != "json":
+        return _csv_chunks(output)
+    return _json_chunks(_write_json(output.payload).split(_HOLE_TEXT, len(output.walks)), output.walks)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -346,33 +450,21 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def _step_rows(result: RunResult) -> list[dict]:
-    keys = [format(i, f"0{result.spec.position_qubits}b") for i in range(result.spec.node_count)]
-    columns = (result.fidelities, result.total_probability, result.scalar_factor,
-               result.ideal_positions, result.noisy_positions)
-    return [
-        {"step": t + 1, "fidelity": _round12(f), "total_probability": _round12(p), "scalar_factor": _round12(s),
-         "ideal_positions": dict(zip(keys, map(_round12, ideal))),
-         "noisy_positions": dict(zip(keys, map(_round12, noisy)))}
-        for t, (f, p, s, ideal, noisy) in enumerate(zip(*(column.tolist() for column in columns)))
-    ]
-
-
 def cmd_simulate(config: ExperimentConfig) -> Output:
     gate_set = NativeGateSet(max_rank=config.max_rank, param_a=config.param_a)
     result = run_noisy(config.walk_spec(), gate_set, config.noise)
-    steps = _step_rows(result)
     return Output(
-        payload={"kind": "simulate", "config": _config_echo(config), "steps": steps},
+        payload={"kind": "simulate", "config": _config_echo(config), "steps": _HOLE},
         header=("step", "fidelity", "total_probability"),
-        rows=steps,
+        rows=[],
         report=[
             f"walk: {config.coin_qubits}q-coin on {2**config.position_qubits} nodes, "
             f"{config.steps} steps, native max rank {config.max_rank}",
-            f"f_1 = {_fmt(steps[0]['fidelity'])}   f_{len(steps)} = {_fmt(steps[-1]['fidelity'])}",
+            f"f_1 = {_fmt(result.fidelities[0])}   f_{config.steps} = {_fmt(result.fidelities[-1])}",
             "steps within tolerance: "
             + "  ".join(f"{tol:g}: {steps_within_tolerance(result.fidelities, tol)}" for tol in TOLERANCES),
         ],
+        walks=((result, {}),),
     )
 
 
@@ -384,26 +476,25 @@ def cmd_sweep_a(config: ExperimentConfig) -> Output:
     # one compiled step serve the whole sweep (an empty a_list runs none).
     ideal_tables = simulate.run_ideal(spec) if gate_sets else None
     compiled = compile_step(spec, gate_sets[0]) if gate_sets else None
-    series = []
+    walks = []
     for a, gate_set in zip(config.a_list, gate_sets):
         result = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables, compiled=compiled)
-        series.append(
-            {
-                "a": _round12(a),
-                "f_cz": _round12(gatelib.gate_fidelity(gatelib.param_gate("CZ", a), gatelib.ideal_ckz(1))),
-                "f_ccz": _round12(gatelib.gate_fidelity(gatelib.param_gate("CCZ", a), gatelib.ideal_ckz(2))),
-                "steps": _step_rows(result),
-            }
-        )
+        walks.append((result, {
+            "a": _round12(a),
+            "f_cz": _round12(gatelib.gate_fidelity(gatelib.param_gate("CZ", a), gatelib.ideal_ckz(1))),
+            "f_ccz": _round12(gatelib.gate_fidelity(gatelib.param_gate("CCZ", a), gatelib.ideal_ckz(2))),
+        }))
     return Output(
-        payload={"kind": "sweep-a", "config": _config_echo(config), "series": series},
+        payload={"kind": "sweep-a", "config": _config_echo(config),
+                 "series": [{**cells, "steps": _HOLE} for _, cells in walks]},
         header=("a", "step", "fidelity", "total_probability", "f_cz", "f_ccz"),
-        rows=[{**s, **row} for s in series for row in s["steps"]],
+        rows=[],
         report=["a        F(CZ(a))      F(CCZ(a))     f_final"]
         + [
-            f"{_fmt(s['a']):<8} {_fmt(s['f_cz']):<13} {_fmt(s['f_ccz']):<13} {_fmt(s['steps'][-1]['fidelity'])}"
-            for s in series
+            f"{_fmt(c['a']):<8} {_fmt(c['f_cz']):<13} {_fmt(c['f_ccz']):<13} {_fmt(result.fidelities[-1])}"
+            for result, c in walks
         ],
+        walks=tuple(walks),
     )
 
 
@@ -417,7 +508,9 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
                 if spec not in ideal_tables:
                     ideal_tables[spec] = simulate.run_ideal(spec)
                 gate_set = NativeGateSet(max_rank=max_rank, param_a=config.param_a)
-                fidelities = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables[spec]).fidelities
+                # No count changes after the first step below the lowest tolerance.
+                fidelities = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables[spec],
+                                       stop_below=min(TOLERANCES)).fidelities
                 rows.append({
                     "max_rank": max_rank,
                     "coin_qubits": coin_qubits,
@@ -578,10 +671,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.format:
             config.out_format = args.format
         output = _COMMANDS[args.command](config)
-        text = render(output, config.out_format)
+        chunks = payload_chunks(output, config.out_format)
         if config.out_path:
             try:
-                Path(config.out_path).write_text(text, encoding="utf-8")
+                with open(config.out_path, "w", encoding="utf-8") as handle:
+                    handle.writelines(chunks)
             except OSError as exc:
                 raise ConfigError(f"cannot write output.path {config.out_path!r}: {exc.strerror or exc}") from exc
     except UnsupportedSizeError as exc:
@@ -594,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
     if config.out_path:
         sys.stdout.write("\n".join(output.report) + f"\nwrote {config.out_path}\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

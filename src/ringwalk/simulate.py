@@ -50,7 +50,10 @@ class UnsupportedSizeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """One walk's readout: row t is step t + 1, positions are (steps, nodes), the rest (steps,)."""
+    """One walk's readout: row t is step t + 1, positions are (steps, nodes), the rest (steps,).
+
+    A walk stopped early (run_noisy's stop_below) has fewer rows than spec.steps.
+    """
 
     spec: WalkSpec
     ideal_positions: np.ndarray
@@ -216,6 +219,7 @@ def run_noisy(
     *,
     ideal_tables: np.ndarray | None = None,
     compiled: CompiledStep | None = None,
+    stop_below: float | None = None,
 ) -> RunResult:
     """Execute the walk compiled to the native gate set, with noise.
 
@@ -243,6 +247,11 @@ def run_noisy(
     read out in one pass. After the walk one Hellinger pass compares every
     row against run_ideal's; callers running one spec several times may
     pass its run_ideal array.
+
+    With stop_below, each step is read out as it ends and the walk stops
+    after the first step whose fidelity is below it; the result holds the
+    steps run. Everything else, the fused blocks included, is planned for
+    spec.steps, so those rows are bit for bit the full walk's.
     """
     if ideal_tables is not None and np.shape(ideal_tables) != (spec.steps, spec.node_count):
         raise ValueError(f"ideal tables of shape {np.shape(ideal_tables)} for a {spec.steps}-step walk "
@@ -281,7 +290,7 @@ def run_noisy(
     amps = np.zeros(2**n_q, dtype=np.complex128)
     amps[0] = 1.0
     running_factor = noiselib.state_prep_factor(noise, n_q)
-    batch = max(1, READOUT_AMPLITUDES // amps.size)
+    batch = 1 if stop_below is not None else max(1, READOUT_AMPLITUDES // amps.size)
     states = np.empty((min(batch, spec.steps), amps.size), dtype=np.complex128)
     noisy = np.empty((spec.steps, spec.node_count))
     totals = np.empty(spec.steps)
@@ -303,6 +312,10 @@ def run_noisy(
             totals[start:stop] = probs.sum(1)
             noisy[start:stop] = probs.reshape(stop - start, spec.node_count, -1).sum(2)
             start = stop
+            if stop_below is not None and _hellinger(ideal_tables[t], noisy[t]) < stop_below:
+                break
+    if stop < spec.steps:
+        ideal_tables, noisy, totals, scalar_factors = (a[:stop] for a in (ideal_tables, noisy, totals, scalar_factors))
     return RunResult(spec, ideal_tables, noisy, hellinger_fidelity(ideal_tables, noisy), totals, scalar_factors)
 
 
@@ -320,6 +333,11 @@ def hellinger_fidelity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValueError(f"distributions of shapes {p.shape} and {q.shape} do not match")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("probability tables cannot hold negative entries")
+    return _hellinger(p, q)
+
+
+def _hellinger(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """hellinger_fidelity's arithmetic alone, for tables already checked."""
     h2 = 0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
     return (1.0 - h2) ** 2
 

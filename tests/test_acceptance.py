@@ -17,7 +17,7 @@ from dense_oracle import run_ideal_dense_oracle
 from ringwalk import gates as gatelib
 from ringwalk import noise as noiselib
 from ringwalk.circuits import NativeGateSet, decompose_ckx, uniform_spec
-from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_simulate, render
+from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_simulate, payload_chunks
 from ringwalk.simulate import (
     TOLERANCES,
     gate_set_comparison,
@@ -251,4 +251,4 @@ def test_property_output_determinism():
     second = cmd_simulate(config)
     assert first.report == second.report
     for fmt in ("csv", "json"):
-        assert render(first, fmt) == render(second, fmt)
+        assert "".join(payload_chunks(first, fmt)) == "".join(payload_chunks(second, fmt))

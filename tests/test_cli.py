@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import payload_reference
 from ringwalk import cli, simulate
 from ringwalk.cli import (
     ConfigError,
@@ -23,7 +25,7 @@ from ringwalk.cli import (
     main,
 )
 from ringwalk.noise import NoiseParams
-from ringwalk.simulate import run_noisy
+from ringwalk.simulate import RunResult, run_noisy
 from ringwalk.statevector import gate_plan
 
 
@@ -379,6 +381,7 @@ def test_csv_run_never_encodes_json(tmp_path, capsys, monkeypatch):
         raise AssertionError("JSON encoded on a CSV run")
 
     monkeypatch.setattr(cli, "_write_json", refuse)
+    monkeypatch.setattr(cli, "_json_steps", refuse)
     for command in sorted(CSV_HEADERS):
         path = write_config(tmp_path, FAST_INI[command])
         assert main([command, "--config", path, "--out", str(tmp_path / "run.csv")]) == 0
@@ -451,18 +454,116 @@ def stdlib_json(payload):
 @given(payload=st.dictionaries(JSON_KEYS, JSON_TREES, max_size=5))
 @example(payload={"a": [{"b": [[{}, [], {"c": [1.5, -0.0]}], {"d\u00e9\n": None}]}, []], '"': {"x": {"y": {"z": [True]}}}})
 def test_property_json_writer_matches_stdlib(payload):
-    assert cli.render(cli.Output(payload, (), [], []), "json") == stdlib_json(payload)
+    assert "".join(cli.payload_chunks(cli.Output(payload, (), [], []), "json")) == stdlib_json(payload)
+
+
+WALK_ARRAYS = ("fidelities", "total_probability", "scalar_factor", "ideal_positions", "noisy_positions")
+WALK_CELLS = [f"{name}.{fmt}" for name in WALK_ARRAYS for fmt in ("json", "csv")]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["flat", "nested"])
-def test_json_writer_rejects_nonfinite_floats(bad, where, capsys, monkeypatch):
-    payload = {"kind": "simulate", "steps": [1.0, bad]} if where == "flat" else {"steps": [{"x": [{}], "y": bad}]}
-    with pytest.raises(ValueError):
-        cli.render(cli.Output(payload, (), [], []), "json")
-    monkeypatch.setitem(cli._COMMANDS, "simulate", lambda config: cli.Output(payload, (), [], []))
-    assert main(["simulate", "--format", "json"]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+@pytest.mark.parametrize("where", ["flat", "nested"] + WALK_CELLS)
+def test_json_writer_rejects_nonfinite_floats(bad, where, tmp_path, capsys, monkeypatch):
+    # A payload value goes through the generic JSON writer; a walk array
+    # through the array writer, in either format, here in the last of the
+    # sweep's walks. Both exit 2 before the first byte is written.
+    if where in ("flat", "nested"):
+        command, fmt = "simulate", "json"
+        payload = {"kind": "simulate", "steps": [1.0, bad]} if where == "flat" else {"steps": [{"x": [{}], "y": bad}]}
+        with pytest.raises(ValueError):
+            "".join(cli.payload_chunks(cli.Output(payload, (), [], []), "json"))
+        monkeypatch.setitem(cli._COMMANDS, "simulate", lambda config: cli.Output(payload, (), [], []))
+    else:
+        command, (name, fmt) = "sweep-a", where.split(".")
+        walks = []
+
+        def poisoned(*args, **kwargs):
+            walks.append(run_noisy(*args, **kwargs))
+            if len(walks) < len(cli.DEFAULT_A_LIST):
+                return walks[-1]
+            values = getattr(walks[-1], name).copy()
+            values.flat[-1] = bad
+            return dataclasses.replace(walks[-1], **{name: values})
+
+        monkeypatch.setattr(cli, "run_noisy", poisoned)
+    out = tmp_path / f"run.{fmt}"
+    for argv in ([command, "--format", fmt], [command, "--format", fmt, "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+    assert not out.exists()
+
+
+# 1.5e12 and 1e16: .12g writes an exponent from 1e12 on, repr only from 1e16 on.
+WALK_VALUES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-5, 1e-300, 1.5e12, 1e16]) | st.floats(0.0, 1.0)
+
+
+def drawn_result(draw, spec):
+    def column(*shape):
+        values = draw(st.lists(WALK_VALUES, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(values).reshape(shape)
+
+    return RunResult(spec, column(spec.steps, spec.node_count), column(spec.steps, spec.node_count),
+                     column(spec.steps), column(spec.steps), column(spec.steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["simulate", "sweep-a"]), position_qubits=st.integers(2, 3),
+       steps=st.integers(1, 7), efforts=st.integers(0, 3))
+def test_property_walk_writer_matches_step_rows(data, command, position_qubits, steps, efforts):
+    # simulate writes its steps at depth 1, sweep-a at depth 3; a chunk of
+    # 1 or 3 steps splits the text elsewhere but must not change a byte.
+    config = ExperimentConfig(position_qubits=position_qubits, steps=steps, a_list=cli.DEFAULT_A_LIST[:efforts])
+    results = []
+
+    def drawn_run(spec, *args, **kwargs):
+        results.append(drawn_result(data.draw, spec))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_noisy", drawn_run)
+        output = cli._COMMANDS[command](config)
+        rows = [payload_reference.step_rows(result) for result in results]
+        if command == "simulate":
+            payload = {**output.payload, "steps": rows[0]}
+            records = rows[0]
+        else:
+            payload = {**output.payload, "series": [{**s, "steps": r} for s, r in zip(output.payload["series"], rows)]}
+            records = [{**s, **row} for s in payload["series"] for row in s["steps"]]
+        expected = {"json": payload_reference.json_text(payload),
+                    "csv": payload_reference.csv_text(output.header, records)}
+        for write_steps in (cli.WRITE_STEPS, 1, 3):
+            patch.setattr(cli, "WRITE_STEPS", write_steps)
+            for fmt, text in expected.items():
+                assert "".join(cli.payload_chunks(output, fmt)) == text
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-a"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_stdout_and_out_file_get_the_same_chunks(command, fmt, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "WRITE_STEPS", 3)
+    assert main([command, "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / f"run.{fmt}"
+    assert main([command, "--format", fmt, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8") == printed
+
+
+def test_long_json_run_peaks_below_twice_its_payload(tmp_path, capsys):
+    # The walk steps are written a chunk at a time, so the largest walk the
+    # CLI accepts never holds its payload text whole.
+    out = tmp_path / "long.json"
+    path = write_config(tmp_path, f"[walk]\nsteps = {cli.MAX_STEPS}\n")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", path, "--format", "json", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2 * out.stat().st_size
 
 
 def test_tolerance_covers_both_gate_sets(tmp_path, capsys):

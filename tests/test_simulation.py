@@ -384,6 +384,27 @@ def test_tolerance_report_matches_recount():
         assert counts == sorted(counts, reverse=True)
 
 
+@pytest.mark.parametrize("max_rank", [3, 4])
+def test_stopped_tolerance_walks_are_prefixes_of_full_walks(max_rank):
+    # cmd_tolerance stops each walk at its first step below the lowest
+    # tolerance; the steps it ran must be the full walk's, bit for bit.
+    stopped_early = 0
+    for coin_qubits in (1, 2):
+        for position_qubits in (2, 3, 4):
+            spec = uniform_spec(position_qubits, coin_qubits, steps=21)
+            full = run_noisy(spec, NativeGateSet(max_rank), FULL)
+            stopped = run_noisy(spec, NativeGateSet(max_rank), FULL, stop_below=min(TOLERANCES))
+            below = np.flatnonzero(full.fidelities < min(TOLERANCES))
+            steps_run = below[0] + 1 if below.size else spec.steps
+            stopped_early += steps_run < spec.steps
+            assert stopped.spec == spec
+            for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
+                assert np.array_equal(getattr(stopped, name), getattr(full, name)[:steps_run])
+            for tol in TOLERANCES:
+                assert steps_within_tolerance(stopped.fidelities, tol) == steps_within_tolerance(full.fidelities, tol)
+    assert stopped_early == 6
+
+
 def test_composite_fidelity_product():
     counts = {3: 2, 4: 3}
     fids = {3: 0.99, 4: 0.98}
