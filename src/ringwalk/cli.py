@@ -92,13 +92,29 @@ class ExperimentConfig:
                                   f"for {self.steps} steps; give one angle or one per step")
         theta = self.theta if len(self.theta) > 1 else self.theta * self.steps
         phi = self.phi if len(self.phi) > 1 else self.phi * self.steps
-        return WalkSpec(
+        return _keyed(
+            "walk",
+            WalkSpec,
             position_qubits=self.position_qubits,
             coin_qubits=self.coin_qubits,
             theta_schedule=theta,
             phi_schedule=phi if self.coin_qubits == 2 else None,
             steps=self.steps,
         )
+
+
+def _keyed(section: str, build, /, *args, **kwargs):
+    """build(*args, **kwargs), naming section.key in a ValueError whose message starts with that key.
+
+    WalkSpec, NativeGateSet and gate_set_comparison begin each message with the argument (= key) they reject.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        key = str(exc).partition(" ")[0]
+        if key not in _CONFIG_SCHEMA[section]:
+            raise
+        raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
 
 
 def _atom(text: str) -> float:
@@ -451,7 +467,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 def cmd_simulate(config: ExperimentConfig) -> Output:
-    gate_set = NativeGateSet(max_rank=config.max_rank, param_a=config.param_a)
+    gate_set = _keyed("gates", NativeGateSet, max_rank=config.max_rank, param_a=config.param_a)
     result = run_noisy(config.walk_spec(), gate_set, config.noise)
     return Output(
         payload={"kind": "simulate", "config": _config_echo(config), "steps": _HOLE},
@@ -470,7 +486,7 @@ def cmd_simulate(config: ExperimentConfig) -> Output:
 
 def cmd_sweep_a(config: ExperimentConfig) -> Output:
     spec = config.walk_spec()
-    gate_sets = [NativeGateSet(max_rank=config.max_rank, param_a=a) for a in config.a_list]
+    gate_sets = [_keyed("gates", NativeGateSet, max_rank=config.max_rank, param_a=a) for a in config.a_list]
     # Each effort's gate set is checked before the first walk. All efforts
     # run the same walk at the same rank bound, so one ideal reference and
     # one compiled step serve the whole sweep (an empty a_list runs none).
@@ -507,7 +523,7 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
                 spec = uniform_spec(position_qubits, coin_qubits, steps=config.steps)
                 if spec not in ideal_tables:
                     ideal_tables[spec] = simulate.run_ideal(spec)
-                gate_set = NativeGateSet(max_rank=max_rank, param_a=config.param_a)
+                gate_set = _keyed("gates", NativeGateSet, max_rank=max_rank, param_a=config.param_a)
                 # No count changes after the first step below the lowest tolerance.
                 fidelities = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables[spec],
                                        stop_below=min(TOLERANCES)).fidelities
@@ -531,7 +547,7 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
 
 
 def cmd_composite(config: ExperimentConfig) -> Output:
-    comparison = gate_set_comparison(config.n_list, config.fidelity_sets, config.transitions)
+    comparison = _keyed("composite", gate_set_comparison, config.n_list, config.fidelity_sets, config.transitions)
     entries = []
     rows = []
     report = ["composite fidelity gains (2q-coin walk, per-step gate census)"]

@@ -7,12 +7,13 @@ the compiler. run_noisy is the only circuit executor. Steps of one walk
 differ only in their coin angles, so it compiles the step once
 (compile_step), fuses the shift into dense blocks where the walk's steps
 pay for them (shift_blocks), and then per step re-emits only the coin
-layer and runs the shift in place on one flat amplitude array. The state
-evolves under the gates alone; the scalar noise channels multiply into
-one logged factor. Each step's state is copied into a buffer of at most
-READOUT_AMPLITUDES amplitudes, which is read out a batch of steps at a
-time, so a walk's readout is one set of arrays with a row per step
-(RunResult) at a few numpy calls per batch rather than per step.
+layer and runs the shift, its passes chained through gathers
+(chain_plans) so that only the last scatters, into the step's row of a
+buffer of at most READOUT_AMPLITUDES amplitudes. The state evolves under
+the gates alone; the scalar noise channels multiply into one logged
+factor. The buffer is read out, and an early stop checked, a batch of
+steps at a time, so a walk's readout is one set of arrays with a row per
+step (RunResult) at a few numpy calls per batch rather than per step.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .circuits import (
     build_step_circuit,
     count_multiqubit_gates,
 )
-from .statevector import gate_plan
+from .statevector import chain_plans, gate_plan
 from .statevector import apply_gate, marginal_probabilities, scale_amplitudes  # noqa: F401 -- bound here for tracers
 
 MAX_SIMULATED_POSITION_QUBITS = 4
@@ -42,6 +43,7 @@ MAX_SIMULATED_QUBITS = 12
 FUSED_MAX_WIRES = 5
 CALL_AMPLITUDES = 650  # one numpy call's overhead, as the amplitudes a gate pass moves in that time
 READOUT_AMPLITUDES = 2**16  # amplitudes run_noisy holds between readouts (1 MiB)
+STOP_CHECK_CALLS = 15  # numpy calls one batch's readout and early-stop check make
 
 
 class UnsupportedSizeError(ValueError):
@@ -225,33 +227,37 @@ def run_noisy(
 
     The step is compiled once (compile_step, unless a CompiledStep for
     the same walk shape and rank bound is passed) and its shift resolved
-    to (matrix, gate plan) pairs: dense blocks where a run of gates pays
-    back over spec.steps (shift_blocks), else gates by rank (shift_matrix).
-    Blocks round in another order, so results may move in the last bits.
-    Each step re-emits only the coin RY layer, built once per distinct
-    angle in the schedules, and runs the shift in place on one flat
-    amplitude array. Gate errors swap in the effective multiqubit gates.
+    to matrices: dense blocks where a run of gates pays back over
+    spec.steps (shift_blocks), else gates by rank (shift_matrix). Blocks
+    round in another order, so results may move in the last bits. Each
+    step re-emits only the coin RY layer, built once per distinct angle
+    in the schedules, and runs the shift. Gate errors swap in the
+    effective multiqubit gates. The passes are chained (chain_plans):
+    each gathers its input out of the previous pass's output, and only
+    the last scatters, into the step's row of the readout buffer.
 
     The scalar channels are real factors that commute with every gate, so
     the state evolves under the gates alone and the channels accumulate in
     one running factor: SPAM preparation loss once, idle-qubit damping
-    during each multiqubit gate, all-qubit damping at each movement marker
-    (or moves_per_step times per step). A step's factors are multiplied in
-    one at a time in circuit order. Each step's readout is the state
-    scaled by that factor times the readout loss: its total probability
-    and its position marginal, one row of a (steps, nodes) array. The
-    position qubits are the leading wires, so the marginal sums each run
-    of 2^(n - position qubits) consecutive probabilities. The step's
-    state is copied into a buffer of READOUT_AMPLITUDES // 2^n rows (at
+    during each multiqubit gate (one factor per rank), all-qubit damping
+    at each movement marker (or moves_per_step times per step). A step's
+    factors are multiplied in one at a time in circuit order. Each step's
+    readout is the state scaled by that factor times the readout loss:
+    its total probability and its position marginal, one row of a
+    (steps, nodes) array. The position qubits are the leading wires, so
+    the marginal sums each run of 2^(n - position qubits) consecutive
+    probabilities. The buffer holds READOUT_AMPLITUDES // 2^n rows (at
     least one), and a full buffer, or the last partial one, is scaled and
     read out in one pass. After the walk one Hellinger pass compares every
     row against run_ideal's; callers running one spec several times may
     pass its run_ideal array.
 
-    With stop_below, each step is read out as it ends and the walk stops
-    after the first step whose fidelity is below it; the result holds the
-    steps run. Everything else, the fused blocks included, is planned for
-    spec.steps, so those rows are bit for bit the full walk's.
+    With stop_below, the walk stops after the first step whose fidelity
+    is below it; the result holds the steps up to that one. One Hellinger
+    pass checks each batch, which then holds as many steps as cost no
+    more than its readout and check (STOP_CHECK_CALLS numpy calls, in
+    _pays_back's pass-cost model). Everything else, the fused blocks
+    included, is planned for spec.steps, so the rows are the full walk's.
     """
     if ideal_tables is not None and np.shape(ideal_tables) != (spec.steps, spec.node_count):
         raise ValueError(f"ideal tables of shape {np.shape(ideal_tables)} for a {spec.steps}-step walk "
@@ -268,52 +274,60 @@ def run_noisy(
     shift_ops = compiled.circuit.ops[spec.coin_qubits :]
     read = noiselib.readout_factor(noise, n_q)
     move = noiselib.movement_factor(noise, n_q)
-    gates = []
+    gates = tuple(op.targets for op in shift_ops if not isinstance(op, MoveMarker))
+    idle = {rank: noiselib.idle_factor(noise, n_q, rank) for rank in set(map(len, gates)) - {1}}
     step_factors = []
     for op in shift_ops:
         if isinstance(op, MoveMarker):
             if noise.moves_per_step is None:
                 step_factors.append(move)
-            continue
-        gates.append(op.targets)
-        if op.rank >= 2:
-            step_factors.append(noiselib.idle_factor(noise, n_q, op.rank))
+        elif op.rank >= 2:
+            step_factors.append(idle[op.rank])
     if noise.moves_per_step is not None:
         step_factors.append(move**noise.moves_per_step)
-    blocks = shift_blocks(n_q, tuple(gates), spec.steps)
-    shift = [(matrix, gate_plan(n_q, wires))
-             for matrix, (wires, _) in zip(block_matrices(blocks, gate_set, noise.gate_errors), blocks)]
+    blocks = shift_blocks(n_q, gates, spec.steps)
+    gathers = chain_plans(n_q, tuple(op.targets for op in coin_ops) + tuple(wires for wires, _ in blocks))
+    last_plan = gate_plan(n_q, blocks[-1][0])
     schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
-    coin = [(schedule, gate_plan(n_q, op.targets)) for schedule, op in zip(schedules, coin_ops)]
+    coin = list(zip(schedules, gathers))
+    shift = list(zip(block_matrices(blocks, gate_set, noise.gate_errors), gathers[len(coin) :]))
     rotations = {theta: gatelib._ry(theta).astype(np.complex128) for theta in set().union(*schedules)}
 
-    amps = np.zeros(2**n_q, dtype=np.complex128)
-    amps[0] = 1.0
+    state = np.zeros(2**n_q, dtype=np.complex128)
+    state[0] = 1.0
     running_factor = noiselib.state_prep_factor(noise, n_q)
-    batch = 1 if stop_below is not None else max(1, READOUT_AMPLITUDES // amps.size)
-    states = np.empty((min(batch, spec.steps), amps.size), dtype=np.complex128)
+    batch = max(1, READOUT_AMPLITUDES // state.size)
+    if stop_below is not None:
+        step_cost = len(gathers) * (state.size + CALL_AMPLITUDES)
+        batch = min(batch, max(1, STOP_CHECK_CALLS * CALL_AMPLITUDES // step_cost))
+    states = np.empty((min(batch, spec.steps), state.size), dtype=np.complex128)
     noisy = np.empty((spec.steps, spec.node_count))
     totals = np.empty(spec.steps)
     scalar_factors = np.empty(spec.steps)
     start = 0
     for t in range(spec.steps):
-        for schedule, plan in coin:
-            amps[plan] = rotations[schedule[t]] @ amps[plan]
-        for matrix, plan in shift:
-            amps[plan] = matrix @ amps[plan]
+        amps = state
+        for schedule, gather in coin:
+            amps = rotations[schedule[t]] @ amps.reshape(-1)[gather]
+        for matrix, gather in shift:
+            amps = matrix @ amps.reshape(-1)[gather]
+        state = states[t - start]
+        state[last_plan] = amps
         for factor in step_factors:
             running_factor *= factor
 
         scalar_factors[t] = running_factor * read
-        states[t - start] = amps
         stop = t + 1
         if stop - start == len(states) or stop == spec.steps:
             probs = np.abs(states[: stop - start] * scalar_factors[start:stop, None]) ** 2
             totals[start:stop] = probs.sum(1)
             noisy[start:stop] = probs.reshape(stop - start, spec.node_count, -1).sum(2)
+            if stop_below is not None:
+                below = np.flatnonzero(_hellinger(ideal_tables[start:stop], noisy[start:stop]) < stop_below)
+                if below.size:
+                    stop = start + int(below[0]) + 1
+                    break
             start = stop
-            if stop_below is not None and _hellinger(ideal_tables[t], noisy[t]) < stop_below:
-                break
     if stop < spec.steps:
         ideal_tables, noisy, totals, scalar_factors = (a[:stop] for a in (ideal_tables, noisy, totals, scalar_factors))
     return RunResult(spec, ideal_tables, noisy, hellinger_fidelity(ideal_tables, noisy), totals, scalar_factors)
@@ -401,11 +415,11 @@ def gate_set_comparison(
         raise ValueError("fidelity_sets must list at least one set")
     for s in sets:
         if len(s) != 3:
-            raise ValueError(f"fidelity set {s} must list ranks 3, 4, 5")
+            raise ValueError(f"fidelity_sets entry {s} must list ranks 3, 4, 5")
         if any(not 0 < f <= 1 for f in s):
-            raise ValueError(f"fidelity set {s} outside (0, 1]")
+            raise ValueError(f"fidelity_sets entry {s} outside (0, 1]")
         if s[0] < s[1] or s[1] < s[2]:
-            raise ValueError(f"fidelity set {s} increases with rank")
+            raise ValueError(f"fidelity_sets entry {s} increases with rank")
     for low, high in transitions:
         if not 3 <= low < high <= 5:
             raise ValueError(f"transitions entry {low}->{high} needs 3 <= low < high <= 5")

@@ -326,10 +326,11 @@ def test_step_circuit_serialization_golden_rank4():
 # ------------------------------------------------------------- census
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("nc", [1, 2])
 @pytest.mark.parametrize("rho", [3, 4])
 def test_census_agrees_with_compiled_circuit(n, nc, rho):
+    # Compiles only, so rings past the simulated sizes are cheap to check.
     spec = uniform_spec(n, nc, steps=1)
     circ = build_step_circuit(spec, NativeGateSet(max_rank=rho), 0)
     counted = {}

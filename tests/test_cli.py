@@ -142,7 +142,8 @@ def test_config_surfaces_walk_validation_as_config_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="coin_qubits"):
         load_config(path).walk_spec()
     assert main(["simulate", "--config", path]) == 2
-    assert capsys.readouterr().err.startswith("config error: coin_qubits must be 1 or 2")
+    assert capsys.readouterr().err == ("config error: bad value for walk.coin_qubits: "
+                                       "coin_qubits must be 1 or 2, got 3\n")
 
 
 def test_noise_keys_are_the_noise_params_fields():
@@ -241,6 +242,10 @@ COMPOSITE_RANGE_ERRORS = (
     ("n_list = 1", "n_list entry 1 outside [2, 20]"),
     ("n_list = 5, 21", "n_list entry 21 outside [2, 20]"),
     ("transitions = 3->4, 3->6", "transitions entry 3->6 needs 3 <= low < high <= 5"),
+    ("fidelity_sets =", "fidelity_sets must list at least one set"),
+    ("fidelity_sets = 0.99 0.98", "fidelity_sets entry (0.99, 0.98) must list ranks 3, 4, 5"),
+    ("fidelity_sets = 0.99 0.98 0", "fidelity_sets entry (0.99, 0.98, 0.0) outside (0, 1]"),
+    ("fidelity_sets = 0.99 0.995 0.99", "fidelity_sets entry (0.99, 0.995, 0.99) increases with rank"),
 )
 
 
@@ -249,8 +254,34 @@ def test_main_composite_range_errors_name_the_key(line, message, tmp_path, capsy
     census = []
     monkeypatch.setattr(simulate, "count_multiqubit_gates", lambda *args: census.append(args))
     assert main(["composite", "--config", write_config(tmp_path, f"[composite]\n{line}\n")]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    key = line.partition(" ")[0]
+    assert capsys.readouterr().err == f"config error: bad value for composite.{key}: {message}\n"
     assert census == []  # rejected before the first census
+
+
+WALK_AND_GATE_ERRORS = (
+    ("simulate", "[walk]\nposition_qubits = 21\n",
+     "bad value for walk.position_qubits: position_qubits 21 outside [2, 20]"),
+    ("sweep-a", "[walk]\nposition_qubits = 1\n",
+     "bad value for walk.position_qubits: position_qubits 1 outside [2, 20]"),
+    ("simulate", "[walk]\ncoin_qubits = 3\n", "bad value for walk.coin_qubits: coin_qubits must be 1 or 2, got 3"),
+    ("simulate", "[gates]\nmax_rank = 5\n", "bad value for gates.max_rank: max_rank must be 3 or 4, got 5"),
+    ("sweep-a", "[gates]\nmax_rank = 2\n", "bad value for gates.max_rank: max_rank must be 3 or 4, got 2"),
+    ("simulate", "[gates]\nparam_a = -1\n",
+     "bad value for gates.param_a: param_a = -1.0 must be finite and nonnegative"),
+    ("tolerance", "[gates]\nparam_a = -2\n",
+     "bad value for gates.param_a: param_a = -2.0 must be finite and nonnegative"),
+)
+
+
+@pytest.mark.parametrize("command,text,message", WALK_AND_GATE_ERRORS)
+def test_main_walk_and_gate_errors_name_the_key(command, text, message, tmp_path, capsys, monkeypatch):
+    walks = []
+    monkeypatch.setattr(cli, "run_noisy", lambda *args, **kwargs: walks.append(args))
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == "" and walks == []
 
 
 def test_main_unwritable_out_exit_code(tmp_path, capsys):

@@ -37,6 +37,7 @@ from ringwalk.simulate import (
     shift_matrix,
     steps_within_tolerance,
 )
+from ringwalk.statevector import chain_plans, gate_plan
 from ringwalk.gates import X, ckx_from_ckz, ideal_ckz
 
 
@@ -307,6 +308,104 @@ def test_shift_block_plan_invariants(n, nc, rho):
     if (n, nc, rho) == (4, 2, 3):
         assert n_q == 9 and len(gates) == 58
         assert [len(shift_blocks(n_q, gates, steps)) for steps in (4, 8, 21)] == [44, 20, 20]
+
+
+def step_wires(spec, gate_set):
+    """(qubit count, each pass's wires in order): the coin, then the walk's shift blocks."""
+    circuit = compile_step(spec, gate_set).circuit
+    gates = tuple(op.targets for op in circuit.ops[spec.coin_qubits:] if not isinstance(op, MoveMarker))
+    blocks = shift_blocks(circuit.qubit_count, gates, spec.steps)
+    return circuit.qubit_count, tuple(op.targets for op in circuit.ops[: spec.coin_qubits]) + tuple(
+        wires for wires, _ in blocks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("rho", [3, 4])
+def test_step_chain_gathers_are_permutations(n, nc, rho):
+    rng = np.random.default_rng(100 * n + 10 * nc + rho)
+    for steps in (1, 4, 8, 21):
+        n_q, wires = step_wires(uniform_spec(n, nc, steps=steps), NativeGateSet(rho))
+        gathers = chain_plans(n_q, wires)
+        assert len(gathers) == len(wires)
+        for gather, targets in zip(gathers, wires):
+            assert gather.shape == gate_plan(n_q, targets).shape
+            assert np.array_equal(np.sort(gather, axis=None), np.arange(2**n_q))
+            assert not gather.flags.writeable
+        # Identity passes through the whole chain, then the last pass's
+        # scatter, give the state back as it was.
+        state = rng.standard_normal(2**n_q) + 1j * rng.standard_normal(2**n_q)
+        amps = state
+        for gather in gathers:
+            amps = np.eye(len(gather), dtype=np.complex128) @ amps.reshape(-1)[gather]
+        back = np.empty_like(state)
+        back[gate_plan(n_q, wires[-1])] = amps
+        assert np.array_equal(back, state)
+
+
+def force_stop_batch(monkeypatch, spec, gate_set, steps):
+    """Set STOP_CHECK_CALLS so run_noisy checks a stop every ``steps`` steps."""
+    n_q, wires = step_wires(spec, gate_set)
+    step_cost = len(wires) * (2**n_q + simulate.CALL_AMPLITUDES)
+    monkeypatch.setattr(simulate, "STOP_CHECK_CALLS", -(-steps * step_cost // simulate.CALL_AMPLITUDES))
+
+
+def checked_batches(monkeypatch):
+    """Record the number of steps each stop check in run_noisy covers."""
+    sizes = []
+    hellinger = simulate._hellinger
+
+    def recording(p, q):
+        sizes.append(len(p))
+        return hellinger(p, q)
+
+    monkeypatch.setattr(simulate, "_hellinger", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3, 7])
+@pytest.mark.parametrize("stop_step", [None, 5])
+def test_stop_batches_match_stepwise_reference(nc, batch, stop_step, monkeypatch):
+    # 7 steps checked in batches of 1 and 3 steps, and as one whole-walk
+    # batch. Fidelity falls every step of this walk, so a bound just above
+    # step 5's stops the walk there, inside the batches of 3 and of 7; a
+    # bound of 0 never stops it.
+    spec = random_spec(3, nc, 7, 70 + nc)
+    gate_set = NativeGateSet(max_rank=3)
+    reference = run_noisy_stepwise(spec, gate_set, FULL)
+    sizes = checked_batches(monkeypatch)
+    with never_fused(monkeypatch):
+        full = run_noisy(spec, gate_set, FULL)
+        stop_below = 0.0 if stop_step is None else np.nextafter(full.fidelities[stop_step - 1], 1.0)
+        force_stop_batch(monkeypatch, spec, gate_set, batch)
+        sizes.clear()
+        result = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
+    steps_run = stop_step or spec.steps
+    assert np.all(np.diff(full.fidelities) < 0)
+    assert len(result.scalar_factor) == steps_run
+    # One check per batch up to the one holding the stop, then the fidelities.
+    assert sizes == [min(batch, spec.steps - first) for first in range(0, steps_run, batch)] + [steps_run]
+    for positions, factor, total, (table, scalar_factor, total_probability) in zip(
+            result.noisy_positions, result.scalar_factor, result.total_probability, reference[:steps_run]):
+        assert np.array_equal(positions, table)
+        assert factor == scalar_factor
+        assert total == total_probability
+
+
+@pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (2, 2, 4), (3, 2, 3), (4, 2, 3)])
+def test_batched_stop_returns_the_rows_of_a_stepwise_stop(n, nc, rho, monkeypatch):
+    spec = random_spec(n, nc, 12, 200 + 10 * n + nc)
+    gate_set = NativeGateSet(max_rank=rho)
+    full = run_noisy(spec, gate_set, FULL)
+    for stop_below in (0.0, float(np.median(full.fidelities)), 1.0):
+        force_stop_batch(monkeypatch, spec, gate_set, 1)
+        stepwise = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
+        for batch in (2, 5, 12):
+            force_stop_batch(monkeypatch, spec, gate_set, batch)
+            batched = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
+            for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
+                assert np.array_equal(getattr(batched, name), getattr(stepwise, name))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

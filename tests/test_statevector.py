@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwalk.gates import X, _ry
-from ringwalk.statevector import apply_gate, gate_plan, marginal_probabilities, scale_amplitudes
+from ringwalk.statevector import apply_gate, chain_plans, gate_plan, marginal_probabilities, scale_amplitudes
 
 
 def dense_embed(gate: np.ndarray, targets, n):
@@ -71,6 +71,32 @@ def test_gate_plans_are_cached_and_read_only():
     for row, indices in enumerate(plan):
         for index in indices:
             assert ((index >> 1) & 1, (index >> 3) & 1) == (row >> 1, row & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2**16 - 1))
+def test_chained_passes_match_gate_by_gate(n, passes, seed):
+    # The chain reads each pass's input out of the previous pass's output;
+    # the same matrices meet the same inputs, so every bit matches.
+    rng = np.random.default_rng(seed)
+    wires = tuple(tuple(int(q) for q in rng.permutation(n)[: rng.integers(1, min(n, 4) + 1)])
+                  for _ in range(passes))
+    gathers = chain_plans(n, wires)
+    assert chain_plans(n, wires) is gathers
+    state = random_state(rng, n)
+    want = state.copy()
+    amps = state
+    for targets, gather in zip(wires, gathers):
+        mat = rng.standard_normal((2 ** len(targets),) * 2) + 1j * rng.standard_normal((2 ** len(targets),) * 2)
+        plan = gate_plan(n, targets)
+        assert gather.shape == plan.shape and not gather.flags.writeable
+        assert np.array_equal(np.sort(gather, axis=None), np.arange(2**n))
+        want[plan] = mat @ want[plan]
+        amps = mat @ amps.reshape(-1)[gather]
+    got = np.empty_like(state)
+    got[gate_plan(n, wires[-1])] = amps
+    assert np.array_equal(got, want)
 
 
 def basis_state(n, index):
