@@ -11,20 +11,20 @@ sections and keys, and keys the subcommand does not read, are rejected.
 Everything is deterministic; --seedless only says so out loud.
 
 Each subcommand computes its results once and returns one Output: the
-JSON payload (floats rounded to 12 significant digits), the CSV records
-under a header, the report lines, and the walks whose steps the payload
-holds. A walk's steps are never built as dicts: payload_chunks writes
-them straight from its result arrays, each number's text taken once and
-each step filled into one template per walk shape and depth, a chunk of
-at most WRITE_STEPS steps at a time. The rest of the JSON document goes
-through the C encoder wherever a container holds no container, and the
-whole is byte for byte json.dumps(indent=2, sort_keys=True,
-allow_nan=False) of the rounded payload. Only the format asked for is
-built, and every check, for NaN and infinities included, runs before the
-first byte goes out. With --out the chunks go to that file and the
-report to stdout; without it the chunks are printed. Exit codes: 0
-success, 2 config error (an unwritable --out path included), 3
-unsupported size.
+JSON payload's skeleton, its CSV lines under a header, the report lines,
+and the walks whose steps the payload holds. The skeleton's bulky parts
+are holes: each walk's steps, the config's angle lists, composite's
+entries. payload_chunks has json.dumps(indent=2, sort_keys=True,
+allow_nan=False) write the skeleton and fills its holes in document
+order, straight from the results: each number's text taken once, each
+walk step and composite entry filled into one template per shape and
+depth, at most WRITE_STEPS walk steps a chunk. The whole is byte for
+byte json.dumps of the payload with every float rounded to 12
+significant digits. Only the format asked for is built, and every
+check, for NaN and infinities included, runs before the first byte goes
+out. With --out the chunks go to that file and the report to stdout;
+without it the chunks are printed. Exit codes: 0 success, 2 config
+error (an unwritable --out path included), 3 unsupported size.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field, replace
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from . import gates as gatelib
@@ -278,9 +278,8 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-# Stands in for each walk's "steps" array in a walk command's payload, and for
-# each number in a step template. Encoded it reads "\u0000", which no other
-# string in those documents does.
+# Stands in for each hole of a payload and each field of a template. Encoded
+# it reads _HOLE_TEXT, which no other string in a payload does.
 _HOLE = "\x00"
 _HOLE_TEXT = '"\\u0000"'
 WRITE_STEPS = 512  # walk steps formatted per chunk of payload text
@@ -290,72 +289,20 @@ WRITE_STEPS = 512  # walk steps formatted per chunk of payload text
 class Output:
     """One subcommand's results, built once.
 
-    ``payload`` is the JSON document, every float rounded once by
-    ``_round12``, except that each walk's ``steps`` array is ``_HOLE``;
-    ``walks`` holds those walks, in document order, each with the constant
-    CSV cells of its rows. The CSV table is ``header`` over ``rows``
-    (records, each cell looked up by its column name, a missing cell
-    empty) and then a line per step of each walk. ``report`` holds the
-    lines of the human report.
+    ``payload`` is the JSON document's skeleton, every float in it rounded
+    once by ``_round12``. Its bulky parts are holes: each is a function
+    ``fill``, and the value there is the text ``fill(depth)`` yields,
+    written at that depth. The CSV table is ``header`` over the lines
+    ``rows()`` yields, each a sequence of cells in header order, and then a
+    line per step of each walk in ``walks``, each walk with the constant
+    cells of its rows. ``report`` holds the lines of the human report.
     """
 
     payload: dict
     header: tuple[str, ...]
-    rows: list[dict]
+    rows: Callable[[], Iterable[Sequence]]
     report: list[str]
     walks: tuple[tuple[RunResult, dict], ...] = ()
-
-
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    """The C encoder for a value at ``depth``: items go on their own lines.
-
-    It writes ``json.dumps(indent=2)``'s item separator for depth + 1 but
-    no newline after an opening or before a closing bracket, so it is
-    exact only for a scalar, an empty container or, once the caller adds
-    those two newlines, a container of scalars.
-    """
-    return c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ": ", ",\n" + "  " * (depth + 1), True, False, False,
-    )
-
-
-def _item_texts(values, depth: int) -> list[str]:
-    """The JSON text of each of ``values``, written as items at ``depth``."""
-    encoder = _flat_encoder(depth)
-    outer = "\n" + "  " * depth
-    inner = outer + "  "
-    texts = []
-    for value in values:
-        if not isinstance(value, _CONTAINERS) or not value:
-            texts.append("".join(encoder(value, 0)))
-        elif _SCALARS.issuperset(map(type, value.values() if isinstance(value, dict) else value)):
-            text = "".join(encoder(value, 0))
-            texts.append(text[0] + inner + text[1:-1] + outer + text[-1])
-        elif isinstance(value, dict):
-            keys, children = zip(*sorted(value.items()))
-            items = [encode_basestring_ascii(k) + ": " + t for k, t in zip(keys, _item_texts(children, depth + 1))]
-            texts.append("{" + inner + ("," + inner).join(items) + outer + "}")
-        else:
-            texts.append("[" + inner + ("," + inner).join(_item_texts(value, depth + 1)) + outer + "]")
-    return texts
-
-
-def _write_json(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
-
-    The stdlib writes every value in Python once ``indent`` is set. Here a
-    scalar, and a container of plain scalars, goes to the C encoder in one
-    call; only containers that hold containers are walked in Python (their
-    keys are str, as every payload's are). NaN and infinities raise
-    ValueError.
-    """
-    return _item_texts((payload,), 0)[0]
 
 
 def _json_numbers(values: list[float]) -> list[str]:
@@ -371,9 +318,28 @@ def _json_numbers(values: list[float]) -> list[str]:
     return [repr(float(t)) if "e" in t else t if "." in t else t + ".0" for t in texts]
 
 
+def _items(texts: list[str], depth: int) -> str:
+    """The JSON array at ``depth`` whose items' texts are ``texts``."""
+    if not texts:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _json_list(values, depth: int):
+    """The text of a list of floats at ``depth``."""
+    return (_items(_json_numbers(list(values)), depth),)
+
+
+def _template(value, depth: int) -> str:
+    """``str.format`` template of ``value`` written by ``json.dumps`` at ``depth``; each ``_HOLE`` is a field."""
+    text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+    return text.replace("{", "{{").replace("}", "}}").replace(_HOLE_TEXT, "{}")
+
+
 @functools.cache
 def _step_template(position_qubits: int, depth: int) -> str:
-    """``str.format`` template of one step object written as an item at ``depth``.
+    """Template of one walk step at ``depth``.
 
     Its fields take the step's numbers in document order: fidelity, the
     ideal then the noisy position marginals, scalar factor, step, total
@@ -381,8 +347,7 @@ def _step_template(position_qubits: int, depth: int) -> str:
     """
     positions = dict.fromkeys((format(i, f"0{position_qubits}b") for i in range(2**position_qubits)), _HOLE)
     step = dict.fromkeys(("fidelity", "scalar_factor", "step", "total_probability"), _HOLE)
-    text = _item_texts(({**step, "ideal_positions": positions, "noisy_positions": positions},), depth)[0]
-    return text.replace("{", "{{").replace("}", "}}").replace(_HOLE_TEXT, "{}")
+    return _template({**step, "ideal_positions": positions, "noisy_positions": positions}, depth)
 
 
 def _json_steps(result: RunResult, depth: int):
@@ -404,13 +369,47 @@ def _json_steps(result: RunResult, depth: int):
     yield "\n" + "  " * depth + "]"
 
 
-def _json_chunks(pieces: list[str], walks):
-    """The JSON text around and in each walk's steps; ``pieces`` is the document split at the holes."""
-    for piece, (result, _) in zip(pieces, walks):
+@functools.cache
+def _entry_template(low_ranks: tuple[int, ...], high_ranks: tuple[int, ...], sets: int, depth: int) -> str:
+    """Template of one composite entry of this shape at ``depth``.
+
+    Its fields take, in document order: the counts under G(high), then
+    G(low), rank by rank (ranks are single digits, so sorted as their
+    keys), the mean increase, each set's f_high, f_low, fidelities text and
+    increase, the ring exponent and the transition's text.
+    """
+    per_set = dict.fromkeys(("f_high", "f_low", "fidelities", "percent_increase"), _HOLE)
+    entry = dict.fromkeys(("mean_percent_increase", "position_qubits", "transition"), _HOLE)
+    return _template({**entry, "counts_high": dict.fromkeys(map(str, high_ranks), _HOLE),
+                      "counts_low": dict.fromkeys(map(str, low_ranks), _HOLE), "per_set": [per_set] * sets}, depth)
+
+
+def _json_entries(comparison: list[tuple], numbers: list[float], depth: int):
+    """The text of composite's ``entries`` array at ``depth``.
+
+    ``numbers`` holds each entry's mean increase and then each set's
+    f_high, f_low and increase, entry by entry. Every entry lists the same
+    fidelity sets, so each set's text is taken once.
+    """
+    texts = iter(_json_numbers(numbers))
+    sets = [_items(_json_numbers(list(s)), depth + 4) for s, *_ in comparison[0][-1]] if comparison else []
+    entries = []
+    for n, low, high, counts_low, counts_high, rows in comparison:
+        fields = [*counts_high.values(), *counts_low.values(), next(texts)]
+        for fidelities in sets:
+            fields += (next(texts), next(texts), fidelities, next(texts))
+        template = _entry_template(tuple(counts_low), tuple(counts_high), len(rows), depth + 1)
+        entries.append(template.format(*fields, n, f'"{low}->{high}"'))
+    return (_items(entries, depth),)
+
+
+def _json_chunks(pieces: list[str], holes: list):
+    """The JSON text of ``pieces``, the skeleton split at its holes, with each hole filled."""
+    for piece, fill in zip(pieces, holes):
         yield piece
-        line = piece.rpartition("\n")[2]  # the indented '"steps": ' before the hole
-        yield from _json_steps(result, (len(line) - len(line.lstrip(" "))) // 2)
-    yield pieces[-1] + "\n"
+        line = piece.rpartition("\n")[2]  # the indented '"key": ' or list item before the hole
+        yield from fill((len(line) - len(line.lstrip(" "))) // 2)
+    yield pieces[-1]
 
 
 _STEP_FIELDS = {"step": "{0}", "fidelity": "{1:.12g}", "total_probability": "{2:.12g}"}
@@ -426,7 +425,7 @@ def _csv_steps(result: RunResult, header: tuple[str, ...], cells: dict):
 
 
 def _csv_chunks(output: Output):
-    lines = [output.header] + [[row.get(column, "") for column in output.header] for row in output.rows]
+    lines = [output.header, *output.rows()]
     yield "".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line) + "\n" for line in lines)
     for result, cells in output.walks:
         yield from _csv_steps(result, output.header, cells)
@@ -439,9 +438,9 @@ def payload_chunks(output: Output, fmt: str):
     infinity anywhere raises ValueError. After that the iterator formats
     at most WRITE_STEPS walk steps per chunk, so the text never exists
     whole. JSON is ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
-    of the payload with the ``_round12``-rounded steps in place, byte for
-    byte: ``_write_json`` writes the rest of the document, each walk's
-    steps fill one template per step.
+    of the payload with the ``_round12``-rounded holes in place, byte for
+    byte: ``json.dumps`` writes the skeleton, and the holes are filled in
+    document order.
     """
     for result, _ in output.walks:
         for name in ("fidelities", "total_probability", "scalar_factor", "ideal_positions", "noisy_positions"):
@@ -450,7 +449,10 @@ def payload_chunks(output: Output, fmt: str):
                 raise ValueError(f"{name} of a walk holds a value that is not finite")
     if fmt != "json":
         return _csv_chunks(output)
-    return _json_chunks(_write_json(output.payload).split(_HOLE_TEXT, len(output.walks)), output.walks)
+    holes = []  # json.dumps meets them in document order
+    skeleton = json.dumps(output.payload, indent=2, sort_keys=True, allow_nan=False,
+                          default=lambda fill: holes.append(fill) or _HOLE) + "\n"
+    return _json_chunks(skeleton.split(_HOLE_TEXT, len(holes)), holes)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -458,8 +460,8 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "position_qubits": config.position_qubits,
         "coin_qubits": config.coin_qubits,
         "steps": config.steps,
-        "theta": [_round12(v) for v in config.theta],
-        "phi": [_round12(v) for v in config.phi] if config.coin_qubits == 2 else None,
+        "theta": functools.partial(_json_list, config.theta),
+        "phi": functools.partial(_json_list, config.phi) if config.coin_qubits == 2 else None,
         "max_rank": config.max_rank,
         "param_a": None if config.param_a is None else _round12(config.param_a),
         "noise": asdict(config.noise),
@@ -470,9 +472,9 @@ def cmd_simulate(config: ExperimentConfig) -> Output:
     gate_set = _keyed("gates", NativeGateSet, max_rank=config.max_rank, param_a=config.param_a)
     result = run_noisy(config.walk_spec(), gate_set, config.noise)
     return Output(
-        payload={"kind": "simulate", "config": _config_echo(config), "steps": _HOLE},
+        payload={"kind": "simulate", "config": _config_echo(config), "steps": functools.partial(_json_steps, result)},
         header=("step", "fidelity", "total_probability"),
-        rows=[],
+        rows=tuple,
         report=[
             f"walk: {config.coin_qubits}q-coin on {2**config.position_qubits} nodes, "
             f"{config.steps} steps, native max rank {config.max_rank}",
@@ -486,6 +488,7 @@ def cmd_simulate(config: ExperimentConfig) -> Output:
 
 def cmd_sweep_a(config: ExperimentConfig) -> Output:
     spec = config.walk_spec()
+    _keyed("gates", NativeGateSet, max_rank=config.max_rank)  # checked even when a_list is empty
     gate_sets = [_keyed("gates", NativeGateSet, max_rank=config.max_rank, param_a=a) for a in config.a_list]
     # Each effort's gate set is checked before the first walk. All efforts
     # run the same walk at the same rank bound, so one ideal reference and
@@ -502,9 +505,9 @@ def cmd_sweep_a(config: ExperimentConfig) -> Output:
         }))
     return Output(
         payload={"kind": "sweep-a", "config": _config_echo(config),
-                 "series": [{**cells, "steps": _HOLE} for _, cells in walks]},
+                 "series": [{**cells, "steps": functools.partial(_json_steps, result)} for result, cells in walks]},
         header=("a", "step", "fidelity", "total_probability", "f_cz", "f_ccz"),
-        rows=[],
+        rows=tuple,
         report=["a        F(CZ(a))      F(CCZ(a))     f_final"]
         + [
             f"{_fmt(c['a']):<8} {_fmt(c['f_cz']):<13} {_fmt(c['f_ccz']):<13} {_fmt(result.fidelities[-1])}"
@@ -536,7 +539,8 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
     return Output(
         payload={"kind": "tolerance", "config": _config_echo(config), "rows": rows},
         header=("max_rank", "coin_qubits", "position_qubits", "tolerance", "steps_within"),
-        rows=[{**row, "tolerance": tol, "steps_within": n} for row in rows for tol, n in row["steps_within"].items()],
+        rows=lambda: [(row["max_rank"], row["coin_qubits"], row["position_qubits"], tol, n)
+                      for row in rows for tol, n in row["steps_within"].items()],
         report=["rank  coin  nodes  " + "  ".join(f"<={tol:g}" for tol in TOLERANCES)]
         + [
             f"{row['max_rank']:>4}  {row['coin_qubits']:>4}  {2**row['position_qubits']:>5}  "
@@ -546,40 +550,28 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
     )
 
 
+def _composite_rows(comparison: list[tuple], means: list[float]):
+    """composite's CSV lines: each set's, then the mean's, entry by entry."""
+    for (n, low, high, *_, rows), mean in zip(comparison, means):
+        transition = f"{low}->{high}"
+        for i, (_, f_low, f_high, pct) in enumerate(rows):
+            yield n, transition, i, f_low, f_high, pct
+        yield n, transition, "mean", "", "", mean
+
+
 def cmd_composite(config: ExperimentConfig) -> Output:
     comparison = _keyed("composite", gate_set_comparison, config.n_list, config.fidelity_sets, config.transitions)
-    entries = []
-    rows = []
+    means = [sum(row[3] for row in rows) / len(rows) for *_, rows in comparison]
+    numbers = [x for (*_, rows), mean in zip(comparison, means)  # in the order _json_entries takes them
+               for x in (mean, *(v for _, f_low, f_high, pct in rows for v in (f_high, f_low, pct)))]
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("a composite fidelity or increase is not finite")
+    labels = [str(tuple(map(_round12, s))) for s in config.fidelity_sets]
     report = ["composite fidelity gains (2q-coin walk, per-step gate census)"]
-    for n, low, high, counts_low, counts_high, set_rows in comparison:
-        per_set = [
-            {
-                "fidelities": [_round12(f) for f in s],
-                "f_low": _round12(f_low),
-                "f_high": _round12(f_high),
-                "percent_increase": _round12(pct),
-            }
-            for s, f_low, f_high, pct in set_rows
-        ]
-        key = {"position_qubits": n, "transition": f"{low}->{high}"}
-        mean = _round12(sum(row[3] for row in set_rows) / len(set_rows))
-        entries.append(
-            {
-                **key,
-                "counts_low": {str(r): c for r, c in counts_low.items()},
-                "counts_high": {str(r): c for r, c in counts_high.items()},
-                "per_set": per_set,
-                "mean_percent_increase": mean,
-            }
-        )
-        rows += [{**key, "set_index": i, **s} for i, s in enumerate(per_set)]
-        rows.append({**key, "set_index": "mean", "percent_increase": mean})
+    for (n, low, high, counts_low, counts_high, rows), mean in zip(comparison, means):
         report.append(f"n={n} G({low})->G({high}): counts {counts_low} -> {counts_high}")
-        report += [
-            f"  set {tuple(s['fidelities'])}: f {_fmt(s['f_low'])} -> {_fmt(s['f_high'])}  "
-            f"({_fmt(s['percent_increase'])}%)"
-            for s in per_set
-        ]
+        report += [f"  set {label}: f {_fmt(f_low)} -> {_fmt(f_high)}  ({_fmt(pct)}%)"
+                   for label, (_, f_low, f_high, pct) in zip(labels, rows)]
         report.append(f"  mean increase: {_fmt(mean)}%")
     return Output(
         payload={
@@ -589,10 +581,10 @@ def cmd_composite(config: ExperimentConfig) -> Output:
                 "fidelity_sets": [[_round12(f) for f in s] for s in config.fidelity_sets],
                 "transitions": [f"{lo}->{hi}" for lo, hi in config.transitions],
             },
-            "entries": entries,
+            "entries": functools.partial(_json_entries, comparison, numbers),
         },
         header=("position_qubits", "transition", "set_index", "f_low", "f_high", "percent_increase"),
-        rows=rows,
+        rows=functools.partial(_composite_rows, comparison, means),
         report=report,
     )
 

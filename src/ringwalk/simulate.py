@@ -427,12 +427,13 @@ def gate_set_comparison(
         if not 2 <= n <= 20:
             raise ValueError(f"n_list entry {n} outside [2, 20]")
 
+    ranks = sorted({rank for transition in transitions for rank in transition})
     entries = []
     for n in n_list:
         spec = WalkSpec(n, 2, (math.pi / 2,), (math.pi / 2,), 1)
+        census = {rank: count_multiqubit_gates(spec, rank) for rank in ranks}  # G(4) serves both 3->4 and 4->5
         for low, high in transitions:
-            counts_low = count_multiqubit_gates(spec, low)
-            counts_high = count_multiqubit_gates(spec, high)
+            counts_low, counts_high = census[low], census[high]
             rows = []
             for s in sets:
                 by_rank = {3: s[0], 4: s[1], 5: s[2]}

@@ -1,14 +1,16 @@
-"""Reference writer for the walk payloads: a dict per step, rounded, then encoded.
+"""Reference writers for the payloads: dicts of rounded numbers, then encoded.
 
-This is how the CLI wrote ``simulate`` and ``sweep-a`` payloads before it
-wrote them straight from the result arrays: every float rounded to 12
-significant digits through ``round12`` into one dict per step
-(``step_rows``), the JSON document encoded by ``json.dumps`` and the CSV
-table joined from records, each cell looked up by its column name. The
-CLI's writer must produce the same bytes.
+This is how the CLI wrote its payloads before it filled templates:
+every float rounded to 12 significant digits through ``round12`` into
+one dict per walk step (``step_rows``) and per composite entry and set
+(``composite_payload``), the JSON document encoded by ``json.dumps`` and
+the CSV table joined from records, each cell looked up by its column
+name. The CLI's writer must produce the same bytes.
 """
 
 import json
+
+from ringwalk.simulate import gate_set_comparison
 
 
 def fmt(value) -> str:
@@ -38,3 +40,50 @@ def json_text(payload: dict) -> str:
 def csv_text(header, rows: list[dict]) -> str:
     lines = [header] + [[row.get(column, "") for column in header] for row in rows]
     return "\n".join(",".join(c if isinstance(c, str) else fmt(c) for c in line) for line in lines) + "\n"
+
+
+def composite_payload(n_list, fidelity_sets, transitions) -> tuple[dict, list[dict], list[str]]:
+    """composite's JSON payload, CSV records and report lines."""
+    entries = []
+    rows = []
+    report = ["composite fidelity gains (2q-coin walk, per-step gate census)"]
+    for n, low, high, counts_low, counts_high, set_rows in gate_set_comparison(n_list, fidelity_sets, transitions):
+        per_set = [
+            {
+                "fidelities": [round12(f) for f in s],
+                "f_low": round12(f_low),
+                "f_high": round12(f_high),
+                "percent_increase": round12(pct),
+            }
+            for s, f_low, f_high, pct in set_rows
+        ]
+        key = {"position_qubits": n, "transition": f"{low}->{high}"}
+        mean = round12(sum(row[3] for row in set_rows) / len(set_rows))
+        entries.append(
+            {
+                **key,
+                "counts_low": {str(r): c for r, c in counts_low.items()},
+                "counts_high": {str(r): c for r, c in counts_high.items()},
+                "per_set": per_set,
+                "mean_percent_increase": mean,
+            }
+        )
+        rows += [{**key, "set_index": i, **s} for i, s in enumerate(per_set)]
+        rows.append({**key, "set_index": "mean", "percent_increase": mean})
+        report.append(f"n={n} G({low})->G({high}): counts {counts_low} -> {counts_high}")
+        report += [
+            f"  set {tuple(s['fidelities'])}: f {fmt(s['f_low'])} -> {fmt(s['f_high'])}  "
+            f"({fmt(s['percent_increase'])}%)"
+            for s in per_set
+        ]
+        report.append(f"  mean increase: {fmt(mean)}%")
+    payload = {
+        "kind": "composite",
+        "config": {
+            "n_list": list(n_list),
+            "fidelity_sets": [[round12(f) for f in s] for s in fidelity_sets],
+            "transitions": [f"{lo}->{hi}" for lo, hi in transitions],
+        },
+        "entries": entries,
+    }
+    return payload, rows, report

@@ -271,6 +271,7 @@ WALK_AND_GATE_ERRORS = (
      "bad value for gates.param_a: param_a = -1.0 must be finite and nonnegative"),
     ("tolerance", "[gates]\nparam_a = -2\n",
      "bad value for gates.param_a: param_a = -2.0 must be finite and nonnegative"),
+    ("sweep-a", "[gates]\nmax_rank = 5\na_list =\n", "bad value for gates.max_rank: max_rank must be 3 or 4, got 5"),
 )
 
 
@@ -278,10 +279,14 @@ WALK_AND_GATE_ERRORS = (
 def test_main_walk_and_gate_errors_name_the_key(command, text, message, tmp_path, capsys, monkeypatch):
     walks = []
     monkeypatch.setattr(cli, "run_noisy", lambda *args, **kwargs: walks.append(args))
-    assert main([command, "--config", write_config(tmp_path, text)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"config error: {message}\n"
-    assert captured.out == "" and walks == []
+    argv = [command, "--config", write_config(tmp_path, text)]
+    out = tmp_path / "run.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == "" and walks == []
+    assert not out.exists()
 
 
 def test_main_unwritable_out_exit_code(tmp_path, capsys):
@@ -411,8 +416,9 @@ def test_csv_run_never_encodes_json(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("JSON encoded on a CSV run")
 
-    monkeypatch.setattr(cli, "_write_json", refuse)
-    monkeypatch.setattr(cli, "_json_steps", refuse)
+    for name in ("_json_steps", "_json_list", "_json_entries"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.json, "dumps", refuse)
     for command in sorted(CSV_HEADERS):
         path = write_config(tmp_path, FAST_INI[command])
         assert main([command, "--config", path, "--out", str(tmp_path / "run.csv")]) == 0
@@ -495,9 +501,9 @@ WALK_CELLS = [f"{name}.{fmt}" for name in WALK_ARRAYS for fmt in ("json", "csv")
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["flat", "nested"] + WALK_CELLS)
 def test_json_writer_rejects_nonfinite_floats(bad, where, tmp_path, capsys, monkeypatch):
-    # A payload value goes through the generic JSON writer; a walk array
-    # through the array writer, in either format, here in the last of the
-    # sweep's walks. Both exit 2 before the first byte is written.
+    # A payload value goes through json.dumps; a walk array through the
+    # array writer, in either format, here in the last of the sweep's
+    # walks. Both exit 2 before the first byte is written.
     if where in ("flat", "nested"):
         command, fmt = "simulate", "json"
         payload = {"kind": "simulate", "steps": [1.0, bad]} if where == "flat" else {"steps": [{"x": [{}], "y": bad}]}
@@ -539,13 +545,22 @@ def drawn_result(draw, spec):
                      column(spec.steps), column(spec.steps), column(spec.steps))
 
 
+# 1e-7 and 5e-324: .12g writes an exponent; the subnormal's repr differs from its .12g digits.
+ANGLES = st.sampled_from([0.0, -0.0, 1e-7, 5e-324, 1.5e12, 1e16]) | st.floats(-10.0, 10.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), command=st.sampled_from(["simulate", "sweep-a"]), position_qubits=st.integers(2, 3),
-       steps=st.integers(1, 7), efforts=st.integers(0, 3))
-def test_property_walk_writer_matches_step_rows(data, command, position_qubits, steps, efforts):
+       coin_qubits=st.integers(1, 2), steps=st.integers(1, 7), efforts=st.integers(0, 3))
+def test_property_walk_writer_matches_step_rows(data, command, position_qubits, coin_qubits, steps, efforts):
     # simulate writes its steps at depth 1, sweep-a at depth 3; a chunk of
     # 1 or 3 steps splits the text elsewhere but must not change a byte.
-    config = ExperimentConfig(position_qubits=position_qubits, steps=steps, a_list=cli.DEFAULT_A_LIST[:efforts])
+    # theta and phi hold one angle or one per step, and go through the
+    # number-list hole at depth 2.
+    theta, phi = (tuple(data.draw(st.lists(ANGLES, min_size=n, max_size=n)))
+                  for n in data.draw(st.sampled_from([(1, 1), (steps, steps), (1, steps), (steps, 1)])))
+    config = ExperimentConfig(position_qubits=position_qubits, coin_qubits=coin_qubits, steps=steps,
+                              theta=theta, phi=phi, a_list=cli.DEFAULT_A_LIST[:efforts])
     results = []
 
     def drawn_run(spec, *args, **kwargs):
@@ -556,11 +571,14 @@ def test_property_walk_writer_matches_step_rows(data, command, position_qubits, 
         patch.setattr(cli, "run_noisy", drawn_run)
         output = cli._COMMANDS[command](config)
         rows = [payload_reference.step_rows(result) for result in results]
+        echo = {**output.payload["config"], "theta": [payload_reference.round12(v) for v in theta],
+                "phi": [payload_reference.round12(v) for v in phi] if coin_qubits == 2 else None}
         if command == "simulate":
-            payload = {**output.payload, "steps": rows[0]}
+            payload = {**output.payload, "config": echo, "steps": rows[0]}
             records = rows[0]
         else:
-            payload = {**output.payload, "series": [{**s, "steps": r} for s, r in zip(output.payload["series"], rows)]}
+            payload = {**output.payload, "config": echo,
+                       "series": [{**s, "steps": r} for s, r in zip(output.payload["series"], rows)]}
             records = [{**s, **row} for s in payload["series"] for row in s["steps"]]
         expected = {"json": payload_reference.json_text(payload),
                     "csv": payload_reference.csv_text(output.header, records)}
@@ -570,7 +588,7 @@ def test_property_walk_writer_matches_step_rows(data, command, position_qubits, 
                 assert "".join(cli.payload_chunks(output, fmt)) == text
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep-a"])
+@pytest.mark.parametrize("command", ["simulate", "sweep-a", "tolerance", "composite"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_stdout_and_out_file_get_the_same_chunks(command, fmt, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "WRITE_STEPS", 3)
@@ -610,7 +628,8 @@ def test_tolerance_covers_both_gate_sets(tmp_path, capsys):
 
 
 def test_composite_mean_is_the_mean_of_its_sets():
-    for entry in cmd_composite(ExperimentConfig(n_list=(5, 10))).payload["entries"]:
+    output = cmd_composite(ExperimentConfig(n_list=(5, 10)))
+    for entry in json.loads("".join(cli.payload_chunks(output, "json")))["entries"]:
         percents = [s["percent_increase"] for s in entry["per_set"]]
         assert entry["mean_percent_increase"] == pytest.approx(sum(percents) / len(percents), rel=1e-10)
 
@@ -620,6 +639,70 @@ def test_composite_report_prints_per_rank_counts():
     report = cmd_composite(config).report
     assert "n=5 G(3)->G(4): counts {3: 82} -> {3: 10, 4: 26}" in report
     assert any(line.startswith("  mean increase:") for line in report)
+
+
+# 0.999999999999 makes increases of about 1e-9 %, 0.5 and below make f_low
+# take an exponent (or underflow at large rings), 0.5 then 0.1 make
+# increases above 1e12 %.
+FIDELITIES = st.sampled_from([1.0, 0.999999999999, 0.99993, 0.9, 0.5, 0.1, 1e-3]) | st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_list=st.lists(st.integers(2, 20), max_size=4),
+       transitions=st.lists(st.sampled_from([(3, 4), (3, 5), (4, 5)]), max_size=3),
+       fidelity_sets=st.lists(st.lists(FIDELITIES, min_size=3, max_size=3).map(lambda s: sorted(s, reverse=True)),
+                              min_size=1, max_size=4))
+@example(n_list=[5, 2], transitions=[(3, 4), (4, 5)],
+         fidelity_sets=[[0.5, 0.5, 0.1], [0.999999999999] * 3, [0.993, 0.992, 0.991]])
+@example(n_list=[5, 20], transitions=[(3, 4)], fidelity_sets=[[0.5, 0.4, 0.3]])
+def test_property_composite_writer_matches_reference(n_list, transitions, fidelity_sets, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("composite")
+    path = write_config(directory, (
+        f"[composite]\nn_list = {', '.join(map(str, n_list))}\n"
+        f"transitions = {', '.join(f'{low}->{high}' for low, high in transitions)}\n"
+        f"fidelity_sets = {'; '.join(' '.join(map(repr, s)) for s in fidelity_sets)}\n"))
+    try:
+        payload, records, report = payload_reference.composite_payload(n_list, fidelity_sets, transitions)
+        expected = {"json": payload_reference.json_text(payload),
+                    "csv": payload_reference.csv_text(CSV_HEADERS["composite"].split(","), records)}
+    except ValueError as exc:  # f_low underflows to 0
+        expected = str(exc)
+    for fmt in ("json", "csv"):
+        out = directory / f"run.{fmt}"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["composite", "--config", path, "--format", fmt, "--out", str(out)])
+        if isinstance(expected, str):
+            assert "underflows to 0" in expected
+            assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", f"config error: {expected}\n")
+            assert not out.exists()
+        else:
+            assert (code, stderr.getvalue()) == (0, "")
+            assert out.read_text(encoding="utf-8") == expected[fmt]
+            assert stdout.getvalue() == "\n".join(report) + f"\nwrote {out}\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["f_low", "f_high", "percent_increase"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nonfinite_composite_number_exits_before_writing(bad, where, fmt, tmp_path, capsys, monkeypatch):
+    # The last set of the last entry takes the bad value.
+    def poisoned(*args):
+        comparison = simulate.gate_set_comparison(*args)
+        *entry, rows = comparison[-1]
+        row = list(rows[-1])
+        row[1 + ["f_low", "f_high", "percent_increase"].index(where)] = bad
+        comparison[-1] = (*entry, [*rows[:-1], tuple(row)])
+        return comparison
+
+    monkeypatch.setattr(cli, "gate_set_comparison", poisoned)
+    out = tmp_path / f"run.{fmt}"
+    for argv in (["composite", "--format", fmt], ["composite", "--format", fmt, "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_a_rejects_negative_effort(monkeypatch):

@@ -513,8 +513,15 @@ def test_composite_fidelity_product():
         composite_fidelity({5: 1}, fids)
 
 
-def test_gate_set_comparison_structure():
+def test_gate_set_comparison_structure(monkeypatch):
+    census = []
+    counted = simulate.count_multiqubit_gates
+    monkeypatch.setattr(simulate, "count_multiqubit_gates",
+                        lambda spec, rank: census.append((spec.position_qubits, rank)) or counted(spec, rank))
     entries = gate_set_comparison(n_list=(4, 5))
+    monkeypatch.undo()
+    # G(4) serves both default transitions and is counted once per ring.
+    assert census == [(4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (5, 5)]
     # n-major: 2 ring sizes x 2 transitions
     assert [entry[:3] for entry in entries] == [(4, 3, 4), (4, 4, 5), (5, 3, 4), (5, 4, 5)]
     for n, low, high, counts_low, counts_high, rows in entries:
