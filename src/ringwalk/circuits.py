@@ -3,14 +3,19 @@ bounded-rank CkX decomposition, and movement markers.
 
 Wire layout is fixed: position qubits x1..xn first (x1 is the most
 significant position bit), then the coin qubit(s), then any ancillas the
-decomposition needs. Circuits carry gate labels, not matrices; the
-executor picks each gate's ideal or effective matrix by its rank.
+decomposition needs. The compiler works on target tuples: a gate is its
+wires (controls first, target last), None a move marker, and its label
+follows from its length (X, else C{len - 1}X). A Circuit holds the
+step's coin angles and its shift in that form; the executor picks each
+gate's ideal or effective matrix by its rank, len(targets). Gate objects
+(GateApplication, MoveMarker) are built only when Circuit.ops is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 
@@ -39,23 +44,42 @@ class MoveMarker:
 
 
 CircuitOp = Union[GateApplication, MoveMarker]
+ShiftOp = Union[tuple[int, ...], None]  # a gate's target wires, or None for a move marker
+
+
+def _label(targets: tuple[int, ...]) -> str:
+    """X on one wire, else C{k}X with k = len(targets) - 1 controls."""
+    return "X" if len(targets) == 1 else f"C{len(targets) - 1}X"
 
 
 @dataclass(frozen=True)
 class Circuit:
+    """One compiled step: the coin's RY angles, on the coin wires, then the shift.
+
+    The coin wires are the last len(coin_angles) data wires, just below
+    the ancillas. ops is the step as gate objects, built on first read.
+    """
+
     qubit_count: int
-    ops: tuple[CircuitOp, ...]
+    shift: tuple[ShiftOp, ...]
+    coin_angles: tuple[float, ...] = ()
     ancilla_indices: tuple[int, ...] = ()
+
+    def _coin(self) -> Iterable[tuple[int, float]]:
+        first = self.qubit_count - len(self.ancilla_indices) - len(self.coin_angles)
+        return zip(range(first, first + len(self.coin_angles)), self.coin_angles)
+
+    @cached_property
+    def ops(self) -> tuple[CircuitOp, ...]:
+        coin = tuple(GateApplication("RY", (wire,), theta=theta) for wire, theta in self._coin())
+        return coin + tuple(MoveMarker() if t is None else GateApplication(_label(t), t) for t in self.shift)
 
     def serialize(self) -> str:
         lines = [f"QUBITS {self.qubit_count}"]
         if self.ancilla_indices:
-            lines.append("ANCILLAS " + " ".join(str(q) for q in self.ancilla_indices))
-        for op in self.ops:
-            if isinstance(op, MoveMarker):
-                lines.append("MOVE")
-            else:
-                lines.append(f"GATE {op.serial_label()} " + " ".join(str(q) for q in op.targets))
+            lines.append("ANCILLAS " + " ".join(map(str, self.ancilla_indices)))
+        lines += [f"GATE RY({theta:.12g}) {wire}" for wire, theta in self._coin()]
+        lines += ["MOVE" if t is None else f"GATE {_label(t)} " + " ".join(map(str, t)) for t in self.shift]
         return "\n".join(lines) + "\n"
 
 
@@ -154,21 +178,10 @@ class NativeGateSet:
         return _g.c3z_eff()
 
 
-def build_coin(spec: WalkSpec, step_index: int) -> tuple[GateApplication, ...]:
-    """Coin layer for one step: RY(theta) on c1, and RY(phi) on c2 if lazy."""
-    if not 0 <= step_index < spec.steps:
-        raise ValueError(f"step_index {step_index} outside schedule")
-    c1 = spec.coin_indices[0]
-    ops = [GateApplication("RY", (c1,), theta=spec.theta_schedule[step_index])]
-    if spec.coin_qubits == 2:
-        ops.append(GateApplication("RY", (spec.coin_indices[1],), theta=spec.phi_schedule[step_index]))
-    return tuple(ops)
-
-
-def build_shift_abstract(spec: WalkSpec) -> tuple[GateApplication, ...]:
-    """Coin-conditioned shift, before rank bounding: an increment cascade
-    for the step-up coin value followed by its X-conjugated mirror for the
-    step-down value.
+def build_shift_abstract(spec: WalkSpec) -> tuple[tuple[int, ...], ...]:
+    """Coin-conditioned shift, before rank bounding, as each gate's target
+    wires: an increment cascade for the step-up coin value followed by its
+    X-conjugated mirror for the step-down value.
 
     Increment: for j = 1..n a CkX onto x_j controlled on every lower
     position bit x_{j+1}..x_n plus the coin (both coin qubits for the lazy
@@ -181,25 +194,11 @@ def build_shift_abstract(spec: WalkSpec) -> tuple[GateApplication, ...]:
     n = spec.position_qubits
     coins = spec.coin_indices
     c1 = coins[0]
-
-    def cascade() -> list[GateApplication]:
-        out = []
-        for j in range(1, n + 1):
-            controls = tuple(range(j, n)) + coins
-            k = len(controls)
-            out.append(GateApplication(f"C{k}X", controls + (j - 1,)))
-        return out
-
-    ops: list[GateApplication] = list(cascade())
-    decrement = cascade()
-    ops.append(GateApplication("X", (c1,)))
+    cascade = [tuple(range(j, n)) + coins + (j - 1,) for j in range(1, n + 1)]
+    ops = cascade + [(c1,)] + [(j - 1,) for j in range(2, n + 1)] + cascade[:1]
     for j in range(2, n + 1):
-        ops.append(GateApplication("X", (j - 1,)))
-    ops.append(decrement[0])
-    for j in range(2, n + 1):
-        ops.append(GateApplication("X", (j - 1,)))
-        ops.append(decrement[j - 1])
-    ops.append(GateApplication("X", (c1,)))
+        ops += [(j - 1,), cascade[j - 1]]
+    ops.append((c1,))
     return tuple(ops)
 
 
@@ -212,8 +211,9 @@ def _ladder_shape(k: int, max_rank: int) -> tuple[int, int]:
     return m, k - width * m
 
 
-def decompose_ckx(k: int, max_rank: int) -> tuple[tuple[GateApplication, ...], int]:
-    """Rewrite a CkX as a ladder of gates of rank <= max_rank.
+def decompose_ckx(k: int, max_rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rewrite a CkX as a ladder of gates of rank <= max_rank, each given
+    by its target wires.
 
     Local wire convention: controls 0..k-1, target k, ancillas k+1 onward.
     The ladder zig-zags carries down a chain of ancillas and runs twice, so
@@ -226,22 +226,16 @@ def decompose_ckx(k: int, max_rank: int) -> tuple[tuple[GateApplication, ...], i
     if max_rank < 3:
         raise ValueError("decomposition needs native rank >= 3")
     if k + 1 <= max_rank:
-        return (GateApplication(f"C{k}X", tuple(range(k + 1))),), 0
+        return (tuple(range(k + 1)),), 0
 
-    rho = max_rank
-    width = rho - 2
-    m, q = _ladder_shape(k, rho)
-    target = k
-    anc = [k + 1 + i for i in range(m)]
-
-    rungs: list[GateApplication] = []
-    for j in range(m):
-        controls = tuple(range(width * j, width * (j + 1)))
-        sink = target if j == 0 else anc[j - 1]
-        rungs.append(GateApplication(f"C{rho - 1}X", controls + (anc[j], sink)))
+    width = max_rank - 2
+    m, q = _ladder_shape(k, max_rank)
+    anc = range(k + 1, k + 1 + m)
+    sinks = (k,) + tuple(anc[:-1])  # rung 0 carries onto the target, rung j onto ancilla j - 1
+    rungs = [tuple(range(width * j, width * (j + 1))) + (anc[j], sinks[j]) for j in range(m)]
     deep_controls = tuple(range(width * m, k))
-    assert len(deep_controls) == q and 2 <= q <= rho - 1
-    rungs.append(GateApplication(f"C{q}X", deep_controls + (anc[m - 1],)))
+    assert len(deep_controls) == q and 2 <= q <= max_rank - 1
+    rungs.append(deep_controls + (anc[m - 1],))
 
     # Compute the ancilla chain from the deepest rung up, fire onto the
     # target, then unwind; running the half twice cancels the garbage each
@@ -258,46 +252,41 @@ def ancilla_requirement(spec: WalkSpec, max_rank: int) -> int:
     return _ladder_shape(worst_k, max_rank)[0]
 
 
-def _with_move_markers(ops: Iterable[CircuitOp]) -> tuple[CircuitOp, ...]:
-    """Insert a MoveMarker before each multiqubit gate whose wires are not
-    already covered by the previous multiqubit gate. The first multiqubit
-    gate of a step starts from the layout the previous step left behind,
-    so it gets no marker."""
-    out: list[CircuitOp] = []
+def _with_move_markers(ops: Iterable[tuple[int, ...]]) -> tuple[ShiftOp, ...]:
+    """Insert a move marker (None) before each multiqubit gate whose wires
+    are not already covered by the previous multiqubit gate. The first
+    multiqubit gate of a step starts from the layout the previous step
+    left behind, so it gets no marker."""
+    out: list[ShiftOp] = []
     previous: set[int] | None = None
-    for op in ops:
-        if isinstance(op, GateApplication) and op.rank >= 2:
-            wires = set(op.targets)
-            if previous is not None and not wires.issubset(previous):
-                out.append(MoveMarker())
-            previous = wires
-        out.append(op)
+    for targets in ops:
+        if len(targets) >= 2:
+            if previous is not None and not previous.issuperset(targets):
+                out.append(None)
+            previous = set(targets)
+        out.append(targets)
     return tuple(out)
 
 
 def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) -> Circuit:
     """Compile one full walk step (coin + shift) to the native gate set."""
+    if not 0 <= step_index < spec.steps:
+        raise ValueError(f"step_index {step_index} outside schedule")
     pool = ancilla_requirement(spec, gates.max_rank)
     n_data = spec.data_qubit_count
     ancillas = tuple(range(n_data, n_data + pool))
 
-    compiled: list[CircuitOp] = list(build_coin(spec, step_index))
-    for op in build_shift_abstract(spec):
-        if op.rank <= gates.max_rank:
-            compiled.append(op)
+    compiled: list[tuple[int, ...]] = []
+    for targets in build_shift_abstract(spec):
+        if len(targets) <= gates.max_rank:
+            compiled.append(targets)
             continue
-        local_ops, used = decompose_ckx(op.rank - 1, gates.max_rank)
-        wire_map = dict(enumerate(op.targets))
-        for i in range(used):
-            wire_map[op.rank + i] = ancillas[i]
-        for local in local_ops:
-            compiled.append(GateApplication(local.label, tuple(wire_map[w] for w in local.targets)))
+        local_ops, used = decompose_ckx(len(targets) - 1, gates.max_rank)
+        wires = targets + ancillas[:used]  # local wire i is wires[i]
+        compiled += [tuple(wires[w] for w in local) for local in local_ops]
 
-    return Circuit(
-        qubit_count=n_data + pool,
-        ops=_with_move_markers(compiled),
-        ancilla_indices=ancillas,
-    )
+    schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
+    return Circuit(n_data + pool, _with_move_markers(compiled), tuple(s[step_index] for s in schedules), ancillas)
 
 
 def count_multiqubit_gates(spec: WalkSpec, max_rank: int) -> dict[int, int]:

@@ -5,9 +5,10 @@ run_ideal evolves the walk from its definition (a coin at every node,
 then a roll of each coin column around the ring) and shares no code with
 the compiler. run_noisy is the only circuit executor. Steps of one walk
 differ only in their coin angles, so it compiles the step once
-(compile_step), fuses the shift into dense blocks where the walk's steps
-pay for them (shift_blocks), and then per step re-emits only the coin
-layer and runs the shift, its passes chained through gathers
+(compile_step) and keeps its shift as the compiler's target tuples (no
+gate objects are built), fuses the shift into dense blocks where the
+walk's steps pay for them (shift_blocks), and then per step re-emits only
+the coin layer and runs the shift, its passes chained through gathers
 (chain_plans) so that only the last scatters, into the step's row of a
 buffer of at most READOUT_AMPLITUDES amplitudes. The state evolves under
 the gates alone; the scalar noise channels multiply into one logged
@@ -27,14 +28,7 @@ import numpy as np
 
 from . import gates as gatelib
 from . import noise as noiselib
-from .circuits import (
-    Circuit,
-    MoveMarker,
-    NativeGateSet,
-    WalkSpec,
-    build_step_circuit,
-    count_multiqubit_gates,
-)
+from .circuits import NativeGateSet, WalkSpec, build_step_circuit, count_multiqubit_gates
 from .statevector import chain_plans, gate_plan
 from .statevector import apply_gate, marginal_probabilities, scale_amplitudes  # noqa: F401 -- bound here for tracers
 
@@ -67,17 +61,19 @@ class RunResult:
 
 @dataclass(frozen=True, eq=False)
 class CompiledStep:
-    """A checked step circuit for one walk shape at one rank bound.
+    """A checked step's shift for one walk shape at one rank bound.
 
     The compiler's output depends on the spec only through its qubit
-    counts and coin angles, so one step-0 circuit serves every step of
-    every walk with the same (position qubits, coin qubits, max rank):
-    its leading coin layer is re-emitted per step, the shift after it is
-    reused as it stands.
+    counts and coin angles, so the shift of one step-0 circuit serves
+    every step of every walk with the same (position qubits, coin qubits,
+    max rank): it is kept as the compiler's target tuples (None for a move
+    marker) and reused as it stands, while each step's coin comes from
+    the spec's schedules.
     """
 
     shape: tuple[int, int, int]
-    circuit: Circuit
+    qubit_count: int
+    shift: tuple[tuple[int, ...] | None, ...]
 
 
 def _check_simulable(spec: WalkSpec, total_qubits: int | None = None) -> None:
@@ -211,7 +207,7 @@ def compile_step(spec: WalkSpec, gate_set: NativeGateSet) -> CompiledStep:
     _check_simulable(spec)
     circuit = build_step_circuit(spec, gate_set, 0)
     _check_simulable(spec, circuit.qubit_count)
-    return CompiledStep((spec.position_qubits, spec.coin_qubits, gate_set.max_rank), circuit)
+    return CompiledStep((spec.position_qubits, spec.coin_qubits, gate_set.max_rank), circuit.qubit_count, circuit.shift)
 
 
 def run_noisy(
@@ -230,21 +226,23 @@ def run_noisy(
     to matrices: dense blocks where a run of gates pays back over
     spec.steps (shift_blocks), else gates by rank (shift_matrix). Blocks
     round in another order, so results may move in the last bits. Each
-    step re-emits only the coin RY layer, built once per distinct angle
-    in the schedules, and runs the shift. Gate errors swap in the
-    effective multiqubit gates. The passes are chained (chain_plans):
-    each gathers its input out of the previous pass's output, and only
-    the last scatters, into the step's row of the readout buffer.
+    step re-emits only the coin RY layer on spec.coin_indices, built once
+    per distinct angle in the schedules, and runs the shift. Gate errors
+    swap in the effective multiqubit gates. The passes are chained
+    (chain_plans): each gathers its input out of the previous pass's
+    output, and only the last scatters, into the step's row of the
+    readout buffer.
 
     The scalar channels are real factors that commute with every gate, so
     the state evolves under the gates alone and the channels accumulate in
     one running factor: SPAM preparation loss once, idle-qubit damping
-    during each multiqubit gate (one factor per rank), all-qubit damping
-    at each movement marker (or moves_per_step times per step). A step's
-    factors are multiplied in one at a time in circuit order. Each step's
-    readout is the state scaled by that factor times the readout loss:
-    its total probability and its position marginal, one row of a
-    (steps, nodes) array. The position qubits are the leading wires, so
+    during each multiqubit gate (one factor per rank, the length of its
+    target tuple), all-qubit damping at each move marker (None in the
+    shift), or moves_per_step times per step. A step's factors are
+    multiplied in one at a time in circuit order. Each step's readout is
+    the state scaled by that factor times the readout loss: its total
+    probability and its position marginal, one row of a (steps, nodes)
+    array. The position qubits are the leading wires, so
     the marginal sums each run of 2^(n - position qubits) consecutive
     probabilities. The buffer holds READOUT_AMPLITUDES // 2^n rows (at
     least one), and a full buffer, or the last partial one, is scaled and
@@ -269,24 +267,22 @@ def run_noisy(
     if ideal_tables is None:
         ideal_tables = run_ideal(spec)
 
-    n_q = compiled.circuit.qubit_count
-    coin_ops = compiled.circuit.ops[: spec.coin_qubits]
-    shift_ops = compiled.circuit.ops[spec.coin_qubits :]
+    n_q = compiled.qubit_count
     read = noiselib.readout_factor(noise, n_q)
     move = noiselib.movement_factor(noise, n_q)
-    gates = tuple(op.targets for op in shift_ops if not isinstance(op, MoveMarker))
+    gates = tuple(targets for targets in compiled.shift if targets is not None)
     idle = {rank: noiselib.idle_factor(noise, n_q, rank) for rank in set(map(len, gates)) - {1}}
     step_factors = []
-    for op in shift_ops:
-        if isinstance(op, MoveMarker):
+    for targets in compiled.shift:
+        if targets is None:
             if noise.moves_per_step is None:
                 step_factors.append(move)
-        elif op.rank >= 2:
-            step_factors.append(idle[op.rank])
+        elif len(targets) >= 2:
+            step_factors.append(idle[len(targets)])
     if noise.moves_per_step is not None:
         step_factors.append(move**noise.moves_per_step)
     blocks = shift_blocks(n_q, gates, spec.steps)
-    gathers = chain_plans(n_q, tuple(op.targets for op in coin_ops) + tuple(wires for wires, _ in blocks))
+    gathers = chain_plans(n_q, tuple((wire,) for wire in spec.coin_indices) + tuple(wires for wires, _ in blocks))
     last_plan = gate_plan(n_q, blocks[-1][0])
     schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
     coin = list(zip(schedules, gathers))
@@ -441,7 +437,7 @@ def gate_set_comparison(
                 f_high = composite_fidelity(counts_high, by_rank)
                 if f_low == 0:
                     raise ValueError(
-                        f"fidelity set {s} at n = {n}: composite fidelity under G({low}) underflows to 0"
+                        f"fidelity_sets entry {s} at n = {n}: composite fidelity under G({low}) underflows to 0"
                     )
                 rows.append((s, f_low, f_high, (f_high - f_low) / f_low * 100.0))
             entries.append((n, low, high, counts_low, counts_high, rows))

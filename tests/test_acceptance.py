@@ -83,16 +83,16 @@ def test_rank3_ladder_counts(k):
     ops, ancillas = decompose_ckx(k, 3)
     assert ancillas == k - 2
     assert len(ops) == 4 * (k - 2)
-    assert all(op.rank == 3 for op in ops)
+    assert all(len(targets) == 3 for targets in ops)
 
 
 def test_rank4_ladder_counts():
     ops, ancillas = decompose_ckx(4, 4)
     assert ancillas == 1
-    assert sorted(op.rank for op in ops) == [3, 3, 4, 4]
+    assert sorted(len(targets) for targets in ops) == [3, 3, 4, 4]
     ops, ancillas = decompose_ckx(5, 4)
     assert ancillas == 1
-    assert [op.rank for op in ops] == [4, 4, 4, 4]
+    assert [len(targets) for targets in ops] == [4, 4, 4, 4]
 
 
 # 5. Scalar-only noise obeys the closed form against the logged factor.

@@ -3,7 +3,10 @@
 Every structural claim is checked against an independent oracle: shift
 cascades and CkX ladders are pure bit permutations, so a tiny classical
 bit simulator (flip the target iff all controls are set) decides
-correctness without touching the statevector engine.
+correctness without touching the statevector engine. The compiler works
+on target tuples (None for a move marker); its whole output, gate objects
+and serialized text included, is also checked against the object
+compiler in circuit_reference.py.
 """
 
 import math
@@ -11,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import circuit_reference
 from ringwalk.circuits import (
     Circuit,
     GateApplication,
@@ -19,7 +23,6 @@ from ringwalk.circuits import (
     WalkSpec,
     _with_move_markers,
     ancilla_requirement,
-    build_coin,
     build_shift_abstract,
     build_step_circuit,
     count_multiqubit_gates,
@@ -31,17 +34,13 @@ from ringwalk.statevector import apply_gate
 
 
 def run_classically(ops, bits):
-    """Trace X / CkX gates over classical bits; markers are ignored."""
+    """Trace X / CkX target tuples over classical bits; markers (None) are ignored."""
     bits = list(bits)
-    for op in ops:
-        if isinstance(op, MoveMarker):
+    for targets in ops:
+        if targets is None:
             continue
-        if op.label == "X":
-            bits[op.targets[0]] ^= 1
-            continue
-        assert op.label == f"C{op.rank - 1}X", op
-        *controls, target = op.targets
-        if all(bits[c] for c in controls):
+        *controls, target = targets
+        if all(bits[c] for c in controls):  # an X has no controls
             bits[target] ^= 1
     return tuple(bits)
 
@@ -97,9 +96,9 @@ def test_shift_permutation_lazy_coin(n):
 @pytest.mark.parametrize("n,nc", [(2, 1), (3, 1), (4, 2)])
 def test_shift_has_2n_bit_flips_and_paired_cascades(n, nc):
     ops = build_shift_abstract(uniform_spec(n, nc, steps=1))
-    flips = [op for op in ops if op.label == "X"]
+    flips = [targets for targets in ops if len(targets) == 1]
     assert len(flips) == 2 * n
-    ranks = sorted(op.rank for op in ops if op.label != "X")
+    ranks = sorted(len(targets) for targets in ops if len(targets) > 1)
     expected = sorted(2 * [n - j + nc + 1 for j in range(1, n + 1)])
     assert ranks == expected
 
@@ -107,9 +106,9 @@ def test_shift_has_2n_bit_flips_and_paired_cascades(n, nc):
 def test_shift_second_coin_is_never_flipped():
     spec = uniform_spec(3, 2, steps=1)
     c2 = spec.coin_indices[1]
-    for op in build_shift_abstract(spec):
-        if op.label == "X":
-            assert op.targets != (c2,)
+    for targets in build_shift_abstract(spec):
+        if len(targets) == 1:
+            assert targets != (c2,)
 
 
 # ----------------------------------------------------- CkX decomposition
@@ -118,10 +117,10 @@ def test_shift_second_coin_is_never_flipped():
 def test_decompose_passthrough_below_rank_bound():
     ops, m = decompose_ckx(2, 3)
     assert m == 0
-    assert ops == (GateApplication("C2X", (0, 1, 2)),)
+    assert ops == ((0, 1, 2),)
     ops, m = decompose_ckx(3, 4)
     assert m == 0
-    assert ops[0].label == "C3X"
+    assert ops == ((0, 1, 2, 3),)
 
 
 @pytest.mark.parametrize(
@@ -140,10 +139,10 @@ def test_ladder_sizes(k, rho, expected_m, expected_counts):
     ops, m = decompose_ckx(k, rho)
     assert m == expected_m
     counts = {}
-    for op in ops:
-        counts[op.rank] = counts.get(op.rank, 0) + 1
+    for targets in ops:
+        counts[len(targets)] = counts.get(len(targets), 0) + 1
     assert counts == expected_counts
-    assert all(op.rank <= rho for op in ops)
+    assert all(len(targets) <= rho for targets in ops)
 
 
 @pytest.mark.parametrize("k,rho", [(3, 3), (4, 3), (5, 3), (6, 3), (4, 4), (5, 4), (6, 4), (7, 4)])
@@ -162,12 +161,7 @@ def test_ladder_is_exact_even_with_dirty_ancillas(k, rho):
 def test_ladder_emission_is_deepest_rung_first():
     ops, m = decompose_ckx(3, 3)
     assert m == 1
-    assert ops == (
-        GateApplication("C2X", (1, 2, 4)),
-        GateApplication("C2X", (0, 4, 3)),
-        GateApplication("C2X", (1, 2, 4)),
-        GateApplication("C2X", (0, 4, 3)),
-    )
+    assert ops == ((1, 2, 4), (0, 4, 3), (1, 2, 4), (0, 4, 3))
 
 
 def test_decompose_argument_errors():
@@ -188,44 +182,35 @@ def test_ancilla_requirement():
 
 
 def test_move_markers_follow_subset_rule():
-    g = lambda *qs: GateApplication(f"C{len(qs) - 1}X", qs)
-    ops = (g(0, 1, 2), g(1, 2), g(2, 3), GateApplication("X", (0,)), g(2, 3))
+    ops = ((0, 1, 2), (1, 2), (2, 3), (0,), (2, 3))
     marked = _with_move_markers(ops)
-    kinds = [type(op).__name__ for op in marked]
     # First gate free; (1,2) inside (0,1,2); (2,3) leaves; X ignored;
     # repeat of (2,3) is covered by itself.
-    assert kinds == [
-        "GateApplication",
-        "GateApplication",
-        "MoveMarker",
-        "GateApplication",
-        "GateApplication",
-        "GateApplication",
-    ]
+    assert marked == ((0, 1, 2), (1, 2), None, (2, 3), (0,), (2, 3))
 
 
 def test_move_markers_skip_single_qubit_prefix():
-    ops = (GateApplication("X", (0,)), GateApplication("C2X", (0, 1, 2)))
+    ops = ((0,), (0, 1, 2))
     marked = _with_move_markers(ops)
-    assert not any(isinstance(op, MoveMarker) for op in marked)
+    assert None not in marked
 
 
 # ------------------------------------------------------- step circuits
 
 
-def ideal_dense(op):
-    if op.label == "RY":
-        return _ry(op.theta).astype(np.complex128)
-    if op.label == "X":
+def ideal_dense(targets):
+    if len(targets) == 1:
         return X
-    return ckx_from_ckz(ideal_ckz(op.rank - 1))
+    return ckx_from_ckz(ideal_ckz(len(targets) - 1))
 
 
-def apply_all(ops, state):
-    for op in ops:
-        if isinstance(op, MoveMarker):
-            continue
-        state = apply_gate(state, ideal_dense(op), op.targets)
+def apply_all(coin, shift, state):
+    """RY(theta) on each (wire, theta) of the coin, then the shift's target tuples."""
+    for wire, theta in coin:
+        state = apply_gate(state, _ry(theta).astype(np.complex128), (wire,))
+    for targets in shift:
+        if targets is not None:
+            state = apply_gate(state, ideal_dense(targets), targets)
     return state
 
 
@@ -235,20 +220,21 @@ def test_step_circuit_matches_abstract_step(n, nc, rho):
     followed by the unbounded shift, for any ancilla basis state."""
     spec = uniform_spec(n, nc, steps=1)
     circ = build_step_circuit(spec, NativeGateSet(max_rank=rho), 0)
-    abstract = build_coin(spec, 0) + build_shift_abstract(spec)
+    coin = tuple(zip(spec.coin_indices, (math.pi / 2,) * nc))
+    assert circ.coin_angles == (math.pi / 2,) * nc
 
     rng = np.random.default_rng(7)
     nd = spec.data_qubit_count
     raw = rng.standard_normal(2**nd) + 1j * rng.standard_normal(2**nd)
     raw /= np.linalg.norm(raw)
-    want_data = apply_all(abstract, raw)
+    want_data = apply_all(coin, build_shift_abstract(spec), raw)
 
     pool = len(circ.ancilla_indices)
     for anc_value in range(2**pool):
         anc_state = np.zeros(2**pool)
         anc_state[anc_value] = 1.0
         full = np.kron(raw, anc_state).astype(np.complex128)
-        got = apply_all(circ.ops, full)
+        got = apply_all(coin, circ.shift, full)
         expected = np.kron(want_data, anc_state)
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -258,10 +244,10 @@ def test_step_circuit_layout_and_bounds():
     circ = build_step_circuit(spec, NativeGateSet(max_rank=3), 0)
     assert circ.qubit_count == spec.data_qubit_count + len(circ.ancilla_indices)
     assert circ.ancilla_indices == (5, 6)
-    for op in circ.ops:
-        if isinstance(op, GateApplication):
-            assert all(0 <= q < circ.qubit_count for q in op.targets)
-            assert ideal_dense(op) is not None  # every label resolves
+    for targets in circ.shift:
+        if targets is not None:
+            assert all(0 <= q < circ.qubit_count for q in targets)
+            assert ideal_dense(targets) is not None  # every gate resolves
 
 
 def test_step_circuit_serialization_golden_rank3():
@@ -323,6 +309,21 @@ def test_step_circuit_serialization_golden_rank4():
     ) + "\n"
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("rho", [3, 4])
+def test_step_circuit_matches_object_reference(n, nc, rho):
+    # Distinct angles at every step, so a coin taken from the wrong step
+    # shows, with 16 significant digits, so serialize's rounding shows.
+    spec = WalkSpec(n, nc, (1 / 3, 1.7, math.pi / 7), (math.e / 2, 0.1, 2.2) if nc == 2 else None, 3)
+    for t in (0, 2):
+        circ = build_step_circuit(spec, NativeGateSet(max_rank=rho), t)
+        want = circuit_reference.build_step_circuit(spec, NativeGateSet(max_rank=rho), t)
+        assert (circ.qubit_count, circ.ancilla_indices) == (want.qubit_count, want.ancilla_indices)
+        assert circ.ops == want.ops
+        assert circ.serialize() == want.serialize()
+
+
 # ------------------------------------------------------------- census
 
 
@@ -334,9 +335,9 @@ def test_census_agrees_with_compiled_circuit(n, nc, rho):
     spec = uniform_spec(n, nc, steps=1)
     circ = build_step_circuit(spec, NativeGateSet(max_rank=rho), 0)
     counted = {}
-    for op in circ.ops:
-        if isinstance(op, GateApplication) and op.rank >= 2:
-            counted[op.rank] = counted.get(op.rank, 0) + 1
+    for targets in circ.shift:
+        if targets is not None and len(targets) >= 2:
+            counted[len(targets)] = counted.get(len(targets), 0) + 1
     assert counted == count_multiqubit_gates(spec, rho)
 
 
@@ -419,16 +420,18 @@ def test_multiqubit_labels_spell_their_rank(n, nc, rho):
 
 def test_build_coin_layers():
     spec = uniform_spec(2, 2, steps=3, theta=0.4, phi=1.1)
-    ops = build_coin(spec, 1)
-    assert ops == (
+    circ = build_step_circuit(spec, NativeGateSet(max_rank=3), 1)
+    assert circ.coin_angles == (0.4, 1.1)
+    assert circ.ops[:2] == (
         GateApplication("RY", (2,), theta=0.4),
         GateApplication("RY", (3,), theta=1.1),
     )
-    assert len(build_coin(uniform_spec(2, 1, steps=1), 0)) == 1
-    with pytest.raises(ValueError):
-        build_coin(spec, 3)
+    assert build_step_circuit(uniform_spec(2, 1, steps=1), NativeGateSet(max_rank=3), 0).coin_angles == (math.pi / 2,)
+    with pytest.raises(ValueError, match="step_index"):
+        build_step_circuit(spec, NativeGateSet(max_rank=3), 3)
 
 
 def test_circuit_serialize_roundtrip_header():
-    circ = Circuit(2, (GateApplication("X", (0,)), MoveMarker()))
+    circ = Circuit(2, ((0,), None))
+    assert circ.ops == (GateApplication("X", (0,)), MoveMarker())
     assert circ.serialize() == "QUBITS 2\nGATE X 0\nMOVE\n"

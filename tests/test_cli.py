@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import payload_reference
-from ringwalk import cli, simulate
+from ringwalk import circuits, cli, simulate
 from ringwalk.cli import (
     ConfigError,
     ExperimentConfig,
@@ -235,7 +235,8 @@ def test_main_composite_underflow_exit_code(tmp_path, capsys):
     for fmt in ("csv", "json"):
         assert main(["composite", "--config", path, "--format", fmt]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: fidelity set (0.5, 0.4, 0.3) at n = 20")
+        assert err == ("config error: bad value for composite.fidelity_sets: fidelity_sets entry (0.5, 0.4, 0.3) "
+                       "at n = 20: composite fidelity under G(3) underflows to 0\n")
 
 
 COMPOSITE_RANGE_ERRORS = (
@@ -468,6 +469,27 @@ def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monke
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
+def test_default_walks_build_no_gate_objects(monkeypatch, capsys):
+    # The executor runs the compiler's target tuples; GateApplication objects
+    # exist only for readers of Circuit.ops, and building them per compile
+    # used to cost about a fifth of a tolerance run.
+    built = []
+
+    class CountingGate(circuits.GateApplication):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "GateApplication", CountingGate)
+    for command in ("tolerance", "sweep-a"):
+        assert main([command]) == 0
+    capsys.readouterr()
+    assert built == []
+    # The counter does see the gates once someone reads the view.
+    ops = circuits.build_step_circuit(circuits.uniform_spec(2, 2, steps=1), circuits.NativeGateSet(3), 0).ops
+    assert len(built) == sum(isinstance(op, CountingGate) for op in ops) > 0
+
+
 # ----------------------------------------------------------- JSON writer
 
 JSON_KEYS = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f é€\U0001f600ab'), max_size=4) | st.text(max_size=4)
@@ -674,7 +696,8 @@ def test_property_composite_writer_matches_reference(n_list, transitions, fideli
             code = main(["composite", "--config", path, "--format", fmt, "--out", str(out)])
         if isinstance(expected, str):
             assert "underflows to 0" in expected
-            assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", f"config error: {expected}\n")
+            assert (code, stdout.getvalue(), stderr.getvalue()) == (
+                2, "", f"config error: bad value for composite.fidelity_sets: {expected}\n")
             assert not out.exists()
         else:
             assert (code, stderr.getvalue()) == (0, "")

@@ -231,8 +231,8 @@ def alternating_spec(n, nc, steps):
 
 def shift_gates(n, nc, rho):
     """(qubit count, shift gate targets in circuit order) of the compiled step."""
-    circuit = compile_step(uniform_spec(n, nc, steps=1), NativeGateSet(rho)).circuit
-    return circuit.qubit_count, tuple(op.targets for op in circuit.ops[nc:] if not isinstance(op, MoveMarker))
+    compiled = compile_step(uniform_spec(n, nc, steps=1), NativeGateSet(rho))
+    return compiled.qubit_count, tuple(targets for targets in compiled.shift if targets is not None)
 
 
 @pytest.mark.parametrize("nc", [1, 2])
@@ -250,7 +250,7 @@ def test_batched_readout_matches_stepwise_reference(nc, monkeypatch):
     # A buffer of four states reads the 6-step walk out as 4 steps, then 2.
     spec = random_spec(3, nc, 6, 50 + nc)
     gate_set = NativeGateSet(max_rank=3)
-    monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", 4 * 2 ** compile_step(spec, gate_set).circuit.qubit_count)
+    monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", 4 * 2 ** compile_step(spec, gate_set).qubit_count)
     assert_matches_stepwise_reference(spec, gate_set, FULL, monkeypatch)
 
 
@@ -312,10 +312,10 @@ def test_shift_block_plan_invariants(n, nc, rho):
 
 def step_wires(spec, gate_set):
     """(qubit count, each pass's wires in order): the coin, then the walk's shift blocks."""
-    circuit = compile_step(spec, gate_set).circuit
-    gates = tuple(op.targets for op in circuit.ops[spec.coin_qubits:] if not isinstance(op, MoveMarker))
-    blocks = shift_blocks(circuit.qubit_count, gates, spec.steps)
-    return circuit.qubit_count, tuple(op.targets for op in circuit.ops[: spec.coin_qubits]) + tuple(
+    compiled = compile_step(spec, gate_set)
+    gates = tuple(targets for targets in compiled.shift if targets is not None)
+    blocks = shift_blocks(compiled.qubit_count, gates, spec.steps)
+    return compiled.qubit_count, tuple((wire,) for wire in spec.coin_indices) + tuple(
         wires for wires, _ in blocks)
 
 
@@ -546,7 +546,7 @@ def test_gate_set_comparison_validates_fidelity_sets():
     with pytest.raises(ValueError, match="at least one"):
         gate_set_comparison(fidelity_sets=())
     # 0.5**1522 underflows to 0, so the percent increase has no denominator.
-    with pytest.raises(ValueError, match=r"fidelity set \(0\.5, 0\.4, 0\.3\) at n = 20"):
+    with pytest.raises(ValueError, match=r"^fidelity_sets entry \(0\.5, 0\.4, 0\.3\) at n = 20: .* underflows to 0$"):
         gate_set_comparison(n_list=(20,), fidelity_sets=((0.5, 0.4, 0.3),))
     for transition in ((4, 3), (3, 3), (2, 4)):
         with pytest.raises(ValueError):
