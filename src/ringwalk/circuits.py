@@ -133,6 +133,11 @@ class WalkSpec:
     def coin_indices(self) -> tuple[int, ...]:
         return tuple(range(self.position_qubits, self.data_qubit_count))
 
+    @property
+    def coin_schedules(self) -> tuple[tuple[float, ...], ...]:
+        """One angle schedule per coin qubit: theta's, then for the lazy walk phi's."""
+        return (self.theta_schedule, self.phi_schedule)[: self.coin_qubits]
+
 
 def uniform_spec(position_qubits: int, coin_qubits: int, steps: int = 21,
                  theta: float = math.pi / 2, phi: float = math.pi / 2) -> WalkSpec:
@@ -171,11 +176,7 @@ class NativeGateSet:
 
         if not 1 <= k <= self.max_rank - 1:
             raise ValueError(f"C{k}Z is outside this gate set (max_rank {self.max_rank})")
-        if k == 1:
-            return _g.param_gate("CZ", self.param_a) if self.param_a is not None else _g.cz_eff()
-        if k == 2:
-            return _g.param_gate("CCZ", self.param_a) if self.param_a is not None else _g.ccz_eff()
-        return _g.c3z_eff()
+        return _g.effective_ckz(k, self.param_a if k < 3 else None)
 
 
 def build_shift_abstract(spec: WalkSpec) -> tuple[tuple[int, ...], ...]:
@@ -285,8 +286,8 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
         wires = targets + ancillas[:used]  # local wire i is wires[i]
         compiled += [tuple(wires[w] for w in local) for local in local_ops]
 
-    schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
-    return Circuit(n_data + pool, _with_move_markers(compiled), tuple(s[step_index] for s in schedules), ancillas)
+    coin_angles = tuple(s[step_index] for s in spec.coin_schedules)
+    return Circuit(n_data + pool, _with_move_markers(compiled), coin_angles, ancillas)
 
 
 def count_multiqubit_gates(spec: WalkSpec, max_rank: int) -> dict[int, int]:

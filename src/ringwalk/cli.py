@@ -11,20 +11,22 @@ sections and keys, and keys the subcommand does not read, are rejected.
 Everything is deterministic; --seedless only says so out loud.
 
 Each subcommand computes its results once and returns one Output: the
-JSON payload's skeleton, its CSV lines under a header, the report lines,
-and the walks whose steps the payload holds. The skeleton's bulky parts
-are holes: each walk's steps, the config's angle lists, composite's
-entries. payload_chunks has json.dumps(indent=2, sort_keys=True,
-allow_nan=False) write the skeleton and fills its holes in document
-order, straight from the results: each number's text taken once, each
-walk step and composite entry filled into one template per shape and
-depth, at most WRITE_STEPS walk steps a chunk. The whole is byte for
-byte json.dumps of the payload with every float rounded to 12
-significant digits. Only the format asked for is built, and every
-check, for NaN and infinities included, runs before the first byte goes
-out. With --out the chunks go to that file and the report to stdout;
-without it the chunks are printed. Exit codes: 0 success, 2 config
-error (an unwritable --out path included), 3 unsupported size.
+JSON payload's skeleton, its CSV lines under a header and the report
+lines. The skeleton's bulky parts are holes: each walk's steps, the
+config's angle lists, composite's entries. payload_chunks has
+json.dumps(indent=2, sort_keys=True, allow_nan=False) write the skeleton
+and fills its holes in document order, straight from the results: each
+number's text taken once, each walk step and composite entry filled into
+one template per shape and depth, at most WRITE_STEPS walk steps a
+chunk. The whole is byte for byte json.dumps of the payload with every
+float rounded to 12 significant digits. CSV goes out WRITE_STEPS lines
+a chunk. Only the format asked for is built, and every check, for NaN
+and infinities included, runs before the first byte goes out. With
+--out the chunks go to that file and the report to stdout; without it
+the chunks are printed. Exit codes: 0 success, 1 stdout closed early
+(as by a pipe into head), 2 config error (an unwritable --out path
+included), 3 unsupported size. Codes 2 and 3 print one stderr line,
+code 1 none.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field, replace
@@ -241,12 +245,12 @@ _READS = {
 def load_config(path: str | Path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is not part of the first line
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    except configparser.Error as exc:  # its message spans lines; errors print on one
+        raise ConfigError(f"malformed config {path}: {' '.join(str(exc).split())}") from exc
 
     config = ExperimentConfig()
     for section in parser.sections():
@@ -282,7 +286,7 @@ def _round12(value: float) -> float:
 # it reads _HOLE_TEXT, which no other string in a payload does.
 _HOLE = "\x00"
 _HOLE_TEXT = '"\\u0000"'
-WRITE_STEPS = 512  # walk steps formatted per chunk of payload text
+WRITE_STEPS = 512  # walk steps (JSON) or lines (CSV) formatted per chunk of payload text
 
 
 @dataclass(frozen=True)
@@ -293,16 +297,14 @@ class Output:
     once by ``_round12``. Its bulky parts are holes: each is a function
     ``fill``, and the value there is the text ``fill(depth)`` yields,
     written at that depth. The CSV table is ``header`` over the lines
-    ``rows()`` yields, each a sequence of cells in header order, and then a
-    line per step of each walk in ``walks``, each walk with the constant
-    cells of its rows. ``report`` holds the lines of the human report.
+    ``rows()`` yields, each a sequence of cells in header order.
+    ``report`` holds the lines of the human report.
     """
 
     payload: dict
     header: tuple[str, ...]
     rows: Callable[[], Iterable[Sequence]]
     report: list[str]
-    walks: tuple[tuple[RunResult, dict], ...] = ()
 
 
 def _json_numbers(values: list[float]) -> list[str]:
@@ -412,41 +414,42 @@ def _json_chunks(pieces: list[str], holes: list):
     yield pieces[-1]
 
 
-_STEP_FIELDS = {"step": "{0}", "fidelity": "{1:.12g}", "total_probability": "{2:.12g}"}
+def _csv_chunks(output: Output):
+    """The CSV text: ``header``, then the lines ``rows()`` yields, WRITE_STEPS lines a chunk."""
+    lines = itertools.chain((output.header,), output.rows())
+    while chunk := list(itertools.islice(lines, WRITE_STEPS)):
+        yield "".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line) + "\n" for line in chunk)
 
 
-def _csv_steps(result: RunResult, header: tuple[str, ...], cells: dict):
-    """A walk's CSV lines, WRITE_STEPS steps a chunk; ``cells`` hold the numbers of the other columns."""
-    template = ",".join(_STEP_FIELDS.get(column) or _fmt(cells[column]) for column in header) + "\n"
+def _walk_rows(result: RunResult, lead: tuple = (), tail: tuple = ()):
+    """A walk's CSV lines: each step, its fidelity and total probability, between the walk's constant cells."""
     for lo in range(0, len(result.fidelities), WRITE_STEPS):
         chunk = slice(lo, lo + WRITE_STEPS)
-        rows = zip(result.fidelities[chunk].tolist(), result.total_probability[chunk].tolist())
-        yield "".join(template.format(step, f, p) for step, (f, p) in enumerate(rows, lo + 1))
+        steps = zip(result.fidelities[chunk].tolist(), result.total_probability[chunk].tolist())
+        yield from ((*lead, step, f, p, *tail) for step, (f, p) in enumerate(steps, lo + 1))
 
 
-def _csv_chunks(output: Output):
-    lines = [output.header, *output.rows()]
-    yield "".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line) + "\n" for line in lines)
-    for result, cells in output.walks:
-        yield from _csv_steps(result, output.header, cells)
+def _finite(result: RunResult) -> RunResult:
+    """``result``, checked to hold no NaN or infinity (ValueError if it does)."""
+    for name in ("fidelities", "total_probability", "scalar_factor", "ideal_positions", "noisy_positions"):
+        values = getattr(result, name)
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+            raise ValueError(f"{name} of a walk holds a value that is not finite")
+    return result
 
 
 def payload_chunks(output: Output, fmt: str):
     """The payload text in ``fmt`` ("json" or "csv"), as an iterator of chunks.
 
-    Every check runs here, before the first chunk is built: a NaN or an
-    infinity anywhere raises ValueError. After that the iterator formats
-    at most WRITE_STEPS walk steps per chunk, so the text never exists
-    whole. JSON is ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
-    of the payload with the ``_round12``-rounded holes in place, byte for
-    byte: ``json.dumps`` writes the skeleton, and the holes are filled in
-    document order.
+    The subcommands have checked their results; json.dumps checks the
+    skeleton here, before the first chunk is built, so a NaN or an
+    infinity anywhere raises ValueError first. After that the iterator
+    formats at most WRITE_STEPS walk steps or CSV lines per chunk, so the
+    text never exists whole. JSON is ``json.dumps(indent=2,
+    sort_keys=True, allow_nan=False)`` of the payload with the
+    ``_round12``-rounded holes in place, byte for byte: ``json.dumps``
+    writes the skeleton, and the holes are filled in document order.
     """
-    for result, _ in output.walks:
-        for name in ("fidelities", "total_probability", "scalar_factor", "ideal_positions", "noisy_positions"):
-            values = getattr(result, name)
-            if not (math.isfinite(values.min()) and math.isfinite(values.max())):
-                raise ValueError(f"{name} of a walk holds a value that is not finite")
     if fmt != "json":
         return _csv_chunks(output)
     holes = []  # json.dumps meets them in document order
@@ -464,17 +467,17 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "phi": functools.partial(_json_list, config.phi) if config.coin_qubits == 2 else None,
         "max_rank": config.max_rank,
         "param_a": None if config.param_a is None else _round12(config.param_a),
-        "noise": asdict(config.noise),
+        "noise": {key: _round12(v) if isinstance(v, float) else v for key, v in asdict(config.noise).items()},
     }
 
 
 def cmd_simulate(config: ExperimentConfig) -> Output:
     gate_set = _keyed("gates", NativeGateSet, max_rank=config.max_rank, param_a=config.param_a)
-    result = run_noisy(config.walk_spec(), gate_set, config.noise)
+    result = _finite(run_noisy(config.walk_spec(), gate_set, config.noise))
     return Output(
         payload={"kind": "simulate", "config": _config_echo(config), "steps": functools.partial(_json_steps, result)},
         header=("step", "fidelity", "total_probability"),
-        rows=tuple,
+        rows=functools.partial(_walk_rows, result),
         report=[
             f"walk: {config.coin_qubits}q-coin on {2**config.position_qubits} nodes, "
             f"{config.steps} steps, native max rank {config.max_rank}",
@@ -482,7 +485,6 @@ def cmd_simulate(config: ExperimentConfig) -> Output:
             "steps within tolerance: "
             + "  ".join(f"{tol:g}: {steps_within_tolerance(result.fidelities, tol)}" for tol in TOLERANCES),
         ],
-        walks=((result, {}),),
     )
 
 
@@ -497,23 +499,23 @@ def cmd_sweep_a(config: ExperimentConfig) -> Output:
     compiled = compile_step(spec, gate_sets[0]) if gate_sets else None
     walks = []
     for a, gate_set in zip(config.a_list, gate_sets):
-        result = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables, compiled=compiled)
+        result = _finite(run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables, compiled=compiled))
         walks.append((result, {
             "a": _round12(a),
-            "f_cz": _round12(gatelib.gate_fidelity(gatelib.param_gate("CZ", a), gatelib.ideal_ckz(1))),
-            "f_ccz": _round12(gatelib.gate_fidelity(gatelib.param_gate("CCZ", a), gatelib.ideal_ckz(2))),
+            "f_cz": _round12(gatelib.gate_fidelity(gatelib.effective_ckz(1, a), gatelib.ideal_ckz(1))),
+            "f_ccz": _round12(gatelib.gate_fidelity(gatelib.effective_ckz(2, a), gatelib.ideal_ckz(2))),
         }))
     return Output(
         payload={"kind": "sweep-a", "config": _config_echo(config),
                  "series": [{**cells, "steps": functools.partial(_json_steps, result)} for result, cells in walks]},
         header=("a", "step", "fidelity", "total_probability", "f_cz", "f_ccz"),
-        rows=tuple,
+        rows=lambda: (line for result, c in walks
+                      for line in _walk_rows(result, (c["a"],), (c["f_cz"], c["f_ccz"]))),
         report=["a        F(CZ(a))      F(CCZ(a))     f_final"]
         + [
             f"{_fmt(c['a']):<8} {_fmt(c['f_cz']):<13} {_fmt(c['f_ccz']):<13} {_fmt(result.fidelities[-1])}"
             for result, c in walks
         ],
-        walks=tuple(walks),
     )
 
 
@@ -693,10 +695,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if config.out_path:
-        sys.stdout.write("\n".join(output.report) + f"\nwrote {config.out_path}\n")
-    else:
-        sys.stdout.writelines(chunks)
+    try:
+        if config.out_path:
+            sys.stdout.write("\n".join(output.report) + f"\nwrote {config.out_path}\n")
+        else:
+            sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull, so that the flush at
+        # exit does not fail again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -16,17 +16,13 @@ import numpy as np
 
 _INVSQRT2 = 1.0 / math.sqrt(2.0)
 
-# Per-weight (magnitude, phase/pi) pairs for the published effective gates,
-# indexed by Hamming weight 0..k+1. Weight 0 is exactly 1 in every case.
-_CZ_EFF_WEIGHTS = ((1.0, 0.0), (0.9990, 0.9906), (0.9986, 1.0))
-_CCZ_EFF_WEIGHTS = ((1.0, 0.0), (0.9981, 0.9845), (0.9973, 0.9934), (0.9963, 0.9911))
-_C3Z_EFF_WEIGHTS = (
-    (1.0, 0.0),
-    (0.997947, -0.995),
-    (0.996286, 0.984),
-    (0.994391, 0.981),
-    (0.990724, 0.981),
-)
+# Per-weight (magnitude, phase/pi) pairs of the published effective CkZ,
+# by k, indexed by Hamming weight 0..k+1. Weight 0 is exactly 1 in every case.
+_EFF_WEIGHTS = {
+    1: ((1.0, 0.0), (0.9990, 0.9906), (0.9986, 1.0)),
+    2: ((1.0, 0.0), (0.9981, 0.9845), (0.9973, 0.9934), (0.9963, 0.9911)),
+    3: ((1.0, 0.0), (0.997947, -0.995), (0.996286, 0.984), (0.994391, 0.981), (0.990724, 0.981)),
+}
 
 # Linear drift rates of the weight-1 coefficients with pulse-shaping effort a.
 _ALPHA_SLOPE = 0.0001
@@ -59,55 +55,34 @@ def ideal_ckz(k: int) -> np.ndarray:
     return diag
 
 
-def _diagonal_from_weights(weights: tuple[tuple[float, float], ...]) -> np.ndarray:
-    rank = len(weights) - 1
-    diag = np.empty(2**rank, dtype=np.complex128)
-    for idx in range(2**rank):
+def effective_ckz(k: int, a: float | None = None) -> np.ndarray:
+    """Diagonal of the published effective CkZ (k = 1, 2 or 3), or of CZ or
+    CCZ at pulse-shaping effort ``a >= 0``.
+
+    Under effort the weight-1 magnitude grows as ``min(alpha0 + 0.0001 a, 1)``
+    and its phase fraction as ``min(phi0 + 0.0010 a, 1)``. Higher-weight
+    entries keep their a = 0 ratios to the weight-1 entry, clamped at 1, so
+    the whole diagonal converges to the ideal gate and then stays there.
+    C3Z has no published tuning curve.
+    """
+    if k not in _EFF_WEIGHTS:
+        raise ValueError(f"no published effective C{k}Z; k is 1, 2 or 3")
+    weights = _EFF_WEIGHTS[k]
+    if a is not None:
+        if a < 0:
+            raise ValueError("effort parameter a must be nonnegative")
+        if k == 3:
+            raise ValueError("the tuning family covers CZ and CCZ, not C3Z")
+        alpha1_0, phi1_0 = weights[1]
+        alpha1 = min(alpha1_0 + _ALPHA_SLOPE * a, 1.0)
+        phi1 = min(phi1_0 + _PHI_SLOPE * a, 1.0)
+        weights = ((1.0, 0.0),) + tuple((min(mag0 * (alpha1 / alpha1_0), 1.0), min(frac0 * (phi1 / phi1_0), 1.0))
+                                        for mag0, frac0 in weights[1:])
+    diag = np.empty(2 ** (k + 1), dtype=np.complex128)
+    for idx in range(diag.size):
         mag, frac = weights[bin(idx).count("1")]
         diag[idx] = mag * np.exp(1j * math.pi * frac)
     return diag
-
-
-def cz_eff() -> np.ndarray:
-    """Published effective CZ with per-weight magnitude and phase damping."""
-    return _diagonal_from_weights(_CZ_EFF_WEIGHTS)
-
-
-def ccz_eff() -> np.ndarray:
-    """Published effective CCZ."""
-    return _diagonal_from_weights(_CCZ_EFF_WEIGHTS)
-
-
-def c3z_eff() -> np.ndarray:
-    """Published effective C3Z (four-qubit native gate)."""
-    return _diagonal_from_weights(_C3Z_EFF_WEIGHTS)
-
-
-def param_gate(kind: str, a: float) -> np.ndarray:
-    """Effective CZ or CCZ at pulse-shaping effort ``a >= 0``.
-
-    The weight-1 magnitude grows as ``min(alpha0 + 0.0001 a, 1)`` and its
-    phase fraction as ``min(phi0 + 0.0010 a, 1)``. Higher-weight entries
-    keep their a = 0 ratios to the weight-1 entry, clamped at 1, so the
-    whole diagonal converges to the ideal gate and then stays there.
-    """
-    if a < 0:
-        raise ValueError("effort parameter a must be nonnegative")
-    if kind == "CZ":
-        base = _CZ_EFF_WEIGHTS
-    elif kind == "CCZ":
-        base = _CCZ_EFF_WEIGHTS
-    else:
-        raise ValueError(f"parametric family covers CZ and CCZ, not {kind!r}")
-    alpha1_0, phi1_0 = base[1]
-    alpha1 = min(alpha1_0 + _ALPHA_SLOPE * a, 1.0)
-    phi1 = min(phi1_0 + _PHI_SLOPE * a, 1.0)
-    weights = [(1.0, 0.0)]
-    for mag0, frac0 in base[1:]:
-        weights.append(
-            (min(mag0 * (alpha1 / alpha1_0), 1.0), min(frac0 * (phi1 / phi1_0), 1.0))
-        )
-    return _diagonal_from_weights(tuple(weights))
 
 
 def ckx_from_ckz(ckz: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from .statevector import chain_plans, gate_plan
 from .statevector import apply_gate, marginal_probabilities, scale_amplitudes  # noqa: F401 -- bound here for tracers
 
 MAX_SIMULATED_POSITION_QUBITS = 4
-MAX_SIMULATED_QUBITS = 12
 FUSED_MAX_WIRES = 5
 CALL_AMPLITUDES = 650  # one numpy call's overhead, as the amplitudes a gate pass moves in that time
 READOUT_AMPLITUDES = 2**16  # amplitudes run_noisy holds between readouts (1 MiB)
@@ -76,15 +75,11 @@ class CompiledStep:
     shift: tuple[tuple[int, ...] | None, ...]
 
 
-def _check_simulable(spec: WalkSpec, total_qubits: int | None = None) -> None:
+def _check_simulable(spec: WalkSpec) -> None:
     if spec.position_qubits > MAX_SIMULATED_POSITION_QUBITS:
         raise UnsupportedSizeError(
             f"simulation supports rings up to 2^{MAX_SIMULATED_POSITION_QUBITS} nodes; "
             f"got 2^{spec.position_qubits} (counting still works at this size)"
-        )
-    if total_qubits is not None and total_qubits > MAX_SIMULATED_QUBITS:
-        raise UnsupportedSizeError(
-            f"walk needs {total_qubits} qubits, above the desk-scale bound {MAX_SIMULATED_QUBITS}"
         )
 
 
@@ -182,9 +177,8 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     # Rolling column c by moves[c] is one gather: row i takes row i - moves[c].
     rows = (np.arange(spec.node_count)[:, None] - moves) % spec.node_count
     cols = np.arange(len(moves))
-    schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
     coins = {}
-    for angles in set(zip(*schedules)):
+    for angles in set(zip(*spec.coin_schedules)):
         coin = gatelib._ry(angles[0])
         if spec.coin_qubits == 2:
             coin = np.kron(coin, gatelib._ry(angles[1]))
@@ -192,7 +186,7 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     psi = np.zeros((spec.node_count, len(moves)))
     psi[0, 0] = 1.0
     states = np.empty((spec.steps, spec.node_count, len(moves)))
-    for t, angles in enumerate(zip(*schedules)):
+    for t, angles in enumerate(zip(*spec.coin_schedules)):
         psi = states[t] = (psi @ coins[angles])[rows, cols]
     tables = np.sum(states**2, axis=2)
     tables.flags.writeable = False
@@ -200,13 +194,12 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
 
 
 def compile_step(spec: WalkSpec, gate_set: NativeGateSet) -> CompiledStep:
-    """Compile step 0 of the walk once for every step.
+    """Compile step 0 of the walk once for every step, after checking the ring size.
 
-    Checks the ring size before compiling and the total qubit count after.
+    The admitted rings compile to at most 9 qubits, ancillas included.
     """
     _check_simulable(spec)
     circuit = build_step_circuit(spec, gate_set, 0)
-    _check_simulable(spec, circuit.qubit_count)
     return CompiledStep((spec.position_qubits, spec.coin_qubits, gate_set.max_rank), circuit.qubit_count, circuit.shift)
 
 
@@ -284,10 +277,9 @@ def run_noisy(
     blocks = shift_blocks(n_q, gates, spec.steps)
     gathers = chain_plans(n_q, tuple((wire,) for wire in spec.coin_indices) + tuple(wires for wires, _ in blocks))
     last_plan = gate_plan(n_q, blocks[-1][0])
-    schedules = (spec.theta_schedule, spec.phi_schedule)[: spec.coin_qubits]
-    coin = list(zip(schedules, gathers))
+    coin = list(zip(spec.coin_schedules, gathers))
     shift = list(zip(block_matrices(blocks, gate_set, noise.gate_errors), gathers[len(coin) :]))
-    rotations = {theta: gatelib._ry(theta).astype(np.complex128) for theta in set().union(*schedules)}
+    rotations = {theta: gatelib._ry(theta).astype(np.complex128) for theta in set().union(*spec.coin_schedules)}
 
     state = np.zeros(2**n_q, dtype=np.complex128)
     state[0] = 1.0

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import payload_reference
 from ringwalk import circuits, cli, simulate
+from ringwalk.circuits import NativeGateSet, uniform_spec
 from ringwalk.cli import (
     ConfigError,
     ExperimentConfig,
@@ -25,7 +26,7 @@ from ringwalk.cli import (
     main,
 )
 from ringwalk.noise import NoiseParams
-from ringwalk.simulate import RunResult, run_noisy
+from ringwalk.simulate import RunResult, compile_step, run_noisy
 from ringwalk.statevector import gate_plan
 
 
@@ -104,6 +105,30 @@ def test_config_rejects_unknown_section(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, "[walks]\nsteps = 3\n"))
     assert "walks" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["[walk]\nsteps\n", "steps = 3\n"], ids=["key-without-value", "no-section-header"])
+def test_malformed_config_error_is_one_line(text, tmp_path, capsys):
+    # configparser's own messages span two or three lines.
+    assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: malformed config ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_config_with_byte_order_mark_parses(tmp_path):
+    path = tmp_path / "bom.ini"
+    path.write_bytes("[walk]\nsteps = 3\n".encode("utf-8-sig"))
+    assert load_config(path).steps == 3
+
+
+def test_noise_echo_is_rounded_to_twelve_digits(tmp_path, capsys):
+    path = write_config(tmp_path, "[walk]\nsteps = 1\n[noise]\neps_init = 0.1234567890123456\n"
+                                  "t1_seconds = 3.0000000000000004\n")
+    assert main(["simulate", "--config", path, "--format", "json"]) == 0
+    noise = json.loads(capsys.readouterr().out)["config"]["noise"]
+    assert (noise["eps_init"], noise["t1_seconds"]) == (0.123456789012, 3.0)
+    assert (noise["gate_errors"], noise["moves_per_step"]) == (True, None)
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -190,13 +215,25 @@ def test_walk_errors_name_the_key(text, key, tmp_path, capsys):
 # ------------------------------------------------------------ exit codes
 
 
+MODULE_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def run_module(*args, config=None, cwd):
     """Run ``python -m ringwalk.cli`` in a fresh process on this checkout's sources."""
     if config is not None:
         args += ("--config", write_config(cwd, config))
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    return subprocess.run([sys.executable, "-m", "ringwalk.cli", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "ringwalk.cli", *args], cwd=cwd, env=MODULE_ENV,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
+    # The reader closes the pipe before the first byte, as `| head -1` does
+    # after its line; the write fails, and nothing may reach stderr.
+    with subprocess.Popen([sys.executable, "-m", "ringwalk.cli", "sweep-a", "--format", "json"], cwd=tmp_path,
+                          env=MODULE_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        child.stdout.close()
+        stderr = child.stderr.read()
+    assert (child.returncode, stderr) == (1, b"")
 
 
 def test_module_exit_codes_through_a_process(tmp_path):
@@ -348,6 +385,18 @@ def test_step_count_above_bound_is_rejected_before_any_walk(command, steps, tmp_
 
 def test_step_count_at_bound_is_accepted(tmp_path):
     assert load_config(write_config(tmp_path, f"[walk]\nsteps = {cli.MAX_STEPS}\n")).steps == cli.MAX_STEPS
+
+
+def test_admitted_walks_compile_to_at_most_nine_qubits(tmp_path, capsys):
+    # The ring bound is the only size check: every ring it admits, under
+    # either coin and either rank bound, fits in 9 qubits with its ancillas.
+    counts = [compile_step(uniform_spec(n, coins, steps=1), NativeGateSet(rank)).qubit_count
+              for n in (2, 3, 4) for coins in (1, 2) for rank in (3, 4)]
+    assert max(counts) == 9
+    for coins in (1, 2):
+        path = write_config(tmp_path, f"[walk]\nposition_qubits = 5\ncoin_qubits = {coins}\nsteps = 1\n")
+        assert main(["simulate", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("unsupported size: simulation supports rings up to 2^4 nodes")
 
 
 def test_main_unsupported_size_exit_code(tmp_path, capsys):
@@ -622,19 +671,31 @@ def test_stdout_and_out_file_get_the_same_chunks(command, fmt, tmp_path, capsys,
     assert out.read_text(encoding="utf-8") == printed
 
 
-def test_long_json_run_peaks_below_twice_its_payload(tmp_path, capsys):
-    # The walk steps are written a chunk at a time, so the largest walk the
-    # CLI accepts never holds its payload text whole.
-    out = tmp_path / "long.json"
-    path = write_config(tmp_path, f"[walk]\nsteps = {cli.MAX_STEPS}\n")
+def traced_peak(argv):
     tracemalloc.start()
     try:
-        assert main(["simulate", "--config", path, "--format", "json", "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_long_json_run_peaks_below_twice_its_payload(tmp_path, capsys, monkeypatch):
+    # The walk steps are written a chunk at a time, so the largest walk the
+    # CLI accepts never holds its payload text whole. The CSV text is
+    # smaller than the walk's own arrays, so for both formats the walk is
+    # also run once beforehand, and a run that only formats and writes it
+    # must peak below its payload.
+    path = write_config(tmp_path, f"[walk]\nsteps = {cli.MAX_STEPS}\n")
+    out = {fmt: tmp_path / f"long.{fmt}" for fmt in ("json", "csv")}
+    assert traced_peak(["simulate", "--config", path, "--format", "json", "--out", str(out["json"])]) \
+        < 2 * out["json"].stat().st_size
+    walk = run_noisy(load_config(path).walk_spec(), NativeGateSet(), NoiseParams())
+    monkeypatch.setattr(cli, "run_noisy", lambda *args, **kwargs: walk)
+    for fmt, written in out.items():
+        assert traced_peak(["simulate", "--config", path, "--format", fmt, "--out", str(written)]) \
+            < written.stat().st_size
     capsys.readouterr()
-    assert peak < 2 * out.stat().st_size
 
 
 def test_tolerance_covers_both_gate_sets(tmp_path, capsys):

@@ -18,13 +18,10 @@ from hypothesis import strategies as st
 from ringwalk.gates import (
     X,
     ZHZ,
-    c3z_eff,
-    ccz_eff,
     ckx_from_ckz,
-    cz_eff,
+    effective_ckz,
     gate_fidelity,
     ideal_ckz,
-    param_gate,
 )
 
 # (magnitude, phase/pi) per Hamming weight, copied from the data sheet the
@@ -52,7 +49,8 @@ def fidelity_oracle(weights):
 
 
 def test_effective_diagonals_match_weight_tables():
-    for gate, weights in [(cz_eff(), CZ_WEIGHTS), (ccz_eff(), CCZ_WEIGHTS), (c3z_eff(), C3Z_WEIGHTS)]:
+    for k, weights in enumerate((CZ_WEIGHTS, CCZ_WEIGHTS, C3Z_WEIGHTS), 1):
+        gate = effective_ckz(k)
         assert gate.shape == (2 ** (len(weights) - 1),)
         for idx, entry in enumerate(gate):
             mag, frac = weights[bin(idx).count("1")]
@@ -60,15 +58,15 @@ def test_effective_diagonals_match_weight_tables():
 
 
 def test_gate_fidelity_matches_binomial_oracle():
-    assert gate_fidelity(cz_eff(), ideal_ckz(1)) == pytest.approx(fidelity_oracle(CZ_WEIGHTS), abs=1e-14)
-    assert gate_fidelity(ccz_eff(), ideal_ckz(2)) == pytest.approx(fidelity_oracle(CCZ_WEIGHTS), abs=1e-14)
-    assert gate_fidelity(c3z_eff(), ideal_ckz(3)) == pytest.approx(fidelity_oracle(C3Z_WEIGHTS), abs=1e-14)
+    assert gate_fidelity(effective_ckz(1), ideal_ckz(1)) == pytest.approx(fidelity_oracle(CZ_WEIGHTS), abs=1e-14)
+    assert gate_fidelity(effective_ckz(2), ideal_ckz(2)) == pytest.approx(fidelity_oracle(CCZ_WEIGHTS), abs=1e-14)
+    assert gate_fidelity(effective_ckz(3), ideal_ckz(3)) == pytest.approx(fidelity_oracle(C3Z_WEIGHTS), abs=1e-14)
 
 
 def test_gate_fidelity_frozen_values():
-    assert gate_fidelity(cz_eff(), ideal_ckz(1)) == pytest.approx(0.998083089236213, abs=1e-12)
-    assert gate_fidelity(ccz_eff(), ideal_ckz(2)) == pytest.approx(0.9953547078965812, abs=1e-12)
-    assert gate_fidelity(c3z_eff(), ideal_ckz(3)) == pytest.approx(0.9912511026304136, abs=1e-12)
+    assert gate_fidelity(effective_ckz(1), ideal_ckz(1)) == pytest.approx(0.998083089236213, abs=1e-12)
+    assert gate_fidelity(effective_ckz(2), ideal_ckz(2)) == pytest.approx(0.9953547078965812, abs=1e-12)
+    assert gate_fidelity(effective_ckz(3), ideal_ckz(3)) == pytest.approx(0.9912511026304136, abs=1e-12)
 
 
 def test_ideal_ckz_is_symmetric_reflection():
@@ -101,7 +99,8 @@ def test_ckx_from_ckz_requires_diagonal():
 def test_ckx_fidelity_equals_ckz_fidelity():
     # The conjugating layer is unitary and shared, so the trace overlap
     # of the X forms must equal the Z forms'.
-    for k, eff in [(1, cz_eff()), (2, ccz_eff()), (3, c3z_eff())]:
+    for k in (1, 2, 3):
+        eff = effective_ckz(k)
         f_z = gate_fidelity(eff, ideal_ckz(k))
         f_x = gate_fidelity(ckx_from_ckz(eff), ckx_from_ckz(ideal_ckz(k)))
         assert f_x == pytest.approx(f_z, abs=1e-13)
@@ -109,31 +108,34 @@ def test_ckx_fidelity_equals_ckz_fidelity():
 
 def test_gate_fidelity_rank_mismatch():
     with pytest.raises(ValueError):
-        gate_fidelity(cz_eff(), ideal_ckz(2))
+        gate_fidelity(effective_ckz(1), ideal_ckz(2))
 
 
 def test_param_gate_anchor_at_zero():
-    assert np.allclose(param_gate("CZ", 0.0), cz_eff(), atol=1e-15)
-    assert np.allclose(param_gate("CCZ", 0.0), ccz_eff(), atol=1e-15)
+    assert np.allclose(effective_ckz(1, 0.0), effective_ckz(1), atol=1e-15)
+    assert np.allclose(effective_ckz(2, 0.0), effective_ckz(2), atol=1e-15)
 
 
 def test_param_gate_saturates_to_ideal_phases():
     # Past the cap the weight-1 entry sits exactly on -1.
-    gate = param_gate("CZ", 26.0)
+    gate = effective_ckz(1, 26.0)
     assert gate[1] == pytest.approx(-1.0, abs=1e-15)
-    assert np.allclose(param_gate("CZ", 13.0), gate, atol=1e-15)
+    assert np.allclose(effective_ckz(1, 13.0), gate, atol=1e-15)
 
 
 def test_param_gate_frozen_fidelities():
-    assert gate_fidelity(param_gate("CZ", 13.0), ideal_ckz(1)) == pytest.approx(0.9997998098198299, abs=1e-12)
-    assert gate_fidelity(param_gate("CCZ", 13.0), ideal_ckz(2)) == pytest.approx(0.9978853067464813, abs=1e-12)
+    assert gate_fidelity(effective_ckz(1, 13.0), ideal_ckz(1)) == pytest.approx(0.9997998098198299, abs=1e-12)
+    assert gate_fidelity(effective_ckz(2, 13.0), ideal_ckz(2)) == pytest.approx(0.9978853067464813, abs=1e-12)
 
 
 def test_param_gate_validation():
     with pytest.raises(ValueError):
-        param_gate("CZ", -1.0)
+        effective_ckz(1, -1.0)
     with pytest.raises(ValueError):
-        param_gate("C3Z", 0.0)
+        effective_ckz(3, 0.0)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            effective_ckz(k)
 
 
 @settings(max_examples=50, deadline=None)
@@ -141,17 +143,17 @@ def test_param_gate_validation():
 def test_param_fidelity_monotone_in_effort(a_low, a_high):
     if a_low > a_high:
         a_low, a_high = a_high, a_low
-    for kind, k in (("CZ", 1), ("CCZ", 2)):
-        f_low = gate_fidelity(param_gate(kind, a_low), ideal_ckz(k))
-        f_high = gate_fidelity(param_gate(kind, a_high), ideal_ckz(k))
+    for k in (1, 2):
+        f_low = gate_fidelity(effective_ckz(k, a_low), ideal_ckz(k))
+        f_high = gate_fidelity(effective_ckz(k, a_high), ideal_ckz(k))
         assert f_high >= f_low - 1e-12
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=0.0, max_value=100.0))
 def test_param_magnitudes_capped(a):
-    for kind in ("CZ", "CCZ"):
-        assert np.max(np.abs(param_gate(kind, a))) <= 1.0 + 1e-12
+    for k in (1, 2):
+        assert np.max(np.abs(effective_ckz(k, a))) <= 1.0 + 1e-12
 
 
 def test_conjugating_layer_constants():
