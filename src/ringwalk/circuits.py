@@ -57,13 +57,16 @@ class Circuit:
     """One compiled step: the coin's RY angles, on the coin wires, then the shift.
 
     The coin wires are the last len(coin_angles) data wires, just below
-    the ancillas. ops is the step as gate objects, built on first read.
+    the ancillas. shape is the (position qubits, coin qubits, max rank) the
+    shift was compiled for, all it depends on. ops is the step as gate
+    objects, built on first read.
     """
 
     qubit_count: int
     shift: tuple[ShiftOp, ...]
     coin_angles: tuple[float, ...] = ()
     ancilla_indices: tuple[int, ...] = ()
+    shape: tuple[int, int, int] | None = None
 
     def _coin(self) -> Iterable[tuple[int, float]]:
         first = self.qubit_count - len(self.ancilla_indices) - len(self.coin_angles)
@@ -97,20 +100,17 @@ class WalkSpec:
     coin_qubits: int
     theta_schedule: tuple[float, ...]
     phi_schedule: tuple[float, ...] | None
-    steps: int
 
     def __post_init__(self) -> None:
-        for name in ("position_qubits", "coin_qubits", "steps"):
+        for name in ("position_qubits", "coin_qubits"):
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"{name} = {getattr(self, name)!r} is not an integer")
         if not 2 <= self.position_qubits <= 20:
             raise ValueError(f"position_qubits {self.position_qubits} outside [2, 20]")
         if self.coin_qubits not in (1, 2):
             raise ValueError(f"coin_qubits must be 1 or 2, got {self.coin_qubits}")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
-        if len(self.theta_schedule) != self.steps:
-            raise ValueError("theta_schedule length must equal steps")
+        if not self.theta_schedule:
+            raise ValueError("theta_schedule is empty; a walk needs at least one step")
         if self.coin_qubits == 2:
             if self.phi_schedule is None or len(self.phi_schedule) != self.steps:
                 raise ValueError("phi_schedule must cover every step of a 2q-coin walk")
@@ -120,6 +120,10 @@ class WalkSpec:
             for t, angle in enumerate(getattr(self, name) or ()):
                 if not math.isfinite(angle):
                     raise ValueError(f"{name} entry {t} is {angle}, not a finite angle")
+
+    @property
+    def steps(self) -> int:
+        return len(self.theta_schedule)
 
     @property
     def node_count(self) -> int:
@@ -147,7 +151,6 @@ def uniform_spec(position_qubits: int, coin_qubits: int, steps: int = 21,
         coin_qubits=coin_qubits,
         theta_schedule=(theta,) * steps,
         phi_schedule=(phi,) * steps if coin_qubits == 2 else None,
-        steps=steps,
     )
 
 
@@ -287,7 +290,8 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
         compiled += [tuple(wires[w] for w in local) for local in local_ops]
 
     coin_angles = tuple(s[step_index] for s in spec.coin_schedules)
-    return Circuit(n_data + pool, _with_move_markers(compiled), coin_angles, ancillas)
+    return Circuit(n_data + pool, _with_move_markers(compiled), coin_angles, ancillas,
+                   (spec.position_qubits, spec.coin_qubits, gates.max_rank))
 
 
 def count_multiqubit_gates(spec: WalkSpec, max_rank: int) -> dict[int, int]:

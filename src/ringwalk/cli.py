@@ -24,9 +24,9 @@ a chunk. Only the format asked for is built, and every check, for NaN
 and infinities included, runs before the first byte goes out. With
 --out the chunks go to that file and the report to stdout; without it
 the chunks are printed. Exit codes: 0 success, 1 stdout closed early
-(as by a pipe into head), 2 config error (an unwritable --out path
-included), 3 unsupported size. Codes 2 and 3 print one stderr line,
-code 1 none.
+(as by a pipe into head), 2 config or usage error (an unwritable --out
+path and a bad command line included), 3 unsupported size. Codes 2 and
+3 print one stderr line, code 1 none.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ from .simulate import (
     steps_within_tolerance,
 )
 
-KINDS = ("simulate", "sweep-a", "tolerance", "composite")
-
 DEFAULT_A_LIST = (0.0, 13.0 / 3, 26.0 / 3, 13.0, 52.0 / 3, 65.0 / 3, 26.0)
 MAX_STEPS = 10_000  # desk scale: a 2^4 lazy sweep-a of this many steps runs in about 25 s at 52 MB peak RSS
 
@@ -78,8 +76,7 @@ class ExperimentConfig:
     steps: int = 21
     theta: tuple[float, ...] = (math.pi / 2,)
     phi: tuple[float, ...] = (math.pi / 2,)
-    max_rank: int = 3
-    param_a: float | None = None
+    gates: NativeGateSet = NativeGateSet()
     a_list: tuple[float, ...] = DEFAULT_A_LIST
     noise: NoiseParams = NoiseParams()
     n_list: tuple[int, ...] = DEFAULT_COMPARISON_NS
@@ -103,14 +100,13 @@ class ExperimentConfig:
             coin_qubits=self.coin_qubits,
             theta_schedule=theta,
             phi_schedule=phi if self.coin_qubits == 2 else None,
-            steps=self.steps,
         )
 
 
 def _keyed(section: str, build, /, *args, **kwargs):
     """build(*args, **kwargs), naming section.key in a ValueError whose message starts with that key.
 
-    WalkSpec, NativeGateSet and gate_set_comparison begin each message with the argument (= key) they reject.
+    WalkSpec and gate_set_comparison begin each message with the argument (= key) they reject.
     """
     try:
         return build(*args, **kwargs)
@@ -198,9 +194,10 @@ _CONFIG_SCHEMA = {
         "theta": ("theta", _number_list),
         "phi": ("phi", _number_list),
     },
+    # max_rank and param_a are NativeGateSet fields, set on config.gates.
     "gates": {
-        "max_rank": ("max_rank", lambda s: int(s)),
-        "param_a": ("param_a", _number),
+        "max_rank": ("gates", lambda s: int(s)),
+        "param_a": ("gates", _number),
         "a_list": ("a_list", _effort_list),
     },
     # Each key is a NoiseParams field, set on config.noise.
@@ -247,7 +244,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is not part of the first line
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:  # its message spans lines; errors print on one
         raise ConfigError(f"malformed config {path}: {' '.join(str(exc).split())}") from exc
@@ -262,8 +259,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             attribute, parse = _CONFIG_SCHEMA[section][key]
             try:
                 value = parse(raw)
-                if attribute == "noise":  # NoiseParams checks the value here
-                    value = replace(config.noise, **{key: value})
+                if attribute in ("gates", "noise"):  # NativeGateSet or NoiseParams checks the value here
+                    value = replace(getattr(config, attribute), **{key: value})
             except ValueError as exc:  # ConfigError included
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
             setattr(config, attribute, value)
@@ -465,22 +462,21 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "steps": config.steps,
         "theta": functools.partial(_json_list, config.theta),
         "phi": functools.partial(_json_list, config.phi) if config.coin_qubits == 2 else None,
-        "max_rank": config.max_rank,
-        "param_a": None if config.param_a is None else _round12(config.param_a),
+        "max_rank": config.gates.max_rank,
+        "param_a": None if config.gates.param_a is None else _round12(config.gates.param_a),
         "noise": {key: _round12(v) if isinstance(v, float) else v for key, v in asdict(config.noise).items()},
     }
 
 
 def cmd_simulate(config: ExperimentConfig) -> Output:
-    gate_set = _keyed("gates", NativeGateSet, max_rank=config.max_rank, param_a=config.param_a)
-    result = _finite(run_noisy(config.walk_spec(), gate_set, config.noise))
+    result = _finite(run_noisy(config.walk_spec(), config.gates, config.noise))
     return Output(
         payload={"kind": "simulate", "config": _config_echo(config), "steps": functools.partial(_json_steps, result)},
         header=("step", "fidelity", "total_probability"),
         rows=functools.partial(_walk_rows, result),
         report=[
             f"walk: {config.coin_qubits}q-coin on {2**config.position_qubits} nodes, "
-            f"{config.steps} steps, native max rank {config.max_rank}",
+            f"{config.steps} steps, native max rank {config.gates.max_rank}",
             f"f_1 = {_fmt(result.fidelities[0])}   f_{config.steps} = {_fmt(result.fidelities[-1])}",
             "steps within tolerance: "
             + "  ".join(f"{tol:g}: {steps_within_tolerance(result.fidelities, tol)}" for tol in TOLERANCES),
@@ -490,8 +486,7 @@ def cmd_simulate(config: ExperimentConfig) -> Output:
 
 def cmd_sweep_a(config: ExperimentConfig) -> Output:
     spec = config.walk_spec()
-    _keyed("gates", NativeGateSet, max_rank=config.max_rank)  # checked even when a_list is empty
-    gate_sets = [_keyed("gates", NativeGateSet, max_rank=config.max_rank, param_a=a) for a in config.a_list]
+    gate_sets = [replace(config.gates, param_a=a) for a in config.a_list]
     # Each effort's gate set is checked before the first walk. All efforts
     # run the same walk at the same rank bound, so one ideal reference and
     # one compiled step serve the whole sweep (an empty a_list runs none).
@@ -523,12 +518,12 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
     rows = []
     ideal_tables = {}  # both rank bounds run each walk against one ideal reference
     for max_rank in (3, 4):
+        gate_set = replace(config.gates, max_rank=max_rank)
         for coin_qubits in (1, 2):
             for position_qubits in (2, 3, 4):
                 spec = uniform_spec(position_qubits, coin_qubits, steps=config.steps)
                 if spec not in ideal_tables:
                     ideal_tables[spec] = simulate.run_ideal(spec)
-                gate_set = _keyed("gates", NativeGateSet, max_rank=max_rank, param_a=config.param_a)
                 # No count changes after the first step below the lowest tolerance.
                 fidelities = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables[spec],
                                        stop_below=min(TOLERANCES)).fidelities
@@ -597,6 +592,7 @@ _COMMANDS = {
     "tolerance": cmd_tolerance,
     "composite": cmd_composite,
 }
+KINDS = tuple(_COMMANDS)
 
 
 def _record(**properties) -> dict:
@@ -644,10 +640,17 @@ SCHEMAS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error on one stderr line, as config errors are, and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="ringwalk", description=__doc__)
+    parser = _Parser(prog="ringwalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         cmd = sub.add_parser(name)

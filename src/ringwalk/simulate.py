@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gates as gatelib
 from . import noise as noiselib
-from .circuits import NativeGateSet, WalkSpec, build_step_circuit, count_multiqubit_gates
+from .circuits import Circuit, NativeGateSet, WalkSpec, build_step_circuit, count_multiqubit_gates
 from .statevector import chain_plans, gate_plan
 from .statevector import apply_gate, marginal_probabilities, scale_amplitudes  # noqa: F401 -- bound here for tracers
 
@@ -56,23 +56,6 @@ class RunResult:
     fidelities: np.ndarray
     total_probability: np.ndarray
     scalar_factor: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledStep:
-    """A checked step's shift for one walk shape at one rank bound.
-
-    The compiler's output depends on the spec only through its qubit
-    counts and coin angles, so the shift of one step-0 circuit serves
-    every step of every walk with the same (position qubits, coin qubits,
-    max rank): it is kept as the compiler's target tuples (None for a move
-    marker) and reused as it stands, while each step's coin comes from
-    the spec's schedules.
-    """
-
-    shape: tuple[int, int, int]
-    qubit_count: int
-    shift: tuple[tuple[int, ...] | None, ...]
 
 
 def _check_simulable(spec: WalkSpec) -> None:
@@ -193,14 +176,14 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     return tables
 
 
-def compile_step(spec: WalkSpec, gate_set: NativeGateSet) -> CompiledStep:
-    """Compile step 0 of the walk once for every step, after checking the ring size.
+def compile_step(spec: WalkSpec, gate_set: NativeGateSet) -> Circuit:
+    """Step 0 of the walk as a Circuit, compiled once for every step, after checking the ring size.
 
-    The admitted rings compile to at most 9 qubits, ancillas included.
+    Its shift depends on the walk only through Circuit.shape. The admitted
+    rings compile to at most 9 qubits, ancillas included.
     """
     _check_simulable(spec)
-    circuit = build_step_circuit(spec, gate_set, 0)
-    return CompiledStep((spec.position_qubits, spec.coin_qubits, gate_set.max_rank), circuit.qubit_count, circuit.shift)
+    return build_step_circuit(spec, gate_set, 0)
 
 
 def run_noisy(
@@ -209,12 +192,12 @@ def run_noisy(
     noise: noiselib.NoiseParams,
     *,
     ideal_tables: np.ndarray | None = None,
-    compiled: CompiledStep | None = None,
+    compiled: Circuit | None = None,
     stop_below: float | None = None,
 ) -> RunResult:
     """Execute the walk compiled to the native gate set, with noise.
 
-    The step is compiled once (compile_step, unless a CompiledStep for
+    The step is compiled once (compile_step, unless a compiled Circuit of
     the same walk shape and rank bound is passed) and its shift resolved
     to matrices: dense blocks where a run of gates pays back over
     spec.steps (shift_blocks), else gates by rank (shift_matrix). Blocks
@@ -418,7 +401,7 @@ def gate_set_comparison(
     ranks = sorted({rank for transition in transitions for rank in transition})
     entries = []
     for n in n_list:
-        spec = WalkSpec(n, 2, (math.pi / 2,), (math.pi / 2,), 1)
+        spec = WalkSpec(n, 2, (math.pi / 2,), (math.pi / 2,))
         census = {rank: count_multiqubit_gates(spec, rank) for rank in ranks}  # G(4) serves both 3->4 and 4->5
         for low, high in transitions:
             counts_low, counts_high = census[low], census[high]

@@ -315,7 +315,7 @@ def test_step_circuit_serialization_golden_rank4():
 def test_step_circuit_matches_object_reference(n, nc, rho):
     # Distinct angles at every step, so a coin taken from the wrong step
     # shows, with 16 significant digits, so serialize's rounding shows.
-    spec = WalkSpec(n, nc, (1 / 3, 1.7, math.pi / 7), (math.e / 2, 0.1, 2.2) if nc == 2 else None, 3)
+    spec = WalkSpec(n, nc, (1 / 3, 1.7, math.pi / 7), (math.e / 2, 0.1, 2.2) if nc == 2 else None)
     for t in (0, 2):
         circ = build_step_circuit(spec, NativeGateSet(max_rank=rho), t)
         want = circuit_reference.build_step_circuit(spec, NativeGateSet(max_rank=rho), t)
@@ -365,18 +365,26 @@ def test_walk_spec_validation():
         uniform_spec(3, 3)
     with pytest.raises(ValueError):
         uniform_spec(3, 1, steps=0)
+    with pytest.raises(ValueError, match="theta_schedule is empty"):
+        WalkSpec(3, 1, theta_schedule=(), phi_schedule=None)
+    with pytest.raises(ValueError, match="phi_schedule must cover every step"):
+        WalkSpec(3, 2, theta_schedule=(1.0, 2.0), phi_schedule=(1.0,))
     with pytest.raises(ValueError):
-        WalkSpec(3, 1, theta_schedule=(1.0,), phi_schedule=None, steps=2)
+        WalkSpec(3, 2, theta_schedule=(1.0,), phi_schedule=None)
     with pytest.raises(ValueError):
-        WalkSpec(3, 2, theta_schedule=(1.0,), phi_schedule=None, steps=1)
-    with pytest.raises(ValueError):
-        WalkSpec(3, 1, theta_schedule=(1.0,), phi_schedule=(1.0,), steps=1)
+        WalkSpec(3, 1, theta_schedule=(1.0,), phi_schedule=(1.0,))
     with pytest.raises(ValueError, match="theta_schedule"):
-        WalkSpec(3, 1, theta_schedule=(1.0, math.nan), phi_schedule=None, steps=2)
+        WalkSpec(3, 1, theta_schedule=(1.0, math.nan), phi_schedule=None)
     with pytest.raises(ValueError, match="phi_schedule"):
-        WalkSpec(3, 2, theta_schedule=(1.0,), phi_schedule=(math.inf,), steps=1)
+        WalkSpec(3, 2, theta_schedule=(1.0,), phi_schedule=(math.inf,))
     with pytest.raises(ValueError, match="position_qubits"):
-        WalkSpec(2.5, 1, theta_schedule=(1.0,), phi_schedule=None, steps=1)
+        WalkSpec(2.5, 1, theta_schedule=(1.0,), phi_schedule=None)
+
+
+def test_walk_spec_steps_are_the_theta_schedule_length():
+    assert WalkSpec(3, 1, theta_schedule=(1.0, 2.0, 0.5), phi_schedule=None).steps == 3
+    assert WalkSpec(2, 2, theta_schedule=(1.0,) * 5, phi_schedule=(0.3,) * 5).steps == 5
+    assert uniform_spec(3, 2, steps=7).steps == 7
 
 
 def test_walk_spec_derived_layout():

@@ -65,7 +65,7 @@ def test_load_config_defaults(tmp_path):
     assert config.kind is None
     assert config.position_qubits == 2
     assert config.coin_qubits == 1
-    assert config.max_rank == 3
+    assert config.gates == NativeGateSet()
     assert config.noise == NoiseParams()
     assert config.out_format == "csv"
 
@@ -85,7 +85,7 @@ def test_config_number_language(tmp_path):
     config = load_config(write_config(tmp_path, text))
     assert config.theta == (math.pi,)
     assert config.phi == (math.pi / 2, 3.25)
-    assert config.param_a == pytest.approx(26.0 / 3)
+    assert config.gates.param_a == pytest.approx(26.0 / 3)
 
 
 def test_config_booleans_and_composite_grammar(tmp_path):
@@ -113,6 +113,15 @@ def test_malformed_config_error_is_one_line(text, tmp_path, capsys):
     assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: malformed config ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_config_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    path = tmp_path / "latin.ini"
+    path.write_bytes(b"\xff[walk]\nsteps = 3\n")
+    assert main(["simulate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot read config {path}: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
@@ -246,6 +255,10 @@ def test_module_exit_codes_through_a_process(tmp_path):
         assert done.returncode == code
         assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1
         assert done.stdout == ""
+    done = run_module("simulate", "--format", "xml", cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr.startswith("ringwalk simulate: error: argument --format: ") and done.stderr.count("\n") == 1
+    assert done.stdout == ""
 
 
 def test_main_default_simulate_exits_zero(capsys):
@@ -337,7 +350,7 @@ def test_main_unwritable_out_exit_code(tmp_path, capsys):
 
 
 UNREAD_KEYS = (
-    ("tolerance", "[gates]\nmax_rank = 5\n", "gates.max_rank"),
+    ("tolerance", "[gates]\nmax_rank = 4\n", "gates.max_rank"),
     ("tolerance", "[walk]\ncoin_qubits = 3\n", "walk.coin_qubits"),
     ("tolerance", "[walk]\ntheta = 0\n", "walk.theta"),
     ("composite", "[walk]\nposition_qubits = 6\n", "walk.position_qubits"),
@@ -359,6 +372,18 @@ def test_main_rejects_keys_the_subcommand_does_not_read(command, text, key, tmp_
     captured = capsys.readouterr()
     assert captured.err == f"config error: {command} does not read {key}\n"
     assert captured.out == "" and calls == []
+
+
+@pytest.mark.parametrize("command", ["composite", "tolerance"])
+def test_bad_gate_value_is_rejected_as_read_before_the_unread_check(command, tmp_path, capsys, monkeypatch):
+    # [gates] parses into a NativeGateSet, which checks the value as the
+    # config is read, as NoiseParams does for [noise].
+    walks = []
+    monkeypatch.setattr(cli, "run_noisy", lambda *args, **kwargs: walks.append(args))
+    assert main([command, "--config", write_config(tmp_path, "[gates]\nmax_rank = 5\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: bad value for gates.max_rank: max_rank must be 3 or 4, got 5\n"
+    assert captured.out == "" and walks == []
 
 
 def test_sweep_a_checks_a_list_before_any_walk(tmp_path, capsys, monkeypatch):
@@ -479,6 +504,16 @@ def test_parser_keeps_no_state_between_calls(capsys):
     with pytest.raises(SystemExit) as rejected:
         main(["simulate", "--format", "xml"])
     assert rejected.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ringwalk simulate: error: argument --format: invalid choice: ")
+    assert err.count("\n") == 1
+    # Subparsers share the parser's class: every usage error prints one line.
+    for argv in (["simulte"], [], ["simulate", "--bogus"]):
+        with pytest.raises(SystemExit) as rejected:
+            main(argv)
+        assert rejected.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ringwalk: error: ") and err.count("\n") == 1
     assert main(["simulate", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "simulate"
     assert main(["simulate"]) == 0

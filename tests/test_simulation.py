@@ -218,7 +218,7 @@ def random_spec(n, nc, steps, seed):
     # another would show.
     rng = np.random.default_rng(seed)
     return WalkSpec(n, nc, tuple(rng.uniform(0.1, math.pi, steps)),
-                    tuple(rng.uniform(0.1, math.pi, steps)) if nc == 2 else None, steps)
+                    tuple(rng.uniform(0.1, math.pi, steps)) if nc == 2 else None)
 
 
 def alternating_spec(n, nc, steps):
@@ -226,7 +226,7 @@ def alternating_spec(n, nc, steps):
     # recur and neither angle alone tells which one a step needs.
     theta = tuple((0.7, 2.3)[t % 2] for t in range(steps))
     phi = tuple((1.1, 0.4)[t // 2 % 2] for t in range(steps))
-    return WalkSpec(n, nc, theta, phi if nc == 2 else None, steps)
+    return WalkSpec(n, nc, theta, phi if nc == 2 else None)
 
 
 def shift_gates(n, nc, rho):
@@ -421,6 +421,14 @@ def test_exact_shift_gate_is_the_ideal_ckx(rank):
 def test_rank_one_shift_gate_is_x_with_or_without_gate_errors():
     for gate_errors in (False, True):
         assert np.array_equal(shift_matrix(1, NativeGateSet(), gate_errors), X)
+
+
+@pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (3, 2, 3), (4, 2, 4)])
+def test_compiled_step_is_the_step_zero_circuit(n, nc, rho):
+    spec, gate_set = uniform_spec(n, nc, steps=3, theta=0.4, phi=1.1), NativeGateSet(rho)
+    compiled = compile_step(spec, gate_set)
+    assert compiled == build_step_circuit(spec, gate_set, 0)
+    assert compiled.shape == (n, nc, rho)
 
 
 def test_shared_compiled_step_and_ideal_tables():
