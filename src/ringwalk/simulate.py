@@ -7,10 +7,11 @@ the compiler. run_noisy is the only circuit executor. Steps of one walk
 differ only in their coin angles, so it compiles the step once
 (compile_step) and keeps its shift as the compiler's target tuples (no
 gate objects are built), fuses the shift into dense blocks where the
-walk's steps pay for them (shift_blocks), and then per step re-emits only
-the coin layer and runs the shift, its passes chained through gathers
-(chain_plans) so that only the last scatters, into the step's row of a
-buffer of at most READOUT_AMPLITUDES amplitudes. The state evolves under
+walk's steps pay for them (shift_blocks), folds the coin's RY layer into
+the first block where the walk's distinct coin angles pay for that, and
+then per step runs one matrix per pass, its passes chained through
+gathers (chain_plans) so that only the last scatters, into the step's row
+of a buffer of at most READOUT_AMPLITUDES amplitudes. The state evolves under
 the gates alone; the scalar noise channels multiply into one logged
 factor. The buffer is read out, and an early stop checked, a batch of
 steps at a time, so a walk's readout is one set of arrays with a row per
@@ -87,14 +88,15 @@ def shift_matrix(rank: int, gate_set: NativeGateSet, gate_errors: bool) -> np.nd
 Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (wires, its gates' targets in circuit order)
 
 
-def _pays_back(steps: int, gates: int, wires: int, qubit_count: int) -> bool:
-    """Whether a block of gates saves, over the walk, the passes its build costs.
+def _pays_back(steps: int, gates: int, wires: int, qubit_count: int, builds: int = 1) -> bool:
+    """Whether a block of gates saves, over the walk, the passes its builds cost.
 
-    Per step it saves gates - 1 passes over the 2^n state; its build costs
-    about 2 * gates passes over 4^w entries. A pass also pays one numpy call.
+    Per step it saves gates - 1 passes over the 2^n state; each of its
+    builds costs about 2 * gates passes over 4^w entries. A pass also pays
+    one numpy call.
     """
     saved = steps * (gates - 1) * (2**qubit_count + CALL_AMPLITUDES)
-    return saved >= 2 * gates * (4**wires + CALL_AMPLITUDES)
+    return saved >= builds * 2 * gates * (4**wires + CALL_AMPLITUDES)
 
 
 @lru_cache(maxsize=64)  # one entry per compiled shape and step count
@@ -151,15 +153,16 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     applies the coin at every node, then rolls each coin column around the
     ring: the 1-qubit coin steps down on 0 and up on 1; the lazy coin
     (c1 c2) rests while c2 = 0, else steps up on c1 = 1 and down on c1 = 0.
-    Each distinct (theta, phi) coin is built once. Each step's readout is
-    its state's squared amplitudes summed over the coin values, taken for
-    every step in one call after the walk.
+    Each distinct (theta, phi) coin is built once, and a step is one
+    product with its coin and one flat gather that rolls the columns. Each
+    step's readout is its state's squared amplitudes summed over the coin
+    values, taken for every step in one call after the walk.
     """
     _check_simulable(spec)
     moves = np.array((-1, 1) if spec.coin_qubits == 1 else (0, -1, 0, 1))
-    # Rolling column c by moves[c] is one gather: row i takes row i - moves[c].
+    # Rolling column c by moves[c] is one flat gather: entry (i, c) takes entry (i - moves[c], c).
     rows = (np.arange(spec.node_count)[:, None] - moves) % spec.node_count
-    cols = np.arange(len(moves))
+    roll = rows * len(moves) + np.arange(len(moves))
     coins = {}
     for angles in set(zip(*spec.coin_schedules)):
         coin = gatelib._ry(angles[0])
@@ -170,7 +173,7 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     psi[0, 0] = 1.0
     states = np.empty((spec.steps, spec.node_count, len(moves)))
     for t, angles in enumerate(zip(*spec.coin_schedules)):
-        psi = states[t] = (psi @ coins[angles])[rows, cols]
+        psi = states[t] = psi.dot(coins[angles]).take(roll)
     tables = np.sum(states**2, axis=2)
     tables.flags.writeable = False
     return tables
@@ -201,12 +204,17 @@ def run_noisy(
     the same walk shape and rank bound is passed) and its shift resolved
     to matrices: dense blocks where a run of gates pays back over
     spec.steps (shift_blocks), else gates by rank (shift_matrix). Blocks
-    round in another order, so results may move in the last bits. Each
-    step re-emits only the coin RY layer on spec.coin_indices, built once
-    per distinct angle in the schedules, and runs the shift. Gate errors
-    swap in the effective multiqubit gates. The passes are chained
+    round in another order, so results may move in the last bits. The
+    first block holds every coin wire, so where _pays_back finds that it
+    pays, charging one build per distinct coin-angle tuple in the
+    schedules, the coin RY layer on spec.coin_indices is folded into it:
+    each step then runs the shift alone, its first block times that step's
+    coin layer. Otherwise each step runs the coin layer's RY matrices,
+    built once per distinct angle tuple, then the shift. Gate errors swap
+    in the effective multiqubit gates. The passes are chained
     (chain_plans): each gathers its input out of the previous pass's
-    output, and only the last scatters, into the step's row of the
+    output, multiplied by ndarray.dot (the same bits as @, with less call
+    overhead), and only the last scatters, into the step's row of the
     readout buffer.
 
     The scalar channels are real factors that commute with every gate, so
@@ -230,8 +238,9 @@ def run_noisy(
     is below it; the result holds the steps up to that one. One Hellinger
     pass checks each batch, which then holds as many steps as cost no
     more than its readout and check (STOP_CHECK_CALLS numpy calls, in
-    _pays_back's pass-cost model). Everything else, the fused blocks
-    included, is planned for spec.steps, so the rows are the full walk's.
+    _pays_back's pass-cost model). Everything else, the fused blocks and
+    the coin fold included, is planned for spec.steps, so the rows are the
+    full walk's.
     """
     if ideal_tables is not None and np.shape(ideal_tables) != (spec.steps, spec.node_count):
         raise ValueError(f"ideal tables of shape {np.shape(ideal_tables)} for a {spec.steps}-step walk "
@@ -258,11 +267,26 @@ def run_noisy(
     if noise.moves_per_step is not None:
         step_factors.append(move**noise.moves_per_step)
     blocks = shift_blocks(n_q, gates, spec.steps)
-    gathers = chain_plans(n_q, tuple((wire,) for wire in spec.coin_indices) + tuple(wires for wires, _ in blocks))
+    shift = block_matrices(blocks, gate_set, noise.gate_errors)
+    coin_wires = tuple((wire,) for wire in spec.coin_indices)
+    angle_tuples = set(zip(*spec.coin_schedules))
+    step_matrices = {}
+    first = blocks[0][0]  # holds every coin wire: the step's first gate is controlled on all of them
+    if _pays_back(spec.steps, len(coin_wires) + 1, len(first), n_q, len(angle_tuples)):
+        # blocks[0] times the RY layer: each RY acts on its wire's column bit of the block.
+        plans = [gate_plan(2 * len(first), (len(first) + first.index(wire),)) for wire in spec.coin_indices]
+        for angles in angle_tuples:
+            folded = shift[0].copy()
+            flat = folded.reshape(-1)
+            for plan, theta in zip(plans, angles):
+                flat[plan] = gatelib._ry(theta).T.dot(flat[plan])
+            step_matrices[angles] = (folded, *shift[1:])
+        coin_wires = ()
+    else:
+        for angles in angle_tuples:
+            step_matrices[angles] = (*(gatelib._ry(theta).astype(np.complex128) for theta in angles), *shift)
+    gathers = chain_plans(n_q, coin_wires + tuple(wires for wires, _ in blocks))
     last_plan = gate_plan(n_q, blocks[-1][0])
-    coin = list(zip(spec.coin_schedules, gathers))
-    shift = list(zip(block_matrices(blocks, gate_set, noise.gate_errors), gathers[len(coin) :]))
-    rotations = {theta: gatelib._ry(theta).astype(np.complex128) for theta in set().union(*spec.coin_schedules)}
 
     state = np.zeros(2**n_q, dtype=np.complex128)
     state[0] = 1.0
@@ -276,12 +300,10 @@ def run_noisy(
     totals = np.empty(spec.steps)
     scalar_factors = np.empty(spec.steps)
     start = 0
-    for t in range(spec.steps):
+    for t, angles in enumerate(zip(*spec.coin_schedules)):
         amps = state
-        for schedule, gather in coin:
-            amps = rotations[schedule[t]] @ amps.reshape(-1)[gather]
-        for matrix, gather in shift:
-            amps = matrix @ amps.reshape(-1)[gather]
+        for matrix, gather in zip(step_matrices[angles], gathers):
+            amps = matrix.dot(amps.reshape(-1)[gather])
         state = states[t - start]
         state[last_plan] = amps
         for factor in step_factors:

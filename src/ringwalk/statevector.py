@@ -37,7 +37,7 @@ def _check_targets(qubit_count: int, targets: tuple[int, ...]) -> None:
             raise ValueError(f"target qubit {q} out of range for {qubit_count} qubits")
 
 
-@lru_cache(maxsize=256)  # the default tolerance table, shift blocks included, needs 66 plans
+@lru_cache(maxsize=256)  # the default tolerance table, shift blocks and coin folds included, needs 63 plans
 def gate_plan(qubit_count: int, targets: tuple[int, ...]) -> np.ndarray:
     """Read-only (2^r, 2^(n-r)) array of basis indices for a gate on ``targets``.
 
@@ -53,7 +53,7 @@ def gate_plan(qubit_count: int, targets: tuple[int, ...]) -> np.ndarray:
     return plan
 
 
-@lru_cache(maxsize=64)  # one entry per compiled shape and step count; about 190 KB for the 46-pass 9-qubit step
+@lru_cache(maxsize=64)  # one entry per compiled shape and step count; about 180 KB for the 44-pass 9-qubit step
 def chain_plans(qubit_count: int, wires: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, ...]:
     """Read-only gathers for passes on ``wires`` in order, each in its gate plan's shape.
 

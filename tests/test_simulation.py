@@ -293,8 +293,13 @@ def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
 @pytest.mark.parametrize("rho", [3, 4])
 def test_shift_block_plan_invariants(n, nc, rho):
     n_q, gates = shift_gates(n, nc, rho)
-    for steps in (1, 4, 8, 21):
+    coins = set(range(n, n + nc))
+    # run_noisy folds the coin into the first block: the step's first gate
+    # is controlled on every coin wire, so that block holds them all.
+    assert coins <= set(gates[0])
+    for steps in (1, 4, 8, 21, 150):
         blocks = shift_blocks(n_q, gates, steps)
+        assert coins <= set(blocks[0][0])
         assert sum((block_gates for _, block_gates in blocks), ()) == gates
         for wires, block_gates in blocks:
             assert len(wires) <= FUSED_MAX_WIRES
@@ -308,6 +313,59 @@ def test_shift_block_plan_invariants(n, nc, rho):
     if (n, nc, rho) == (4, 2, 3):
         assert n_q == 9 and len(gates) == 58
         assert [len(shift_blocks(n_q, gates, steps)) for steps in (4, 8, 21)] == [44, 20, 20]
+
+
+def recorded_folds(monkeypatch, allow=True):
+    """Record run_noisy's coin-fold decisions; with allow=False it never folds.
+
+    Only the fold's _pays_back call passes a fifth argument, its build
+    count; shift_blocks' calls go through unchanged.
+    """
+    decisions = []
+    pays_back = simulate._pays_back
+
+    def deciding(*args):
+        if len(args) < 5:
+            return pays_back(*args)
+        decisions.append(allow and pays_back(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(simulate, "_pays_back", deciding)
+    return decisions
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("rho", [3, 4])
+@pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), noiselib.IDEAL],
+                         ids=["full", "two-moves", "ideal"])
+@pytest.mark.parametrize("schedule", ["uniform", "alternating", "random"])
+def test_folded_coin_matches_unfolded(n, nc, rho, noise, schedule, monkeypatch):
+    # The folded block sums in another order, so the two agree to rounding.
+    # A fresh angle every step would cost a build a step, so random never folds.
+    steps = 30
+    spec = {"uniform": uniform_spec(n, nc, steps=steps), "alternating": alternating_spec(n, nc, steps),
+            "random": random_spec(n, nc, steps, 100 * n + 10 * nc + rho)}[schedule]
+    gate_set = NativeGateSet(max_rank=rho)
+    with monkeypatch.context() as patch:
+        decisions = recorded_folds(patch)
+        folded = run_noisy(spec, gate_set, noise)
+    assert decisions == [schedule != "random"]
+    with monkeypatch.context() as patch:
+        decisions = recorded_folds(patch, allow=False)
+        unfolded = run_noisy(spec, gate_set, noise)
+    assert decisions == [False]
+    for name in ("noisy_positions", "fidelities", "total_probability"):
+        assert np.max(np.abs(getattr(folded, name) - getattr(unfolded, name))) < 1e-12
+    assert np.array_equal(folded.scalar_factor, unfolded.scalar_factor)
+
+
+@pytest.mark.parametrize("nc", [1, 2])
+@pytest.mark.parametrize("rho", [3, 4])
+def test_folded_coin_is_not_built_for_fresh_angles_every_step(nc, rho, monkeypatch):
+    decisions = recorded_folds(monkeypatch)
+    run_noisy(random_spec(2, nc, 150, 300 + 10 * nc + rho), NativeGateSet(max_rank=rho), FULL)
+    assert decisions == [False]
 
 
 def step_wires(spec, gate_set):

@@ -99,6 +99,24 @@ def test_chained_passes_match_gate_by_gate(n, passes, seed):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=9),
+       st.integers(min_value=0, max_value=2**16 - 1))
+def test_dot_matches_matmul_on_executor_shapes(r, log_m, seed):
+    # The executor's passes use ndarray.dot, the stepwise reference and
+    # apply_gate use @; the exact comparisons between them need the same bits.
+    rng = np.random.default_rng(seed)
+    dim, m = 2**r, 2**log_m
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    amps = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+    assert np.array_equal(mat.dot(amps), mat @ amps)
+    # run_ideal: a real (nodes, coin values) state times the transposed coin.
+    nodes, values = 2 ** rng.integers(2, 5), 2 ** rng.integers(1, 3)
+    psi = rng.standard_normal((nodes, values))
+    coin = rng.standard_normal((values, values)).T
+    assert np.array_equal(psi.dot(coin), psi @ coin)
+
+
 def basis_state(n, index):
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[index] = 1.0
