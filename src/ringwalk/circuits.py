@@ -6,9 +6,10 @@ significant position bit), then the coin qubit(s), then any ancillas the
 decomposition needs. The compiler works on target tuples: a gate is its
 wires (controls first, target last), None a move marker, and its label
 follows from its length (X, else C{len - 1}X). A Circuit holds the
-step's coin angles and its shift in that form; the executor picks each
-gate's ideal or effective matrix by its rank, len(targets). Gate objects
-(GateApplication, MoveMarker) are built only when Circuit.ops is read.
+step's coin angles and its shift in that form. This module holds no gate
+matrices: the executor takes each gate's from gates.ckx by its rank,
+len(targets). Gate objects (GateApplication, MoveMarker) are built only
+when Circuit.ops is read.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class NativeGateSet:
     With param_a unset, CZ/CCZ/C3Z use the published effective matrices.
     With param_a set, CZ and CCZ come from the tunable family at that
     effort; rank 4 has no published tuning curve and keeps its fixed
-    matrix.
+    matrix. gates.ckx builds each of them.
     """
 
     max_rank: int = 3
@@ -172,14 +173,6 @@ class NativeGateSet:
             raise ValueError(f"max_rank must be 3 or 4, got {self.max_rank}")
         if self.param_a is not None and not (math.isfinite(self.param_a) and self.param_a >= 0):
             raise ValueError(f"param_a = {self.param_a} must be finite and nonnegative")
-
-    def effective_ckz(self, k: int):
-        """Diagonal of this set's effective CkZ (rank k + 1)."""
-        from . import gates as _g
-
-        if not 1 <= k <= self.max_rank - 1:
-            raise ValueError(f"C{k}Z is outside this gate set (max_rank {self.max_rank})")
-        return _g.effective_ckz(k, self.param_a if k < 3 else None)
 
 
 def build_shift_abstract(spec: WalkSpec) -> tuple[tuple[int, ...], ...]:

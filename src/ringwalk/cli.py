@@ -24,9 +24,10 @@ a chunk. Only the format asked for is built, and every check, for NaN
 and infinities included, runs before the first byte goes out. With
 --out the chunks go to that file and the report to stdout; without it
 the chunks are printed. Exit codes: 0 success, 1 stdout closed early
-(as by a pipe into head), 2 config or usage error (an unwritable --out
-path and a bad command line included), 3 unsupported size. Codes 2 and
-3 print one stderr line, code 1 none.
+(as by a pipe into head) or not writable (as /dev/full), 2 config or
+usage error (an unwritable --out path and a bad command line included),
+3 unsupported size. Each prints one stderr line, except code 1 for a
+closed stdout, which prints none.
 """
 
 from __future__ import annotations
@@ -142,12 +143,10 @@ def _number(text: str) -> float:
 
 
 def _boolean(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"cannot parse boolean {text!r}") from None
 
 
 def _number_list(text: str) -> tuple[float, ...]:
@@ -188,15 +187,15 @@ def _transition(text: str) -> tuple[int, int]:
 _CONFIG_SCHEMA = {
     "experiment": {"kind": ("kind", str.strip)},
     "walk": {
-        "position_qubits": ("position_qubits", lambda s: int(s)),
-        "coin_qubits": ("coin_qubits", lambda s: int(s)),
+        "position_qubits": ("position_qubits", int),
+        "coin_qubits": ("coin_qubits", int),
         "steps": ("steps", _step_count),
         "theta": ("theta", _number_list),
         "phi": ("phi", _number_list),
     },
     # max_rank and param_a are NativeGateSet fields, set on config.gates.
     "gates": {
-        "max_rank": ("gates", lambda s: int(s)),
+        "max_rank": ("gates", int),
         "param_a": ("gates", _number),
         "a_list": ("a_list", _effort_list),
     },
@@ -210,7 +209,7 @@ _CONFIG_SCHEMA = {
         "gate_errors": ("noise", _boolean),
         "passive": ("noise", _boolean),
         "spam": ("noise", _boolean),
-        "moves_per_step": ("noise", lambda s: int(s)),
+        "moves_per_step": ("noise", int),
     },
     "composite": {
         "n_list": ("n_list", _integer_list),
@@ -704,10 +703,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.writelines(chunks)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away. Point stdout at devnull, so that the flush at
-        # exit does not fail again, and exit 1 without a traceback.
+    except OSError as exc:
+        # Point stdout at devnull, so that the flush at exit does not fail again, and exit 1
+        # without a traceback: silently if the reader went away (as head does), else with a line.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
 

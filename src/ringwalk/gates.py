@@ -1,16 +1,20 @@
-"""Gate matrices: ideal and published effective multiqubit gates, and the
-tunable-accuracy parametric family.
+"""Gate matrices: ideal and published effective multiqubit gates, the
+tunable-accuracy parametric family, and the shift gate the executor runs
+at each rank.
 
 A gate is a plain complex array: a CkZ gate is its 1-D diagonal of
 length 2^rank and a CkX gate is a dense (2^rank, 2^rank) matrix, controls
 first, target last. Effective CkZ gates have one (magnitude, phase) pair
 per Hamming weight of the control/target string. Phases are stored as
-fractions of pi, so an entry is ``mag * exp(1j * pi * frac)``.
+fractions of pi, so an entry is ``mag * exp(1j * pi * frac)``. ckx holds
+the whole effective-gate policy: which matrix a shift gate of a given
+rank runs as, with gate errors on or off.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +107,25 @@ def ckx_from_ckz(ckz: np.ndarray) -> np.ndarray:
         layer = np.kron(layer, X)
     layer = np.kron(layer, ZHZ)
     return -(layer @ np.diag(ckz) @ layer)
+
+
+@lru_cache(maxsize=256)  # keyed on effort, and a sweep may draw efforts at random
+def ckx(rank: int, a: float | None = None, effective: bool = True) -> np.ndarray:
+    """Read-only matrix of a shift gate on rank wires: X, or CkX with k = rank - 1.
+
+    With effective set, a multiqubit gate is the CkX built from the
+    published effective C(rank-1)Z: CZ and CCZ at effort a where it is
+    given, C3Z at its fixed matrix. Otherwise it is the exact permutation
+    swapping the last two basis states, which at rank 1 is X.
+    """
+    if effective and rank >= 2:
+        matrix = ckx_from_ckz(effective_ckz(rank - 1, a if rank < 4 else None))
+    else:
+        dim = 2**rank
+        matrix = np.eye(dim, dtype=np.complex128)
+        matrix[[dim - 2, dim - 1]] = matrix[[dim - 1, dim - 2]]
+    matrix.setflags(write=False)
+    return matrix
 
 
 def gate_fidelity(effective: np.ndarray, ideal: np.ndarray) -> float:

@@ -6,10 +6,11 @@ then a roll of each coin column around the ring) and shares no code with
 the compiler. run_noisy is the only circuit executor. Steps of one walk
 differ only in their coin angles, so it compiles the step once
 (compile_step) and keeps its shift as the compiler's target tuples (no
-gate objects are built), fuses the shift into dense blocks where the
-walk's steps pay for them (shift_blocks), folds the coin's RY layer into
-the first block where the walk's distinct coin angles pay for that, and
-then per step runs one matrix per pass, its passes chained through
+gate objects are built). shift_passes plans the shift's passes, fusing
+runs of gates into dense blocks where the walk's steps pay for them, and
+takes each gate's matrix from gates.ckx. run_noisy folds the coin's RY
+layer into the first pass where the walk's distinct coin angles pay for
+that, and then per step runs one matrix per pass, its passes chained through
 gathers (chain_plans) so that only the last scatters, into the step's row
 of a buffer of at most READOUT_AMPLITUDES amplitudes. The state evolves under
 the gates alone; the scalar noise channels multiply into one logged
@@ -67,27 +68,6 @@ def _check_simulable(spec: WalkSpec) -> None:
         )
 
 
-@lru_cache(maxsize=256)  # keyed on gate sets, and a sweep may draw efforts at random
-def shift_matrix(rank: int, gate_set: NativeGateSet, gate_errors: bool) -> np.ndarray:
-    """Read-only matrix of a shift gate (X or CkX, controls first, target last).
-
-    With gate errors a multiqubit gate is the effective CkX built from the
-    gate set's C(rank-1)Z; otherwise it is the exact permutation swapping
-    the last two basis states, which at rank 1 is X.
-    """
-    if gate_errors and rank >= 2:
-        matrix = gatelib.ckx_from_ckz(gate_set.effective_ckz(rank - 1))
-    else:
-        dim = 2**rank
-        matrix = np.eye(dim, dtype=np.complex128)
-        matrix[[dim - 2, dim - 1]] = matrix[[dim - 1, dim - 2]]
-    matrix.setflags(write=False)
-    return matrix
-
-
-Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (wires, its gates' targets in circuit order)
-
-
 def _pays_back(steps: int, gates: int, wires: int, qubit_count: int, builds: int = 1) -> bool:
     """Whether a block of gates saves, over the walk, the passes its builds cost.
 
@@ -99,47 +79,40 @@ def _pays_back(steps: int, gates: int, wires: int, qubit_count: int, builds: int
     return saved >= builds * 2 * gates * (4**wires + CALL_AMPLITUDES)
 
 
-@lru_cache(maxsize=64)  # one entry per compiled shape and step count
-def shift_blocks(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: int) -> tuple[Block, ...]:
-    """Split the shift's gates, in circuit order, into runs on at most FUSED_MAX_WIRES wires.
+@lru_cache(maxsize=64)  # per compiled shape, step count, gate set and flag: each sweep effort plans its own
+def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: int, gate_set: NativeGateSet,
+                 gate_errors: bool) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], np.ndarray], ...]:
+    """The shift's gate passes in order, each (wires, its gates' targets, read-only matrix on the wires).
 
-    A run that pays back within the walk is one block on its sorted wires;
-    each gate of any other run is a block of its own on its own targets.
-    """
-    runs: list[list[tuple[int, ...]]] = [[]]
-    for targets in gates:
-        if len(set().union(*runs[-1], targets)) > FUSED_MAX_WIRES:
-            runs.append([])
-        runs[-1].append(targets)
-    blocks: list[Block] = []
-    for run in runs:
-        wires = tuple(sorted(set().union(*run)))
-        fused = _pays_back(steps, len(run), len(wires), qubit_count)
-        blocks += [(wires, tuple(run))] if fused else [(targets, (targets,)) for targets in run]
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=64)  # per plan, gate set and flag: each sweep effort builds its own
-def block_matrices(blocks: tuple[Block, ...], gate_set: NativeGateSet, gate_errors: bool) -> tuple[np.ndarray, ...]:
-    """Read-only matrix of each block on its wires, in their order.
-
-    A lone gate is its shift_matrix. A run's gates go through
+    The gates are split, in circuit order, into runs on at most
+    FUSED_MAX_WIRES wires. A run that pays back within the walk is one pass
+    on its sorted wires, its matrix built by running its gates through
     gate_plan(2w, local targets) over the 2^w identity taken as a flat
-    2w-qubit state, whose leading w qubits are the block's wires.
+    2w-qubit state, whose leading w qubits are the wires. Each gate of any
+    other run is a pass of its own on its own targets. A gate's matrix is
+    gates.ckx of its rank, effective with gate errors.
     """
-    matrices = []
-    for wires, gates in blocks:
-        if len(gates) == 1:
-            matrices.append(shift_matrix(len(wires), gate_set, gate_errors))
+    runs: list[tuple[set[int], list[tuple[int, ...]]]] = []  # (the run's wires, its gates)
+    for targets in gates:
+        if not runs or len(runs[-1][0].union(targets)) > FUSED_MAX_WIRES:
+            runs.append((set(), []))
+        runs[-1][0].update(targets)
+        runs[-1][1].append(targets)
+    passes = []
+    for wire_set, run in runs:
+        wires = tuple(sorted(wire_set))
+        if not _pays_back(steps, len(run), len(wires), qubit_count):
+            passes += [(targets, (targets,), gatelib.ckx(len(targets), gate_set.param_a, gate_errors))
+                       for targets in run]
             continue
         block = np.eye(2 ** len(wires), dtype=np.complex128)
         flat = block.reshape(-1)
-        for targets in gates:
+        for targets in run:
             plan = gate_plan(2 * len(wires), tuple(wires.index(q) for q in targets))
-            flat[plan] = shift_matrix(len(targets), gate_set, gate_errors) @ flat[plan]
+            flat[plan] = gatelib.ckx(len(targets), gate_set.param_a, gate_errors) @ flat[plan]
         block.setflags(write=False)
-        matrices.append(block)
-    return tuple(matrices)
+        passes.append((wires, tuple(run), block))
+    return tuple(passes)
 
 
 def run_ideal(spec: WalkSpec) -> np.ndarray:
@@ -166,8 +139,8 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     coins = {}
     for angles in set(zip(*spec.coin_schedules)):
         coin = gatelib._ry(angles[0])
-        if spec.coin_qubits == 2:
-            coin = np.kron(coin, gatelib._ry(angles[1]))
+        if spec.coin_qubits == 2:  # np.kron's bits, in one product
+            coin = (coin[:, None, :, None] * gatelib._ry(angles[1])[None, :, None, :]).reshape(4, 4)
         coins[angles] = coin.T
     psi = np.zeros((spec.node_count, len(moves)))
     psi[0, 0] = 1.0
@@ -201,17 +174,17 @@ def run_noisy(
     """Execute the walk compiled to the native gate set, with noise.
 
     The step is compiled once (compile_step, unless a compiled Circuit of
-    the same walk shape and rank bound is passed) and its shift resolved
-    to matrices: dense blocks where a run of gates pays back over
-    spec.steps (shift_blocks), else gates by rank (shift_matrix). Blocks
-    round in another order, so results may move in the last bits. The
-    first block holds every coin wire, so where _pays_back finds that it
-    pays, charging one build per distinct coin-angle tuple in the
-    schedules, the coin RY layer on spec.coin_indices is folded into it:
-    each step then runs the shift alone, its first block times that step's
-    coin layer. Otherwise each step runs the coin layer's RY matrices,
-    built once per distinct angle tuple, then the shift. Gate errors swap
-    in the effective multiqubit gates. The passes are chained
+    the same walk shape and rank bound is passed) and its shift planned
+    as passes (shift_passes): dense blocks where a run of gates pays back
+    over spec.steps, else gates one by one, each gate's matrix gates.ckx
+    of its rank, effective with gate errors. Blocks round in another
+    order, so results may move in the last bits. The first pass holds
+    every coin wire, so where _pays_back finds that it pays, charging one
+    build per distinct coin-angle tuple in the schedules, the coin RY
+    layer on spec.coin_indices is folded into it: each step then runs the
+    shift alone, its first pass's matrix times that step's coin layer.
+    Otherwise each step runs the coin layer's RY matrices, built once per
+    distinct angle tuple, then the shift. The passes are chained
     (chain_plans): each gathers its input out of the previous pass's
     output, multiplied by ndarray.dot (the same bits as @, with less call
     overhead), and only the last scatters, into the step's row of the
@@ -266,14 +239,13 @@ def run_noisy(
             step_factors.append(idle[len(targets)])
     if noise.moves_per_step is not None:
         step_factors.append(move**noise.moves_per_step)
-    blocks = shift_blocks(n_q, gates, spec.steps)
-    shift = block_matrices(blocks, gate_set, noise.gate_errors)
+    pass_wires, _, shift = zip(*shift_passes(n_q, gates, spec.steps, gate_set, noise.gate_errors))
     coin_wires = tuple((wire,) for wire in spec.coin_indices)
     angle_tuples = set(zip(*spec.coin_schedules))
     step_matrices = {}
-    first = blocks[0][0]  # holds every coin wire: the step's first gate is controlled on all of them
+    first = pass_wires[0]  # holds every coin wire: the step's first gate is controlled on all of them
     if _pays_back(spec.steps, len(coin_wires) + 1, len(first), n_q, len(angle_tuples)):
-        # blocks[0] times the RY layer: each RY acts on its wire's column bit of the block.
+        # The first pass's matrix times the RY layer: each RY acts on its wire's column bit of it.
         plans = [gate_plan(2 * len(first), (len(first) + first.index(wire),)) for wire in spec.coin_indices]
         for angles in angle_tuples:
             folded = shift[0].copy()
@@ -285,8 +257,8 @@ def run_noisy(
     else:
         for angles in angle_tuples:
             step_matrices[angles] = (*(gatelib._ry(theta).astype(np.complex128) for theta in angles), *shift)
-    gathers = chain_plans(n_q, coin_wires + tuple(wires for wires, _ in blocks))
-    last_plan = gate_plan(n_q, blocks[-1][0])
+    gathers = chain_plans(n_q, coin_wires + pass_wires)
+    last_plan = gate_plan(n_q, pass_wires[-1])
 
     state = np.zeros(2**n_q, dtype=np.complex128)
     state[0] = 1.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from ringwalk import noise as noiselib
 from ringwalk.circuits import MoveMarker, build_step_circuit
-from ringwalk.gates import X, _ry, ckx_from_ckz
+from ringwalk.gates import X, _ry, ckx_from_ckz, effective_ckz
 from ringwalk.statevector import apply_gate, marginal_probabilities, scale_amplitudes
 
 
@@ -31,7 +31,7 @@ def resolve(op, gate_set, gate_errors):
         return X
     k = int(op.label[1:-1])  # "C{k}X"
     if gate_errors:
-        return ckx_from_ckz(gate_set.effective_ckz(k))
+        return ckx_from_ckz(effective_ckz(k, gate_set.param_a if k < 3 else None))  # C3Z has no tuning curve
     dense = np.eye(2 ** (k + 1), dtype=np.complex128)
     dense[[-2, -1]] = dense[[-1, -2]]
     return dense

@@ -405,11 +405,6 @@ def test_native_gate_set_validation():
             NativeGateSet(max_rank=3, param_a=value)
     with pytest.raises(ValueError, match="max_rank"):
         NativeGateSet(max_rank=3.0)
-    with pytest.raises(ValueError):
-        NativeGateSet(max_rank=3).effective_ckz(3)
-    tuned = NativeGateSet(max_rank=3, param_a=13.0)
-    assert tuned.effective_ckz(1)[1] != NativeGateSet(3).effective_ckz(1)[1]
-    assert NativeGateSet(max_rank=4).effective_ckz(3).shape == (16,)
 
 
 @pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (4, 2, 3), (4, 2, 4), (6, 2, 3)])

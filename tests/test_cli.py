@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import payload_reference
-from ringwalk import circuits, cli, simulate
+from ringwalk import circuits, cli, gates, simulate
 from ringwalk.circuits import NativeGateSet, uniform_spec
 from ringwalk.cli import (
     ConfigError,
@@ -243,6 +243,16 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
         child.stdout.close()
         stderr = child.stderr.read()
     assert (child.returncode, stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose writes fail with ENOSPC")
+def test_unwritable_stdout_exits_one_with_one_line(tmp_path):
+    # The write fails and the reason takes one stderr line; the flush at
+    # exit, after stdout is pointed at devnull, adds no traceback.
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "ringwalk.cli", "simulate"], cwd=tmp_path, env=MODULE_ENV,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (1, "cannot write stdout: No space left on device\n")
 
 
 def test_module_exit_codes_through_a_process(tmp_path):
@@ -538,7 +548,7 @@ def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monke
         return capsys.readouterr().out, list(walks)
 
     def clear_caches():
-        for cached in (simulate.shift_blocks, simulate.block_matrices, simulate.shift_matrix, gate_plan):
+        for cached in (simulate.shift_passes, gates.ckx, gate_plan):
             cached.cache_clear()
 
     clear_caches()

@@ -26,19 +26,17 @@ from ringwalk.simulate import (
     TOLERANCES,
     RunResult,
     UnsupportedSizeError,
-    block_matrices,
     compile_step,
     composite_fidelity,
     gate_set_comparison,
     hellinger_fidelity,
     run_ideal,
     run_noisy,
-    shift_blocks,
-    shift_matrix,
+    shift_passes,
     steps_within_tolerance,
 )
 from ringwalk.statevector import chain_plans, gate_plan
-from ringwalk.gates import X, ckx_from_ckz, ideal_ckz
+from ringwalk.gates import X, ckx, ckx_from_ckz, effective_ckz, ideal_ckz
 
 
 FULL = noiselib.NoiseParams()
@@ -62,6 +60,15 @@ def test_circuit_walk_matches_dense_matrix_oracle(n, nc):
 def test_ideal_walk_matches_stepwise_reference(n, nc, schedule):
     spec = {"random": random_spec(n, nc, 9, 10 * n + nc), "alternating": alternating_spec(n, nc, 9),
             "one-step": random_spec(n, nc, 1, 10 * n + nc)}[schedule]
+    assert np.array_equal(run_ideal(spec), run_ideal_stepwise(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)), min_size=1, max_size=40))
+def test_ideal_lazy_walk_matches_kron_reference_for_any_angles(n, angles):
+    # run_ideal builds each lazy coin as one outer product of the two RY
+    # matrices, the stepwise reference with np.kron: the bits must agree.
+    spec = WalkSpec(n, 2, tuple(theta for theta, _ in angles), tuple(phi for _, phi in angles))
     assert np.array_equal(run_ideal(spec), run_ideal_stepwise(spec))
 
 
@@ -204,13 +211,13 @@ def test_moves_per_step_override():
 @contextlib.contextmanager
 def never_fused(monkeypatch):
     """Run the shift gate by gate: no run of gates pays back its block."""
-    shift_blocks.cache_clear()
+    shift_passes.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_pays_back", lambda *args: False)
         try:
             yield
         finally:
-            shift_blocks.cache_clear()
+            shift_passes.cache_clear()
 
 
 def random_spec(n, nc, steps, seed):
@@ -279,7 +286,7 @@ def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
     spec = random_spec(n, nc, steps, 100 * n + 10 * nc + rho)
     gate_set = NativeGateSet(max_rank=rho, param_a=param_a)
     n_q, gates = shift_gates(n, nc, rho)
-    assert len(shift_blocks(n_q, gates, steps)) < len(gates)
+    assert len(shift_passes(n_q, gates, steps, gate_set, noise.gate_errors)) < len(gates)
     fused = run_noisy(spec, gate_set, noise)
     with never_fused(monkeypatch):
         unfused = run_noisy(spec, gate_set, noise)
@@ -298,28 +305,28 @@ def test_shift_block_plan_invariants(n, nc, rho):
     # is controlled on every coin wire, so that block holds them all.
     assert coins <= set(gates[0])
     for steps in (1, 4, 8, 21, 150):
-        blocks = shift_blocks(n_q, gates, steps)
-        assert coins <= set(blocks[0][0])
-        assert sum((block_gates for _, block_gates in blocks), ()) == gates
-        for wires, block_gates in blocks:
-            assert len(wires) <= FUSED_MAX_WIRES
-            assert set(wires) == set().union(*block_gates)
         for gate_errors in (False, True):
-            matrices = block_matrices(blocks, NativeGateSet(rho), gate_errors)
-            assert [m.shape for m in matrices] == [(2 ** len(wires),) * 2 for wires, _ in blocks]
-            assert not any(m.flags.writeable for m in matrices)
-        if steps == 1:
-            assert blocks == tuple((targets, (targets,)) for targets in gates)
+            passes = shift_passes(n_q, gates, steps, NativeGateSet(rho), gate_errors)
+            assert coins <= set(passes[0][0])
+            assert sum((pass_gates for _, pass_gates, _ in passes), ()) == gates
+            for wires, pass_gates, matrix in passes:
+                assert len(wires) <= FUSED_MAX_WIRES
+                assert set(wires) == set().union(*pass_gates)
+                assert matrix.shape == (2 ** len(wires),) * 2 and not matrix.flags.writeable
+                if len(pass_gates) == 1:  # a gate on its own runs as its rank's shift gate
+                    assert wires == pass_gates[0] and np.array_equal(matrix, ckx(len(wires), None, gate_errors))
+            if steps == 1:
+                assert [len(pass_gates) for _, pass_gates, _ in passes] == [1] * len(gates)
     if (n, nc, rho) == (4, 2, 3):
         assert n_q == 9 and len(gates) == 58
-        assert [len(shift_blocks(n_q, gates, steps)) for steps in (4, 8, 21)] == [44, 20, 20]
+        assert [len(shift_passes(n_q, gates, steps, NativeGateSet(rho), True)) for steps in (4, 8, 21)] == [44, 20, 20]
 
 
 def recorded_folds(monkeypatch, allow=True):
     """Record run_noisy's coin-fold decisions; with allow=False it never folds.
 
     Only the fold's _pays_back call passes a fifth argument, its build
-    count; shift_blocks' calls go through unchanged.
+    count; shift_passes' calls go through unchanged.
     """
     decisions = []
     pays_back = simulate._pays_back
@@ -369,12 +376,17 @@ def test_folded_coin_is_not_built_for_fresh_angles_every_step(nc, rho, monkeypat
 
 
 def step_wires(spec, gate_set):
-    """(qubit count, each pass's wires in order): the coin, then the walk's shift blocks."""
-    compiled = compile_step(spec, gate_set)
-    gates = tuple(targets for targets in compiled.shift if targets is not None)
-    blocks = shift_blocks(compiled.qubit_count, gates, spec.steps)
-    return compiled.qubit_count, tuple((wire,) for wire in spec.coin_indices) + tuple(
-        wires for wires, _ in blocks)
+    """(qubit count, each pass's wires in order), from the one chain_plans call run_noisy makes for the walk.
+
+    A walk that folds its coin runs no coin pass; one that does not runs a
+    pass per coin wire before the shift's.
+    """
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "chain_plans", lambda *args: calls.append(args) or chain_plans(*args))
+        run_noisy(spec, gate_set, FULL)
+    (call,) = calls
+    return call
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -466,19 +478,42 @@ def test_batched_stop_returns_the_rows_of_a_stepwise_stop(n, nc, rho, monkeypatc
                 assert np.array_equal(getattr(batched, name), getattr(stepwise, name))
 
 
+@pytest.mark.parametrize("n,nc", [(2, 1), (3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("batch", [1, 3, 12])
+def test_folded_walk_stop_batches_hold_the_steps_asked_for(n, nc, batch, monkeypatch):
+    # A uniform coin folds into the shift's first pass, so a step runs no
+    # coin pass; force_stop_batch must count only the passes that run.
+    spec = uniform_spec(n, nc, steps=12)
+    gate_set = NativeGateSet(max_rank=3)
+    decisions = recorded_folds(monkeypatch)
+    full = run_noisy(spec, gate_set, FULL)
+    assert decisions == [True]
+    sizes = checked_batches(monkeypatch)
+    for stop_below in (0.0, float(np.median(full.fidelities))):
+        force_stop_batch(monkeypatch, spec, gate_set, batch)
+        sizes.clear()
+        result = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
+        steps_run = int(np.argmax(full.fidelities < stop_below)) + 1 if stop_below else spec.steps
+        assert sizes == [min(batch, spec.steps - first) for first in range(0, steps_run, batch)] + [steps_run]
+        for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
+            assert np.array_equal(getattr(result, name), getattr(full, name)[:steps_run])
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_exact_shift_gate_is_the_ideal_ckx(rank):
-    gate_set = NativeGateSet(max_rank=4, param_a=13.0)
-    exact = shift_matrix(rank, gate_set, False)
+    exact = ckx(rank, 13.0, effective=False)
     assert np.allclose(exact, ckx_from_ckz(ideal_ckz(rank - 1)), rtol=0, atol=1e-12)
-    effective = shift_matrix(rank, gate_set, True)
-    assert np.array_equal(effective, ckx_from_ckz(gate_set.effective_ckz(rank - 1)))
+    effective = ckx(rank, 13.0)
+    assert np.array_equal(effective, ckx_from_ckz(effective_ckz(rank - 1, 13.0 if rank < 4 else None)))
+    assert effective.shape == (2**rank, 2**rank)
+    # A tuned CZ or CCZ differs from the published one; C3Z has no tuning curve.
+    assert np.array_equal(effective, ckx(rank)) == (rank == 4)
     assert not exact.flags.writeable and not effective.flags.writeable
 
 
 def test_rank_one_shift_gate_is_x_with_or_without_gate_errors():
-    for gate_errors in (False, True):
-        assert np.array_equal(shift_matrix(1, NativeGateSet(), gate_errors), X)
+    for effective in (False, True):
+        assert np.array_equal(ckx(1, effective=effective), X)
 
 
 @pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (3, 2, 3), (4, 2, 4)])
