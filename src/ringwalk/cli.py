@@ -35,13 +35,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import gc
 import itertools
 import json
 import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import gates as gatelib
@@ -83,8 +84,8 @@ class ExperimentConfig:
     n_list: tuple[int, ...] = DEFAULT_COMPARISON_NS
     fidelity_sets: tuple[tuple[float, ...], ...] = DEFAULT_FIDELITY_SETS
     transitions: tuple[tuple[int, int], ...] = DEFAULT_TRANSITIONS
-    out_path: str | None = None
-    out_format: str = "csv"
+    path: str | None = None
+    format: str = "csv"
     given: set[str] = field(default_factory=set, init=False, repr=False)  # "section.key" the file sets
 
     def walk_spec(self) -> WalkSpec:
@@ -94,28 +95,8 @@ class ExperimentConfig:
                                   f"for {self.steps} steps; give one angle or one per step")
         theta = self.theta if len(self.theta) > 1 else self.theta * self.steps
         phi = self.phi if len(self.phi) > 1 else self.phi * self.steps
-        return _keyed(
-            "walk",
-            WalkSpec,
-            position_qubits=self.position_qubits,
-            coin_qubits=self.coin_qubits,
-            theta_schedule=theta,
-            phi_schedule=phi if self.coin_qubits == 2 else None,
-        )
-
-
-def _keyed(section: str, build, /, *args, **kwargs):
-    """build(*args, **kwargs), naming section.key in a ValueError whose message starts with that key.
-
-    WalkSpec and gate_set_comparison begin each message with the argument (= key) they reject.
-    """
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        key = str(exc).partition(" ")[0]
-        if key not in _CONFIG_SCHEMA[section]:
-            raise
-        raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
+        return WalkSpec(position_qubits=self.position_qubits, coin_qubits=self.coin_qubits, theta_schedule=theta,
+                        phi_schedule=phi if self.coin_qubits == 2 else None)
 
 
 def _atom(text: str) -> float:
@@ -176,57 +157,40 @@ def _step_count(text: str) -> int:
     return steps
 
 
-def _transition(text: str) -> tuple[int, int]:
-    ranks = text.split("->")
-    if len(ranks) != 2:
-        raise ConfigError(f"expected one low->high pair, got {text.strip()!r}")
-    return int(ranks[0]), int(ranks[1])
+def _fidelity_sets(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(_number(v) for v in group.split()) for group in text.split(";") if group.strip())
 
 
-# section -> key -> (config attribute, parser)
+def _transitions(text: str) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for part in filter(str.strip, text.split(",")):
+        ranks = part.split("->")
+        if len(ranks) != 2:
+            raise ConfigError(f"expected one low->high pair, got {part.strip()!r}")
+        pairs.append((int(ranks[0]), int(ranks[1])))
+    return tuple(pairs)
+
+
+def _field_parsers(cls) -> dict:
+    """Each field of the dataclass ``cls`` as a config key, parsed by its annotation ("int | None" as int)."""
+    parsers = {"int": int, "float": _number, "bool": _boolean}
+    return {f.name: parsers[f.type.removesuffix(" | None")] for f in fields(cls)}
+
+
+# section -> key -> parser. A key sets the ExperimentConfig field of its
+# name; a [gates] or [noise] key that is a field of NativeGateSet or
+# NoiseParams sets that field of config.gates or config.noise.
 _CONFIG_SCHEMA = {
-    "experiment": {"kind": ("kind", str.strip)},
-    "walk": {
-        "position_qubits": ("position_qubits", int),
-        "coin_qubits": ("coin_qubits", int),
-        "steps": ("steps", _step_count),
-        "theta": ("theta", _number_list),
-        "phi": ("phi", _number_list),
-    },
-    # max_rank and param_a are NativeGateSet fields, set on config.gates.
-    "gates": {
-        "max_rank": ("gates", int),
-        "param_a": ("gates", _number),
-        "a_list": ("a_list", _effort_list),
-    },
-    # Each key is a NoiseParams field, set on config.noise.
-    "noise": {
-        "eps_init": ("noise", _number),
-        "eps_read": ("noise", _number),
-        "t1_seconds": ("noise", _number),
-        "tau_gate_seconds": ("noise", _number),
-        "tau_move_seconds": ("noise", _number),
-        "gate_errors": ("noise", _boolean),
-        "passive": ("noise", _boolean),
-        "spam": ("noise", _boolean),
-        "moves_per_step": ("noise", int),
-    },
-    "composite": {
-        "n_list": ("n_list", _integer_list),
-        "fidelity_sets": (
-            "fidelity_sets",
-            lambda s: tuple(tuple(_number(v) for v in group.split()) for group in s.split(";") if group.strip()),
-        ),
-        "transitions": (
-            "transitions",
-            lambda s: tuple(_transition(part) for part in s.split(",") if part.strip()),
-        ),
-    },
-    "output": {
-        "path": ("out_path", str.strip),
-        "format": ("out_format", str.strip),
-    },
+    "experiment": {"kind": str.strip},
+    "walk": {"position_qubits": int, "coin_qubits": int, "steps": _step_count, "theta": _number_list,
+             "phi": _number_list},
+    "gates": {**_field_parsers(NativeGateSet), "a_list": _effort_list},
+    "noise": _field_parsers(NoiseParams),
+    "composite": {"n_list": _integer_list, "fidelity_sets": _fidelity_sets, "transitions": _transitions},
+    "output": {"path": str.strip, "format": str.strip},
 }
+# Keys are unique across sections, so a key names its section.
+_SECTION_OF = {key: section for section, keys in _CONFIG_SCHEMA.items() for key in keys}
 
 # The sections and "section.key" each subcommand reads; main rejects every
 # other key a config sets, and walk.phi unless the coin has two qubits.
@@ -255,19 +219,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
         for key, raw in parser[section].items():
             if key not in _CONFIG_SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            attribute, parse = _CONFIG_SCHEMA[section][key]
+            owner = getattr(config, section, None)  # config.gates or config.noise
+            target = section if hasattr(owner, key) else key
             try:
-                value = parse(raw)
-                if attribute in ("gates", "noise"):  # NativeGateSet or NoiseParams checks the value here
-                    value = replace(getattr(config, attribute), **{key: value})
+                value = _CONFIG_SCHEMA[section][key](raw)
+                if target == section:  # NativeGateSet or NoiseParams checks the value here
+                    value = replace(owner, **{key: value})
             except ValueError as exc:  # ConfigError included
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
-            setattr(config, attribute, value)
+            setattr(config, target, value)
             config.given.add(f"{section}.{key}")
     if config.kind is not None and config.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
-    if config.out_format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {config.out_format!r}")
+    if config.format not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {config.format!r}")
     return config
 
 
@@ -556,7 +521,7 @@ def _composite_rows(comparison: list[tuple], means: list[float]):
 
 
 def cmd_composite(config: ExperimentConfig) -> Output:
-    comparison = _keyed("composite", gate_set_comparison, config.n_list, config.fidelity_sets, config.transitions)
+    comparison = gate_set_comparison(config.n_list, config.fidelity_sets, config.transitions)
     means = [sum(row[3] for row in rows) / len(rows) for *_, rows in comparison]
     numbers = [x for (*_, rows), mean in zip(comparison, means)  # in the order _json_entries takes them
                for x in (mean, *(v for _, f_low, f_high, pct in rows for v in (f_high, f_low, pct)))]
@@ -594,51 +559,6 @@ _COMMANDS = {
 KINDS = tuple(_COMMANDS)
 
 
-def _record(**properties) -> dict:
-    """JSON schema of an object that requires every property it lists."""
-    return {"type": "object", "required": list(properties), "properties": properties}
-
-
-def _payload_schema(kind: str, key: str, items: dict) -> dict:
-    return _record(kind={"const": kind}, config={"type": "object"}, **{key: {"type": "array", "items": items}})
-
-
-_NUMBER = {"type": "number"}
-_INTEGER = {"type": "integer"}
-_PROBABILITY = {"type": "number", "minimum": 0, "maximum": 1}
-_POSITIONS = {"type": "object", "additionalProperties": _NUMBER}
-_COUNTS = {"type": "object", "additionalProperties": _INTEGER}
-_STEP_SCHEMA = _record(
-    step={"type": "integer", "minimum": 1},
-    fidelity=_PROBABILITY,
-    total_probability=_PROBABILITY,
-    scalar_factor=_PROBABILITY,
-    ideal_positions=_POSITIONS,
-    noisy_positions=_POSITIONS,
-)
-
-SCHEMAS = {
-    "simulate": _payload_schema("simulate", "steps", _STEP_SCHEMA),
-    "sweep-a": _payload_schema(
-        "sweep-a",
-        "series",
-        _record(a={"type": "number", "minimum": 0}, f_cz=_NUMBER, f_ccz=_NUMBER,
-                steps={"type": "array", "items": _STEP_SCHEMA}),
-    ),
-    "tolerance": _payload_schema(
-        "tolerance",
-        "rows",
-        _record(max_rank=_INTEGER, coin_qubits=_INTEGER, position_qubits=_INTEGER, steps_within=_COUNTS),
-    ),
-    "composite": _payload_schema(
-        "composite",
-        "entries",
-        _record(position_qubits=_INTEGER, transition={"type": "string"}, counts_low=_COUNTS,
-                counts_high=_COUNTS, per_set={"type": "array"}, mean_percent_increase=_NUMBER),
-    ),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Prints a usage error on one stderr line, as config errors are, and exits 2."""
 
@@ -670,36 +590,37 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else ExperimentConfig()
         if config.kind is not None and config.kind != args.command:
-            raise ConfigError(
-                f"config kind {config.kind!r} does not match subcommand {args.command!r}"
-            )
+            raise ConfigError(f"config kind {config.kind!r} does not match subcommand {args.command!r}")
         reads = _READS[args.command]
         unread = sorted(key for key in config.given if key not in reads and key.partition(".")[0] not in reads
                         or key == "walk.phi" and config.coin_qubits != 2)
         if unread:
             raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
-        if args.out:
-            config.out_path = args.out
-        if args.format:
-            config.out_format = args.format
+        config.path = args.out or config.path
+        config.format = args.format or config.format
         output = _COMMANDS[args.command](config)
-        chunks = payload_chunks(output, config.out_format)
-        if config.out_path:
+        chunks = payload_chunks(output, config.format)
+        if config.path:
             try:
-                with open(config.out_path, "w", encoding="utf-8") as handle:
+                with open(config.path, "w", encoding="utf-8") as handle:
                     handle.writelines(chunks)
             except OSError as exc:
-                raise ConfigError(f"cannot write output.path {config.out_path!r}: {exc.strerror or exc}") from exc
+                raise ConfigError(f"cannot write output.path {config.path!r}: {exc.strerror or exc}") from exc
     except UnsupportedSizeError as exc:
         print(f"unsupported size: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # ConfigError included
-        print(f"config error: {exc}", file=sys.stderr)
+        # WalkSpec and gate_set_comparison begin each message with the argument (= key) they reject.
+        message = str(exc)
+        key = message.partition(" ")[0]
+        if key in _SECTION_OF and not isinstance(exc, ConfigError):
+            message = f"bad value for {_SECTION_OF[key]}.{key}: {message}"
+        print(f"config error: {message}", file=sys.stderr)
         return 2
 
     try:
-        if config.out_path:
-            sys.stdout.write("\n".join(output.report) + f"\nwrote {config.out_path}\n")
+        if config.path:
+            sys.stdout.write("\n".join(output.report) + f"\nwrote {config.path}\n")
         else:
             sys.stdout.writelines(chunks)
         sys.stdout.flush()
@@ -712,6 +633,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     return 0
 
+
+# What the imports made lives until exit. Frozen, no later collection walks it, so the first
+# generation-1 pass stays cheap wherever the allocation count puts it.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

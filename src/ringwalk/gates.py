@@ -109,17 +109,22 @@ def ckx_from_ckz(ckz: np.ndarray) -> np.ndarray:
     return -(layer @ np.diag(ckz) @ layer)
 
 
-@lru_cache(maxsize=256)  # keyed on effort, and a sweep may draw efforts at random
 def ckx(rank: int, a: float | None = None, effective: bool = True) -> np.ndarray:
     """Read-only matrix of a shift gate on rank wires: X, or CkX with k = rank - 1.
 
     With effective set, a multiqubit gate is the CkX built from the
     published effective C(rank-1)Z: CZ and CCZ at effort a where it is
     given, C3Z at its fixed matrix. Otherwise it is the exact permutation
-    swapping the last two basis states, which at rank 1 is X.
+    swapping the last two basis states, which at rank 1 is X. Only CZ and
+    CCZ read a, so every other gate is built once for all efforts.
     """
+    return _ckx(rank, a if effective and 2 <= rank <= 3 else None, effective)
+
+
+@lru_cache(maxsize=256)  # keyed on effort, and a sweep may draw efforts at random
+def _ckx(rank: int, a: float | None, effective: bool) -> np.ndarray:
     if effective and rank >= 2:
-        matrix = ckx_from_ckz(effective_ckz(rank - 1, a if rank < 4 else None))
+        matrix = ckx_from_ckz(effective_ckz(rank - 1, a))
     else:
         dim = 2**rank
         matrix = np.eye(dim, dtype=np.complex128)

@@ -56,9 +56,6 @@ class NoiseParams:
             raise ValueError(f"moves_per_step = {self.moves_per_step!r} must be a nonnegative integer")
 
 
-IDEAL = NoiseParams(gate_errors=False, passive=False, spam=False)
-
-
 def wait_error(dt: float, t1: float) -> float:
     """Population decay probability 1 - exp(-dt/T1) for an idle interval.
 

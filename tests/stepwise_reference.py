@@ -22,6 +22,8 @@ from ringwalk.circuits import MoveMarker, build_step_circuit
 from ringwalk.gates import X, _ry, ckx_from_ckz, effective_ckz
 from ringwalk.statevector import apply_gate, marginal_probabilities, scale_amplitudes
 
+IDEAL = noiselib.NoiseParams(gate_errors=False, passive=False, spam=False)  # exact gates, no scalar channels
+
 
 def resolve(op, gate_set, gate_errors):
     """Dense matrix for one compiled gate: RY from its angle, X and CkX by label."""

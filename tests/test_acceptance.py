@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import run_ideal_dense_oracle
+from stepwise_reference import IDEAL
 from ringwalk import gates as gatelib
 from ringwalk import noise as noiselib
 from ringwalk.circuits import NativeGateSet, decompose_ckx, uniform_spec
@@ -70,7 +71,7 @@ def test_root_equivalent_fidelities():
 def test_compiled_circuits_match_dense_oracle(n, nc, max_rank):
     spec = uniform_spec(n, nc, steps=21)
     dense = run_ideal_dense_oracle(spec)
-    compiled = run_noisy(spec, NativeGateSet(max_rank), noiselib.IDEAL)
+    compiled = run_noisy(spec, NativeGateSet(max_rank), IDEAL)
     assert compiled.noisy_positions.shape == dense.shape
     assert np.max(np.abs(compiled.noisy_positions - dense)) <= 1e-10
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import payload_reference
+from payload_schemas import SCHEMAS
 from ringwalk import circuits, cli, gates, simulate
 from ringwalk.circuits import NativeGateSet, uniform_spec
 from ringwalk.cli import (
@@ -67,7 +69,7 @@ def test_load_config_defaults(tmp_path):
     assert config.coin_qubits == 1
     assert config.gates == NativeGateSet()
     assert config.noise == NoiseParams()
-    assert config.out_format == "csv"
+    assert config.format == "csv"
 
 
 def test_load_config_full(tmp_path):
@@ -182,6 +184,32 @@ def test_config_surfaces_walk_validation_as_config_error(tmp_path, capsys):
 
 def test_noise_keys_are_the_noise_params_fields():
     assert set(cli._CONFIG_SCHEMA["noise"]) == {f.name for f in dataclasses.fields(NoiseParams)}
+    assert set(cli._CONFIG_SCHEMA["gates"]) == {f.name for f in dataclasses.fields(NativeGateSet)} | {"a_list"}
+
+
+def test_config_keys_are_unique_across_sections():
+    # main labels an error by the section of the key its message begins with.
+    keys = [key for keys in cli._CONFIG_SCHEMA.values() for key in keys]
+    assert len(keys) == len(set(keys))
+
+
+MAIN_VALUE_ERRORS = (
+    (ValueError("fidelities of a walk holds a value that is not finite"),
+     "fidelities of a walk holds a value that is not finite"),
+    (ValueError("theta_schedule is empty"), "theta_schedule is empty"),
+    (ConfigError("steps already named"), "steps already named"),
+    (ValueError("steps out of range"), "bad value for walk.steps: steps out of range"),
+)
+
+
+@pytest.mark.parametrize("error,printed", MAIN_VALUE_ERRORS)
+def test_only_an_error_led_by_a_key_is_labelled(error, printed, capsys, monkeypatch):
+    def fail(config):
+        raise error
+
+    monkeypatch.setattr(cli, "_COMMANDS", {**cli._COMMANDS, "simulate": fail})
+    assert main(["simulate"]) == 2
+    assert capsys.readouterr().err == f"config error: {printed}\n"
 
 
 NOISE_CHECKS = (
@@ -494,7 +522,7 @@ def test_json_payloads_validate_against_schema(command, tmp_path, capsys):
     assert main([command, "--config", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == command
-    jsonschema.validate(payload, cli.SCHEMAS[command])
+    jsonschema.validate(payload, SCHEMAS[command])
 
 
 def test_csv_run_never_encodes_json(tmp_path, capsys, monkeypatch):
@@ -548,7 +576,7 @@ def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monke
         return capsys.readouterr().out, list(walks)
 
     def clear_caches():
-        for cached in (simulate.shift_passes, gates.ckx, gate_plan):
+        for cached in (simulate.shift_passes, gates._ckx, gate_plan):
             cached.cache_clear()
 
     clear_caches()
@@ -561,6 +589,20 @@ def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monke
     for a, b in zip(fresh_walks, later_walks, strict=True):
         for name in ("noisy_positions", "fidelities", "total_probability", "scalar_factor"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_rank4_sweep_builds_each_effort_free_gate_once(tmp_path, capsys):
+    # Only CZ and CCZ read the effort; X and C3X serve every effort.
+    text = "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n[gates]\nmax_rank = 4\na_list = 0, 5, 10, 20\n"
+    simulate.shift_passes.cache_clear()
+    gates._ckx.cache_clear()
+    assert main(["sweep-a", "--config", write_config(tmp_path, text)]) == 0
+    capsys.readouterr()
+    assert gates._ckx.cache_info().misses == 6  # X and C3X once, CCX at each of the four efforts
+
+
+def test_import_freezes_what_it_made():
+    assert gc.get_freeze_count() > 0
 
 
 def test_default_walks_build_no_gate_objects(monkeypatch, capsys):
@@ -964,7 +1006,7 @@ def test_property_every_config_exits_cleanly(case, tmp_path_factory):
     if code == 0:
         assert err.getvalue() == ""
         payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
-        jsonschema.validate(payload, cli.SCHEMAS[command])
+        jsonschema.validate(payload, SCHEMAS[command])
         assert all(0 <= f <= 1 for f in _fidelities(payload))
     else:
         prefix = {2: "config error: ", 3: "unsupported size: "}[code]

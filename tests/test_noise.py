@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepwise_reference import IDEAL
 from ringwalk.noise import (
-    IDEAL,
     NoiseParams,
     idle_factor,
     movement_factor,

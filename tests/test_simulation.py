@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import run_ideal_dense_oracle
-from stepwise_reference import run_ideal_stepwise, run_noisy_stepwise
+from stepwise_reference import IDEAL, run_ideal_stepwise, run_noisy_stepwise
 from ringwalk import noise as noiselib
 from ringwalk import simulate
 from ringwalk.circuits import (
@@ -153,7 +153,7 @@ def test_steps_within_tolerance_is_prefix_length():
 
 def test_disabled_noise_reproduces_ideal_walk():
     spec = uniform_spec(2, 2, steps=5)
-    result = run_noisy(spec, NativeGateSet(3), noiselib.IDEAL)
+    result = run_noisy(spec, NativeGateSet(3), IDEAL)
     assert result.noisy_positions.shape == result.ideal_positions.shape == (5, 4)
     assert result.fidelities.shape == result.total_probability.shape == result.scalar_factor.shape == (5,)
     assert np.allclose(result.fidelities, 1.0, rtol=0, atol=1e-12)
@@ -244,7 +244,7 @@ def shift_gates(n, nc, rho):
 
 @pytest.mark.parametrize("nc", [1, 2])
 @pytest.mark.parametrize("rho", [3, 4])
-@pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), noiselib.IDEAL],
+@pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), IDEAL],
                          ids=["full", "two-moves", "ideal"])
 def test_compiled_once_matches_stepwise_reference(nc, rho, noise, monkeypatch):
     # The unfused path does the reference's arithmetic in the same order.
@@ -277,7 +277,7 @@ def assert_matches_stepwise_reference(spec, gate_set, noise, monkeypatch):
 @pytest.mark.parametrize("nc", [1, 2])
 @pytest.mark.parametrize("rho", [3, 4])
 @pytest.mark.parametrize("noise,param_a", [
-    (FULL, None), (noiselib.NoiseParams(moves_per_step=2), None), (noiselib.IDEAL, None),
+    (FULL, None), (noiselib.NoiseParams(moves_per_step=2), None), (IDEAL, None),
     (noiselib.NoiseParams(gate_errors=False), None), (FULL, 13.0),
 ], ids=["full", "two-moves", "ideal", "no-gate-errors", "a13"])
 def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
@@ -344,7 +344,7 @@ def recorded_folds(monkeypatch, allow=True):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("nc", [1, 2])
 @pytest.mark.parametrize("rho", [3, 4])
-@pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), noiselib.IDEAL],
+@pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), IDEAL],
                          ids=["full", "two-moves", "ideal"])
 @pytest.mark.parametrize("schedule", ["uniform", "alternating", "random"])
 def test_folded_coin_matches_unfolded(n, nc, rho, noise, schedule, monkeypatch):
