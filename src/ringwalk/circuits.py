@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Union
 
 
@@ -208,6 +209,7 @@ def _ladder_shape(k: int, max_rank: int) -> tuple[int, int]:
     return m, k - width * m
 
 
+@lru_cache(maxsize=64)  # every step decomposes each CkX size twice, in the increment and the decrement
 def decompose_ckx(k: int, max_rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rewrite a CkX as a ladder of gates of rank <= max_rank, each given
     by its target wires.
@@ -255,12 +257,13 @@ def _with_move_markers(ops: Iterable[tuple[int, ...]]) -> tuple[ShiftOp, ...]:
     multiqubit gate of a step starts from the layout the previous step
     left behind, so it gets no marker."""
     out: list[ShiftOp] = []
-    previous: set[int] | None = None
+    previous: frozenset[int] | None = None
     for targets in ops:
         if len(targets) >= 2:
-            if previous is not None and not previous.issuperset(targets):
+            wires = frozenset(targets)
+            if previous is not None and not wires <= previous:
                 out.append(None)
-            previous = set(targets)
+            previous = wires
         out.append(targets)
     return tuple(out)
 
@@ -280,7 +283,8 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
             continue
         local_ops, used = decompose_ckx(len(targets) - 1, gates.max_rank)
         wires = targets + ancillas[:used]  # local wire i is wires[i]
-        compiled += [tuple(wires[w] for w in local) for local in local_ops]
+        # Every ladder gate has 3 or more wires, so its itemgetter returns a tuple.
+        compiled += [itemgetter(*local)(wires) for local in local_ops]
 
     coin_angles = tuple(s[step_index] for s in spec.coin_schedules)
     return Circuit(n_data + pool, _with_move_markers(compiled), coin_angles, ancillas,

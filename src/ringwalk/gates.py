@@ -82,11 +82,9 @@ def effective_ckz(k: int, a: float | None = None) -> np.ndarray:
         phi1 = min(phi1_0 + _PHI_SLOPE * a, 1.0)
         weights = ((1.0, 0.0),) + tuple((min(mag0 * (alpha1 / alpha1_0), 1.0), min(frac0 * (phi1 / phi1_0), 1.0))
                                         for mag0, frac0 in weights[1:])
-    diag = np.empty(2 ** (k + 1), dtype=np.complex128)
-    for idx in range(diag.size):
-        mag, frac = weights[bin(idx).count("1")]
-        diag[idx] = mag * np.exp(1j * math.pi * frac)
-    return diag
+    mags, fracs = np.array(weights).T
+    per_weight = mags * np.exp(1j * math.pi * fracs)
+    return per_weight[[bin(idx).count("1") for idx in range(2 ** (k + 1))]]
 
 
 def ckx_from_ckz(ckz: np.ndarray) -> np.ndarray:
@@ -102,11 +100,19 @@ def ckx_from_ckz(ckz: np.ndarray) -> np.ndarray:
     rank = ckz.size.bit_length() - 1
     if rank < 2 or ckz.shape != (2**rank,):
         raise ValueError(f"ckx_from_ckz needs the diagonal of a CkZ of rank >= 2, got shape {ckz.shape}")
+    layer = _conjugation_layer(rank)
+    return -(layer @ np.diag(ckz) @ layer)
+
+
+@lru_cache(maxsize=8)  # one per rank; the shift's gates have at most 4 wires
+def _conjugation_layer(rank: int) -> np.ndarray:
+    """ckx_from_ckz's read-only X...X (x) ZHZ layer: X on each of the rank - 1 controls, ZHZ on the target."""
     layer = np.array([[1.0]], dtype=np.complex128)
     for _ in range(rank - 1):
         layer = np.kron(layer, X)
     layer = np.kron(layer, ZHZ)
-    return -(layer @ np.diag(ckz) @ layer)
+    layer.flags.writeable = False
+    return layer
 
 
 def ckx(rank: int, a: float | None = None, effective: bool = True) -> np.ndarray:

@@ -6,11 +6,12 @@ then a roll of each coin column around the ring) and shares no code with
 the compiler. run_noisy is the only circuit executor. Steps of one walk
 differ only in their coin angles, so it compiles the step once
 (compile_step) and keeps its shift as the compiler's target tuples (no
-gate objects are built). shift_passes plans the shift's passes, fusing
-runs of gates into dense blocks where the walk's steps pay for them, and
-takes each gate's matrix from gates.ckx. run_noisy folds the coin's RY
-layer into the first pass where the walk's distinct coin angles pay for
-that, and then per step runs one matrix per pass, its passes chained through
+gate objects are built). partition_shift plans the shift's passes,
+fusing runs of gates into dense blocks where the walk's steps pay for
+them, and shift_passes builds each pass's matrix for a gate set from
+gates.ckx. run_noisy folds the coin's RY layer into the first pass where
+the walk's distinct coin angles pay for that, and then per step runs one
+matrix per pass, its passes chained through
 gathers (chain_plans) so that only the last scatters, into the step's row
 of a buffer of at most READOUT_AMPLITUDES amplitudes. The state evolves under
 the gates alone; the scalar noise channels multiply into one logged
@@ -79,18 +80,15 @@ def _pays_back(steps: int, gates: int, wires: int, qubit_count: int, builds: int
     return saved >= builds * 2 * gates * (4**wires + CALL_AMPLITUDES)
 
 
-@lru_cache(maxsize=64)  # per compiled shape, step count, gate set and flag: each sweep effort plans its own
-def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: int, gate_set: NativeGateSet,
-                 gate_errors: bool) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], np.ndarray], ...]:
-    """The shift's gate passes in order, each (wires, its gates' targets, read-only matrix on the wires).
+@lru_cache(maxsize=64)  # per compiled shape and step count: every effort of a sweep shares one partition
+def partition_shift(qubit_count: int, gates: tuple[tuple[int, ...], ...],
+                    steps: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """The shift's gate passes in order, each (wires, its gates' targets).
 
     The gates are split, in circuit order, into runs on at most
     FUSED_MAX_WIRES wires. A run that pays back within the walk is one pass
-    on its sorted wires, its matrix built by running its gates through
-    gate_plan(2w, local targets) over the 2^w identity taken as a flat
-    2w-qubit state, whose leading w qubits are the wires. Each gate of any
-    other run is a pass of its own on its own targets. A gate's matrix is
-    gates.ckx of its rank, effective with gate errors.
+    on its sorted wires; each gate of any other run is a pass of its own on
+    its own targets.
     """
     runs: list[tuple[set[int], list[tuple[int, ...]]]] = []  # (the run's wires, its gates)
     for targets in gates:
@@ -98,20 +96,39 @@ def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: in
             runs.append((set(), []))
         runs[-1][0].update(targets)
         runs[-1][1].append(targets)
-    passes = []
+    passes: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
     for wire_set, run in runs:
         wires = tuple(sorted(wire_set))
-        if not _pays_back(steps, len(run), len(wires), qubit_count):
-            passes += [(targets, (targets,), gatelib.ckx(len(targets), gate_set.param_a, gate_errors))
-                       for targets in run]
-            continue
-        block = np.eye(2 ** len(wires), dtype=np.complex128)
-        flat = block.reshape(-1)
-        for targets in run:
-            plan = gate_plan(2 * len(wires), tuple(wires.index(q) for q in targets))
-            flat[plan] = gatelib.ckx(len(targets), gate_set.param_a, gate_errors) @ flat[plan]
-        block.setflags(write=False)
-        passes.append((wires, tuple(run), block))
+        if _pays_back(steps, len(run), len(wires), qubit_count):
+            passes.append((wires, tuple(run)))
+        else:
+            passes += [(targets, (targets,)) for targets in run]
+    return tuple(passes)
+
+
+@lru_cache(maxsize=64)  # per compiled shape, step count, gate set and flag: each sweep effort builds its own
+def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: int, gate_set: NativeGateSet,
+                 gate_errors: bool) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], np.ndarray], ...]:
+    """The shift's gate passes in order, each (wires, its gates' targets, read-only matrix on the wires).
+
+    The passes are partition_shift's. A gate's matrix is gates.ckx of its
+    rank, effective with gate errors; a pass of one gate runs it, and a
+    fused pass runs a block built by running its gates through
+    gate_plan(2w, local targets) over the 2^w identity taken as a flat
+    2w-qubit state, whose leading w qubits are the wires.
+    """
+    passes = []
+    for wires, run in partition_shift(qubit_count, gates, steps):
+        if len(run) == 1:
+            matrix = gatelib.ckx(len(wires), gate_set.param_a, gate_errors)
+        else:
+            matrix = np.eye(2 ** len(wires), dtype=np.complex128)
+            flat = matrix.reshape(-1)
+            for targets in run:
+                plan = gate_plan(2 * len(wires), tuple(wires.index(q) for q in targets))
+                flat[plan] = gatelib.ckx(len(targets), gate_set.param_a, gate_errors) @ flat[plan]
+            matrix.setflags(write=False)
+        passes.append((wires, run, matrix))
     return tuple(passes)
 
 
@@ -132,22 +149,23 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     values, taken for every step in one call after the walk.
     """
     _check_simulable(spec)
-    moves = np.array((-1, 1) if spec.coin_qubits == 1 else (0, -1, 0, 1))
-    # Rolling column c by moves[c] is one flat gather: entry (i, c) takes entry (i - moves[c], c).
-    rows = (np.arange(spec.node_count)[:, None] - moves) % spec.node_count
-    roll = rows * len(moves) + np.arange(len(moves))
+    moves = (-1, 1) if spec.coin_qubits == 1 else (0, -1, 0, 1)
+    size = spec.node_count * len(moves)
+    # Rolling column c by moves[c] is one flat gather: entry (i, c) takes entry
+    # (i - moves[c], c), whose flat index is i * len(moves) + c - moves[c] * len(moves), modulo size.
+    roll = (np.arange(size).reshape(-1, len(moves)) - [m * len(moves) for m in moves]) % size
     coins = {}
     for angles in set(zip(*spec.coin_schedules)):
         coin = gatelib._ry(angles[0])
         if spec.coin_qubits == 2:  # np.kron's bits, in one product
             coin = (coin[:, None, :, None] * gatelib._ry(angles[1])[None, :, None, :]).reshape(4, 4)
         coins[angles] = coin.T
-    psi = np.zeros((spec.node_count, len(moves)))
+    psi = np.zeros(roll.shape)
     psi[0, 0] = 1.0
-    states = np.empty((spec.steps, spec.node_count, len(moves)))
+    states = np.empty((spec.steps, *roll.shape))
     for t, angles in enumerate(zip(*spec.coin_schedules)):
         psi = states[t] = psi.dot(coins[angles]).take(roll)
-    tables = np.sum(states**2, axis=2)
+    tables = (states**2).sum(2)
     tables.flags.writeable = False
     return tables
 
@@ -226,27 +244,32 @@ def run_noisy(
         ideal_tables = run_ideal(spec)
 
     n_q = compiled.qubit_count
+    steps = spec.steps
     read = noiselib.readout_factor(noise, n_q)
     move = noiselib.movement_factor(noise, n_q)
-    gates = tuple(targets for targets in compiled.shift if targets is not None)
-    idle = {rank: noiselib.idle_factor(noise, n_q, rank) for rank in set(map(len, gates)) - {1}}
-    step_factors = []
+    marked = noise.moves_per_step is None  # movement counted at the shift's markers
+    gates, step_factors, idle = [], [], {}
     for targets in compiled.shift:
         if targets is None:
-            if noise.moves_per_step is None:
+            if marked:
                 step_factors.append(move)
-        elif len(targets) >= 2:
-            step_factors.append(idle[len(targets)])
-    if noise.moves_per_step is not None:
+            continue
+        gates.append(targets)
+        rank = len(targets)
+        if rank >= 2:
+            if rank not in idle:
+                idle[rank] = noiselib.idle_factor(noise, n_q, rank)
+            step_factors.append(idle[rank])
+    if not marked:
         step_factors.append(move**noise.moves_per_step)
-    pass_wires, _, shift = zip(*shift_passes(n_q, gates, spec.steps, gate_set, noise.gate_errors))
-    coin_wires = tuple((wire,) for wire in spec.coin_indices)
+    pass_wires, _, shift = zip(*shift_passes(n_q, tuple(gates), steps, gate_set, noise.gate_errors))
+    coin_indices = spec.coin_indices
     angle_tuples = set(zip(*spec.coin_schedules))
     step_matrices = {}
     first = pass_wires[0]  # holds every coin wire: the step's first gate is controlled on all of them
-    if _pays_back(spec.steps, len(coin_wires) + 1, len(first), n_q, len(angle_tuples)):
+    if _pays_back(steps, len(coin_indices) + 1, len(first), n_q, len(angle_tuples)):
         # The first pass's matrix times the RY layer: each RY acts on its wire's column bit of it.
-        plans = [gate_plan(2 * len(first), (len(first) + first.index(wire),)) for wire in spec.coin_indices]
+        plans = [gate_plan(2 * len(first), (len(first) + first.index(wire),)) for wire in coin_indices]
         for angles in angle_tuples:
             folded = shift[0].copy()
             flat = folded.reshape(-1)
@@ -255,6 +278,7 @@ def run_noisy(
             step_matrices[angles] = (folded, *shift[1:])
         coin_wires = ()
     else:
+        coin_wires = tuple((wire,) for wire in coin_indices)
         for angles in angle_tuples:
             step_matrices[angles] = (*(gatelib._ry(theta).astype(np.complex128) for theta in angles), *shift)
     gathers = chain_plans(n_q, coin_wires + pass_wires)
@@ -267,10 +291,11 @@ def run_noisy(
     if stop_below is not None:
         step_cost = len(gathers) * (state.size + CALL_AMPLITUDES)
         batch = min(batch, max(1, STOP_CHECK_CALLS * CALL_AMPLITUDES // step_cost))
-    states = np.empty((min(batch, spec.steps), state.size), dtype=np.complex128)
-    noisy = np.empty((spec.steps, spec.node_count))
-    totals = np.empty(spec.steps)
-    scalar_factors = np.empty(spec.steps)
+    states = np.empty((min(batch, steps), state.size), dtype=np.complex128)
+    nodes = spec.node_count
+    noisy = np.empty((steps, nodes))
+    totals = np.empty(steps)
+    scalar_factors = np.empty(steps)
     start = 0
     for t, angles in enumerate(zip(*spec.coin_schedules)):
         amps = state
@@ -283,17 +308,18 @@ def run_noisy(
 
         scalar_factors[t] = running_factor * read
         stop = t + 1
-        if stop - start == len(states) or stop == spec.steps:
+        if stop - start == len(states) or stop == steps:
             probs = np.abs(states[: stop - start] * scalar_factors[start:stop, None]) ** 2
-            totals[start:stop] = probs.sum(1)
-            noisy[start:stop] = probs.reshape(stop - start, spec.node_count, -1).sum(2)
+            probs.sum(1, out=totals[start:stop])
+            probs.reshape(stop - start, nodes, -1).sum(2, out=noisy[start:stop])
             if stop_below is not None:
-                below = np.flatnonzero(_hellinger(ideal_tables[start:stop], noisy[start:stop]) < stop_below)
-                if below.size:
-                    stop = start + int(below[0]) + 1
+                below = _hellinger(ideal_tables[start:stop], noisy[start:stop]) < stop_below
+                first_below = int(below.argmax())
+                if below[first_below]:
+                    stop = start + first_below + 1
                     break
             start = stop
-    if stop < spec.steps:
+    if stop < steps:
         ideal_tables, noisy, totals, scalar_factors = (a[:stop] for a in (ideal_tables, noisy, totals, scalar_factors))
     return RunResult(spec, ideal_tables, noisy, hellinger_fidelity(ideal_tables, noisy), totals, scalar_factors)
 
@@ -310,14 +336,14 @@ def hellinger_fidelity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"distributions of shapes {p.shape} and {q.shape} do not match")
-    if np.any(p < 0) or np.any(q < 0):
+    if (p < 0).any() or (q < 0).any():
         raise ValueError("probability tables cannot hold negative entries")
     return _hellinger(p, q)
 
 
 def _hellinger(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """hellinger_fidelity's arithmetic alone, for tables already checked."""
-    h2 = 0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1)
+    h2 = 0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(-1)
     return (1.0 - h2) ** 2
 
 

@@ -189,6 +189,17 @@ def test_move_markers_follow_subset_rule():
     assert marked == ((0, 1, 2), (1, 2), None, (2, 3), (0,), (2, 3))
 
 
+def test_compile_decomposes_each_ckx_size_once():
+    # The 2^4 lazy walk's cascades hold CkX with k = 5, 4, 3 above rank 3,
+    # each once in the increment and once in the decrement.
+    decompose_ckx.cache_clear()
+    compiled = build_step_circuit(uniform_spec(4, 2, steps=1), NativeGateSet(3), 0)
+    info = decompose_ckx.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    assert compiled == build_step_circuit(uniform_spec(4, 2, steps=1), NativeGateSet(3), 0)
+    assert decompose_ckx.cache_info().misses == 3
+
+
 def test_move_markers_skip_single_qubit_prefix():
     ops = ((0,), (0, 1, 2))
     marked = _with_move_markers(ops)

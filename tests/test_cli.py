@@ -576,7 +576,7 @@ def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monke
         return capsys.readouterr().out, list(walks)
 
     def clear_caches():
-        for cached in (simulate.shift_passes, gates._ckx, gate_plan):
+        for cached in (simulate.partition_shift, simulate.shift_passes, gates._ckx, gate_plan):
             cached.cache_clear()
 
     clear_caches()
@@ -599,6 +599,17 @@ def test_rank4_sweep_builds_each_effort_free_gate_once(tmp_path, capsys):
     assert main(["sweep-a", "--config", write_config(tmp_path, text)]) == 0
     capsys.readouterr()
     assert gates._ckx.cache_info().misses == 6  # X and C3X once, CCX at each of the four efforts
+
+
+def test_default_lazy_sweep_partitions_its_shift_once(tmp_path, capsys):
+    # Seven efforts, one compiled step and one step count: one partition,
+    # and the gate matrices built per effort.
+    simulate.partition_shift.cache_clear()
+    simulate.shift_passes.cache_clear()
+    assert main(["sweep-a", "--config", write_config(tmp_path, "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n")]) == 0
+    capsys.readouterr()
+    assert simulate.partition_shift.cache_info().misses == 1
+    assert simulate.shift_passes.cache_info().misses == len(cli.DEFAULT_A_LIST)
 
 
 def test_import_freezes_what_it_made():

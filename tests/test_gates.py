@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringwalk.cli import DEFAULT_A_LIST
 from ringwalk.gates import (
     X,
     ZHZ,
@@ -172,3 +173,41 @@ def test_gate_matrix_shape_validation():
         gate_fidelity(np.eye(4, dtype=complex), ideal_ckz(1))
     with pytest.raises(ValueError):
         gate_fidelity(np.ones((4, 2), dtype=complex), np.ones((4, 2), dtype=complex))
+
+
+def effective_ckz_entrywise(k, a=None):
+    """effective_ckz as one exp per diagonal entry, with the library's effort rule (slopes 0.0001 and 0.0010)."""
+    weights = (CZ_WEIGHTS, CCZ_WEIGHTS, C3Z_WEIGHTS)[k - 1]
+    if a is not None:
+        alpha1_0, phi1_0 = weights[1]
+        alpha1 = min(alpha1_0 + 0.0001 * a, 1.0)
+        phi1 = min(phi1_0 + 0.0010 * a, 1.0)
+        weights = ((1.0, 0.0),) + tuple((min(mag0 * (alpha1 / alpha1_0), 1.0), min(frac0 * (phi1 / phi1_0), 1.0))
+                                        for mag0, frac0 in weights[1:])
+    diag = np.empty(2 ** (k + 1), dtype=np.complex128)
+    for idx in range(diag.size):
+        mag, frac = weights[bin(idx).count("1")]
+        diag[idx] = mag * np.exp(1j * math.pi * frac)
+    return diag
+
+
+def ckx_from_ckz_kron(ckz):
+    """ckx_from_ckz with its X...X (x) ZHZ layer built by np.kron on every call."""
+    layer = np.array([[1.0]], dtype=np.complex128)
+    for _ in range(ckz.size.bit_length() - 2):
+        layer = np.kron(layer, X)
+    layer = np.kron(layer, ZHZ)
+    return -(layer @ np.diag(ckz) @ layer)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gate_builds_match_reference_loops_bit_for_bit(k):
+    # The vectorized diagonal and the cached conjugation layer must give the
+    # same bits as building each entry and each layer on its own.
+    for a in (None, *DEFAULT_A_LIST, 1000.0) if k < 3 else (None,):
+        diag = effective_ckz(k, a)
+        reference = effective_ckz_entrywise(k, a)
+        assert diag.dtype == reference.dtype and diag.shape == reference.shape
+        assert np.array_equal(diag.view(np.uint64), reference.view(np.uint64))
+        for ckz in (diag, ideal_ckz(k)):
+            assert np.array_equal(ckx_from_ckz(ckz).view(np.uint64), ckx_from_ckz_kron(ckz).view(np.uint64))

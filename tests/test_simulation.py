@@ -30,6 +30,7 @@ from ringwalk.simulate import (
     composite_fidelity,
     gate_set_comparison,
     hellinger_fidelity,
+    partition_shift,
     run_ideal,
     run_noisy,
     shift_passes,
@@ -127,6 +128,18 @@ def test_hellinger_input_validation():
         hellinger_fidelity(rows, np.vstack([rows[:2], bad]))
 
 
+def test_hellinger_passes_nan_through():
+    # NaN is not negative: its row's fidelity is NaN and the other rows are
+    # compared as usual, while a negative entry beside a NaN still raises.
+    q = np.full((2, 2), 0.5)
+    fidelities = hellinger_fidelity(np.array([[np.nan, 0.5], [0.5, 0.5]]), q)
+    assert np.isnan(fidelities[0]) and fidelities[1] == 1.0
+    with pytest.raises(ValueError):
+        hellinger_fidelity(np.array([[np.nan, -0.1], [0.5, 0.5]]), q)
+    with pytest.raises(ValueError):
+        hellinger_fidelity(q, np.array([[0.5, 0.5], [-0.1, np.nan]]))
+
+
 @pytest.mark.parametrize("nodes", [2, 4, 8, 16])
 def test_hellinger_per_step_rows_match_row_by_row(nodes):
     rng = np.random.default_rng(nodes)
@@ -211,12 +224,14 @@ def test_moves_per_step_override():
 @contextlib.contextmanager
 def never_fused(monkeypatch):
     """Run the shift gate by gate: no run of gates pays back its block."""
+    partition_shift.cache_clear()
     shift_passes.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_pays_back", lambda *args: False)
         try:
             yield
         finally:
+            partition_shift.cache_clear()
             shift_passes.cache_clear()
 
 
@@ -307,6 +322,7 @@ def test_shift_block_plan_invariants(n, nc, rho):
     for steps in (1, 4, 8, 21, 150):
         for gate_errors in (False, True):
             passes = shift_passes(n_q, gates, steps, NativeGateSet(rho), gate_errors)
+            assert [(wires, pass_gates) for wires, pass_gates, _ in passes] == list(partition_shift(n_q, gates, steps))
             assert coins <= set(passes[0][0])
             assert sum((pass_gates for _, pass_gates, _ in passes), ()) == gates
             for wires, pass_gates, matrix in passes:
