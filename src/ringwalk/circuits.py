@@ -30,11 +30,6 @@ class GateApplication:
     targets: tuple[int, ...]
     theta: float | None = None
 
-    def serial_label(self) -> str:
-        if self.label == "RY":
-            return f"RY({self.theta:.12g})"
-        return self.label
-
     @property
     def rank(self) -> int:
         return len(self.targets)

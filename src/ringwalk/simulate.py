@@ -15,8 +15,9 @@ matrix per pass, its passes chained through
 gathers (chain_plans) so that only the last scatters, into the step's row
 of a buffer of at most READOUT_AMPLITUDES amplitudes. The state evolves under
 the gates alone; the scalar noise channels multiply into one logged
-factor. The buffer is read out, and an early stop checked, a batch of
-steps at a time, so a walk's readout is one set of arrays with a row per
+factor. The buffer is read out a batch of steps at a time: each batch's
+rows are scored once by hellinger_fidelity, and an early stop checked on
+those scores, so a walk's readout is one set of arrays with a row per
 step (RunResult) at a few numpy calls per batch rather than per step.
 """
 
@@ -108,8 +109,8 @@ def partition_shift(qubit_count: int, gates: tuple[tuple[int, ...], ...],
 
 @lru_cache(maxsize=64)  # per compiled shape, step count, gate set and flag: each sweep effort builds its own
 def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: int, gate_set: NativeGateSet,
-                 gate_errors: bool) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], np.ndarray], ...]:
-    """The shift's gate passes in order, each (wires, its gates' targets, read-only matrix on the wires).
+                 gate_errors: bool) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """The shift's gate passes in order, each (wires, read-only matrix on the wires).
 
     The passes are partition_shift's. A gate's matrix is gates.ckx of its
     rank, effective with gate errors; a pass of one gate runs it, and a
@@ -128,7 +129,7 @@ def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: in
                 plan = gate_plan(2 * len(wires), tuple(wires.index(q) for q in targets))
                 flat[plan] = gatelib.ckx(len(targets), gate_set.param_a, gate_errors) @ flat[plan]
             matrix.setflags(write=False)
-        passes.append((wires, run, matrix))
+        passes.append((wires, matrix))
     return tuple(passes)
 
 
@@ -220,18 +221,18 @@ def run_noisy(
     array. The position qubits are the leading wires, so
     the marginal sums each run of 2^(n - position qubits) consecutive
     probabilities. The buffer holds READOUT_AMPLITUDES // 2^n rows (at
-    least one), and a full buffer, or the last partial one, is scaled and
-    read out in one pass. After the walk one Hellinger pass compares every
-    row against run_ideal's; callers running one spec several times may
-    pass its run_ideal array.
+    least one), and a full buffer, or the last partial one, is scaled,
+    read out and scored in one pass: one hellinger_fidelity call compares
+    the batch's rows against run_ideal's, so each row is scored once.
+    Callers running one spec several times may pass its run_ideal array.
 
     With stop_below, the walk stops after the first step whose fidelity
-    is below it; the result holds the steps up to that one. One Hellinger
-    pass checks each batch, which then holds as many steps as cost no
-    more than its readout and check (STOP_CHECK_CALLS numpy calls, in
-    _pays_back's pass-cost model). Everything else, the fused blocks and
-    the coin fold included, is planned for spec.steps, so the rows are the
-    full walk's.
+    is below it; the result holds the steps up to that one. Each batch's
+    scores are its stop check, and a batch then holds as many steps as
+    cost no more than its readout and check (STOP_CHECK_CALLS numpy
+    calls, in _pays_back's pass-cost model). Everything else, the fused
+    blocks and the coin fold included, is planned for spec.steps, so the
+    rows are the full walk's.
     """
     if ideal_tables is not None and np.shape(ideal_tables) != (spec.steps, spec.node_count):
         raise ValueError(f"ideal tables of shape {np.shape(ideal_tables)} for a {spec.steps}-step walk "
@@ -262,7 +263,7 @@ def run_noisy(
             step_factors.append(idle[rank])
     if not marked:
         step_factors.append(move**noise.moves_per_step)
-    pass_wires, _, shift = zip(*shift_passes(n_q, tuple(gates), steps, gate_set, noise.gate_errors))
+    pass_wires, shift = zip(*shift_passes(n_q, tuple(gates), steps, gate_set, noise.gate_errors))
     coin_indices = spec.coin_indices
     angle_tuples = set(zip(*spec.coin_schedules))
     step_matrices = {}
@@ -295,6 +296,7 @@ def run_noisy(
     nodes = spec.node_count
     noisy = np.empty((steps, nodes))
     totals = np.empty(steps)
+    fidelities = np.empty(steps)
     scalar_factors = np.empty(steps)
     start = 0
     for t, angles in enumerate(zip(*spec.coin_schedules)):
@@ -312,16 +314,16 @@ def run_noisy(
             probs = np.abs(states[: stop - start] * scalar_factors[start:stop, None]) ** 2
             probs.sum(1, out=totals[start:stop])
             probs.reshape(stop - start, nodes, -1).sum(2, out=noisy[start:stop])
+            fidelities[start:stop] = hellinger_fidelity(ideal_tables[start:stop], noisy[start:stop])
             if stop_below is not None:
-                below = _hellinger(ideal_tables[start:stop], noisy[start:stop]) < stop_below
+                below = fidelities[start:stop] < stop_below
                 first_below = int(below.argmax())
                 if below[first_below]:
                     stop = start + first_below + 1
                     break
             start = stop
-    if stop < steps:
-        ideal_tables, noisy, totals, scalar_factors = (a[:stop] for a in (ideal_tables, noisy, totals, scalar_factors))
-    return RunResult(spec, ideal_tables, noisy, hellinger_fidelity(ideal_tables, noisy), totals, scalar_factors)
+    arrays = ideal_tables, noisy, fidelities, totals, scalar_factors
+    return RunResult(spec, *(a[:stop] if stop < steps else a for a in arrays))
 
 
 def hellinger_fidelity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -338,11 +340,6 @@ def hellinger_fidelity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValueError(f"distributions of shapes {p.shape} and {q.shape} do not match")
     if (p < 0).any() or (q < 0).any():
         raise ValueError("probability tables cannot hold negative entries")
-    return _hellinger(p, q)
-
-
-def _hellinger(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """hellinger_fidelity's arithmetic alone, for tables already checked."""
     h2 = 0.5 * ((np.sqrt(p) - np.sqrt(q)) ** 2).sum(-1)
     return (1.0 - h2) ** 2
 

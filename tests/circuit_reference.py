@@ -37,7 +37,8 @@ class Circuit:
             if isinstance(op, MoveMarker):
                 lines.append("MOVE")
             else:
-                lines.append(f"GATE {op.serial_label()} " + " ".join(str(q) for q in op.targets))
+                label = f"RY({op.theta:.12g})" if op.label == "RY" else op.label
+                lines.append(f"GATE {label} " + " ".join(str(q) for q in op.targets))
         return "\n".join(lines) + "\n"
 
 

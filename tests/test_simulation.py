@@ -270,9 +270,16 @@ def test_compiled_once_matches_stepwise_reference(nc, rho, noise, monkeypatch):
 @pytest.mark.parametrize("nc", [1, 2])
 def test_batched_readout_matches_stepwise_reference(nc, monkeypatch):
     # A buffer of four states reads the 6-step walk out as 4 steps, then 2.
+    # Each batch scores its own rows, and the walk read out in one batch
+    # scores them to the same bits.
     spec = random_spec(3, nc, 6, 50 + nc)
     gate_set = NativeGateSet(max_rank=3)
+    sizes = checked_batches(monkeypatch)
+    whole = run_noisy(spec, gate_set, FULL)
     monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", 4 * 2 ** compile_step(spec, gate_set).qubit_count)
+    batched = run_noisy(spec, gate_set, FULL)
+    assert sizes == [6, 4, 2]
+    assert np.array_equal(batched.fidelities, whole.fidelities)
     assert_matches_stepwise_reference(spec, gate_set, FULL, monkeypatch)
 
 
@@ -321,18 +328,19 @@ def test_shift_block_plan_invariants(n, nc, rho):
     assert coins <= set(gates[0])
     for steps in (1, 4, 8, 21, 150):
         for gate_errors in (False, True):
+            partition = partition_shift(n_q, gates, steps)
             passes = shift_passes(n_q, gates, steps, NativeGateSet(rho), gate_errors)
-            assert [(wires, pass_gates) for wires, pass_gates, _ in passes] == list(partition_shift(n_q, gates, steps))
+            assert [wires for wires, _ in passes] == [wires for wires, _ in partition]
             assert coins <= set(passes[0][0])
-            assert sum((pass_gates for _, pass_gates, _ in passes), ()) == gates
-            for wires, pass_gates, matrix in passes:
+            assert sum((pass_gates for _, pass_gates in partition), ()) == gates
+            for (wires, pass_gates), (_, matrix) in zip(partition, passes, strict=True):
                 assert len(wires) <= FUSED_MAX_WIRES
                 assert set(wires) == set().union(*pass_gates)
                 assert matrix.shape == (2 ** len(wires),) * 2 and not matrix.flags.writeable
                 if len(pass_gates) == 1:  # a gate on its own runs as its rank's shift gate
                     assert wires == pass_gates[0] and np.array_equal(matrix, ckx(len(wires), None, gate_errors))
             if steps == 1:
-                assert [len(pass_gates) for _, pass_gates, _ in passes] == [1] * len(gates)
+                assert [len(pass_gates) for _, pass_gates in partition] == [1] * len(gates)
     if (n, nc, rho) == (4, 2, 3):
         assert n_q == 9 and len(gates) == 58
         assert [len(shift_passes(n_q, gates, steps, NativeGateSet(rho), True)) for steps in (4, 8, 21)] == [44, 20, 20]
@@ -437,15 +445,15 @@ def force_stop_batch(monkeypatch, spec, gate_set, steps):
 
 
 def checked_batches(monkeypatch):
-    """Record the number of steps each stop check in run_noisy covers."""
+    """Record the number of steps each readout batch of run_noisy scores, and so checks for a stop."""
     sizes = []
-    hellinger = simulate._hellinger
+    hellinger = simulate.hellinger_fidelity
 
     def recording(p, q):
         sizes.append(len(p))
         return hellinger(p, q)
 
-    monkeypatch.setattr(simulate, "_hellinger", recording)
+    monkeypatch.setattr(simulate, "hellinger_fidelity", recording)
     return sizes
 
 
@@ -470,8 +478,8 @@ def test_stop_batches_match_stepwise_reference(nc, batch, stop_step, monkeypatch
     steps_run = stop_step or spec.steps
     assert np.all(np.diff(full.fidelities) < 0)
     assert len(result.scalar_factor) == steps_run
-    # One check per batch up to the one holding the stop, then the fidelities.
-    assert sizes == [min(batch, spec.steps - first) for first in range(0, steps_run, batch)] + [steps_run]
+    # One check per batch up to the one holding the stop; no row is scored again.
+    assert sizes == [min(batch, spec.steps - first) for first in range(0, steps_run, batch)]
     for positions, factor, total, (table, scalar_factor, total_probability) in zip(
             result.noisy_positions, result.scalar_factor, result.total_probability, reference[:steps_run]):
         assert np.array_equal(positions, table)
@@ -510,7 +518,7 @@ def test_folded_walk_stop_batches_hold_the_steps_asked_for(n, nc, batch, monkeyp
         sizes.clear()
         result = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
         steps_run = int(np.argmax(full.fidelities < stop_below)) + 1 if stop_below else spec.steps
-        assert sizes == [min(batch, spec.steps - first) for first in range(0, steps_run, batch)] + [steps_run]
+        assert sizes == [min(batch, spec.steps - first) for first in range(0, steps_run, batch)]
         for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
             assert np.array_equal(getattr(result, name), getattr(full, name)[:steps_run])
 

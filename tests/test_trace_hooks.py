@@ -7,6 +7,8 @@ rather than editing the program: the layer functions that
 wrapping ``cli.run_noisy``, so every walk must go through one call of it,
 and counts native gates by recompiling each walk's steps with
 ``ringwalk.circuits``, so the compiler's names and fields must hold too.
+It times ``simulate.hellinger_fidelity``, which ``run_noisy`` calls once
+per readout batch, so every row read out is scored exactly once.
 A refactor that binds these names elsewhere breaks its traced run or
 silently zeroes its throughput metrics; these tests catch that.
 
@@ -67,6 +69,12 @@ def _recorder(monkeypatch, module, name):
     return calls
 
 
+# (readout batches, rows read out) per command: a sweep-a walk is one
+# 21-step batch, and the 12 tolerance walks, which all stop early, read out
+# 94 rows in 16 batches.
+SCORED = {"sweep-a": (7, 7 * 21), "tolerance": (16, 94)}
+
+
 @pytest.mark.parametrize("command,walks,specs", [("sweep-a", 7, 1), ("tolerance", 12, 6)])
 def test_each_walk_is_one_run_noisy_call(command, walks, specs, monkeypatch, capsys):
     noisy = _recorder(monkeypatch, cli, "run_noisy")
@@ -80,8 +88,11 @@ def test_each_walk_is_one_run_noisy_call(command, walks, specs, monkeypatch, cap
     assert len(ideal) == len(set(ideal)) == specs
     # sweep-a compiles its one walk once; tolerance compiles each walk once.
     assert len(compiles) == (1 if command == "sweep-a" else walks)
-    # Each walk's fidelities come from one Hellinger pass over all its steps.
-    assert len(hellinger) == walks
+    # Each readout batch scores its own rows, and no row is scored again.
+    # The tracer times these calls but reads no count of them.
+    batches, rows = SCORED[command]
+    assert len(hellinger) == batches
+    assert sum(len(p) for p in hellinger) == rows
 
 
 STATEVECTOR_NAMES = ("apply_gate", "scale_amplitudes", "marginal_probabilities")
