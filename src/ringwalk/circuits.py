@@ -54,16 +54,13 @@ class Circuit:
     """One compiled step: the coin's RY angles, on the coin wires, then the shift.
 
     The coin wires are the last len(coin_angles) data wires, just below
-    the ancillas. shape is the (position qubits, coin qubits, max rank) the
-    shift was compiled for, all it depends on. ops is the step as gate
-    objects, built on first read.
+    the ancillas. ops is the step as gate objects, built on first read.
     """
 
     qubit_count: int
     shift: tuple[ShiftOp, ...]
     coin_angles: tuple[float, ...] = ()
     ancilla_indices: tuple[int, ...] = ()
-    shape: tuple[int, int, int] | None = None
 
     def _coin(self) -> Iterable[tuple[int, float]]:
         first = self.qubit_count - len(self.ancilla_indices) - len(self.coin_angles)
@@ -263,27 +260,33 @@ def _with_move_markers(ops: Iterable[tuple[int, ...]]) -> tuple[ShiftOp, ...]:
     return tuple(out)
 
 
-def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) -> Circuit:
-    """Compile one full walk step (coin + shift) to the native gate set."""
-    if not 0 <= step_index < spec.steps:
-        raise ValueError(f"step_index {step_index} outside schedule")
-    pool = ancilla_requirement(spec, gates.max_rank)
+# Bounded, though the compiler takes rings up to 2^20: simulation admits 12
+# shapes (3 ring sizes, 2 coins, 2 rank bounds), and a tolerance run compiles each once.
+@lru_cache(maxsize=16)
+def _compiled_shift(position_qubits: int, coin_qubits: int, max_rank: int) -> tuple[int, tuple, tuple]:
+    """(qubit count, shift, ancillas) shared by every step of every walk of this shape and rank bound."""
+    spec = uniform_spec(position_qubits, coin_qubits, steps=1)  # the shift reads no coin angle
+    pool = ancilla_requirement(spec, max_rank)
     n_data = spec.data_qubit_count
     ancillas = tuple(range(n_data, n_data + pool))
-
     compiled: list[tuple[int, ...]] = []
     for targets in build_shift_abstract(spec):
-        if len(targets) <= gates.max_rank:
+        if len(targets) <= max_rank:
             compiled.append(targets)
             continue
-        local_ops, used = decompose_ckx(len(targets) - 1, gates.max_rank)
+        local_ops, used = decompose_ckx(len(targets) - 1, max_rank)
         wires = targets + ancillas[:used]  # local wire i is wires[i]
         # Every ladder gate has 3 or more wires, so its itemgetter returns a tuple.
         compiled += [itemgetter(*local)(wires) for local in local_ops]
+    return n_data + pool, _with_move_markers(compiled), ancillas
 
-    coin_angles = tuple(s[step_index] for s in spec.coin_schedules)
-    return Circuit(n_data + pool, _with_move_markers(compiled), coin_angles, ancillas,
-                   (spec.position_qubits, spec.coin_qubits, gates.max_rank))
+
+def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) -> Circuit:
+    """Compile one full walk step (coin + shift) to the native gate set; the shift is cached per shape."""
+    if not 0 <= step_index < spec.steps:
+        raise ValueError(f"step_index {step_index} outside schedule")
+    qubit_count, shift, ancillas = _compiled_shift(spec.position_qubits, spec.coin_qubits, gates.max_rank)
+    return Circuit(qubit_count, shift, tuple(s[step_index] for s in spec.coin_schedules), ancillas)
 
 
 def count_multiqubit_gates(spec: WalkSpec, max_rank: int) -> dict[int, int]:

@@ -46,7 +46,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import gates as gatelib
-from . import simulate  # run_ideal is called through the module, where tracers wrap it
 from .circuits import NativeGateSet, WalkSpec, uniform_spec
 from .noise import NoiseParams
 from .simulate import (
@@ -56,7 +55,6 @@ from .simulate import (
     TOLERANCES,
     RunResult,
     UnsupportedSizeError,
-    compile_step,
     gate_set_comparison,
     run_noisy,
     steps_within_tolerance,
@@ -450,15 +448,10 @@ def cmd_simulate(config: ExperimentConfig) -> Output:
 
 def cmd_sweep_a(config: ExperimentConfig) -> Output:
     spec = config.walk_spec()
-    gate_sets = [replace(config.gates, param_a=a) for a in config.a_list]
-    # Each effort's gate set is checked before the first walk. All efforts
-    # run the same walk at the same rank bound, so one ideal reference and
-    # one compiled step serve the whole sweep (an empty a_list runs none).
-    ideal_tables = simulate.run_ideal(spec) if gate_sets else None
-    compiled = compile_step(spec, gate_sets[0]) if gate_sets else None
+    gate_sets = [replace(config.gates, param_a=a) for a in config.a_list]  # each checked before the first walk
     walks = []
     for a, gate_set in zip(config.a_list, gate_sets):
-        result = _finite(run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables, compiled=compiled))
+        result = _finite(run_noisy(spec, gate_set, config.noise))
         walks.append((result, {
             "a": _round12(a),
             "f_cz": _round12(gatelib.gate_fidelity(gatelib.effective_ckz(1, a), gatelib.ideal_ckz(1))),
@@ -480,17 +473,13 @@ def cmd_sweep_a(config: ExperimentConfig) -> Output:
 
 def cmd_tolerance(config: ExperimentConfig) -> Output:
     rows = []
-    ideal_tables = {}  # both rank bounds run each walk against one ideal reference
     for max_rank in (3, 4):
         gate_set = replace(config.gates, max_rank=max_rank)
         for coin_qubits in (1, 2):
             for position_qubits in (2, 3, 4):
                 spec = uniform_spec(position_qubits, coin_qubits, steps=config.steps)
-                if spec not in ideal_tables:
-                    ideal_tables[spec] = simulate.run_ideal(spec)
                 # No count changes after the first step below the lowest tolerance.
-                fidelities = run_noisy(spec, gate_set, config.noise, ideal_tables=ideal_tables[spec],
-                                       stop_below=min(TOLERANCES)).fidelities
+                fidelities = run_noisy(spec, gate_set, config.noise, stop_below=min(TOLERANCES)).fidelities
                 rows.append({
                     "max_rank": max_rank,
                     "coin_qubits": coin_qubits,

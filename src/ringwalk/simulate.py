@@ -3,10 +3,11 @@ tolerance, and the composite-fidelity gate-set comparison.
 
 run_ideal evolves the walk from its definition (a coin at every node,
 then a roll of each coin column around the ring) and shares no code with
-the compiler. run_noisy is the only circuit executor. Steps of one walk
-differ only in their coin angles, so it compiles the step once
-(compile_step) and keeps its shift as the compiler's target tuples (no
-gate objects are built). partition_shift plans the shift's passes,
+the compiler; it is cached per walk. run_noisy is the only circuit
+executor. Steps of one walk differ only in their coin angles, so it
+compiles the step once (compile_step, its shift cached per walk shape)
+and keeps its shift as the compiler's target tuples (no gate objects are
+built). partition_shift plans the shift's passes,
 fusing runs of gates into dense blocks where the walk's steps pay for
 them, and shift_passes builds each pass's matrix for a gate set from
 gates.ckx. run_noisy folds the coin's RY layer into the first pass where
@@ -133,11 +134,14 @@ def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: in
     return tuple(passes)
 
 
+# Bounded: a tolerance run holds 6 walks, each run at both rank bounds, and
+# the largest table, 10,000 steps on 16 nodes, is 1.28 MB.
+@lru_cache(maxsize=8)
 def run_ideal(spec: WalkSpec) -> np.ndarray:
     """Ideal position marginals from the walk's definition, one row per step.
 
-    Returns a read-only (steps, nodes) array, so every walk run against
-    the same spec can share it.
+    Returns a read-only (steps, nodes) array, cached per spec, so every
+    walk run against the same spec shares one array.
 
     The state is a real (nodes, coin values) array started at node 0,
     coin 0, with coin values big-endian over the coin qubits. A step
@@ -174,26 +178,18 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
 def compile_step(spec: WalkSpec, gate_set: NativeGateSet) -> Circuit:
     """Step 0 of the walk as a Circuit, compiled once for every step, after checking the ring size.
 
-    Its shift depends on the walk only through Circuit.shape. The admitted
-    rings compile to at most 9 qubits, ancillas included.
+    The compiler caches its shift per walk shape and rank bound. The
+    admitted rings compile to at most 9 qubits, ancillas included.
     """
     _check_simulable(spec)
     return build_step_circuit(spec, gate_set, 0)
 
 
-def run_noisy(
-    spec: WalkSpec,
-    gate_set: NativeGateSet,
-    noise: noiselib.NoiseParams,
-    *,
-    ideal_tables: np.ndarray | None = None,
-    compiled: Circuit | None = None,
-    stop_below: float | None = None,
-) -> RunResult:
+def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoiseParams, *,
+              stop_below: float | None = None) -> RunResult:
     """Execute the walk compiled to the native gate set, with noise.
 
-    The step is compiled once (compile_step, unless a compiled Circuit of
-    the same walk shape and rank bound is passed) and its shift planned
+    The step is compiled once (compile_step) and its shift planned
     as passes (shift_passes): dense blocks where a run of gates pays back
     over spec.steps, else gates one by one, each gate's matrix gates.ckx
     of its rank, effective with gate errors. Blocks round in another
@@ -223,8 +219,8 @@ def run_noisy(
     probabilities. The buffer holds READOUT_AMPLITUDES // 2^n rows (at
     least one), and a full buffer, or the last partial one, is scaled,
     read out and scored in one pass: one hellinger_fidelity call compares
-    the batch's rows against run_ideal's, so each row is scored once.
-    Callers running one spec several times may pass its run_ideal array.
+    the batch's rows against run_ideal's cached array, so each row is
+    scored once.
 
     With stop_below, the walk stops after the first step whose fidelity
     is below it; the result holds the steps up to that one. Each batch's
@@ -234,15 +230,8 @@ def run_noisy(
     blocks and the coin fold included, is planned for spec.steps, so the
     rows are the full walk's.
     """
-    if ideal_tables is not None and np.shape(ideal_tables) != (spec.steps, spec.node_count):
-        raise ValueError(f"ideal tables of shape {np.shape(ideal_tables)} for a {spec.steps}-step walk "
-                         f"on {spec.node_count} nodes")
-    if compiled is None:
-        compiled = compile_step(spec, gate_set)
-    elif compiled.shape != (spec.position_qubits, spec.coin_qubits, gate_set.max_rank):
-        raise ValueError(f"compiled step for shape {compiled.shape} does not fit this walk and gate set")
-    if ideal_tables is None:
-        ideal_tables = run_ideal(spec)
+    compiled = compile_step(spec, gate_set)
+    ideal_tables = run_ideal(spec)
 
     n_q = compiled.qubit_count
     steps = spec.steps
@@ -332,7 +321,9 @@ def hellinger_fidelity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Compares p and q along their last axis, so (steps, nodes) arrays give
     one fidelity per step. H^2 is half the squared Euclidean distance
     between the square-root vectors. No renormalization: probability lost
-    to damping lowers the fidelity, which is the point.
+    to damping lowers the fidelity, which is the point. It also sets a
+    floor: against a normalized p, a q that has lost all its probability
+    gives H^2 = 1/2 and so f = 0.25, not 0.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)

@@ -21,6 +21,7 @@ from ringwalk.circuits import (
     MoveMarker,
     NativeGateSet,
     WalkSpec,
+    _compiled_shift,
     _with_move_markers,
     ancilla_requirement,
     build_shift_abstract,
@@ -192,6 +193,7 @@ def test_move_markers_follow_subset_rule():
 def test_compile_decomposes_each_ckx_size_once():
     # The 2^4 lazy walk's cascades hold CkX with k = 5, 4, 3 above rank 3,
     # each once in the increment and once in the decrement.
+    _compiled_shift.cache_clear()
     decompose_ckx.cache_clear()
     compiled = build_step_circuit(uniform_spec(4, 2, steps=1), NativeGateSet(3), 0)
     info = decompose_ckx.cache_info()

@@ -558,6 +558,29 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert capsys.readouterr().out.splitlines()[0] == CSV_HEADERS["simulate"]
 
 
+def clear_caches():
+    """Empty every cache a walk fills, so the next walk computes everything afresh."""
+    for cached in (simulate.run_ideal, circuits._compiled_shift, simulate.partition_shift, simulate.shift_passes,
+                   gates._ckx, gate_plan):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command,other", [("simulate", "tolerance"), ("tolerance", "sweep-a")])
+def test_walk_bytes_do_not_depend_on_the_caches(command, other, fmt, capsys):
+    # Cold, warm, and after another subcommand has filled the caches with
+    # the same walks (at other efforts or rank bounds): the same bytes.
+    def run(name):
+        assert main([name, "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    clear_caches()
+    cold = run(command)
+    assert run(command) == cold
+    run(other)
+    assert run(command) == cold
+
+
 def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monkeypatch):
     # Fusion is decided from the walk alone: the blocks a longer walk of the
     # same shape leaves in the caches must not change how 4 steps are summed.
@@ -574,10 +597,6 @@ def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monke
         path = write_config(tmp_path, f"[walk]\nposition_qubits = 4\ncoin_qubits = 2\nsteps = {steps}\n")
         assert main(["sweep-a", "--config", path, "--format", "json"]) == 0
         return capsys.readouterr().out, list(walks)
-
-    def clear_caches():
-        for cached in (simulate.partition_shift, simulate.shift_passes, gates._ckx, gate_plan):
-            cached.cache_clear()
 
     clear_caches()
     fresh, fresh_walks = sweep(4)

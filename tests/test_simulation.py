@@ -15,6 +15,7 @@ from ringwalk.circuits import (
     MoveMarker,
     NativeGateSet,
     WalkSpec,
+    _compiled_shift,
     build_step_circuit,
     count_multiqubit_gates,
     uniform_spec,
@@ -138,6 +139,18 @@ def test_hellinger_passes_nan_through():
         hellinger_fidelity(np.array([[np.nan, -0.1], [0.5, 0.5]]), q)
     with pytest.raises(ValueError):
         hellinger_fidelity(q, np.array([[0.5, 0.5], [-0.1, np.nan]]))
+
+
+@pytest.mark.parametrize("coin_qubits", [1, 2])
+def test_fidelity_floor_is_a_quarter(coin_qubits):
+    # The tables are not renormalized: against a normalized p, a q that has
+    # lost all its probability has H^2 = 1/2, so f reads 0.25, not 0.
+    p = np.array([0.5, 0.25, 0.125, 0.125])
+    assert hellinger_fidelity(p, np.zeros(4)) == pytest.approx(0.25, abs=1e-15)
+    vanishing = noiselib.NoiseParams(t1_seconds=1e-300)
+    result = run_noisy(uniform_spec(2, coin_qubits, steps=5), NativeGateSet(3), vanishing)
+    assert np.array_equal(result.total_probability, np.zeros(5))
+    assert result.fidelities == pytest.approx(np.full(5, 0.25), abs=1e-15)
 
 
 @pytest.mark.parametrize("nodes", [2, 4, 8, 16])
@@ -545,32 +558,31 @@ def test_compiled_step_is_the_step_zero_circuit(n, nc, rho):
     spec, gate_set = uniform_spec(n, nc, steps=3, theta=0.4, phi=1.1), NativeGateSet(rho)
     compiled = compile_step(spec, gate_set)
     assert compiled == build_step_circuit(spec, gate_set, 0)
-    assert compiled.shape == (n, nc, rho)
+    # The shift reads only the walk's shape: another schedule shares its tuple.
+    other = compile_step(uniform_spec(n, nc, steps=5, theta=2.0, phi=0.3), gate_set)
+    assert other.shift is compiled.shift and other.coin_angles != compiled.coin_angles
 
 
 def test_shared_compiled_step_and_ideal_tables():
+    # Walks of one spec share one read-only ideal array and one shift tuple,
+    # with the bits of a walk run after both caches are cleared.
     spec = uniform_spec(3, 2, steps=4)
-    compiled = compile_step(spec, NativeGateSet(3))
     ideal = run_ideal(spec)
     assert ideal.shape == (4, 8) and not ideal.flags.writeable
     with pytest.raises(ValueError):
         ideal[0, 0] = 0.5
     tuned = NativeGateSet(3, param_a=13.0)
-    shared = run_noisy(spec, tuned, FULL, ideal_tables=ideal, compiled=compiled)
+    shared = run_noisy(spec, tuned, FULL)
+    assert shared.ideal_positions is ideal  # one array serves every walk of the spec
+    assert run_noisy(spec, NativeGateSet(4), FULL).ideal_positions is ideal
+    shift = compile_step(spec, tuned).shift
+    assert compile_step(spec, NativeGateSet(3)).shift is shift
+    run_ideal.cache_clear()
+    _compiled_shift.cache_clear()
     alone = run_noisy(spec, tuned, FULL)
-    assert shared.ideal_positions is ideal  # one array serves every walk that shares it
-    assert np.array_equal(shared.ideal_positions, alone.ideal_positions)
-    for name in ("noisy_positions", "fidelities", "total_probability", "scalar_factor"):
+    assert alone.ideal_positions is not ideal and compile_step(spec, tuned).shift is not shift
+    for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
         assert np.array_equal(getattr(shared, name), getattr(alone, name))
-    with pytest.raises(ValueError):
-        run_noisy(spec, NativeGateSet(4), FULL, compiled=compiled)
-    with pytest.raises(ValueError):
-        run_noisy(uniform_spec(3, 1, steps=4), NativeGateSet(3), FULL, compiled=compiled)
-    with pytest.raises(ValueError):
-        run_noisy(spec, tuned, FULL, ideal_tables=ideal[:3])
-    # Another ring with the same step count: caught before the walk runs.
-    with pytest.raises(ValueError, match="ideal tables of shape"):
-        run_noisy(spec, tuned, FULL, ideal_tables=run_ideal(uniform_spec(2, 2, steps=4)), compiled=compiled)
 
 
 def test_fidelity_decreases_with_worse_preparation():

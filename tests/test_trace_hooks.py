@@ -7,6 +7,11 @@ rather than editing the program: the layer functions that
 wrapping ``cli.run_noisy``, so every walk must go through one call of it,
 and counts native gates by recompiling each walk's steps with
 ``ringwalk.circuits``, so the compiler's names and fields must hold too.
+It counts compiles and ideal references by wrapping
+``simulate.build_step_circuit`` and ``simulate.run_ideal``, which
+``run_noisy`` reaches through ``simulate``'s globals once per walk; the
+caches below them (the compiled shift per walk shape, the ideal table per
+walk) serve a repeat, so each distinct walk is computed once.
 It times ``simulate.hellinger_fidelity``, which ``run_noisy`` calls once
 per readout batch, so every row read out is scored exactly once.
 A refactor that binds these names elsewhere breaks its traced run or
@@ -77,6 +82,8 @@ SCORED = {"sweep-a": (7, 7 * 21), "tolerance": (16, 94)}
 
 @pytest.mark.parametrize("command,walks,specs", [("sweep-a", 7, 1), ("tolerance", 12, 6)])
 def test_each_walk_is_one_run_noisy_call(command, walks, specs, monkeypatch, capsys):
+    cached_ideal = simulate.run_ideal
+    cached_ideal.cache_clear()
     noisy = _recorder(monkeypatch, cli, "run_noisy")
     ideal = _recorder(monkeypatch, simulate, "run_ideal")
     compiles = _recorder(monkeypatch, simulate, "build_step_circuit")
@@ -84,10 +91,10 @@ def test_each_walk_is_one_run_noisy_call(command, walks, specs, monkeypatch, cap
     assert cli.main([command]) == 0
     capsys.readouterr()
     assert len(noisy) == walks
-    # One ideal reference per distinct walk, reached through the module.
-    assert len(ideal) == len(set(ideal)) == specs
-    # sweep-a compiles its one walk once; tolerance compiles each walk once.
-    assert len(compiles) == (1 if command == "sweep-a" else walks)
+    # Each walk asks for its ideal reference and its compile once, through
+    # the module; the cache computes each distinct walk's reference once.
+    assert len(ideal) == len(compiles) == walks
+    assert len(set(ideal)) == cached_ideal.cache_info().misses == specs
     # Each readout batch scores its own rows, and no row is scored again.
     # The tracer times these calls but reads no count of them.
     batches, rows = SCORED[command]
