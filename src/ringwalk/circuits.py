@@ -260,8 +260,8 @@ def _with_move_markers(ops: Iterable[tuple[int, ...]]) -> tuple[ShiftOp, ...]:
     return tuple(out)
 
 
-# Bounded, though the compiler takes rings up to 2^20: simulation admits 12
-# shapes (3 ring sizes, 2 coins, 2 rank bounds), and a tolerance run compiles each once.
+# Bounded, though the compiler takes rings up to 2^20: simulation admits the 16
+# shapes whose step fits in 9 qubits, and a tolerance run compiles 12 of them once each.
 @lru_cache(maxsize=16)
 def _compiled_shift(position_qubits: int, coin_qubits: int, max_rank: int) -> tuple[int, tuple, tuple]:
     """(qubit count, shift, ancillas) shared by every step of every walk of this shape and rank bound."""

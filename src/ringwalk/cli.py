@@ -61,7 +61,7 @@ from .simulate import (
 )
 
 DEFAULT_A_LIST = (0.0, 13.0 / 3, 26.0 / 3, 13.0, 52.0 / 3, 65.0 / 3, 26.0)
-MAX_STEPS = 10_000  # desk scale: a 2^4 lazy sweep-a of this many steps runs in about 25 s at 52 MB peak RSS
+MAX_STEPS = 10_000  # desk scale: the worst admitted sweep-a (2^6 ring, 1q coin, G(4)) takes about 1 min at 93 MB RSS
 
 
 class ConfigError(ValueError):

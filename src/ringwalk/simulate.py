@@ -4,22 +4,23 @@ tolerance, and the composite-fidelity gate-set comparison.
 run_ideal evolves the walk from its definition (a coin at every node,
 then a roll of each coin column around the ring) and shares no code with
 the compiler; it is cached per walk. run_noisy is the only circuit
-executor. Steps of one walk differ only in their coin angles, so it
-compiles the step once (compile_step, its shift cached per walk shape)
-and keeps its shift as the compiler's target tuples (no gate objects are
-built). partition_shift plans the shift's passes,
+executor. It admits a walk whose compiled step, ancillas included, fits
+in MAX_SIMULATED_QUBITS. Steps of one walk differ only in their coin
+angles, so it compiles step 0 once (build_step_circuit, its shift cached
+per walk shape) and keeps its shift as the compiler's target tuples (no
+gate objects are built). partition_shift plans the shift's passes,
 fusing runs of gates into dense blocks where the walk's steps pay for
 them, and shift_passes builds each pass's matrix for a gate set from
 gates.ckx. run_noisy folds the coin's RY layer into the first pass where
 the walk's distinct coin angles pay for that, and then per step runs one
-matrix per pass, its passes chained through
-gathers (chain_plans) so that only the last scatters, into the step's row
-of a buffer of at most READOUT_AMPLITUDES amplitudes. The state evolves under
-the gates alone; the scalar noise channels multiply into one logged
-factor. The buffer is read out a batch of steps at a time: each batch's
-rows are scored once by hellinger_fidelity, and an early stop checked on
-those scores, so a walk's readout is one set of arrays with a row per
-step (RunResult) at a few numpy calls per batch rather than per step.
+matrix per pass, its passes chained through gathers (chain_plans) so
+that only the last scatters, into the step's row of a buffer of at most
+READOUT_AMPLITUDES amplitudes. The state evolves under the gates alone;
+the scalar noise channels multiply into one logged factor. The buffer is
+read out a batch of steps at a time: each batch's rows are scored once
+by hellinger_fidelity, and an early stop checked on those scores, so a
+walk's readout is one set of arrays with a row per step (RunResult) at a
+few numpy calls per batch rather than per step.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ import numpy as np
 
 from . import gates as gatelib
 from . import noise as noiselib
-from .circuits import Circuit, NativeGateSet, WalkSpec, build_step_circuit, count_multiqubit_gates
+from .circuits import NativeGateSet, WalkSpec, ancilla_requirement, build_step_circuit, count_multiqubit_gates
 from .statevector import chain_plans, gate_plan
 from .statevector import apply_gate, marginal_probabilities, scale_amplitudes  # noqa: F401 -- bound here for tracers
 
-MAX_SIMULATED_POSITION_QUBITS = 4
+MAX_SIMULATED_QUBITS = 9  # 2^9 amplitudes: the 2^4 lazy walk at G(3), ancillas included
 FUSED_MAX_WIRES = 5
 CALL_AMPLITUDES = 650  # one numpy call's overhead, as the amplitudes a gate pass moves in that time
 READOUT_AMPLITUDES = 2**16  # amplitudes run_noisy holds between readouts (1 MiB)
@@ -63,12 +64,10 @@ class RunResult:
     scalar_factor: np.ndarray
 
 
-def _check_simulable(spec: WalkSpec) -> None:
-    if spec.position_qubits > MAX_SIMULATED_POSITION_QUBITS:
-        raise UnsupportedSizeError(
-            f"simulation supports rings up to 2^{MAX_SIMULATED_POSITION_QUBITS} nodes; "
-            f"got 2^{spec.position_qubits} (counting still works at this size)"
-        )
+def _check_simulable(qubits: int) -> None:
+    if qubits > MAX_SIMULATED_QUBITS:
+        raise UnsupportedSizeError(f"simulation supports walks of up to {MAX_SIMULATED_QUBITS} qubits; "
+                                   f"this walk needs {qubits} (counting still works at this size)")
 
 
 def _pays_back(steps: int, gates: int, wires: int, qubit_count: int, builds: int = 1) -> bool:
@@ -135,13 +134,14 @@ def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: in
 
 
 # Bounded: a tolerance run holds 6 walks, each run at both rank bounds, and
-# the largest table, 10,000 steps on 16 nodes, is 1.28 MB.
+# the largest table, 10,000 steps on 64 nodes, is 5.1 MB.
 @lru_cache(maxsize=8)
 def run_ideal(spec: WalkSpec) -> np.ndarray:
     """Ideal position marginals from the walk's definition, one row per step.
 
     Returns a read-only (steps, nodes) array, cached per spec, so every
-    walk run against the same spec shares one array.
+    walk of the spec shares one array. The state, 2^(data qubits) entries,
+    is bounded by MAX_SIMULATED_QUBITS.
 
     The state is a real (nodes, coin values) array started at node 0,
     coin 0, with coin values big-endian over the coin qubits. A step
@@ -153,7 +153,7 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     step's readout is its state's squared amplitudes summed over the coin
     values, taken for every step in one call after the walk.
     """
-    _check_simulable(spec)
+    _check_simulable(spec.data_qubit_count)
     moves = (-1, 1) if spec.coin_qubits == 1 else (0, -1, 0, 1)
     size = spec.node_count * len(moves)
     # Rolling column c by moves[c] is one flat gather: entry (i, c) takes entry
@@ -175,35 +175,26 @@ def run_ideal(spec: WalkSpec) -> np.ndarray:
     return tables
 
 
-def compile_step(spec: WalkSpec, gate_set: NativeGateSet) -> Circuit:
-    """Step 0 of the walk as a Circuit, compiled once for every step, after checking the ring size.
-
-    The compiler caches its shift per walk shape and rank bound. The
-    admitted rings compile to at most 9 qubits, ancillas included.
-    """
-    _check_simulable(spec)
-    return build_step_circuit(spec, gate_set, 0)
-
-
 def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoiseParams, *,
               stop_below: float | None = None) -> RunResult:
     """Execute the walk compiled to the native gate set, with noise.
 
-    The step is compiled once (compile_step) and its shift planned
-    as passes (shift_passes): dense blocks where a run of gates pays back
-    over spec.steps, else gates one by one, each gate's matrix gates.ckx
-    of its rank, effective with gate errors. Blocks round in another
-    order, so results may move in the last bits. The first pass holds
-    every coin wire, so where _pays_back finds that it pays, charging one
-    build per distinct coin-angle tuple in the schedules, the coin RY
-    layer on spec.coin_indices is folded into it: each step then runs the
-    shift alone, its first pass's matrix times that step's coin layer.
-    Otherwise each step runs the coin layer's RY matrices, built once per
-    distinct angle tuple, then the shift. The passes are chained
-    (chain_plans): each gathers its input out of the previous pass's
-    output, multiplied by ndarray.dot (the same bits as @, with less call
-    overhead), and only the last scatters, into the step's row of the
-    readout buffer.
+    It checks the walk's width, data qubits plus ancilla_requirement,
+    against MAX_SIMULATED_QUBITS before compiling anything, then compiles
+    step 0 once (build_step_circuit) and plans its shift as passes
+    (shift_passes): dense blocks where a run of gates pays back over
+    spec.steps, else gates one by one, each gate's matrix gates.ckx of its
+    rank, effective with gate errors. Blocks round in another order, so
+    results may move in the last bits. The first pass holds every coin
+    wire, so where _pays_back finds that it pays, charging one build per
+    distinct coin-angle tuple in the schedules, the coin RY layer on
+    spec.coin_indices is folded into it: each step then runs the shift
+    alone, its first pass's matrix times that step's coin layer. Otherwise
+    each step runs the coin layer's RY matrices, built once per distinct
+    angle tuple, then the shift. The passes are chained (chain_plans):
+    each gathers its input out of the previous pass's output, multiplied
+    by ndarray.dot (the same bits as @, with less call overhead), and only
+    the last scatters, into the step's row of the readout buffer.
 
     The scalar channels are real factors that commute with every gate, so
     the state evolves under the gates alone and the channels accumulate in
@@ -230,7 +221,8 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
     blocks and the coin fold included, is planned for spec.steps, so the
     rows are the full walk's.
     """
-    compiled = compile_step(spec, gate_set)
+    _check_simulable(spec.data_qubit_count + ancilla_requirement(spec, gate_set.max_rank))
+    compiled = build_step_circuit(spec, gate_set, 0)
     ideal_tables = run_ideal(spec)
 
     n_q = compiled.qubit_count

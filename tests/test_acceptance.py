@@ -153,11 +153,27 @@ def test_small_walk_survives_all_steps_at_090():
 # 8. Walks with equal register sizes have nearly equal curves.
 
 
-@pytest.mark.parametrize("lazy,plain", [((2, 2), (3, 1)), ((3, 2), (4, 1))])
+@pytest.mark.parametrize("lazy,plain", [((2, 2), (3, 1)), ((3, 2), (4, 1)), ((4, 2), (5, 1))])
 def test_equal_register_curves_agree(lazy, plain):
-    f_lazy = noisy_run(*lazy).fidelities
-    f_plain = noisy_run(*plain).fidelities
+    # The lazy walk on 2^n nodes against the 1q-coin walk on 2^(n+1) nodes,
+    # n_q = 4, 5 and 6. As total probability goes to 0 the fidelity goes to
+    # its floor of 0.25, so the curves must also agree over the first 8
+    # steps, where both walks keep total probability >= 0.1, and end above
+    # the floor.
+    run_lazy, run_plain = noisy_run(*lazy), noisy_run(*plain)
+    f_lazy, f_plain = run_lazy.fidelities, run_plain.fidelities
     assert max(abs(a - b) for a, b in zip(f_lazy, f_plain)) <= 0.05
+    kept = (run_lazy.total_probability >= 0.1) & (run_plain.total_probability >= 0.1)
+    assert kept[:8].all() and np.abs(f_lazy - f_plain)[kept].max() <= 0.05
+    assert min(f_lazy[-1], f_plain[-1]) > 0.25
+
+
+def test_first_step_fidelity_falls_with_register_size():
+    # Fidelity is set by n_q = n + n_c: at G(3) each n_q's step-1 fidelity,
+    # under either coin, lies strictly below every one at the n_q before it.
+    by_register = [[noisy_run(n_q - nc, nc).fidelities[0] for nc in (1, 2)] for n_q in (4, 5, 6)]
+    for smaller, larger in zip(by_register, by_register[1:]):
+        assert min(smaller) > max(larger)
 
 
 # 9. Step-21 benefit of allowing rank-4 gates on the lazy 4-node walk.

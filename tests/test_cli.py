@@ -28,7 +28,7 @@ from ringwalk.cli import (
     main,
 )
 from ringwalk.noise import NoiseParams
-from ringwalk.simulate import RunResult, compile_step, run_noisy
+from ringwalk.simulate import RunResult, UnsupportedSizeError, run_noisy
 from ringwalk.statevector import gate_plan
 
 
@@ -288,7 +288,7 @@ def test_module_exit_codes_through_a_process(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["kind"] == "composite"
     for config, code, prefix in (("[walk]\nsteps = 0\n", 2, "config error: bad value for walk.steps: "),
-                                 ("[walk]\nposition_qubits = 5\n", 3, "unsupported size: ")):
+                                 ("[walk]\nposition_qubits = 6\n", 3, "unsupported size: ")):
         done = run_module("simulate", config=config, cwd=tmp_path)
         assert done.returncode == code
         assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1
@@ -450,22 +450,59 @@ def test_step_count_at_bound_is_accepted(tmp_path):
     assert load_config(write_config(tmp_path, f"[walk]\nsteps = {cli.MAX_STEPS}\n")).steps == cli.MAX_STEPS
 
 
-def test_admitted_walks_compile_to_at_most_nine_qubits(tmp_path, capsys):
-    # The ring bound is the only size check: every ring it admits, under
-    # either coin and either rank bound, fits in 9 qubits with its ancillas.
-    counts = [compile_step(uniform_spec(n, coins, steps=1), NativeGateSet(rank)).qubit_count
-              for n in (2, 3, 4) for coins in (1, 2) for rank in (3, 4)]
-    assert max(counts) == 9
-    for coins in (1, 2):
-        path = write_config(tmp_path, f"[walk]\nposition_qubits = 5\ncoin_qubits = {coins}\nsteps = 1\n")
-        assert main(["simulate", "--config", path]) == 3
-        assert capsys.readouterr().err.startswith("unsupported size: simulation supports rings up to 2^4 nodes")
+# (position qubits, coin qubits, max rank): the 12 shapes tolerance runs,
+# plus the 4 larger ones that also fit in 9 qubits.
+LARGER_SHAPES = [(5, 1, 3), (5, 1, 4), (5, 2, 4), (6, 1, 4)]
+ADMITTED_SHAPES = {(n, coins, rank) for n in (2, 3, 4) for coins in (1, 2) for rank in (3, 4)} | set(LARGER_SHAPES)
+
+
+def test_admitted_walks_compile_to_at_most_nine_qubits(monkeypatch):
+    # The one size check bounds the compiled step, ancillas included, by 9
+    # qubits. It admits exactly ADMITTED_SHAPES, and the width it checks is
+    # the qubit count of the step each admitted walk compiles.
+    widths = []
+    check = simulate._check_simulable
+    monkeypatch.setattr(simulate, "_check_simulable", lambda qubits: widths.append(qubits) or check(qubits))
+    admitted = set()
+    for n in range(2, 9):
+        for coins in (1, 2):
+            for rank in (3, 4):
+                spec, gate_set = uniform_spec(n, coins, steps=1), NativeGateSet(rank)
+                widths.clear()
+                try:
+                    run_noisy(spec, gate_set, NoiseParams())
+                except UnsupportedSizeError:
+                    assert widths[0] > simulate.MAX_SIMULATED_QUBITS == 9 and len(widths) == 1
+                    continue
+                assert widths[0] == simulate.build_step_circuit(spec, gate_set, 0).qubit_count <= 9
+                admitted.add((n, coins, rank))
+    assert admitted == ADMITTED_SHAPES
+    assert circuits._compiled_shift.cache_info().maxsize >= len(ADMITTED_SHAPES)
 
 
 def test_main_unsupported_size_exit_code(tmp_path, capsys):
-    path = write_config(tmp_path, "[walk]\nposition_qubits = 6\nsteps = 1\n")
-    assert main(["simulate", "--config", path]) == 3
-    assert "unsupported size" in capsys.readouterr().err
+    # A 2^6 ring compiles to 11 qubits under the 1q coin and 13 under the
+    # lazy coin at G(3); the one stderr line names the count and the bound.
+    for coins, qubits in ((1, 11), (2, 13)):
+        path = write_config(tmp_path, f"[walk]\nposition_qubits = 6\ncoin_qubits = {coins}\nsteps = 1\n")
+        assert main(["simulate", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"unsupported size: simulation supports walks of up to 9 qubits; this walk needs "
+                                f"{qubits} (counting still works at this size)\n")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("n,coins,rank", LARGER_SHAPES)
+def test_larger_admitted_walks_simulate(n, coins, rank, tmp_path, capsys):
+    path = write_config(tmp_path, f"[walk]\nposition_qubits = {n}\ncoin_qubits = {coins}\n"
+                                  f"[gates]\nmax_rank = {rank}\n")
+    assert main(["simulate", "--config", path, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
+    jsonschema.validate(payload, SCHEMAS["simulate"])
+    assert len(payload["steps"]) == 21
+    assert all(0 <= f <= 1 for f in _fidelities(payload))
 
 
 # ---------------------------------------------------------------- output

@@ -27,7 +27,6 @@ from ringwalk.simulate import (
     TOLERANCES,
     RunResult,
     UnsupportedSizeError,
-    compile_step,
     composite_fidelity,
     gate_set_comparison,
     hellinger_fidelity,
@@ -89,10 +88,16 @@ def test_lazy_walk_rests_on_even_support():
 
 
 def test_simulation_size_guard():
-    with pytest.raises(UnsupportedSizeError):
-        run_ideal(uniform_spec(5, 1, steps=1))
-    with pytest.raises(UnsupportedSizeError):
+    # run_ideal bounds its own state, 2^(data qubits) entries; run_noisy
+    # bounds the compiled step, ancillas included, before it compiles, so
+    # the oversized shape never enters the shift cache.
+    with pytest.raises(UnsupportedSizeError, match="up to 9 qubits; this walk needs 10 "):
+        run_ideal(uniform_spec(9, 1, steps=1))
+    run_ideal(uniform_spec(8, 1, steps=1))  # 9 data qubits
+    misses = _compiled_shift.cache_info().misses
+    with pytest.raises(UnsupportedSizeError, match="up to 9 qubits; this walk needs 11 "):
         run_noisy(uniform_spec(5, 2, steps=1), NativeGateSet(3), FULL)
+    assert _compiled_shift.cache_info().misses == misses
     assert issubclass(UnsupportedSizeError, ValueError)
 
 
@@ -266,7 +271,7 @@ def alternating_spec(n, nc, steps):
 
 def shift_gates(n, nc, rho):
     """(qubit count, shift gate targets in circuit order) of the compiled step."""
-    compiled = compile_step(uniform_spec(n, nc, steps=1), NativeGateSet(rho))
+    compiled = build_step_circuit(uniform_spec(n, nc, steps=1), NativeGateSet(rho), 0)
     return compiled.qubit_count, tuple(targets for targets in compiled.shift if targets is not None)
 
 
@@ -289,7 +294,7 @@ def test_batched_readout_matches_stepwise_reference(nc, monkeypatch):
     gate_set = NativeGateSet(max_rank=3)
     sizes = checked_batches(monkeypatch)
     whole = run_noisy(spec, gate_set, FULL)
-    monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", 4 * 2 ** compile_step(spec, gate_set).qubit_count)
+    monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", 4 * 2 ** build_step_circuit(spec, gate_set, 0).qubit_count)
     batched = run_noisy(spec, gate_set, FULL)
     assert sizes == [6, 4, 2]
     assert np.array_equal(batched.fidelities, whole.fidelities)
@@ -554,12 +559,15 @@ def test_rank_one_shift_gate_is_x_with_or_without_gate_errors():
 
 
 @pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (3, 2, 3), (4, 2, 4)])
-def test_compiled_step_is_the_step_zero_circuit(n, nc, rho):
+def test_compiled_step_is_the_step_zero_circuit(n, nc, rho, monkeypatch):
     spec, gate_set = uniform_spec(n, nc, steps=3, theta=0.4, phi=1.1), NativeGateSet(rho)
-    compiled = compile_step(spec, gate_set)
-    assert compiled == build_step_circuit(spec, gate_set, 0)
+    calls = []
+    monkeypatch.setattr(simulate, "build_step_circuit", lambda *args: calls.append(args) or build_step_circuit(*args))
+    run_noisy(spec, gate_set, FULL)
+    assert calls == [(spec, gate_set, 0)]  # one compile per walk, of step 0
+    compiled = build_step_circuit(spec, gate_set, 0)
     # The shift reads only the walk's shape: another schedule shares its tuple.
-    other = compile_step(uniform_spec(n, nc, steps=5, theta=2.0, phi=0.3), gate_set)
+    other = build_step_circuit(uniform_spec(n, nc, steps=5, theta=2.0, phi=0.3), gate_set, 0)
     assert other.shift is compiled.shift and other.coin_angles != compiled.coin_angles
 
 
@@ -575,12 +583,12 @@ def test_shared_compiled_step_and_ideal_tables():
     shared = run_noisy(spec, tuned, FULL)
     assert shared.ideal_positions is ideal  # one array serves every walk of the spec
     assert run_noisy(spec, NativeGateSet(4), FULL).ideal_positions is ideal
-    shift = compile_step(spec, tuned).shift
-    assert compile_step(spec, NativeGateSet(3)).shift is shift
+    shift = build_step_circuit(spec, tuned, 0).shift
+    assert build_step_circuit(spec, NativeGateSet(3), 0).shift is shift
     run_ideal.cache_clear()
     _compiled_shift.cache_clear()
     alone = run_noisy(spec, tuned, FULL)
-    assert alone.ideal_positions is not ideal and compile_step(spec, tuned).shift is not shift
+    assert alone.ideal_positions is not ideal and build_step_circuit(spec, tuned, 0).shift is not shift
     for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
         assert np.array_equal(getattr(shared, name), getattr(alone, name))
 
