@@ -6,9 +6,17 @@ Subcommands:
   tolerance  steps-within-tolerance table over the whole walk grid
   composite  composite-fidelity gain from raising the native rank bound
 
-Configs are INI-style text (section headers, key = value). Unknown
-sections and keys, and keys the subcommand does not read, are rejected.
-Everything is deterministic; --seedless only says so out loud.
+Options, after the subcommand, as --name value or --name=value (the last
+one given wins; abbreviations are not accepted):
+  --config PATH    experiment config file (INI-style)
+  --out PATH       write the payload to PATH and the report to stdout
+  --format FORMAT  csv (default) or json
+  --seedless       no-op: runs are deterministic, there is no seed to set
+  -h, --help       print this usage and exit
+
+--help prints a usage line and the two paragraphs above. Configs are
+INI-style text (section headers, key = value). Unknown sections and keys,
+and keys the subcommand does not read, are rejected.
 
 Each subcommand computes its results once and returns one Output: the
 JSON payload's skeleton, its CSV lines under a header and the report
@@ -32,7 +40,6 @@ closed stdout, which prints none.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import functools
 import gc
@@ -548,46 +555,67 @@ _COMMANDS = {
 KINDS = tuple(_COMMANDS)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Prints a usage error on one stderr line, as config errors are, and exits 2."""
-
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+class UsageError(Exception):
+    """A bad command line; the message is the whole stderr line."""
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="ringwalk", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="experiment config file (INI-style)")
-        cmd.add_argument("--out", help="output file path (default: print payload to stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        cmd.add_argument(
-            "--seedless",
-            action="store_true",
-            help="no-op: runs are deterministic, there is no seed to set",
-        )
-    return parser
+def parse_argv(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand ``argv`` names, and its "config", "out", "format" and "seedless" values."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise UsageError("ringwalk: error: " + (f"invalid subcommand {argv[0]!r}" if argv else "no subcommand")
+                         + f" (choose from {', '.join(_COMMANDS)})")
+    command, tokens = argv[0], iter(argv[1:])
+    values = {"config": None, "out": None, "format": None, "seedless": False}
+    for token in tokens:
+        option, given, value = token.partition("=")
+        if not option.startswith("--") or option[2:] not in values:
+            raise UsageError(f"ringwalk: error: unrecognized argument {token!r}")
+        error = f"ringwalk {command}: error: argument {option}: "
+        if option == "--seedless":
+            if given:
+                raise UsageError(error + f"takes no value, got {value!r}")
+            value = True
+        elif not given and (value := next(tokens, "")).startswith("-") or not value:
+            raise UsageError(error + "expected one value")  # missing, empty, or led by "-" without "="
+        elif option == "--format" and value not in ("csv", "json"):
+            raise UsageError(error + f"invalid choice: {value!r} (choose from csv, json)")
+        values[option[2:]] = value
+    return command, values
+
+
+def _write_stdout(chunks: Iterable[str]) -> int:
+    """Write ``chunks`` to stdout; 0, or 1 if stdout is closed or not writable."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at devnull, so that the flush at exit does not fail again, and exit 1
+        # without a traceback: silently if the reader went away (as head does), else with a line.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        paragraphs = (__doc__ or "").split("\n\n")[1:3]  # the subcommands and the options
+        return _write_stdout(["usage: ringwalk SUBCOMMAND [OPTIONS]\n", *(f"\n{part}\n" for part in paragraphs)])
     try:
-        config = load_config(args.config) if args.config else ExperimentConfig()
-        if config.kind is not None and config.kind != args.command:
-            raise ConfigError(f"config kind {config.kind!r} does not match subcommand {args.command!r}")
-        reads = _READS[args.command]
+        command, args = parse_argv(argv)
+        config = load_config(args["config"]) if args["config"] else ExperimentConfig()
+        if config.kind is not None and config.kind != command:
+            raise ConfigError(f"config kind {config.kind!r} does not match subcommand {command!r}")
+        reads = _READS[command]
         unread = sorted(key for key in config.given if key not in reads and key.partition(".")[0] not in reads
                         or key == "walk.phi" and config.coin_qubits != 2)
         if unread:
-            raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
-        config.path = args.out or config.path
-        config.format = args.format or config.format
-        output = _COMMANDS[args.command](config)
+            raise ConfigError(f"{command} does not read {', '.join(unread)}")
+        config.path = args["out"] or config.path
+        config.format = args["format"] or config.format
+        output = _COMMANDS[command](config)
         chunks = payload_chunks(output, config.format)
         if config.path:
             try:
@@ -595,6 +623,9 @@ def main(argv: list[str] | None = None) -> int:
                     handle.writelines(chunks)
             except OSError as exc:
                 raise ConfigError(f"cannot write output.path {config.path!r}: {exc.strerror or exc}") from exc
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except UnsupportedSizeError as exc:
         print(f"unsupported size: {exc}", file=sys.stderr)
         return 3
@@ -606,21 +637,9 @@ def main(argv: list[str] | None = None) -> int:
             message = f"bad value for {_SECTION_OF[key]}.{key}: {message}"
         print(f"config error: {message}", file=sys.stderr)
         return 2
-
-    try:
-        if config.path:
-            sys.stdout.write("\n".join(output.report) + f"\nwrote {config.path}\n")
-        else:
-            sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-    except OSError as exc:
-        # Point stdout at devnull, so that the flush at exit does not fail again, and exit 1
-        # without a traceback: silently if the reader went away (as head does), else with a line.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    return 0
+    if config.path:
+        return _write_stdout(["\n".join(output.report) + f"\nwrote {config.path}\n"])
+    return _write_stdout(chunks)
 
 
 # What the imports made lives until exit. Frozen, no later collection walks it, so the first

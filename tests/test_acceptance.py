@@ -176,6 +176,21 @@ def test_first_step_fidelity_falls_with_register_size():
         assert min(smaller) > max(larger)
 
 
+@pytest.mark.parametrize("max_rank", [3, 4])
+@pytest.mark.parametrize("n,nc", [(n, nc) for nc in (1, 2) for n in (2, 3, 4)])
+def test_fidelity_splits_into_lost_and_misplaced_probability(n, nc, max_rank):
+    # With T = sum(q) the probability kept and BC = sum(sqrt(p q / T)) the
+    # overlap of the normalised position shapes, f = (1 - (1 + T - 2 sqrt(T) BC) / 2)^2
+    # on every step of every tolerance-grid walk: the n_q pairing can be
+    # read as one of lost (1 - T) and of misplaced (1 - BC) probability.
+    run = noisy_run(n, nc, max_rank)
+    p, q = run.ideal_positions, run.noisy_positions
+    total = q.sum(axis=1)
+    overlap = np.sqrt(p * q / total[:, None]).sum(axis=1)
+    split = (1 - 0.5 * (1 + total - 2 * np.sqrt(total) * overlap)) ** 2
+    assert len(split) == 21 and np.abs(split - run.fidelities).max() <= 1e-12
+
+
 # 9. Step-21 benefit of allowing rank-4 gates on the lazy 4-node walk.
 
 

@@ -297,6 +297,9 @@ def test_module_exit_codes_through_a_process(tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("ringwalk simulate: error: argument --format: ") and done.stderr.count("\n") == 1
     assert done.stdout == ""
+    done = run_module("--help", cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: ringwalk ")
 
 
 def test_main_default_simulate_exits_zero(capsys):
@@ -576,23 +579,93 @@ def test_csv_run_never_encodes_json(tmp_path, capsys, monkeypatch):
 
 
 def test_parser_keeps_no_state_between_calls(capsys):
-    with pytest.raises(SystemExit) as rejected:
-        main(["simulate", "--format", "xml"])
-    assert rejected.value.code == 2
+    assert main(["simulate", "--format", "xml"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ringwalk simulate: error: argument --format: invalid choice: ")
     assert err.count("\n") == 1
-    # Subparsers share the parser's class: every usage error prints one line.
     for argv in (["simulte"], [], ["simulate", "--bogus"]):
-        with pytest.raises(SystemExit) as rejected:
-            main(argv)
-        assert rejected.value.code == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("ringwalk: error: ") and err.count("\n") == 1
     assert main(["simulate", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "simulate"
     assert main(["simulate"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == CSV_HEADERS["simulate"]
+
+
+# Each row: argument lists that must print the same bytes as the first.
+OPTION_FORMS = [
+    (["simulate", "--config", "{ini}", "--format", "json"],
+     ["simulate", "--config={ini}", "--format=json"],
+     ["simulate", "--format=json", "--seedless", "--config", "{ini}"]),
+    (["simulate", "--config", "{ini}", "--format", "csv"],
+     ["simulate", "--config", "{ini}", "--format", "json", "--format", "csv"],
+     ["simulate", "--format=json", "--config", "{ini}", "--format=csv"],
+     ["simulate", "--config", "{ini}"]),
+    (["simulate", "--config", "{ini}", "--out", "{run}"],
+     ["simulate", "--config", "{ini}", "--out={run}"],
+     ["simulate", "--out", "{other}", "--config", "{ini}", "--out", "{run}"]),
+]
+
+
+@pytest.mark.parametrize("forms", OPTION_FORMS)
+def test_option_forms_print_the_same_bytes(forms, tmp_path, capsys):
+    names = {"ini": write_config(tmp_path, SIMULATE_INI), "run": tmp_path / "run.csv", "other": tmp_path / "other"}
+    printed = []
+    for argv in forms:
+        assert main([arg.format(**names) for arg in argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed.append(captured.out)
+    assert printed == printed[:1] * len(forms)
+    assert not names["other"].exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["simulate", "--help"], ["composite", "-h"],
+                                  ["simulte", "--format", "xml", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: ringwalk ")
+    for name in (*cli.KINDS, "--config", "--out", "--format", "--seedless"):
+        assert f"\n  {name} " in captured.out
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    ([], "ringwalk: error: no subcommand"),
+    (["simulte"], "ringwalk: error: invalid subcommand 'simulte'"),
+    (["--format", "json", "simulate"], "ringwalk: error: invalid subcommand '--format'"),
+    (["simulate", "--bogus"], "ringwalk: error: unrecognized argument '--bogus'"),
+    (["simulate", "--conf", "exp.ini"], "ringwalk: error: unrecognized argument '--conf'"),
+    (["simulate", "stray"], "ringwalk: error: unrecognized argument 'stray'"),
+    (["tolerance", "--seedless", "--", "x"], "ringwalk: error: unrecognized argument '--'"),
+    (["simulate", "--config"], "ringwalk simulate: error: argument --config: expected one value"),
+    (["sweep-a", "--out", "--format", "csv"], "ringwalk sweep-a: error: argument --out: expected one value"),
+    (["simulate", "--format"], "ringwalk simulate: error: argument --format: expected one value"),
+    (["simulate", "--config="], "ringwalk simulate: error: argument --config: expected one value"),
+    (["simulate", "--out", ""], "ringwalk simulate: error: argument --out: expected one value"),
+    (["composite", "--format", "xml"], "ringwalk composite: error: argument --format: invalid choice: 'xml'"),
+    (["simulate", "--format=JSON", "--format", "json"], "ringwalk simulate: error: argument --format: invalid"),
+    (["simulate", "--config", "missing.ini", "--format=xml"], "ringwalk simulate: error: argument --format: invalid"),
+    (["simulate", "--seedless=yes"], "ringwalk simulate: error: argument --seedless: takes no value"),
+])
+def test_usage_errors_exit_two_on_one_line(argv, prefix, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+def test_command_line_imports_no_argparse(tmp_path):
+    # argparse, its gettext lookups and the locale module they load cost a
+    # fresh process a few milliseconds; no subcommand may pull them in.
+    code = ("import contextlib, io, sys\n"
+            "from ringwalk.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = main(['composite', '--format', 'json']), main(['simulate']), main(['simulte'])\n"
+            "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=MODULE_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "(0, 0, 2) []\n")
 
 
 def clear_caches():
