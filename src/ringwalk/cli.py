@@ -69,6 +69,8 @@ from .simulate import (
 
 DEFAULT_A_LIST = (0.0, 13.0 / 3, 26.0 / 3, 13.0, 52.0 / 3, 65.0 / 3, 26.0)
 MAX_STEPS = 10_000  # desk scale: the worst admitted sweep-a (2^6 ring, 1q coin, G(4)) takes about 1 min at 93 MB RSS
+KINDS = ("simulate", "sweep-a", "tolerance", "composite")  # the subcommands, and the values of experiment.kind
+FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -162,6 +164,14 @@ def _step_count(text: str) -> int:
     return steps
 
 
+def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text.strip() not in options:
+            raise ConfigError(f"invalid choice: {text.strip()!r} (choose from {', '.join(options)})")
+        return text.strip()
+    return parse
+
+
 def _fidelity_sets(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(_number(v) for v in group.split()) for group in text.split(";") if group.strip())
 
@@ -186,13 +196,13 @@ def _field_parsers(cls) -> dict:
 # name; a [gates] or [noise] key that is a field of NativeGateSet or
 # NoiseParams sets that field of config.gates or config.noise.
 _CONFIG_SCHEMA = {
-    "experiment": {"kind": str.strip},
+    "experiment": {"kind": _choice(KINDS)},
     "walk": {"position_qubits": int, "coin_qubits": int, "steps": _step_count, "theta": _number_list,
              "phi": _number_list},
     "gates": {**_field_parsers(NativeGateSet), "a_list": _effort_list},
     "noise": _field_parsers(NoiseParams),
     "composite": {"n_list": _integer_list, "fidelity_sets": _fidelity_sets, "transitions": _transitions},
-    "output": {"path": str.strip, "format": str.strip},
+    "output": {"path": str.strip, "format": _choice(FORMATS)},
 }
 # Keys are unique across sections, so a key names its section.
 _SECTION_OF = {key: section for section, keys in _CONFIG_SCHEMA.items() for key in keys}
@@ -234,10 +244,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from exc
             setattr(config, target, value)
             config.given.add(f"{section}.{key}")
-    if config.kind is not None and config.kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {config.kind!r}")
-    if config.format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {config.format!r}")
     return config
 
 
@@ -546,13 +552,7 @@ def cmd_composite(config: ExperimentConfig) -> Output:
     )
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep-a": cmd_sweep_a,
-    "tolerance": cmd_tolerance,
-    "composite": cmd_composite,
-}
-KINDS = tuple(_COMMANDS)
+_COMMANDS = dict(zip(KINDS, (cmd_simulate, cmd_sweep_a, cmd_tolerance, cmd_composite)))
 
 
 class UsageError(Exception):
@@ -577,8 +577,8 @@ def parse_argv(argv: list[str]) -> tuple[str, dict]:
             value = True
         elif not given and (value := next(tokens, "")).startswith("-") or not value:
             raise UsageError(error + "expected one value")  # missing, empty, or led by "-" without "="
-        elif option == "--format" and value not in ("csv", "json"):
-            raise UsageError(error + f"invalid choice: {value!r} (choose from csv, json)")
+        elif option == "--format" and value not in FORMATS:
+            raise UsageError(error + f"invalid choice: {value!r} (choose from {', '.join(FORMATS)})")
         values[option[2:]] = value
     return command, values
 

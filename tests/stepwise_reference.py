@@ -20,7 +20,7 @@ import numpy as np
 from ringwalk import noise as noiselib
 from ringwalk.circuits import MoveMarker, build_step_circuit
 from ringwalk.gates import X, _ry, ckx_from_ckz, effective_ckz
-from ringwalk.statevector import apply_gate, marginal_probabilities, scale_amplitudes
+from ringwalk.simulate import apply_gate, marginal_probabilities, scale_amplitudes
 
 IDEAL = noiselib.NoiseParams(gate_errors=False, passive=False, spam=False)  # exact gates, no scalar channels
 

@@ -17,15 +17,16 @@ from dense_oracle import run_ideal_dense_oracle
 from stepwise_reference import IDEAL
 from ringwalk import gates as gatelib
 from ringwalk import noise as noiselib
-from ringwalk.circuits import NativeGateSet, decompose_ckx, uniform_spec
+from ringwalk.circuits import NativeGateSet, count_multiqubit_gates, decompose_ckx, uniform_spec
 from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_simulate, payload_chunks
 from ringwalk.simulate import (
     TOLERANCES,
+    apply_gate,
     gate_set_comparison,
     run_noisy,
+    scale_amplitudes,
     steps_within_tolerance,
 )
-from ringwalk.statevector import apply_gate, scale_amplitudes
 
 FULL = noiselib.NoiseParams()
 
@@ -168,12 +169,41 @@ def test_equal_register_curves_agree(lazy, plain):
     assert min(f_lazy[-1], f_plain[-1]) > 0.25
 
 
+@pytest.mark.parametrize("max_rank,n_q", [(3, n_q) for n_q in (4, 5, 6)] + [(4, n_q) for n_q in (4, 5, 6, 7)])
+def test_equal_register_walks_lose_equal_probability(max_rank, n_q):
+    # The pairing holds for probability lost even at G(4), where the
+    # fidelity curves part by up to 0.129: over 21 default-noise steps, the
+    # lazy 2^(n_q - 2) walk and the 1q-coin 2^(n_q - 1) walk keep total
+    # probabilities within 0.035 of each other (0.0319 at worst, G(4) n_q = 4).
+    lazy, plain = noisy_run(n_q - 2, 2, max_rank), noisy_run(n_q - 1, 1, max_rank)
+    assert np.abs(lazy.total_probability - plain.total_probability).max() <= 0.035
+
+
 def test_first_step_fidelity_falls_with_register_size():
     # Fidelity is set by n_q = n + n_c: at G(3) each n_q's step-1 fidelity,
     # under either coin, lies strictly below every one at the n_q before it.
     by_register = [[noisy_run(n_q - nc, nc).fidelities[0] for nc in (1, 2)] for n_q in (4, 5, 6)]
     for smaller, larger in zip(by_register, by_register[1:]):
         assert min(smaller) > max(larger)
+
+
+# Every walk run_noisy admits: the 12 tolerance-grid shapes and the 4 larger ones that fit in 9 qubits
+# (test_cli.py's ADMITTED_SHAPES, which test_admitted_walks_compile_to_at_most_nine_qubits pins).
+ADMITTED = [(n, nc, rank) for n in (2, 3, 4) for nc in (1, 2) for rank in (3, 4)] + [
+    (5, 1, 3), (5, 1, 4), (5, 2, 4), (6, 1, 4)]
+
+
+@pytest.mark.parametrize("n,nc,max_rank", ADMITTED)
+def test_gate_census_predicts_first_step_loss(n, nc, max_rank):
+    # With gates only, step 1 keeps about the product over ranks r of F_r
+    # to the power of the step's rank-r gate count, F_r the published CkZ's
+    # gate fidelity (0.99808, 0.99535, 0.99125 for ranks 2-4). The measured
+    # ratios run from 0.9768 (the 2^6 1q-coin walk at G(4)) to 1.0017.
+    census = count_multiqubit_gates(uniform_spec(n, nc), max_rank)
+    predicted = math.prod(gatelib.gate_fidelity(gatelib.effective_ckz(r - 1), gatelib.ideal_ckz(r - 1)) ** count
+                          for r, count in census.items())
+    kept = noisy_run(n, nc, max_rank, passive=False, spam=False).total_probability[0]
+    assert 0.975 <= kept / predicted <= 1.005
 
 
 @pytest.mark.parametrize("max_rank", [3, 4])

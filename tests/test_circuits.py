@@ -31,7 +31,7 @@ from ringwalk.circuits import (
     uniform_spec,
 )
 from ringwalk.gates import X, _ry, ckx_from_ckz, ideal_ckz
-from ringwalk.statevector import apply_gate
+from ringwalk.simulate import apply_gate
 
 
 def run_classically(ops, bits):

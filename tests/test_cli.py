@@ -28,8 +28,7 @@ from ringwalk.cli import (
     main,
 )
 from ringwalk.noise import NoiseParams
-from ringwalk.simulate import RunResult, UnsupportedSizeError, run_noisy
-from ringwalk.statevector import gate_plan
+from ringwalk.simulate import RunResult, UnsupportedSizeError, gate_plan, run_noisy
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -159,8 +158,8 @@ BAD_VALUES = (
     ("[noise]\nspam = maybe\n", "noise.spam"),
     ("[composite]\nn_list = 2.5\n", "composite.n_list"),
     ("[composite]\ntransitions = 3->4->5\n", "composite.transitions"),
-    ("[experiment]\nkind = walkabout\n", "walkabout"),
-    ("[output]\nformat = yaml\n", "yaml"),
+    ("[experiment]\nkind = walkabout\n", "experiment.kind"),
+    ("[output]\nformat = yaml\n", "output.format"),
 )
 
 

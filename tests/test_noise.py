@@ -14,7 +14,7 @@ from ringwalk.noise import (
     state_prep_factor,
     wait_error,
 )
-from ringwalk.statevector import scale_amplitudes
+from ringwalk.simulate import scale_amplitudes
 
 
 def test_wait_error_frozen_values():

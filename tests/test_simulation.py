@@ -27,7 +27,9 @@ from ringwalk.simulate import (
     TOLERANCES,
     RunResult,
     UnsupportedSizeError,
+    chain_plans,
     composite_fidelity,
+    gate_plan,
     gate_set_comparison,
     hellinger_fidelity,
     partition_shift,
@@ -36,7 +38,6 @@ from ringwalk.simulate import (
     shift_passes,
     steps_within_tolerance,
 )
-from ringwalk.statevector import chain_plans, gate_plan
 from ringwalk.gates import X, ckx, ckx_from_ckz, effective_ckz, ideal_ckz
 
 

@@ -1,4 +1,4 @@
-"""Statevector engine tests against a dense kron-built oracle."""
+"""Gate plans, chained gathers and the per-gate kernels, tested against a dense kron-built oracle."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringwalk.gates import X, _ry
-from ringwalk.statevector import apply_gate, chain_plans, gate_plan, marginal_probabilities, scale_amplitudes
+from ringwalk.simulate import apply_gate, chain_plans, gate_plan, marginal_probabilities, scale_amplitudes
 
 
 def dense_embed(gate: np.ndarray, targets, n):

@@ -17,11 +17,13 @@ per readout batch, so every row read out is scored exactly once.
 A refactor that binds these names elsewhere breaks its traced run or
 silently zeroes its throughput metrics; these tests catch that.
 
-``apply_gate``, ``scale_amplitudes`` and ``marginal_probabilities`` stay
-bound in ``simulate`` only because the tracer patches them there with
-``getattr``, which fails on a missing name. The walk path must never call
-them: the tracer's gate observer reads ``args[0].qubit_count``, which the
-flat amplitude arrays these functions take do not have.
+``apply_gate``, ``scale_amplitudes`` and ``marginal_probabilities`` are
+``simulate``'s own per-gate reference kernels, which the tracer patches
+there with ``getattr`` (it fails on a missing name) and the walk path
+never calls: the tracer's gate observer reads ``args[0].qubit_count``,
+which the flat amplitude arrays these functions take do not have. Each
+traced name is defined in ``simulate``, not imported into it, so a patch
+reaches every caller that looks it up there.
 """
 
 import pytest
@@ -38,6 +40,12 @@ CLI_NAMES = ("run_noisy", "gate_set_comparison", "load_config", "_COMMANDS")
 @pytest.mark.parametrize("name", SIMULATE_NAMES)
 def test_simulate_binds_traced_name(name):
     assert callable(getattr(simulate, name))
+
+
+@pytest.mark.parametrize("name", ("apply_gate", "scale_amplitudes", "marginal_probabilities", "run_ideal",
+                                  "hellinger_fidelity"))
+def test_simulate_defines_traced_name(name):
+    assert getattr(simulate, name).__module__ == "ringwalk.simulate"
 
 
 @pytest.mark.parametrize("name", CLI_NAMES)
