@@ -26,9 +26,10 @@ json.dumps(indent=2, sort_keys=True, allow_nan=False) write the skeleton
 and fills its holes in document order, straight from the results: each
 number's text taken once, each walk step and composite entry filled into
 one template per shape and depth, at most WRITE_STEPS walk steps a
-chunk. The whole is byte for byte json.dumps of the payload with every
-float rounded to 12 significant digits. CSV goes out WRITE_STEPS lines
-a chunk. Only the format asked for is built, and every check, for NaN
+chunk, each chunk's numbers formatted in one pass and filled into its
+repeated step template in one more. The whole is byte for byte
+json.dumps of the payload with every float rounded to 12 significant
+digits. CSV goes out WRITE_STEPS lines a chunk. Only the format asked for is built, and every check, for NaN
 and infinities included, runs before the first byte goes out. With
 --out the chunks go to that file and the report to stdout; without it
 the chunks are printed. Exit codes: 0 success, 1 stdout closed early
@@ -68,7 +69,7 @@ from .simulate import (
 )
 
 DEFAULT_A_LIST = (0.0, 13.0 / 3, 26.0 / 3, 13.0, 52.0 / 3, 65.0 / 3, 26.0)
-MAX_STEPS = 10_000  # desk scale: the worst admitted sweep-a (2^6 ring, 1q coin, G(4)) takes about 1 min at 93 MB RSS
+MAX_STEPS = 10_000  # desk scale: the worst admitted sweep-a (2^6 ring, 1q coin, G(4)) takes about 50 s at 93 MB RSS
 KINDS = ("simulate", "sweep-a", "tolerance", "composite")  # the subcommands, and the values of experiment.kind
 FORMATS = ("csv", "json")
 
@@ -138,7 +139,14 @@ def _boolean(text: str) -> bool:
 
 
 def _number_list(text: str) -> tuple[float, ...]:
-    return tuple(_number(part) for part in text.split(",") if part.strip())
+    parts = [part for part in text.split(",") if part.strip()]
+    try:
+        values = tuple(map(float, parts))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    return tuple(map(_number, parts))  # pi, a/b, a value that is not finite or not a number: _number's errors
 
 
 def _effort_list(text: str) -> tuple[float, ...]:
@@ -279,17 +287,20 @@ class Output:
     report: list[str]
 
 
-def _json_numbers(values: list[float]) -> list[str]:
-    """Each finite float as ``json.dumps`` writes it once ``_round12`` has rounded it.
+def _json_text(text: str) -> str:
+    """``json.dumps`` of the float whose ``.12g`` text is ``text``, the float ``_round12`` gives.
 
-    The ``.12g`` text, taken for all values in one call, is that, bar the
-    ``.0`` of a whole number, unless it has an exponent: then the rounded
-    float's repr is taken, because a subnormal's digits do not survive
-    rounding and ``.12g`` writes 1e12 to 1e16 with an exponent where repr
-    does not.
+    That is the text, bar the ``.0`` of a whole number, unless it has an
+    exponent: then the rounded float's repr is taken, because a
+    subnormal's digits do not survive rounding and ``.12g`` writes 1e12 to
+    1e16 with an exponent where repr does not.
     """
-    texts = ("%.12g " * len(values) % tuple(values)).split()
-    return [repr(float(t)) if "e" in t else t if "." in t else t + ".0" for t in texts]
+    return repr(float(text)) if "e" in text else text if "." in text else text + ".0"
+
+
+def _json_numbers(values: list[float]) -> list[str]:
+    """Each finite float as ``json.dumps`` writes it once ``_round12`` has rounded it; one ``.12g`` call."""
+    return [_json_text(t) for t in ("%.12g " * len(values) % tuple(values)).split()]
 
 
 def _items(texts: list[str], depth: int) -> str:
@@ -306,9 +317,9 @@ def _json_list(values, depth: int):
 
 
 def _template(value, depth: int) -> str:
-    """``str.format`` template of ``value`` written by ``json.dumps`` at ``depth``; each ``_HOLE`` is a field."""
+    """printf template of ``value`` written by ``json.dumps`` at ``depth``; each ``_HOLE`` is a ``%s`` field."""
     text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-    return text.replace("{", "{{").replace("}", "}}").replace(_HOLE_TEXT, "{}")
+    return text.replace("%", "%%").replace(_HOLE_TEXT, "%s")
 
 
 @functools.cache
@@ -324,21 +335,40 @@ def _step_template(position_qubits: int, depth: int) -> str:
     return _template({**step, "ideal_positions": positions, "noisy_positions": positions}, depth)
 
 
+# A value v with sys.float_info.min <= |v| < _PLAIN_BELOW has a .12g text that is json.dumps's of the rounded
+# float: it rounds to no whole number, has no exponent at 1e12 or above, and its digits survive rounding.
+_PLAIN_BELOW = 0.99999999999
+
+
 def _json_steps(result: RunResult, depth: int):
-    """The text of a walk's ``steps`` array at ``depth``, WRITE_STEPS steps a chunk."""
+    """The text of a walk's ``steps`` array at ``depth``, WRITE_STEPS steps a chunk.
+
+    A chunk's numbers are stacked into one table, a row per step in the
+    template's field order, and formatted in one ``.12g`` pass; the step
+    template, repeated once per row, takes the texts in one ``%``. Only
+    the texts of values outside the _PLAIN_BELOW range go through
+    _json_text: exact zeros (about half the ideal marginals of a
+    1-qubit-coin walk, by its parity), subnormals, and values near 1 or
+    above. The step column is whole numbers, written as such.
+    """
+    import numpy as np  # cli imports no numpy at module level
+
     template = _step_template(result.spec.position_qubits, depth + 1)
-    nodes = result.spec.node_count
     separator = ",\n" + "  " * (depth + 1)
     opening = "[\n" + "  " * (depth + 1)
     for lo in range(0, len(result.fidelities), WRITE_STEPS):
         chunk = slice(lo, lo + WRITE_STEPS)
-        fidelity, factor, total = (_json_numbers(column[chunk].tolist()) for column in
-                                   (result.fidelities, result.scalar_factor, result.total_probability))
-        ideal, noisy = (zip(*[iter(_json_numbers(table[chunk].ravel().tolist()))] * nodes) for table in
-                        (result.ideal_positions, result.noisy_positions))
-        rows = zip(fidelity, ideal, noisy, factor, total)
-        yield opening + separator.join(template.format(f, *i, *n, s, step, p)
-                                       for step, (f, i, n, s, p) in enumerate(rows, lo + 1))
+        steps = min(WRITE_STEPS, len(result.fidelities) - lo)
+        table = np.hstack((result.fidelities[chunk, None], result.ideal_positions[chunk],
+                           result.noisy_positions[chunk], result.scalar_factor[chunk, None],
+                           np.arange(lo + 1.0, lo + steps + 1.0)[:, None], result.total_probability[chunk, None]))
+        magnitude = np.abs(table)
+        fix = (magnitude < sys.float_info.min) | (magnitude >= _PLAIN_BELOW)
+        fix[:, -2] = False
+        texts = ("%.12g " * table.size % tuple(table.ravel().tolist())).split()
+        for i in np.flatnonzero(fix).tolist():
+            texts[i] = _json_text(texts[i])
+        yield opening + separator.join([template] * steps) % tuple(texts)
         opening = separator
     yield "\n" + "  " * depth + "]"
 
@@ -373,7 +403,7 @@ def _json_entries(comparison: list[tuple], numbers: list[float], depth: int):
         for fidelities in sets:
             fields += (next(texts), next(texts), fidelities, next(texts))
         template = _entry_template(tuple(counts_low), tuple(counts_high), len(rows), depth + 1)
-        entries.append(template.format(*fields, n, f'"{low}->{high}"'))
+        entries.append(template % (*fields, n, f'"{low}->{high}"'))
     return (_items(entries, depth),)
 
 

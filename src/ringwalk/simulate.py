@@ -25,12 +25,13 @@ gates.ckx. run_noisy folds the coin's RY layer into the first pass where
 the walk's distinct coin angles pay for that, and then per step runs one
 matrix per pass, its passes chained through gathers (chain_plans) so
 that only the last scatters, into the step's row of a buffer of at most
-READOUT_AMPLITUDES amplitudes. The state evolves under the gates alone;
-the scalar noise channels multiply into one logged factor. The buffer is
-read out a batch of steps at a time: each batch's rows are scored once
-by hellinger_fidelity, and an early stop checked on those scores, so a
-walk's readout is one set of arrays with a row per step (RunResult) at a
-few numpy calls per batch rather than per step.
+READOUT_AMPLITUDES amplitudes; a step of one pass over every wire in
+order is one product straight into that row. The state evolves under
+the gates alone; the scalar noise channels multiply into one logged
+factor. The buffer is read out a batch of steps at a time: each batch's
+rows are scored once by hellinger_fidelity, and an early stop checked on
+those scores, so a walk's readout is one set of arrays with a row per
+step (RunResult) at a few numpy calls per batch rather than per step.
 """
 
 from __future__ import annotations
@@ -248,7 +249,10 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
     angle tuple, then the shift. The passes are chained (chain_plans):
     each gathers its input out of the previous pass's output, multiplied
     by ndarray.dot (the same bits as @, with less call overhead), and only
-    the last scatters, into the step's row of the readout buffer.
+    the last scatters, into the step's row of the readout buffer. A step
+    that is one pass over every wire in order, as the fused steps of 3 to
+    5 qubits are once their coin is folded, gathers and scatters through
+    the identity, so it is one ndarray.dot into that row instead.
 
     The scalar channels are real factors that commute with every gate, so
     the state evolves under the gates alone and the channels accumulate in
@@ -319,6 +323,7 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
             step_matrices[angles] = (*(gatelib._ry(theta).astype(np.complex128) for theta in angles), *shift)
     gathers = chain_plans(n_q, coin_wires + pass_wires)
     last_plan = gate_plan(n_q, pass_wires[-1])
+    one_pass = coin_wires + pass_wires == (tuple(range(n_q)),)
 
     state = np.zeros(2**n_q, dtype=np.complex128)
     state[0] = 1.0
@@ -335,11 +340,18 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
     scalar_factors = np.empty(steps)
     start = 0
     for t, angles in enumerate(zip(*spec.coin_schedules)):
-        amps = state
-        for matrix, gather in zip(step_matrices[angles], gathers):
-            amps = matrix.dot(amps.reshape(-1)[gather])
-        state = states[t - start]
-        state[last_plan] = amps
+        row = states[t - start]
+        if one_pass:
+            # dot's out= must not be its input. The previous step's state is another row: a one-pass step
+            # has at most FUSED_MAX_WIRES wires, so the buffer holds every step or at least 14 rows (the
+            # fewest stop_below leaves, at 2^5 amplitudes).
+            step_matrices[angles][0].dot(state.reshape(-1, 1), out=row.reshape(-1, 1))
+        else:
+            amps = state
+            for matrix, gather in zip(step_matrices[angles], gathers):
+                amps = matrix.dot(amps.reshape(-1)[gather])
+            row[last_plan] = amps
+        state = row
         for factor in step_factors:
             running_factor *= factor
 

@@ -248,6 +248,24 @@ def test_walk_errors_name_the_key(text, key, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"config error: bad value for {key}: ")
 
 
+# Angle lists the one-call parse cannot take whole, so each item goes through _number.
+ANGLE_FALLBACKS = (
+    ("theta = 0.5, inf\n", "bad value for walk.theta: 'inf' is not a finite number"),
+    ("theta = 1e999\n", "bad value for walk.theta: '1e999' is not a finite number"),
+    ("coin_qubits = 2\nphi = pi/2, 0.25\n",
+     "bad value for walk.phi: 2 angles for 21 steps; give one angle or one per step"),
+    ("theta = pi/2, x\n", "bad value for walk.theta: cannot parse number 'x'"),
+)
+
+
+@pytest.mark.parametrize("text,message", ANGLE_FALLBACKS)
+def test_angle_list_errors_are_the_per_item_parse_errors(text, message, tmp_path, capsys):
+    path = write_config(tmp_path, "[walk]\n" + text)
+    for command in ("simulate", "sweep-a"):
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -829,8 +847,13 @@ def test_json_writer_rejects_nonfinite_floats(bad, where, tmp_path, capsys, monk
     assert not out.exists()
 
 
-# 1.5e12 and 1e16: .12g writes an exponent from 1e12 on, repr only from 1e16 on.
-WALK_VALUES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-5, 1e-300, 1.5e12, 1e16]) | st.floats(0.0, 1.0)
+# 1.5e12 and 1e16: .12g writes an exponent from 1e12 on, repr only from 1e16 on. Around the writer's
+# thresholds: 0.9999999999995001 is the lowest float .12g writes as 1; 0.9999999999995 (just below
+# it), 0.99999999999949 and 0.99999999999, the lowest value the writer checks, are not whole; then the
+# smallest normal float and a subnormal.
+WALK_VALUES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-5, 1e-300, 1.5e12, 1e16, 0.9999999999995001,
+                               0.9999999999995, 0.99999999999949, 0.99999999999, 2.2250738585072014e-308,
+                               2.225e-308]) | st.floats(0.0, 1.0)
 
 
 def drawn_result(draw, spec):

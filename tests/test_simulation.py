@@ -542,6 +542,55 @@ def test_folded_walk_stop_batches_hold_the_steps_asked_for(n, nc, batch, monkeyp
             assert np.array_equal(getattr(result, name), getattr(full, name)[:steps_run])
 
 
+class UnequalWires(tuple):
+    """Wires equal to no other tuple, so run_noisy never finds its step one pass over every wire in order."""
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return False
+
+
+def gather_scatter_step(monkeypatch):
+    """Make run_noisy run even a one-pass step as a gather, a product and a scatter into the readout row."""
+    passes = simulate.shift_passes
+
+    def unequal_first_wires(*args):
+        (wires, matrix), *rest = passes(*args)
+        return ((UnequalWires(wires), matrix), *rest)
+
+    monkeypatch.setattr(simulate, "shift_passes", unequal_first_wires)
+
+
+# Every admitted shape whose step, its coin folded, is one fused pass over all its wires.
+@pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (2, 1, 4), (2, 2, 3), (2, 2, 4), (3, 1, 3), (3, 1, 4)])
+@pytest.mark.parametrize("schedule", ["uniform", "alternating"])
+@pytest.mark.parametrize("rows", [2, 3, None], ids=["rows2", "rows3", "rows-default"])
+def test_one_pass_step_matches_gather_scatter_step(n, nc, rho, schedule, rows, monkeypatch):
+    # The one-call step multiplies into its readout row with out=; a buffer
+    # of 2 or 3 rows puts each step's input and output rows next to each
+    # other across batch boundaries. A stop_below run reads out in the
+    # batches its stop checks set.
+    steps = 30
+    spec = uniform_spec(n, nc, steps=steps) if schedule == "uniform" else alternating_spec(n, nc, steps)
+    gate_set = NativeGateSet(max_rank=rho)
+    n_q, wires = step_wires(spec, gate_set)
+    assert wires == (tuple(range(n_q)),)
+    if rows is not None:
+        monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", rows * 2**n_q)
+    full = run_noisy(spec, gate_set, FULL)
+    median = float(np.median(full.fidelities))
+    for stop_below, steps_run in ((None, steps), (median, int(np.argmax(full.fidelities < median)) + 1)):
+        one_call = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
+        with monkeypatch.context() as patch:
+            gather_scatter_step(patch)
+            assert step_wires(spec, gate_set)[1] != (tuple(range(n_q)),)
+            reference = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
+        assert len(one_call.fidelities) == steps_run
+        for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
+            assert np.array_equal(getattr(one_call, name), getattr(reference, name))
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_exact_shift_gate_is_the_ideal_ckx(rank):
     exact = ckx(rank, 13.0, effective=False)
