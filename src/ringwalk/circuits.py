@@ -137,15 +137,10 @@ class WalkSpec:
         return (self.theta_schedule, self.phi_schedule)[: self.coin_qubits]
 
 
-def uniform_spec(position_qubits: int, coin_qubits: int, steps: int = 21,
-                 theta: float = math.pi / 2, phi: float = math.pi / 2) -> WalkSpec:
-    """WalkSpec with a constant coin schedule (the default experiment)."""
-    return WalkSpec(
-        position_qubits=position_qubits,
-        coin_qubits=coin_qubits,
-        theta_schedule=(theta,) * steps,
-        phi_schedule=(phi,) * steps if coin_qubits == 2 else None,
-    )
+def uniform_spec(position_qubits: int, coin_qubits: int, steps: int = 21) -> WalkSpec:
+    """WalkSpec of the default experiment: every coin angle pi/2."""
+    angles = (math.pi / 2,) * steps
+    return WalkSpec(position_qubits, coin_qubits, angles, angles if coin_qubits == 2 else None)
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ class NativeGateSet:
             raise ValueError(f"param_a = {self.param_a} must be finite and nonnegative")
 
 
-def build_shift_abstract(spec: WalkSpec) -> tuple[tuple[int, ...], ...]:
+def build_shift_abstract(position_qubits: int, coin_qubits: int) -> tuple[tuple[int, ...], ...]:
     """Coin-conditioned shift, before rank bounding, as each gate's target
     wires: an increment cascade for the step-up coin value followed by its
     X-conjugated mirror for the step-down value.
@@ -181,8 +176,8 @@ def build_shift_abstract(spec: WalkSpec) -> tuple[tuple[int, ...], ...]:
     rest branch of the lazy walk needs nothing: c2 stays an ordinary
     control, so c2=0 blocks both cascades.
     """
-    n = spec.position_qubits
-    coins = spec.coin_indices
+    n = position_qubits
+    coins = tuple(range(n, n + coin_qubits))
     c1 = coins[0]
     cascade = [tuple(range(j, n)) + coins + (j - 1,) for j in range(1, n + 1)]
     ops = cascade + [(c1,)] + [(j - 1,) for j in range(2, n + 1)] + cascade[:1]
@@ -201,7 +196,6 @@ def _ladder_shape(k: int, max_rank: int) -> tuple[int, int]:
     return m, k - width * m
 
 
-@lru_cache(maxsize=64)  # every step decomposes each CkX size twice, in the increment and the decrement
 def decompose_ckx(k: int, max_rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rewrite a CkX as a ladder of gates of rank <= max_rank, each given
     by its target wires.
@@ -235,9 +229,9 @@ def decompose_ckx(k: int, max_rank: int) -> tuple[tuple[tuple[int, ...], ...], i
     return tuple(half + half), m
 
 
-def ancilla_requirement(spec: WalkSpec, max_rank: int) -> int:
+def ancilla_requirement(position_qubits: int, coin_qubits: int, max_rank: int) -> int:
     """Scratch qubits needed to compile one step (ancillas are pooled)."""
-    worst_k = spec.position_qubits - 1 + spec.coin_qubits
+    worst_k = position_qubits - 1 + coin_qubits
     if worst_k + 1 <= max_rank:
         return 0
     return _ladder_shape(worst_k, max_rank)[0]
@@ -265,12 +259,10 @@ def _with_move_markers(ops: Iterable[tuple[int, ...]]) -> tuple[ShiftOp, ...]:
 @lru_cache(maxsize=16)
 def _compiled_shift(position_qubits: int, coin_qubits: int, max_rank: int) -> tuple[int, tuple, tuple]:
     """(qubit count, shift, ancillas) shared by every step of every walk of this shape and rank bound."""
-    spec = uniform_spec(position_qubits, coin_qubits, steps=1)  # the shift reads no coin angle
-    pool = ancilla_requirement(spec, max_rank)
-    n_data = spec.data_qubit_count
-    ancillas = tuple(range(n_data, n_data + pool))
+    n_data = position_qubits + coin_qubits
+    ancillas = tuple(range(n_data, n_data + ancilla_requirement(position_qubits, coin_qubits, max_rank)))
     compiled: list[tuple[int, ...]] = []
-    for targets in build_shift_abstract(spec):
+    for targets in build_shift_abstract(position_qubits, coin_qubits):
         if len(targets) <= max_rank:
             compiled.append(targets)
             continue
@@ -278,7 +270,7 @@ def _compiled_shift(position_qubits: int, coin_qubits: int, max_rank: int) -> tu
         wires = targets + ancillas[:used]  # local wire i is wires[i]
         # Every ladder gate has 3 or more wires, so its itemgetter returns a tuple.
         compiled += [itemgetter(*local)(wires) for local in local_ops]
-    return n_data + pool, _with_move_markers(compiled), ancillas
+    return n_data + len(ancillas), _with_move_markers(compiled), ancillas
 
 
 def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) -> Circuit:
@@ -289,7 +281,7 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
     return Circuit(qubit_count, shift, tuple(s[step_index] for s in spec.coin_schedules), ancillas)
 
 
-def count_multiqubit_gates(spec: WalkSpec, max_rank: int) -> dict[int, int]:
+def count_multiqubit_gates(position_qubits: int, coin_qubits: int, max_rank: int) -> dict[int, int]:
     """Per-step census of multiqubit gates (rank >= 2) after rank bounding.
 
     max_rank may be 5, above any NativeGateSet, for the forward-looking
@@ -299,8 +291,8 @@ def count_multiqubit_gates(spec: WalkSpec, max_rank: int) -> dict[int, int]:
     if max_rank < 3:
         raise ValueError("native rank must be at least 3")
     counts: dict[int, int] = {}
-    for j in range(1, spec.position_qubits + 1):
-        k = spec.position_qubits - j + spec.coin_qubits
+    for j in range(1, position_qubits + 1):
+        k = position_qubits - j + coin_qubits
         # Each CkX appears once in the increment and once in the decrement.
         if k + 1 <= max_rank:
             counts[k + 1] = counts.get(k + 1, 0) + 2

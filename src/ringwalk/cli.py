@@ -29,8 +29,10 @@ one template per shape and depth, at most WRITE_STEPS walk steps a
 chunk, each chunk's numbers formatted in one pass and filled into its
 repeated step template in one more. The whole is byte for byte
 json.dumps of the payload with every float rounded to 12 significant
-digits. CSV goes out WRITE_STEPS lines a chunk. Only the format asked for is built, and every check, for NaN
-and infinities included, runs before the first byte goes out. With
+digits. CSV goes out at most WRITE_STEPS walk lines a chunk, each
+chunk's numbers filled into its repeated line template in one pass.
+Only the format asked for is built, and every check, for NaN and
+infinities included, runs before the first byte goes out. With
 --out the chunks go to that file and the report to stdout; without it
 the chunks are printed. Exit codes: 0 success, 1 stdout closed early
 (as by a pipe into head) or not writable (as /dev/full), 2 config or
@@ -44,12 +46,11 @@ from __future__ import annotations
 import configparser
 import functools
 import gc
-import itertools
 import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -151,6 +152,8 @@ def _number_list(text: str) -> tuple[float, ...]:
 
 def _effort_list(text: str) -> tuple[float, ...]:
     values = _number_list(text)
+    if not values:
+        raise ConfigError("a_list must list at least one effort")
     if any(v < 0 for v in values):
         raise ConfigError(f"efforts must be nonnegative, got {text.strip()!r}")
     return values
@@ -226,7 +229,8 @@ _READS = {
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # A default section no header can spell, so [DEFAULT] is an unknown section, not defaults for every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is not part of the first line
             parser.read_file(handle)
@@ -276,14 +280,14 @@ class Output:
     ``payload`` is the JSON document's skeleton, every float in it rounded
     once by ``_round12``. Its bulky parts are holes: each is a function
     ``fill``, and the value there is the text ``fill(depth)`` yields,
-    written at that depth. The CSV table is ``header`` over the lines
-    ``rows()`` yields, each a sequence of cells in header order.
+    written at that depth. The CSV table is ``header`` over the text
+    ``rows()`` yields, in chunks of whole lines.
     ``report`` holds the lines of the human report.
     """
 
     payload: dict
     header: tuple[str, ...]
-    rows: Callable[[], Iterable[Sequence]]
+    rows: Callable[[], Iterable[str]]
     report: list[str]
 
 
@@ -304,9 +308,7 @@ def _json_numbers(values: list[float]) -> list[str]:
 
 
 def _items(texts: list[str], depth: int) -> str:
-    """The JSON array at ``depth`` whose items' texts are ``texts``."""
-    if not texts:
-        return "[]"
+    """The JSON array at ``depth`` whose items' texts are ``texts``, of which there is at least one."""
     inner = "\n" + "  " * (depth + 1)
     return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * depth + "]"
 
@@ -396,7 +398,7 @@ def _json_entries(comparison: list[tuple], numbers: list[float], depth: int):
     fidelity sets, so each set's text is taken once.
     """
     texts = iter(_json_numbers(numbers))
-    sets = [_items(_json_numbers(list(s)), depth + 4) for s, *_ in comparison[0][-1]] if comparison else []
+    sets = [_items(_json_numbers(list(s)), depth + 4) for s, *_ in comparison[0][-1]]
     entries = []
     for n, low, high, counts_low, counts_high, rows in comparison:
         fields = [*counts_high.values(), *counts_low.values(), next(texts)]
@@ -417,18 +419,21 @@ def _json_chunks(pieces: list[str], holes: list):
 
 
 def _csv_chunks(output: Output):
-    """The CSV text: ``header``, then the lines ``rows()`` yields, WRITE_STEPS lines a chunk."""
-    lines = itertools.chain((output.header,), output.rows())
-    while chunk := list(itertools.islice(lines, WRITE_STEPS)):
-        yield "".join(",".join(c if isinstance(c, str) else _fmt(c) for c in line) + "\n" for line in chunk)
+    """The CSV text: the ``header`` line, then the chunks ``rows()`` yields."""
+    yield ",".join(output.header) + "\n"
+    yield from output.rows()
 
 
 def _walk_rows(result: RunResult, lead: tuple = (), tail: tuple = ()):
-    """A walk's CSV lines: each step, its fidelity and total probability, between the walk's constant cells."""
-    for lo in range(0, len(result.fidelities), WRITE_STEPS):
-        chunk = slice(lo, lo + WRITE_STEPS)
-        steps = zip(result.fidelities[chunk].tolist(), result.total_probability[chunk].tolist())
-        yield from ((*lead, step, f, p, *tail) for step, (f, p) in enumerate(steps, lo + 1))
+    """A walk's CSV lines, WRITE_STEPS a chunk: each step, its fidelity and total probability, between the
+    walk's constant cells. Those are formatted once, into a line template that one ``%`` fills per chunk."""
+    import numpy as np  # cli imports no numpy at module level
+
+    line = "".join(_fmt(c) + "," for c in lead) + "%.12g,%.12g,%.12g" + "".join("," + _fmt(c) for c in tail) + "\n"
+    table = np.column_stack((np.arange(1.0, len(result.fidelities) + 1.0), result.fidelities, result.total_probability))
+    for lo in range(0, len(table), WRITE_STEPS):
+        chunk = table[lo:lo + WRITE_STEPS]
+        yield line * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def _finite(result: RunResult) -> RunResult:
@@ -504,8 +509,8 @@ def cmd_sweep_a(config: ExperimentConfig) -> Output:
         payload={"kind": "sweep-a", "config": _config_echo(config),
                  "series": [{**cells, "steps": functools.partial(_json_steps, result)} for result, cells in walks]},
         header=("a", "step", "fidelity", "total_probability", "f_cz", "f_ccz"),
-        rows=lambda: (line for result, c in walks
-                      for line in _walk_rows(result, (c["a"],), (c["f_cz"], c["f_ccz"]))),
+        rows=lambda: (text for result, c in walks
+                      for text in _walk_rows(result, (c["a"],), (c["f_cz"], c["f_ccz"]))),
         report=["a        F(CZ(a))      F(CCZ(a))     f_final"]
         + [
             f"{_fmt(c['a']):<8} {_fmt(c['f_cz']):<13} {_fmt(c['f_ccz']):<13} {_fmt(result.fidelities[-1])}"
@@ -532,8 +537,8 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
     return Output(
         payload={"kind": "tolerance", "config": _config_echo(config), "rows": rows},
         header=("max_rank", "coin_qubits", "position_qubits", "tolerance", "steps_within"),
-        rows=lambda: [(row["max_rank"], row["coin_qubits"], row["position_qubits"], tol, n)
-                      for row in rows for tol, n in row["steps_within"].items()],
+        rows=lambda: ["".join(f"{row['max_rank']},{row['coin_qubits']},{row['position_qubits']},{tol},{n}\n"
+                              for row in rows for tol, n in row["steps_within"].items())],
         report=["rank  coin  nodes  " + "  ".join(f"<={tol:g}" for tol in TOLERANCES)]
         + [
             f"{row['max_rank']:>4}  {row['coin_qubits']:>4}  {2**row['position_qubits']:>5}  "
@@ -544,12 +549,11 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
 
 
 def _composite_rows(comparison: list[tuple], means: list[float]):
-    """composite's CSV lines: each set's, then the mean's, entry by entry."""
+    """composite's CSV lines, an entry a chunk: each set's, then the mean's."""
     for (n, low, high, *_, rows), mean in zip(comparison, means):
-        transition = f"{low}->{high}"
-        for i, (_, f_low, f_high, pct) in enumerate(rows):
-            yield n, transition, i, f_low, f_high, pct
-        yield n, transition, "mean", "", "", mean
+        lead = f"{n},{low}->{high},"
+        yield "".join(f"{lead}{i},{_fmt(f_low)},{_fmt(f_high)},{_fmt(pct)}\n"
+                      for i, (_, f_low, f_high, pct) in enumerate(rows)) + f"{lead}mean,,,{_fmt(mean)}\n"
 
 
 def cmd_composite(config: ExperimentConfig) -> Output:

@@ -100,19 +100,9 @@ def ckx_from_ckz(ckz: np.ndarray) -> np.ndarray:
     rank = ckz.size.bit_length() - 1
     if rank < 2 or ckz.shape != (2**rank,):
         raise ValueError(f"ckx_from_ckz needs the diagonal of a CkZ of rank >= 2, got shape {ckz.shape}")
-    layer = _conjugation_layer(rank)
+    flip = np.eye(2 ** (rank - 1))[::-1]  # X on every control
+    layer = (flip[:, None, :, None] * ZHZ[None, :, None, :]).reshape(2**rank, 2**rank)  # np.kron's bits
     return -(layer @ np.diag(ckz) @ layer)
-
-
-@lru_cache(maxsize=8)  # one per rank; the shift's gates have at most 4 wires
-def _conjugation_layer(rank: int) -> np.ndarray:
-    """ckx_from_ckz's read-only X...X (x) ZHZ layer: X on each of the rank - 1 controls, ZHZ on the target."""
-    layer = np.array([[1.0]], dtype=np.complex128)
-    for _ in range(rank - 1):
-        layer = np.kron(layer, X)
-    layer = np.kron(layer, ZHZ)
-    layer.flags.writeable = False
-    return layer
 
 
 def ckx(rank: int, a: float | None = None, effective: bool = True) -> np.ndarray:

@@ -259,12 +259,12 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
     one running factor: SPAM preparation loss once, idle-qubit damping
     during each multiqubit gate (one factor per rank, the length of its
     target tuple), all-qubit damping at each move marker (None in the
-    shift), or moves_per_step times per step. A step's factors are
-    multiplied in one at a time in circuit order. Each step's readout is
-    the state scaled by that factor times the readout loss: its total
-    probability and its position marginal, one row of a (steps, nodes)
-    array. The position qubits are the leading wires, so
-    the marginal sums each run of 2^(n - position qubits) consecutive
+    shift), or moves_per_step times per step. One math.prod per step
+    multiplies its factors in, left to right in circuit order. Each step's
+    readout is the state scaled by that factor times the readout loss: its
+    total probability and its position marginal, one row of a (steps,
+    nodes) array. The position qubits are the leading wires, so the
+    marginal sums each run of 2^(n - position qubits) consecutive
     probabilities. The buffer holds READOUT_AMPLITUDES // 2^n rows (at
     least one), and a full buffer, or the last partial one, is scaled,
     read out and scored in one pass: one hellinger_fidelity call compares
@@ -279,7 +279,8 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
     blocks and the coin fold included, is planned for spec.steps, so the
     rows are the full walk's.
     """
-    _check_simulable(spec.data_qubit_count + ancilla_requirement(spec, gate_set.max_rank))
+    _check_simulable(spec.data_qubit_count + ancilla_requirement(spec.position_qubits, spec.coin_qubits,
+                                                                 gate_set.max_rank))
     compiled = build_step_circuit(spec, gate_set, 0)
     ideal_tables = run_ideal(spec)
 
@@ -352,8 +353,7 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
                 amps = matrix.dot(amps.reshape(-1)[gather])
             row[last_plan] = amps
         state = row
-        for factor in step_factors:
-            running_factor *= factor
+        running_factor = math.prod(step_factors, start=running_factor)
 
         scalar_factors[t] = running_factor * read
         stop = t + 1
@@ -492,6 +492,10 @@ def gate_set_comparison(
     sets = [tuple(s) for s in fidelity_sets]
     if not sets:
         raise ValueError("fidelity_sets must list at least one set")
+    if not n_list:
+        raise ValueError("n_list must list at least one ring exponent")
+    if not transitions:
+        raise ValueError("transitions must list at least one low->high pair")
     for s in sets:
         if len(s) != 3:
             raise ValueError(f"fidelity_sets entry {s} must list ranks 3, 4, 5")
@@ -509,8 +513,7 @@ def gate_set_comparison(
     ranks = sorted({rank for transition in transitions for rank in transition})
     entries = []
     for n in n_list:
-        spec = WalkSpec(n, 2, (math.pi / 2,), (math.pi / 2,))
-        census = {rank: count_multiqubit_gates(spec, rank) for rank in ranks}  # G(4) serves both 3->4 and 4->5
+        census = {rank: count_multiqubit_gates(n, 2, rank) for rank in ranks}  # G(4) serves both 3->4 and 4->5
         for low, high in transitions:
             counts_low, counts_high = census[low], census[high]
             rows = []

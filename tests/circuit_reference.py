@@ -125,7 +125,7 @@ def _with_move_markers(ops: Iterable[CircuitOp]) -> tuple[CircuitOp, ...]:
 
 def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) -> Circuit:
     """Compile one full walk step (coin + shift) to the native gate set."""
-    pool = ancilla_requirement(spec, gates.max_rank)
+    pool = ancilla_requirement(spec.position_qubits, spec.coin_qubits, gates.max_rank)
     n_data = spec.data_qubit_count
     ancillas = tuple(range(n_data, n_data + pool))
 

@@ -199,7 +199,7 @@ def test_gate_census_predicts_first_step_loss(n, nc, max_rank):
     # to the power of the step's rank-r gate count, F_r the published CkZ's
     # gate fidelity (0.99808, 0.99535, 0.99125 for ranks 2-4). The measured
     # ratios run from 0.9768 (the 2^6 1q-coin walk at G(4)) to 1.0017.
-    census = count_multiqubit_gates(uniform_spec(n, nc), max_rank)
+    census = count_multiqubit_gates(n, nc, max_rank)
     predicted = math.prod(gatelib.gate_fidelity(gatelib.effective_ckz(r - 1), gatelib.ideal_ckz(r - 1)) ** count
                           for r, count in census.items())
     kept = noisy_run(n, nc, max_rank, passive=False, spam=False).total_probability[0]

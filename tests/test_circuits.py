@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import circuit_reference
+from ringwalk import circuits
 from ringwalk.circuits import (
     Circuit,
     GateApplication,
@@ -62,8 +63,7 @@ def bits_to_int(bits):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_shift_permutation_one_coin(n):
-    spec = uniform_spec(n, 1, steps=1)
-    ops = build_shift_abstract(spec)
+    ops = build_shift_abstract(n, 1)
     size = 2**n
     for x in range(size):
         for coin in (0, 1):
@@ -76,8 +76,7 @@ def test_shift_permutation_one_coin(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_shift_permutation_lazy_coin(n):
-    spec = uniform_spec(n, 2, steps=1)
-    ops = build_shift_abstract(spec)
+    ops = build_shift_abstract(n, 2)
     size = 2**n
     for x in range(size):
         for c1 in (0, 1):
@@ -96,7 +95,7 @@ def test_shift_permutation_lazy_coin(n):
 
 @pytest.mark.parametrize("n,nc", [(2, 1), (3, 1), (4, 2)])
 def test_shift_has_2n_bit_flips_and_paired_cascades(n, nc):
-    ops = build_shift_abstract(uniform_spec(n, nc, steps=1))
+    ops = build_shift_abstract(n, nc)
     flips = [targets for targets in ops if len(targets) == 1]
     assert len(flips) == 2 * n
     ranks = sorted(len(targets) for targets in ops if len(targets) > 1)
@@ -105,9 +104,8 @@ def test_shift_has_2n_bit_flips_and_paired_cascades(n, nc):
 
 
 def test_shift_second_coin_is_never_flipped():
-    spec = uniform_spec(3, 2, steps=1)
-    c2 = spec.coin_indices[1]
-    for targets in build_shift_abstract(spec):
+    c2 = uniform_spec(3, 2, steps=1).coin_indices[1]
+    for targets in build_shift_abstract(3, 2):
         if len(targets) == 1:
             assert targets != (c2,)
 
@@ -173,10 +171,10 @@ def test_decompose_argument_errors():
 
 
 def test_ancilla_requirement():
-    assert ancilla_requirement(uniform_spec(2, 2, steps=1), 3) == 1
-    assert ancilla_requirement(uniform_spec(2, 2, steps=1), 4) == 0
-    assert ancilla_requirement(uniform_spec(4, 2, steps=1), 3) == 3
-    assert ancilla_requirement(uniform_spec(4, 2, steps=1), 4) == 1
+    assert ancilla_requirement(2, 2, 3) == 1
+    assert ancilla_requirement(2, 2, 4) == 0
+    assert ancilla_requirement(4, 2, 3) == 3
+    assert ancilla_requirement(4, 2, 4) == 1
 
 
 # ------------------------------------------------------------- markers
@@ -190,16 +188,18 @@ def test_move_markers_follow_subset_rule():
     assert marked == ((0, 1, 2), (1, 2), None, (2, 3), (0,), (2, 3))
 
 
-def test_compile_decomposes_each_ckx_size_once():
+def test_compile_runs_once_per_shape(monkeypatch):
     # The 2^4 lazy walk's cascades hold CkX with k = 5, 4, 3 above rank 3,
-    # each once in the increment and once in the decrement.
+    # each once in the increment and once in the decrement. The first compile
+    # of the shape decomposes those six; every later step and walk of the
+    # shape reuses its shift.
     _compiled_shift.cache_clear()
-    decompose_ckx.cache_clear()
+    ladders = []
+    monkeypatch.setattr(circuits, "decompose_ckx", lambda *args: ladders.append(args) or decompose_ckx(*args))
     compiled = build_step_circuit(uniform_spec(4, 2, steps=1), NativeGateSet(3), 0)
-    info = decompose_ckx.cache_info()
-    assert (info.misses, info.hits) == (3, 3)
-    assert compiled == build_step_circuit(uniform_spec(4, 2, steps=1), NativeGateSet(3), 0)
-    assert decompose_ckx.cache_info().misses == 3
+    assert sorted(ladders) == [(3, 3), (3, 3), (4, 3), (4, 3), (5, 3), (5, 3)]
+    other = build_step_circuit(uniform_spec(4, 2, steps=3), NativeGateSet(3), 2)
+    assert other.shift is compiled.shift and len(ladders) == 6
 
 
 def test_move_markers_skip_single_qubit_prefix():
@@ -240,7 +240,7 @@ def test_step_circuit_matches_abstract_step(n, nc, rho):
     nd = spec.data_qubit_count
     raw = rng.standard_normal(2**nd) + 1j * rng.standard_normal(2**nd)
     raw /= np.linalg.norm(raw)
-    want_data = apply_all(coin, build_shift_abstract(spec), raw)
+    want_data = apply_all(coin, build_shift_abstract(n, nc), raw)
 
     pool = len(circ.ancilla_indices)
     for anc_value in range(2**pool):
@@ -351,19 +351,18 @@ def test_census_agrees_with_compiled_circuit(n, nc, rho):
     for targets in circ.shift:
         if targets is not None and len(targets) >= 2:
             counted[len(targets)] = counted.get(len(targets), 0) + 1
-    assert counted == count_multiqubit_gates(spec, rho)
+    assert counted == count_multiqubit_gates(n, nc, rho)
 
 
 def test_census_frozen_ring32_lazy():
-    spec = uniform_spec(5, 2, steps=1)
-    assert count_multiqubit_gates(spec, 3) == {3: 82}
-    assert count_multiqubit_gates(spec, 4) == {3: 10, 4: 26}
-    assert count_multiqubit_gates(spec, 5) == {3: 6, 4: 6, 5: 10}
+    assert count_multiqubit_gates(5, 2, 3) == {3: 82}
+    assert count_multiqubit_gates(5, 2, 4) == {3: 10, 4: 26}
+    assert count_multiqubit_gates(5, 2, 5) == {3: 6, 4: 6, 5: 10}
 
 
 def test_census_rejects_tiny_rank():
     with pytest.raises(ValueError):
-        count_multiqubit_gates(uniform_spec(3, 1, steps=1), 2)
+        count_multiqubit_gates(3, 1, 2)
 
 
 # ------------------------------------------------------------ plumbing
@@ -429,13 +428,13 @@ def test_multiqubit_labels_spell_their_rank(n, nc, rho):
     assert {op.label for op in gates if op.rank == 1} <= {"RY", "X"}
     multi = [op for op in gates if op.rank >= 2]
     assert multi and all(op.label == f"C{op.rank - 1}X" for op in multi)
-    assert {op.rank for op in multi} == set(count_multiqubit_gates(uniform_spec(n, nc, steps=1), rho))
+    assert {op.rank for op in multi} == set(count_multiqubit_gates(n, nc, rho))
     for op in multi:
         assert f"GATE {op.label} " + " ".join(map(str, op.targets)) in circ.serialize()
 
 
 def test_build_coin_layers():
-    spec = uniform_spec(2, 2, steps=3, theta=0.4, phi=1.1)
+    spec = WalkSpec(2, 2, (0.4,) * 3, (1.1,) * 3)
     circ = build_step_circuit(spec, NativeGateSet(max_rank=3), 1)
     assert circ.coin_angles == (0.4, 1.1)
     assert circ.ops[:2] == (

@@ -108,6 +108,15 @@ def test_config_rejects_unknown_section(tmp_path):
     assert "walks" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nfoo = 1\n", "[DEFAULT]\nsteps = 3\n",
+                                  "[walk]\nsteps = 3\n[DEFAULT]\nbogus = 2\n"])
+def test_default_section_is_an_unknown_section(text, tmp_path, capsys):
+    # configparser's own [DEFAULT] would give its keys to every section: these
+    # would run the default walk, set walk.steps, or blame bogus on [walk].
+    assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr() == ("", "config error: unknown config section [DEFAULT]\n")
+
+
 @pytest.mark.parametrize("text", ["[walk]\nsteps\n", "steps = 3\n"], ids=["key-without-value", "no-section-header"])
 def test_malformed_config_error_is_one_line(text, tmp_path, capsys):
     # configparser's own messages span two or three lines.
@@ -154,6 +163,7 @@ BAD_VALUES = (
     ("[gates]\nparam_a = nan\n", "gates.param_a"),
     ("[gates]\nparam_a = 1e309\n", "gates.param_a"),
     ("[gates]\na_list = 0, 1e308/1e-308\n", "gates.a_list"),
+    ("[gates]\na_list =\n", "gates.a_list"),
     ("[noise]\ntau_move_seconds = inf\n", "noise.tau_move_seconds"),
     ("[noise]\nspam = maybe\n", "noise.spam"),
     ("[composite]\nn_list = 2.5\n", "composite.n_list"),
@@ -352,6 +362,8 @@ COMPOSITE_RANGE_ERRORS = (
     ("n_list = 5, 21", "n_list entry 21 outside [2, 20]"),
     ("transitions = 3->4, 3->6", "transitions entry 3->6 needs 3 <= low < high <= 5"),
     ("fidelity_sets =", "fidelity_sets must list at least one set"),
+    ("n_list =", "n_list must list at least one ring exponent"),
+    ("transitions =", "transitions must list at least one low->high pair"),
     ("fidelity_sets = 0.99 0.98", "fidelity_sets entry (0.99, 0.98) must list ranks 3, 4, 5"),
     ("fidelity_sets = 0.99 0.98 0", "fidelity_sets entry (0.99, 0.98, 0.0) outside (0, 1]"),
     ("fidelity_sets = 0.99 0.995 0.99", "fidelity_sets entry (0.99, 0.995, 0.99) increases with rank"),
@@ -997,7 +1009,7 @@ def test_property_composite_writer_matches_reference(n_list, transitions, fideli
         payload, records, report = payload_reference.composite_payload(n_list, fidelity_sets, transitions)
         expected = {"json": payload_reference.json_text(payload),
                     "csv": payload_reference.csv_text(CSV_HEADERS["composite"].split(","), records)}
-    except ValueError as exc:  # f_low underflows to 0
+    except ValueError as exc:  # f_low underflows to 0, or n_list or transitions is empty
         expected = str(exc)
     for fmt in ("json", "csv"):
         out = directory / f"run.{fmt}"
@@ -1005,9 +1017,10 @@ def test_property_composite_writer_matches_reference(n_list, transitions, fideli
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["composite", "--config", path, "--format", fmt, "--out", str(out)])
         if isinstance(expected, str):
-            assert "underflows to 0" in expected
+            key = expected.partition(" ")[0]
+            assert "underflows to 0" in expected or not (n_list and transitions)
             assert (code, stdout.getvalue(), stderr.getvalue()) == (
-                2, "", f"config error: bad value for composite.fidelity_sets: {expected}\n")
+                2, "", f"config error: bad value for composite.{key}: {expected}\n")
             assert not out.exists()
         else:
             assert (code, stderr.getvalue()) == (0, "")

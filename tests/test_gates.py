@@ -200,14 +200,17 @@ def ckx_from_ckz_kron(ckz):
     return -(layer @ np.diag(ckz) @ layer)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_gate_builds_match_reference_loops_bit_for_bit(k):
-    # The vectorized diagonal and the cached conjugation layer must give the
-    # same bits as building each entry and each layer on its own.
-    for a in (None, *DEFAULT_A_LIST, 1000.0) if k < 3 else (None,):
-        diag = effective_ckz(k, a)
+    # The vectorized diagonal and the one-product conjugation layer must give
+    # the same bits as building each entry on its own and the layer with
+    # np.kron, signed zeros included (a CkX holds many -0.0 parts). C4Z, for
+    # the rank-5 CkX, has only its ideal form.
+    diagonals = [ideal_ckz(k)]
+    for a in (None, *DEFAULT_A_LIST, 1000.0) if k < 3 else (None,) if k == 3 else ():
+        diagonals.append(effective_ckz(k, a))
         reference = effective_ckz_entrywise(k, a)
-        assert diag.dtype == reference.dtype and diag.shape == reference.shape
-        assert np.array_equal(diag.view(np.uint64), reference.view(np.uint64))
-        for ckz in (diag, ideal_ckz(k)):
-            assert np.array_equal(ckx_from_ckz(ckz).view(np.uint64), ckx_from_ckz_kron(ckz).view(np.uint64))
+        assert diagonals[-1].dtype == reference.dtype and diagonals[-1].shape == reference.shape
+        assert np.array_equal(diagonals[-1].view(np.uint64), reference.view(np.uint64))
+    for ckz in diagonals:
+        assert np.array_equal(ckx_from_ckz(ckz).view(np.uint64), ckx_from_ckz_kron(ckz).view(np.uint64))

@@ -610,14 +610,14 @@ def test_rank_one_shift_gate_is_x_with_or_without_gate_errors():
 
 @pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (3, 2, 3), (4, 2, 4)])
 def test_compiled_step_is_the_step_zero_circuit(n, nc, rho, monkeypatch):
-    spec, gate_set = uniform_spec(n, nc, steps=3, theta=0.4, phi=1.1), NativeGateSet(rho)
+    spec, gate_set = WalkSpec(n, nc, (0.4,) * 3, (1.1,) * 3 if nc == 2 else None), NativeGateSet(rho)
     calls = []
     monkeypatch.setattr(simulate, "build_step_circuit", lambda *args: calls.append(args) or build_step_circuit(*args))
     run_noisy(spec, gate_set, FULL)
     assert calls == [(spec, gate_set, 0)]  # one compile per walk, of step 0
     compiled = build_step_circuit(spec, gate_set, 0)
     # The shift reads only the walk's shape: another schedule shares its tuple.
-    other = build_step_circuit(uniform_spec(n, nc, steps=5, theta=2.0, phi=0.3), gate_set, 0)
+    other = build_step_circuit(WalkSpec(n, nc, (2.0,) * 5, (0.3,) * 5 if nc == 2 else None), gate_set, 0)
     assert other.shift is compiled.shift and other.coin_angles != compiled.coin_angles
 
 
@@ -712,7 +712,7 @@ def test_gate_set_comparison_structure(monkeypatch):
     census = []
     counted = simulate.count_multiqubit_gates
     monkeypatch.setattr(simulate, "count_multiqubit_gates",
-                        lambda spec, rank: census.append((spec.position_qubits, rank)) or counted(spec, rank))
+                        lambda n, coin_qubits, rank: census.append((n, rank)) or counted(n, coin_qubits, rank))
     entries = gate_set_comparison(n_list=(4, 5))
     monkeypatch.undo()
     # G(4) serves both default transitions and is counted once per ring.
@@ -720,9 +720,8 @@ def test_gate_set_comparison_structure(monkeypatch):
     # n-major: 2 ring sizes x 2 transitions
     assert [entry[:3] for entry in entries] == [(4, 3, 4), (4, 4, 5), (5, 3, 4), (5, 4, 5)]
     for n, low, high, counts_low, counts_high, rows in entries:
-        spec = uniform_spec(n, 2, steps=1)
-        assert counts_low == count_multiqubit_gates(spec, low)
-        assert counts_high == count_multiqubit_gates(spec, high)
+        assert counts_low == count_multiqubit_gates(n, 2, low)
+        assert counts_high == count_multiqubit_gates(n, 2, high)
         assert [row[0] for row in rows] == list(DEFAULT_FIDELITY_SETS)
         for fid_set, f_low, f_high, pct in rows:
             by_rank = {3: fid_set[0], 4: fid_set[1], 5: fid_set[2]}
