@@ -30,10 +30,6 @@ class GateApplication:
     targets: tuple[int, ...]
     theta: float | None = None
 
-    @property
-    def rank(self) -> int:
-        return len(self.targets)
-
 
 @dataclass(frozen=True)
 class MoveMarker:
@@ -62,22 +58,11 @@ class Circuit:
     coin_angles: tuple[float, ...] = ()
     ancilla_indices: tuple[int, ...] = ()
 
-    def _coin(self) -> Iterable[tuple[int, float]]:
-        first = self.qubit_count - len(self.ancilla_indices) - len(self.coin_angles)
-        return zip(range(first, first + len(self.coin_angles)), self.coin_angles)
-
     @cached_property
     def ops(self) -> tuple[CircuitOp, ...]:
-        coin = tuple(GateApplication("RY", (wire,), theta=theta) for wire, theta in self._coin())
+        first = self.qubit_count - len(self.ancilla_indices) - len(self.coin_angles)
+        coin = tuple(GateApplication("RY", (first + i,), theta=theta) for i, theta in enumerate(self.coin_angles))
         return coin + tuple(MoveMarker() if t is None else GateApplication(_label(t), t) for t in self.shift)
-
-    def serialize(self) -> str:
-        lines = [f"QUBITS {self.qubit_count}"]
-        if self.ancilla_indices:
-            lines.append("ANCILLAS " + " ".join(map(str, self.ancilla_indices)))
-        lines += [f"GATE RY({theta:.12g}) {wire}" for wire, theta in self._coin()]
-        lines += ["MOVE" if t is None else f"GATE {_label(t)} " + " ".join(map(str, t)) for t in self.shift]
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

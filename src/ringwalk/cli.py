@@ -110,8 +110,8 @@ class ExperimentConfig:
 
 def _atom(text: str) -> float:
     text = text.strip()
-    if text == "pi":
-        return math.pi
+    if text in ("pi", "+pi", "-pi"):
+        return -math.pi if text[0] == "-" else math.pi
     try:
         return float(text)
     except ValueError as exc:
@@ -140,14 +140,7 @@ def _boolean(text: str) -> bool:
 
 
 def _number_list(text: str) -> tuple[float, ...]:
-    parts = [part for part in text.split(",") if part.strip()]
-    try:
-        values = tuple(map(float, parts))
-        if all(map(math.isfinite, values)):
-            return values
-    except ValueError:
-        pass
-    return tuple(map(_number, parts))  # pi, a/b, a value that is not finite or not a number: _number's errors
+    return tuple(_number(part) for part in text.split(",") if part.strip())
 
 
 def _effort_list(text: str) -> tuple[float, ...]:

@@ -39,11 +39,10 @@ def _ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-# Single-qubit layers of ckx_from_ckz: X on each control, ZHZ on the target.
-X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+# The target's layer in ckx_from_ckz, which puts X on each control.
 _Z = np.diag(np.array([1, -1], dtype=np.complex128))
 ZHZ = _Z @ (_INVSQRT2 * np.array([[1, 1], [1, -1]], dtype=np.complex128)) @ _Z
-X.flags.writeable = ZHZ.flags.writeable = False
+ZHZ.flags.writeable = False
 
 
 def ideal_ckz(k: int) -> np.ndarray:

@@ -136,7 +136,6 @@ def _pays_back(steps: int, gates: int, wires: int, qubit_count: int, builds: int
     return saved >= builds * 2 * gates * (4**wires + CALL_AMPLITUDES)
 
 
-@lru_cache(maxsize=64)  # per compiled shape and step count: every effort of a sweep shares one partition
 def partition_shift(qubit_count: int, gates: tuple[tuple[int, ...], ...],
                     steps: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
     """The shift's gate passes in order, each (wires, its gates' targets).

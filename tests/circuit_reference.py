@@ -3,8 +3,9 @@
 This is the compiler as it stood before it moved to target tuples: every
 gate a GateApplication, every move point a MoveMarker, and the circuit's
 ops one tuple of both. ringwalk.circuits.build_step_circuit must produce
-the same ops (through Circuit.ops), the same serialize() text, the same
-qubit count and the same ancillas; tests/test_circuits.py checks that.
+the same ops (through Circuit.ops), the same qubit count and the same
+ancillas; tests/test_circuits.py checks that. serialize prints either
+circuit as text, one line per op.
 """
 
 from __future__ import annotations
@@ -29,17 +30,20 @@ class Circuit:
     ops: tuple[CircuitOp, ...]
     ancilla_indices: tuple[int, ...] = ()
 
-    def serialize(self) -> str:
-        lines = [f"QUBITS {self.qubit_count}"]
-        if self.ancilla_indices:
-            lines.append("ANCILLAS " + " ".join(str(q) for q in self.ancilla_indices))
-        for op in self.ops:
-            if isinstance(op, MoveMarker):
-                lines.append("MOVE")
-            else:
-                label = f"RY({op.theta:.12g})" if op.label == "RY" else op.label
-                lines.append(f"GATE {label} " + " ".join(str(q) for q in op.targets))
-        return "\n".join(lines) + "\n"
+
+def serialize(circuit) -> str:
+    """A circuit (this module's or ringwalk's) as text: its qubit count, its
+    ancillas, then one GATE or MOVE line per op, RY angles to 12 digits."""
+    lines = [f"QUBITS {circuit.qubit_count}"]
+    if circuit.ancilla_indices:
+        lines.append("ANCILLAS " + " ".join(str(q) for q in circuit.ancilla_indices))
+    for op in circuit.ops:
+        if isinstance(op, MoveMarker):
+            lines.append("MOVE")
+        else:
+            label = f"RY({op.theta:.12g})" if op.label == "RY" else op.label
+            lines.append(f"GATE {label} " + " ".join(str(q) for q in op.targets))
+    return "\n".join(lines) + "\n"
 
 
 def build_coin(spec: WalkSpec, step_index: int) -> tuple[GateApplication, ...]:
@@ -114,7 +118,7 @@ def _with_move_markers(ops: Iterable[CircuitOp]) -> tuple[CircuitOp, ...]:
     out: list[CircuitOp] = []
     previous: set[int] | None = None
     for op in ops:
-        if isinstance(op, GateApplication) and op.rank >= 2:
+        if isinstance(op, GateApplication) and len(op.targets) >= 2:
             wires = set(op.targets)
             if previous is not None and not wires.issubset(previous):
                 out.append(MoveMarker())
@@ -131,13 +135,14 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
 
     compiled: list[CircuitOp] = list(build_coin(spec, step_index))
     for op in build_shift_abstract(spec):
-        if op.rank <= gates.max_rank:
+        rank = len(op.targets)
+        if rank <= gates.max_rank:
             compiled.append(op)
             continue
-        local_ops, used = decompose_ckx(op.rank - 1, gates.max_rank)
+        local_ops, used = decompose_ckx(rank - 1, gates.max_rank)
         wire_map = dict(enumerate(op.targets))
         for i in range(used):
-            wire_map[op.rank + i] = ancillas[i]
+            wire_map[rank + i] = ancillas[i]
         for local in local_ops:
             compiled.append(GateApplication(local.label, tuple(wire_map[w] for w in local.targets)))
 

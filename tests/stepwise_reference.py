@@ -19,9 +19,11 @@ import numpy as np
 
 from ringwalk import noise as noiselib
 from ringwalk.circuits import MoveMarker, build_step_circuit
-from ringwalk.gates import X, _ry, ckx_from_ckz, effective_ckz
+from ringwalk.gates import _ry, ckx_from_ckz, effective_ckz
 from ringwalk.simulate import apply_gate, marginal_probabilities, scale_amplitudes
 
+X = np.array([[0, 1], [1, 0]], dtype=np.complex128)  # the one-wire shift gate
+X.flags.writeable = False
 IDEAL = noiselib.NoiseParams(gate_errors=False, passive=False, spam=False)  # exact gates, no scalar channels
 
 
@@ -56,8 +58,8 @@ def run_noisy_stepwise(spec, gate_set, noise):
                     running_factor *= move
                 continue
             state = apply_gate(state, resolve(op, gate_set, noise.gate_errors), op.targets)
-            if op.rank >= 2:
-                running_factor *= noiselib.idle_factor(noise, n_q, op.rank)
+            if len(op.targets) >= 2:
+                running_factor *= noiselib.idle_factor(noise, n_q, len(op.targets))
         if noise.moves_per_step is not None:
             running_factor *= move**noise.moves_per_step
         scalar_factor = running_factor * read

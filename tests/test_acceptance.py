@@ -9,6 +9,7 @@ keep the divergence visible without hiding it behind a loosened bound.
 
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from dense_oracle import run_ideal_dense_oracle
 from stepwise_reference import IDEAL
 from ringwalk import gates as gatelib
 from ringwalk import noise as noiselib
-from ringwalk.circuits import NativeGateSet, count_multiqubit_gates, decompose_ckx, uniform_spec
+from ringwalk.circuits import (
+    NativeGateSet,
+    ancilla_requirement,
+    build_step_circuit,
+    count_multiqubit_gates,
+    decompose_ckx,
+    uniform_spec,
+)
 from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_simulate, payload_chunks
 from ringwalk.simulate import (
     TOLERANCES,
@@ -204,6 +212,44 @@ def test_gate_census_predicts_first_step_loss(n, nc, max_rank):
                           for r, count in census.items())
     kept = noisy_run(n, nc, max_rank, passive=False, spam=False).total_probability[0]
     assert 0.975 <= kept / predicted <= 1.005
+
+
+# The paper's equal-register match is exact at the circuit: the lazy 2^n walk and the 1q-coin
+# 2^(n+1) walk compile to the same register, the same moves and the same gates, bar one CZ-based
+# CX in each direction of the 1q-coin cascade. The pairs below are those run_noisy admits on both sides.
+EQUAL_REGISTER_PAIRS = [(n, rank) for n, nc, rank in ADMITTED if nc == 2 and (n + 1, 1, rank) in ADMITTED]
+
+
+@pytest.mark.parametrize("max_rank", [3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 20))
+def test_equal_register_census_differs_by_two_cz(n, max_rank):
+    lazy, plain = count_multiqubit_gates(n, 2, max_rank), count_multiqubit_gates(n + 1, 1, max_rank)
+    assert Counter(plain) == Counter(lazy) + Counter({2: 2})
+    assert ancilla_requirement(n + 1, 1, max_rank) == ancilla_requirement(n, 2, max_rank)
+
+
+@pytest.mark.parametrize("max_rank", [3, 4])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_equal_register_steps_compile_alike(n, max_rank):
+    lazy, plain = (build_step_circuit(uniform_spec(p, nc, steps=1), NativeGateSet(max_rank), 0)
+                   for p, nc in ((n, 2), (n + 1, 1)))
+    assert lazy.qubit_count == plain.qubit_count
+    assert lazy.shift.count(None) == plain.shift.count(None)
+    lazy_gates, plain_gates = (Counter(len(t) for t in c.shift if t is not None and len(t) >= 2) for c in (lazy, plain))
+    assert plain_gates == lazy_gates + Counter({2: 2})
+
+
+@pytest.mark.parametrize("n,max_rank", EQUAL_REGISTER_PAIRS)
+def test_equal_register_scalar_factors_differ_by_two_cz_idles(n, max_rank):
+    # The scalar channels see the same register and the same moves, so the
+    # 1q-coin walk's factor is the lazy walk's times the idling of the other
+    # qubits through its two extra CZ per step (3.7e-15 relative at worst).
+    assert len(EQUAL_REGISTER_PAIRS) == 7
+    lazy, plain = noisy_run(n, 2, max_rank), noisy_run(n + 1, 1, max_rank)
+    n_q = build_step_circuit(uniform_spec(n, 2, steps=1), NativeGateSet(max_rank), 0).qubit_count
+    steps = np.arange(1, 22)
+    expected = lazy.scalar_factor * noiselib.idle_factor(FULL, n_q, 2) ** (2 * steps)
+    assert np.allclose(plain.scalar_factor, expected, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("max_rank", [3, 4])

@@ -82,10 +82,10 @@ def test_load_config_full(tmp_path):
 
 
 def test_config_number_language(tmp_path):
-    text = "[walk]\ntheta = pi\nphi = pi/2, 13/4\n[gates]\nparam_a = 26/3\n"
+    text = "[walk]\ntheta = pi\nphi = pi/2, 13/4, -pi, +pi, -pi/2, pi/-4, -13/3, -1.5\n[gates]\nparam_a = 26/3\n"
     config = load_config(write_config(tmp_path, text))
     assert config.theta == (math.pi,)
-    assert config.phi == (math.pi / 2, 3.25)
+    assert config.phi == (math.pi / 2, 3.25, -math.pi, math.pi, -math.pi / 2, -math.pi / 4, -13 / 3, -1.5)
     assert config.gates.param_a == pytest.approx(26.0 / 3)
 
 
@@ -258,13 +258,14 @@ def test_walk_errors_name_the_key(text, key, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"config error: bad value for {key}: ")
 
 
-# Angle lists the one-call parse cannot take whole, so each item goes through _number.
+# Angle lists with an item _number rejects: the first such item's own error.
 ANGLE_FALLBACKS = (
     ("theta = 0.5, inf\n", "bad value for walk.theta: 'inf' is not a finite number"),
     ("theta = 1e999\n", "bad value for walk.theta: '1e999' is not a finite number"),
     ("coin_qubits = 2\nphi = pi/2, 0.25\n",
      "bad value for walk.phi: 2 angles for 21 steps; give one angle or one per step"),
     ("theta = pi/2, x\n", "bad value for walk.theta: cannot parse number 'x'"),
+    ("theta = -pi/2, --pi, x\n", "bad value for walk.theta: cannot parse number '--pi'"),
 )
 
 
@@ -699,7 +700,7 @@ def test_command_line_imports_no_argparse(tmp_path):
 
 def clear_caches():
     """Empty every cache a walk fills, so the next walk computes everything afresh."""
-    for cached in (simulate.run_ideal, circuits._compiled_shift, simulate.partition_shift, simulate.shift_passes,
+    for cached in (simulate.run_ideal, circuits._compiled_shift, simulate.shift_passes, simulate.chain_plans,
                    gates._ckx, gate_plan):
         cached.cache_clear()
 
@@ -759,15 +760,13 @@ def test_rank4_sweep_builds_each_effort_free_gate_once(tmp_path, capsys):
     assert gates._ckx.cache_info().misses == 6  # X and C3X once, CCX at each of the four efforts
 
 
-def test_default_lazy_sweep_partitions_its_shift_once(tmp_path, capsys):
-    # Seven efforts, one compiled step and one step count: one partition,
-    # and the gate matrices built per effort.
-    simulate.partition_shift.cache_clear()
+def test_default_lazy_sweep_builds_its_shift_once_per_effort(tmp_path, capsys):
+    # Seven efforts, one compiled step and one step count: the shift's
+    # passes are built once for each effort, and never again.
     simulate.shift_passes.cache_clear()
     assert main(["sweep-a", "--config", write_config(tmp_path, "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n")]) == 0
     capsys.readouterr()
-    assert simulate.partition_shift.cache_info().misses == 1
-    assert simulate.shift_passes.cache_info().misses == len(cli.DEFAULT_A_LIST)
+    assert simulate.shift_passes.cache_info().misses == len(cli.DEFAULT_A_LIST) == 7
 
 
 def test_import_freezes_what_it_made():

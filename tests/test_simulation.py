@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import run_ideal_dense_oracle
-from stepwise_reference import IDEAL, run_ideal_stepwise, run_noisy_stepwise
+from stepwise_reference import IDEAL, X, run_ideal_stepwise, run_noisy_stepwise
 from ringwalk import noise as noiselib
 from ringwalk import simulate
 from ringwalk.circuits import (
@@ -38,7 +38,7 @@ from ringwalk.simulate import (
     shift_passes,
     steps_within_tolerance,
 )
-from ringwalk.gates import X, ckx, ckx_from_ckz, effective_ckz, ideal_ckz
+from ringwalk.gates import ckx, ckx_from_ckz, effective_ckz, ideal_ckz
 
 
 FULL = noiselib.NoiseParams()
@@ -205,8 +205,8 @@ def expected_scalars(spec, gate_set, noise):
             if isinstance(op, MoveMarker):
                 if noise.moves_per_step is None:
                     running *= move
-            elif op.rank >= 2:
-                running *= noiselib.idle_factor(noise, n_q, op.rank)
+            elif len(op.targets) >= 2:
+                running *= noiselib.idle_factor(noise, n_q, len(op.targets))
         if noise.moves_per_step is not None:
             running *= move**noise.moves_per_step
         out.append(running * read)
@@ -243,14 +243,12 @@ def test_moves_per_step_override():
 @contextlib.contextmanager
 def never_fused(monkeypatch):
     """Run the shift gate by gate: no run of gates pays back its block."""
-    partition_shift.cache_clear()
     shift_passes.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_pays_back", lambda *args: False)
         try:
             yield
         finally:
-            partition_shift.cache_clear()
             shift_passes.cache_clear()
 
 

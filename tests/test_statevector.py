@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringwalk.gates import X, _ry
+from stepwise_reference import X
+from ringwalk.gates import _ry
 from ringwalk.simulate import apply_gate, chain_plans, gate_plan, marginal_probabilities, scale_amplitudes
 
 
