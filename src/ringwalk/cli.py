@@ -176,6 +176,12 @@ def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
+def _path(text: str) -> str:
+    if not text.strip():
+        raise ConfigError("empty path; leave the key out to write to stdout")
+    return text.strip()
+
+
 def _fidelity_sets(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(_number(v) for v in group.split()) for group in text.split(";") if group.strip())
 
@@ -206,7 +212,7 @@ _CONFIG_SCHEMA = {
     "gates": {**_field_parsers(NativeGateSet), "a_list": _effort_list},
     "noise": _field_parsers(NoiseParams),
     "composite": {"n_list": _integer_list, "fidelity_sets": _fidelity_sets, "transitions": _transitions},
-    "output": {"path": str.strip, "format": _choice(FORMATS)},
+    "output": {"path": _path, "format": _choice(FORMATS)},
 }
 # Keys are unique across sections, so a key names its section.
 _SECTION_OF = {key: section for section, keys in _CONFIG_SCHEMA.items() for key in keys}

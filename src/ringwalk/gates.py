@@ -129,21 +129,16 @@ def _ckx(rank: int, a: float | None, effective: bool) -> np.ndarray:
 
 
 def gate_fidelity(effective: np.ndarray, ideal: np.ndarray) -> float:
-    """Fidelity of an effective gate against its ideal counterpart.
+    """Fidelity of an effective CkZ diagonal against its ideal counterpart.
 
-    Both are diagonals or both dense matrices of one rank. Computed as
-    |Tr(U_eff^dag U_ideal)|^2 / 4^rank. For diagonal gates this
+    Computed as |Tr(U_eff^dag U_ideal)|^2 / 4^rank over the diagonals. This
     equals the squared overlap that the ideal and effective outputs of a
     uniform superposition would have, and it is invariant under shared
     single-qubit conjugation, so an X/ZHZ-constructed CkX scores the same
     as the CkZ it came from.
     """
     dim = len(ideal)
-    if effective.shape != ideal.shape or ideal.shape not in ((dim,), (dim, dim)):
-        raise ValueError(f"gate shapes {effective.shape} and {ideal.shape} are not two diagonals or two "
-                         "matrices of one rank")
-    if ideal.ndim == 1:
-        overlap = np.sum(np.conj(effective) * ideal)
-    else:
-        overlap = np.trace(effective.conj().T @ ideal)
+    if effective.shape != ideal.shape or ideal.shape != (dim,):
+        raise ValueError(f"gate shapes {effective.shape} and {ideal.shape} are not two diagonals of one rank")
+    overlap = np.sum(np.conj(effective) * ideal)
     return float(abs(overlap) ** 2) / dim**2

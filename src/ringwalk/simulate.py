@@ -18,20 +18,21 @@ executor. It admits a walk whose compiled step, ancillas included, fits
 in MAX_SIMULATED_QUBITS. Steps of one walk differ only in their coin
 angles, so it compiles step 0 once (build_step_circuit, its shift cached
 per walk shape) and keeps its shift as the compiler's target tuples (no
-gate objects are built). partition_shift plans the shift's passes,
-fusing runs of gates into dense blocks where the walk's steps pay for
-them, and shift_passes builds each pass's matrix for a gate set from
-gates.ckx. run_noisy folds the coin's RY layer into the first pass where
-the walk's distinct coin angles pay for that, and then per step runs one
-matrix per pass, its passes chained through gathers (chain_plans) so
-that only the last scatters, into the step's row of a buffer of at most
-READOUT_AMPLITUDES amplitudes; a step of one pass over every wire in
-order is one product straight into that row. The state evolves under
-the gates alone; the scalar noise channels multiply into one logged
-factor. The buffer is read out a batch of steps at a time: each batch's
-rows are scored once by hellinger_fidelity, and an early stop checked on
-those scores, so a walk's readout is one set of arrays with a row per
-step (RunResult) at a few numpy calls per batch rather than per step.
+gate objects are built). shift_passes plans that shift's passes straight
+from the tuples, move markers included, fusing runs of gates into dense
+blocks where the walk's steps pay for them, and builds each pass's
+matrix for a gate set from gates.ckx. run_noisy folds the coin's RY
+layer into the first pass where the walk's distinct coin angles pay for
+that, and then per step runs one matrix per pass, its passes chained
+through gathers (chain_plans) so that only the last scatters, into the
+step's row of a buffer of at most READOUT_AMPLITUDES amplitudes; a step
+of one pass over every wire in order is one product straight into that
+row. The state evolves under the gates alone; the scalar noise channels
+multiply into one logged factor. The buffer is read out a batch of steps
+at a time: each batch's rows are scored once by hellinger_fidelity, and
+an early stop checked on those scores, so a walk's readout is one set of
+arrays with a row per step (RunResult) at a few numpy calls per batch
+rather than per step.
 """
 
 from __future__ import annotations
@@ -136,53 +137,37 @@ def _pays_back(steps: int, gates: int, wires: int, qubit_count: int, builds: int
     return saved >= builds * 2 * gates * (4**wires + CALL_AMPLITUDES)
 
 
-def partition_shift(qubit_count: int, gates: tuple[tuple[int, ...], ...],
-                    steps: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """The shift's gate passes in order, each (wires, its gates' targets).
+@lru_cache(maxsize=64)  # per compiled shape, step count, gate set and flag: each sweep effort builds its own
+def shift_passes(qubit_count: int, shift: tuple[tuple[int, ...] | None, ...], steps: int, gate_set: NativeGateSet,
+                 gate_errors: bool) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """The compiled shift's gate passes in order, each (wires, read-only matrix on the wires).
 
-    The gates are split, in circuit order, into runs on at most
-    FUSED_MAX_WIRES wires. A run that pays back within the walk is one pass
-    on its sorted wires; each gate of any other run is a pass of its own on
-    its own targets.
+    The shift's gates (its move markers, None, skipped) are split, in
+    circuit order, into runs on at most FUSED_MAX_WIRES wires. A gate's
+    matrix is gates.ckx of its rank, effective with gate errors. A run that
+    pays back within the walk is one pass on its sorted wires, running a
+    block built by running its gates through gate_plan(2w, local targets)
+    over the 2^w identity taken as a flat 2w-qubit state, whose leading w
+    qubits are the wires; each gate of any other run is a pass of its own.
     """
     runs: list[tuple[set[int], list[tuple[int, ...]]]] = []  # (the run's wires, its gates)
-    for targets in gates:
+    for targets in filter(None, shift):
         if not runs or len(runs[-1][0].union(targets)) > FUSED_MAX_WIRES:
             runs.append((set(), []))
         runs[-1][0].update(targets)
         runs[-1][1].append(targets)
-    passes: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
+    passes = []
     for wire_set, run in runs:
         wires = tuple(sorted(wire_set))
-        if _pays_back(steps, len(run), len(wires), qubit_count):
-            passes.append((wires, tuple(run)))
-        else:
-            passes += [(targets, (targets,)) for targets in run]
-    return tuple(passes)
-
-
-@lru_cache(maxsize=64)  # per compiled shape, step count, gate set and flag: each sweep effort builds its own
-def shift_passes(qubit_count: int, gates: tuple[tuple[int, ...], ...], steps: int, gate_set: NativeGateSet,
-                 gate_errors: bool) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-    """The shift's gate passes in order, each (wires, read-only matrix on the wires).
-
-    The passes are partition_shift's. A gate's matrix is gates.ckx of its
-    rank, effective with gate errors; a pass of one gate runs it, and a
-    fused pass runs a block built by running its gates through
-    gate_plan(2w, local targets) over the 2^w identity taken as a flat
-    2w-qubit state, whose leading w qubits are the wires.
-    """
-    passes = []
-    for wires, run in partition_shift(qubit_count, gates, steps):
-        if len(run) == 1:
-            matrix = gatelib.ckx(len(wires), gate_set.param_a, gate_errors)
-        else:
-            matrix = np.eye(2 ** len(wires), dtype=np.complex128)
-            flat = matrix.reshape(-1)
-            for targets in run:
-                plan = gate_plan(2 * len(wires), tuple(wires.index(q) for q in targets))
-                flat[plan] = gatelib.ckx(len(targets), gate_set.param_a, gate_errors) @ flat[plan]
-            matrix.setflags(write=False)
+        if not _pays_back(steps, len(run), len(wires), qubit_count):
+            passes += [(targets, gatelib.ckx(len(targets), gate_set.param_a, gate_errors)) for targets in run]
+            continue
+        matrix = np.eye(2 ** len(wires), dtype=np.complex128)
+        flat = matrix.reshape(-1)
+        for targets in run:
+            plan = gate_plan(2 * len(wires), tuple(wires.index(q) for q in targets))
+            flat[plan] = gatelib.ckx(len(targets), gate_set.param_a, gate_errors) @ flat[plan]
+        matrix.setflags(write=False)
         passes.append((wires, matrix))
     return tuple(passes)
 
@@ -288,21 +273,18 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
     read = noiselib.readout_factor(noise, n_q)
     move = noiselib.movement_factor(noise, n_q)
     marked = noise.moves_per_step is None  # movement counted at the shift's markers
-    gates, step_factors, idle = [], [], {}
+    step_factors, idle = [], {}
     for targets in compiled.shift:
         if targets is None:
             if marked:
                 step_factors.append(move)
-            continue
-        gates.append(targets)
-        rank = len(targets)
-        if rank >= 2:
+        elif (rank := len(targets)) >= 2:
             if rank not in idle:
                 idle[rank] = noiselib.idle_factor(noise, n_q, rank)
             step_factors.append(idle[rank])
     if not marked:
         step_factors.append(move**noise.moves_per_step)
-    pass_wires, shift = zip(*shift_passes(n_q, tuple(gates), steps, gate_set, noise.gate_errors))
+    pass_wires, shift = zip(*shift_passes(n_q, compiled.shift, steps, gate_set, noise.gate_errors))
     coin_indices = spec.coin_indices
     angle_tuples = set(zip(*spec.coin_schedules))
     step_matrices = {}

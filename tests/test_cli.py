@@ -170,6 +170,7 @@ BAD_VALUES = (
     ("[composite]\ntransitions = 3->4->5\n", "composite.transitions"),
     ("[experiment]\nkind = walkabout\n", "experiment.kind"),
     ("[output]\nformat = yaml\n", "output.format"),
+    ("[output]\npath =\n", "output.path"),
 )
 
 

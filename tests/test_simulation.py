@@ -27,12 +27,12 @@ from ringwalk.simulate import (
     TOLERANCES,
     RunResult,
     UnsupportedSizeError,
+    apply_gate,
     chain_plans,
     composite_fidelity,
     gate_plan,
     gate_set_comparison,
     hellinger_fidelity,
-    partition_shift,
     run_ideal,
     run_noisy,
     shift_passes,
@@ -269,9 +269,9 @@ def alternating_spec(n, nc, steps):
 
 
 def shift_gates(n, nc, rho):
-    """(qubit count, shift gate targets in circuit order) of the compiled step."""
+    """(qubit count, compiled shift, its gates' targets in circuit order) of the compiled step."""
     compiled = build_step_circuit(uniform_spec(n, nc, steps=1), NativeGateSet(rho), 0)
-    return compiled.qubit_count, tuple(targets for targets in compiled.shift if targets is not None)
+    return compiled.qubit_count, compiled.shift, tuple(targets for targets in compiled.shift if targets is not None)
 
 
 @pytest.mark.parametrize("nc", [1, 2])
@@ -324,8 +324,8 @@ def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
     steps = 8
     spec = random_spec(n, nc, steps, 100 * n + 10 * nc + rho)
     gate_set = NativeGateSet(max_rank=rho, param_a=param_a)
-    n_q, gates = shift_gates(n, nc, rho)
-    assert len(shift_passes(n_q, gates, steps, gate_set, noise.gate_errors)) < len(gates)
+    n_q, shift, gates = shift_gates(n, nc, rho)
+    assert len(shift_passes(n_q, shift, steps, gate_set, noise.gate_errors)) < len(gates)
     fused = run_noisy(spec, gate_set, noise)
     with never_fused(monkeypatch):
         unfused = run_noisy(spec, gate_set, noise)
@@ -334,33 +334,61 @@ def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
     assert np.array_equal(fused.scalar_factor, unfused.scalar_factor)
 
 
+def gates_by_pass(passes, gates, gate_errors):
+    """Each pass's gates, read back in circuit order.
+
+    A lone pass is one gate on its own targets, running its rank's ckx; a
+    fused pass takes the next gates whose targets lie inside its wires.
+    """
+    rest = list(gates)
+    by_pass = []
+    for wires, matrix in passes:
+        if rest and wires == rest[0] and np.array_equal(matrix, ckx(len(wires), None, gate_errors)):
+            taken = 1
+        else:
+            taken = next((i for i, targets in enumerate(rest) if not set(targets) <= set(wires)), len(rest))
+            assert taken >= 2 and wires == tuple(sorted(wires))
+        by_pass.append(tuple(rest[:taken]))
+        del rest[:taken]
+    assert not rest
+    return by_pass
+
+
+def block_reference(wires, pass_gates, gate_errors):
+    """The pass's gates applied one by one to each column of the 2^w identity."""
+    columns = np.eye(2 ** len(wires), dtype=np.complex128)
+    for targets in pass_gates:
+        local = tuple(wires.index(q) for q in targets)
+        columns = np.array([apply_gate(column, ckx(len(targets), None, gate_errors), local) for column in columns])
+    return columns.T
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("nc", [1, 2])
 @pytest.mark.parametrize("rho", [3, 4])
 def test_shift_block_plan_invariants(n, nc, rho):
-    n_q, gates = shift_gates(n, nc, rho)
+    n_q, shift, gates = shift_gates(n, nc, rho)
     coins = set(range(n, n + nc))
     # run_noisy folds the coin into the first block: the step's first gate
     # is controlled on every coin wire, so that block holds them all.
     assert coins <= set(gates[0])
     for steps in (1, 4, 8, 21, 150):
         for gate_errors in (False, True):
-            partition = partition_shift(n_q, gates, steps)
-            passes = shift_passes(n_q, gates, steps, NativeGateSet(rho), gate_errors)
-            assert [wires for wires, _ in passes] == [wires for wires, _ in partition]
+            passes = shift_passes(n_q, shift, steps, NativeGateSet(rho), gate_errors)
+            by_pass = gates_by_pass(passes, gates, gate_errors)
             assert coins <= set(passes[0][0])
-            assert sum((pass_gates for _, pass_gates in partition), ()) == gates
-            for (wires, pass_gates), (_, matrix) in zip(partition, passes, strict=True):
+            assert sum(by_pass, ()) == gates
+            for (wires, matrix), pass_gates in zip(passes, by_pass, strict=True):
                 assert len(wires) <= FUSED_MAX_WIRES
                 assert set(wires) == set().union(*pass_gates)
                 assert matrix.shape == (2 ** len(wires),) * 2 and not matrix.flags.writeable
-                if len(pass_gates) == 1:  # a gate on its own runs as its rank's shift gate
-                    assert wires == pass_gates[0] and np.array_equal(matrix, ckx(len(wires), None, gate_errors))
+                if len(pass_gates) > 1:
+                    assert np.max(np.abs(matrix - block_reference(wires, pass_gates, gate_errors))) < 1e-14
             if steps == 1:
-                assert [len(pass_gates) for _, pass_gates in partition] == [1] * len(gates)
+                assert list(map(len, by_pass)) == [1] * len(gates)
     if (n, nc, rho) == (4, 2, 3):
         assert n_q == 9 and len(gates) == 58
-        assert [len(shift_passes(n_q, gates, steps, NativeGateSet(rho), True)) for steps in (4, 8, 21)] == [44, 20, 20]
+        assert [len(shift_passes(n_q, shift, steps, NativeGateSet(rho), True)) for steps in (4, 8, 21)] == [44, 20, 20]
 
 
 def recorded_folds(monkeypatch, allow=True):
