@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Union
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class MoveMarker:
     """Atom rearrangement point; every qubit waits out tau_move_seconds here."""
 
 
-CircuitOp = Union[GateApplication, MoveMarker]
-ShiftOp = Union[tuple[int, ...], None]  # a gate's target wires, or None for a move marker
+ShiftOp = tuple[int, ...] | None  # a gate's target wires, or None for a move marker
 
 
 def _label(targets: tuple[int, ...]) -> str:
@@ -59,7 +58,7 @@ class Circuit:
     ancilla_indices: tuple[int, ...] = ()
 
     @cached_property
-    def ops(self) -> tuple[CircuitOp, ...]:
+    def ops(self) -> tuple[GateApplication | MoveMarker, ...]:
         first = self.qubit_count - len(self.ancilla_indices) - len(self.coin_angles)
         coin = tuple(GateApplication("RY", (first + i,), theta=theta) for i, theta in enumerate(self.coin_angles))
         return coin + tuple(MoveMarker() if t is None else GateApplication(_label(t), t) for t in self.shift)

@@ -52,7 +52,6 @@ import os
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
 
 from . import gates as gatelib
 from .circuits import NativeGateSet, WalkSpec, uniform_spec
@@ -227,7 +226,7 @@ _READS = {
 }
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | os.PathLike[str]) -> ExperimentConfig:
     # A default section no header can spell, so [DEFAULT] is an unknown section, not defaults for every section.
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ringwalk.circuits import (
-    CircuitOp,
     GateApplication,
     MoveMarker,
     NativeGateSet,
@@ -22,6 +21,8 @@ from ringwalk.circuits import (
     _ladder_shape,
     ancilla_requirement,
 )
+
+CircuitOp = GateApplication | MoveMarker
 
 
 @dataclass(frozen=True)

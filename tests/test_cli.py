@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
 import gc
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import payload_reference
+import ringwalk
 from payload_schemas import SCHEMAS
 from ringwalk import circuits, cli, gates, simulate
 from ringwalk.circuits import NativeGateSet, uniform_spec
@@ -28,7 +31,7 @@ from ringwalk.cli import (
     main,
 )
 from ringwalk.noise import NoiseParams
-from ringwalk.simulate import RunResult, UnsupportedSizeError, gate_plan, run_noisy
+from ringwalk.simulate import RunResult, UnsupportedSizeError, run_noisy
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -113,8 +116,10 @@ def test_config_rejects_unknown_section(tmp_path):
 def test_default_section_is_an_unknown_section(text, tmp_path, capsys):
     # configparser's own [DEFAULT] would give its keys to every section: these
     # would run the default walk, set walk.steps, or blame bogus on [walk].
-    assert main(["simulate", "--config", write_config(tmp_path, text)]) == 2
-    assert capsys.readouterr() == ("", "config error: unknown config section [DEFAULT]\n")
+    path = write_config(tmp_path, text)
+    for command in ("simulate", "sweep-a"):
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr() == ("", "config error: unknown config section [DEFAULT]\n")
 
 
 @pytest.mark.parametrize("text", ["[walk]\nsteps\n", "steps = 3\n"], ids=["key-without-value", "no-section-header"])
@@ -174,11 +179,17 @@ BAD_VALUES = (
 )
 
 
-def test_config_rejects_bad_values(tmp_path):
+def test_config_rejects_bad_values(tmp_path, capsys):
     for text, key in BAD_VALUES:
+        path = write_config(tmp_path, text)
         with pytest.raises(ConfigError) as err:
-            load_config(write_config(tmp_path, text))
+            load_config(path)
         assert key in str(err.value), text
+        for command in ("simulate", "sweep-a"):
+            assert main([command, "--config", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: bad value for {key}: ") and captured.err.count("\n") == 1
+            assert captured.out == ""
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
 
@@ -284,12 +295,13 @@ def test_angle_list_errors_are_the_per_item_parse_errors(text, message, tmp_path
 MODULE_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
-def run_module(*args, config=None, cwd):
-    """Run ``python -m ringwalk.cli`` in a fresh process on this checkout's sources."""
+def run_module(*args, config=None, cwd, **env):
+    """Run ``python -m ringwalk.cli`` in a fresh process on this checkout's sources, with
+    ``env`` added to its environment; its stdout and stderr are bytes."""
     if config is not None:
         args += ("--config", write_config(cwd, config))
-    return subprocess.run([sys.executable, "-m", "ringwalk.cli", *args], cwd=cwd, env=MODULE_ENV,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "ringwalk.cli", *args], cwd=cwd, env={**MODULE_ENV, **env},
+                          capture_output=True, timeout=120)
 
 
 def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
@@ -314,21 +326,38 @@ def test_unwritable_stdout_exits_one_with_one_line(tmp_path):
 
 def test_module_exit_codes_through_a_process(tmp_path):
     done = run_module("composite", "--format", "json", cwd=tmp_path)
-    assert (done.returncode, done.stderr) == (0, "")
+    assert (done.returncode, done.stderr) == (0, b"")
     assert json.loads(done.stdout)["kind"] == "composite"
-    for config, code, prefix in (("[walk]\nsteps = 0\n", 2, "config error: bad value for walk.steps: "),
-                                 ("[walk]\nposition_qubits = 6\n", 3, "unsupported size: ")):
+    for config, code, prefix in (("[walk]\nsteps = 0\n", 2, b"config error: bad value for walk.steps: "),
+                                 ("[walk]\nposition_qubits = 6\n", 3, b"unsupported size: ")):
         done = run_module("simulate", config=config, cwd=tmp_path)
         assert done.returncode == code
-        assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1
-        assert done.stdout == ""
+        assert done.stderr.startswith(prefix) and done.stderr.count(b"\n") == 1
+        assert done.stdout == b""
     done = run_module("simulate", "--format", "xml", cwd=tmp_path)
     assert done.returncode == 2
-    assert done.stderr.startswith("ringwalk simulate: error: argument --format: ") and done.stderr.count("\n") == 1
-    assert done.stdout == ""
+    assert done.stderr.startswith(b"ringwalk simulate: error: argument --format: ") and done.stderr.count(b"\n") == 1
+    assert done.stdout == b""
     done = run_module("--help", cwd=tmp_path)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.startswith("usage: ringwalk ")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"usage: ringwalk ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-a"])
+def test_piped_stdout_matches_the_out_file(command, tmp_path):
+    # The payload is written in chunks, its holes filled after the skeleton;
+    # through a real pipe it must come out byte for byte as in the --out
+    # file. 1,100 steps of the 2^2 lazy walk span three chunks of walk steps.
+    assert 2 * cli.WRITE_STEPS < 1100 <= 3 * cli.WRITE_STEPS
+    config = "[walk]\ncoin_qubits = 2\nsteps = 1100\n"
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"run.{fmt}"
+        piped = run_module(command, "--format", fmt, config=config, cwd=tmp_path)
+        written = run_module(command, "--format", fmt, "--out", str(out), config=config, cwd=tmp_path)
+        assert (piped.returncode, piped.stderr, written.returncode, written.stderr) == (0, b"", 0, b"")
+        assert piped.stdout == out.read_bytes()
+        if fmt == "json":
+            json.loads(piped.stdout, parse_constant=_reject_constant)
 
 
 def test_main_default_simulate_exits_zero(capsys):
@@ -700,10 +729,13 @@ def test_command_line_imports_no_argparse(tmp_path):
 
 
 def clear_caches():
-    """Empty every cache a walk fills, so the next walk computes everything afresh."""
-    for cached in (simulate.run_ideal, circuits._compiled_shift, simulate.shift_passes, simulate.chain_plans,
-                   gates._ckx, gate_plan):
+    """Empty every cache in ringwalk's modules, so the next walk computes everything afresh;
+    return how many there are."""
+    modules = [importlib.import_module(f"ringwalk.{info.name}") for info in pkgutil.iter_modules(ringwalk.__path__)]
+    caches = {value for module in modules for value in vars(module).values() if hasattr(value, "cache_clear")}
+    for cached in caches:
         cached.cache_clear()
+    return len(caches)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -715,7 +747,7 @@ def test_walk_bytes_do_not_depend_on_the_caches(command, other, fmt, capsys):
         assert main([name, "--format", fmt]) == 0
         return capsys.readouterr().out
 
-    clear_caches()
+    assert clear_caches() == 8  # every cache in src/: a change that adds or drops one changes this on purpose
     cold = run(command)
     assert run(command) == cold
     run(other)

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from ringwalk.cli import main
+from test_cli import run_module
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,6 +71,17 @@ def test_payload_matches_golden(case, fmt, tmp_path):
 def test_report_matches_golden(case, fmt, tmp_path):
     expected = (GOLDEN / f"{case}.report.txt").read_text(encoding="utf-8")
     assert render(case, fmt, tmp_path)[1] == expected
+
+
+@pytest.mark.parametrize("case", ["simulate-lazy16-rank4", "sweep-a-list"])
+def test_fused_block_payload_does_not_depend_on_the_blas_thread_count(case, tmp_path):
+    # The fused shift blocks of these lazy walks are matmuls large enough for
+    # BLAS to split across threads, and no byte may depend on how many it uses.
+    # OpenBLAS reads the count once, as numpy loads, hence the child process.
+    command, config_text = CASES[case]
+    done = run_module(command, "--format", "json", config=config_text, cwd=tmp_path, OPENBLAS_NUM_THREADS="1")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / f"{case}.json").read_bytes()
 
 
 if __name__ == "__main__":
