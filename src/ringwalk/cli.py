@@ -639,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         command, args = parse_argv(argv)
         config = load_config(args["config"]) if args["config"] else ExperimentConfig()
         if config.kind is not None and config.kind != command:
-            raise ConfigError(f"config kind {config.kind!r} does not match subcommand {command!r}")
+            raise ConfigError(f"experiment.kind {config.kind!r} does not match subcommand {command!r}")
         reads = _READS[command]
         unread = sorted(key for key in config.given if key not in reads and key.partition(".")[0] not in reads
                         or key == "walk.phi" and config.coin_qubits != 2)

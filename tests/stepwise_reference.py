@@ -27,6 +27,10 @@ X.flags.writeable = False
 IDEAL = noiselib.NoiseParams(gate_errors=False, passive=False, spam=False)  # exact gates, no scalar channels
 
 
+def total_probability(amps):
+    return float(np.sum(np.abs(amps) ** 2))
+
+
 def resolve(op, gate_set, gate_errors):
     """Dense matrix for one compiled gate: RY from its angle, X and CkX by label."""
     if op.label == "RY":
@@ -65,7 +69,7 @@ def run_noisy_stepwise(spec, gate_set, noise):
         scalar_factor = running_factor * read
         snapshot = scale_amplitudes(state, scalar_factor)
         out.append((marginal_probabilities(snapshot, spec.position_qubits), scalar_factor,
-                    (np.abs(snapshot) ** 2).sum()))
+                    total_probability(snapshot)))
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepwise_reference import IDEAL
+from stepwise_reference import IDEAL, total_probability
 from ringwalk.noise import (
     NoiseParams,
     idle_factor,
@@ -53,10 +53,6 @@ def test_disabled_channels_are_unit_factors():
     only_spam = NoiseParams(passive=False)
     assert movement_factor(only_spam, 3) == 1.0
     assert state_prep_factor(only_spam, 3) < 1.0
-
-
-def total_probability(amps):
-    return float(np.sum(np.abs(amps) ** 2))
 
 
 def test_apply_wrappers_scale_probability():

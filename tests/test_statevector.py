@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepwise_reference import X
+from stepwise_reference import X, total_probability
 from ringwalk.gates import _ry
 from ringwalk.simulate import apply_gate, chain_plans, gate_plan, marginal_probabilities, scale_amplitudes
 
@@ -39,10 +39,6 @@ def random_state(rng, n):
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     amps /= np.linalg.norm(amps)
     return amps
-
-
-def total_probability(amps):
-    return float(np.sum(np.abs(amps) ** 2))
 
 
 def test_apply_gate_matches_dense_embedding():
