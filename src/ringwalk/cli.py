@@ -44,14 +44,22 @@ closed stdout, which prints none.
 from __future__ import annotations
 
 import configparser
+import errno
 import functools
 import gc
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
+
+# A walk's largest product, (32x32)(32x16), runs no faster on more BLAS threads, and starting
+# OpenBLAS's thread pool costs a fresh process about a third of its time. OpenBLAS reads the
+# count once, as numpy loads, so it is set before the first import below that loads numpy.
+# setdefault leaves a caller's own setting alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import gates as gatelib
 from .circuits import NativeGateSet, WalkSpec, uniform_spec
@@ -630,6 +638,22 @@ def _write_stdout(chunks: Iterable[str]) -> int:
     return 0
 
 
+def _cannot_write(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write output.path {path!r}: {exc.strerror or exc}")
+
+
+def _check_out_path(path: str) -> None:
+    """Raise, before any walk, the error writing to ``path`` would meet if ``path`` is a directory or its
+    directory is missing; nothing is created or truncated. Other failures show when the payload is written."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
@@ -647,6 +671,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{command} does not read {', '.join(unread)}")
         config.path = args["out"] or config.path
         config.format = args["format"] or config.format
+        if config.path:
+            _check_out_path(config.path)
         output = _COMMANDS[command](config)
         chunks = payload_chunks(output, config.format)
         if config.path:
@@ -654,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(config.path, "w", encoding="utf-8") as handle:
                     handle.writelines(chunks)
             except OSError as exc:
-                raise ConfigError(f"cannot write output.path {config.path!r}: {exc.strerror or exc}") from exc
+                raise _cannot_write(config.path, exc) from exc
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -99,9 +99,12 @@ def ckx_from_ckz(ckz: np.ndarray) -> np.ndarray:
     rank = ckz.size.bit_length() - 1
     if rank < 2 or ckz.shape != (2**rank,):
         raise ValueError(f"ckx_from_ckz needs the diagonal of a CkZ of rank >= 2, got shape {ckz.shape}")
-    flip = np.eye(2 ** (rank - 1))[::-1]  # X on every control
+    half = 2 ** (rank - 1)
+    flip = np.zeros((half, half))  # X on every control: ones on the anti-diagonal
+    flip.reshape(-1)[half - 1 : half * half - 1 : half - 1] = 1.0
     layer = (flip[:, None, :, None] * ZHZ[None, :, None, :]).reshape(2**rank, 2**rank)  # np.kron's bits
-    return -(layer @ np.diag(ckz) @ layer)
+    # layer * ckz is layer @ np.diag(ckz) to the bit: each entry is one product with a real entry of layer.
+    return -((layer * ckz) @ layer)
 
 
 def ckx(rank: int, a: float | None = None, effective: bool = True) -> np.ndarray:
@@ -122,8 +125,9 @@ def _ckx(rank: int, a: float | None, effective: bool) -> np.ndarray:
         matrix = ckx_from_ckz(effective_ckz(rank - 1, a))
     else:
         dim = 2**rank
-        matrix = np.eye(dim, dtype=np.complex128)
-        matrix[[dim - 2, dim - 1]] = matrix[[dim - 1, dim - 2]]
+        matrix = np.zeros((dim, dim), dtype=np.complex128)
+        matrix.reshape(-1)[: (dim - 2) * (dim + 1) : dim + 1] = 1.0  # the identity on all but the last two states
+        matrix[dim - 2, dim - 1] = matrix[dim - 1, dim - 2] = 1.0
     matrix.setflags(write=False)
     return matrix
 

@@ -21,7 +21,11 @@ per walk shape) and keeps its shift as the compiler's target tuples (no
 gate objects are built). shift_passes plans that shift's passes straight
 from the tuples, move markers included, fusing runs of gates into dense
 blocks where the walk's steps pay for them, and builds each pass's
-matrix for a gate set from gates.ckx. run_noisy folds the coin's RY
+matrix for a gate set from gates.ckx. A fresh process plans each walk
+on cache misses, and a short walk can cost more to plan than to run, so
+the plans, gathers and blocks are built in forms that take few numpy
+calls and give the bits of the plain forms (np.moveaxis, np.eye, @) the
+tests keep. run_noisy folds the coin's RY
 layer into the first pass where the walk's distinct coin angles pay for
 that, and then per step runs one matrix per pass, its passes chained
 through gathers (chain_plans) so that only the last scatters, into the
@@ -94,12 +98,15 @@ def gate_plan(qubit_count: int, targets: tuple[int, ...]) -> np.ndarray:
 
     Row i holds the indices whose target bits, in the order given, spell
     i; each row lists the other qubits' values in ascending order. It is
-    the index array moved through the same axis shuffle a gate would be.
+    the index array moved through the same axis shuffle a gate would be:
+    one transpose of its 2x...x2 view, the targets first and the other
+    qubits after them, then one C-order copy, the array np.moveaxis gives
+    in half the time.
     """
     _check_targets(qubit_count, targets)
-    r = len(targets)
-    indices = np.arange(2**qubit_count).reshape((2,) * qubit_count)
-    plan = np.ascontiguousarray(np.moveaxis(indices, targets, range(r)).reshape(2**r, -1))
+    rest = [q for q in range(qubit_count) if q not in targets]
+    indices = np.arange(2**qubit_count).reshape((2,) * qubit_count).transpose(*targets, *rest)
+    plan = np.ascontiguousarray(indices.reshape(2 ** len(targets), -1))
     plan.flags.writeable = False
     return plan
 
@@ -117,8 +124,8 @@ def chain_plans(qubit_count: int, wires: tuple[tuple[int, ...], ...]) -> tuple[n
     plans = [gate_plan(qubit_count, targets) for targets in wires]
     gathers = plans[:1]
     order = np.arange(2**qubit_count)
+    position = np.empty_like(order)  # every entry is rewritten for each pass: a plan holds every index once
     for previous, plan in zip(plans, plans[1:]):
-        position = np.empty_like(order)
         position[previous.reshape(-1)] = order
         gather = position[plan]
         gather.flags.writeable = False
@@ -149,6 +156,9 @@ def shift_passes(qubit_count: int, shift: tuple[tuple[int, ...] | None, ...], st
     block built by running its gates through gate_plan(2w, local targets)
     over the 2^w identity taken as a flat 2w-qubit state, whose leading w
     qubits are the wires; each gate of any other run is a pass of its own.
+    The identity is zeros with every (2^w + 1)th flat entry set, and each
+    gate is applied with ndarray.dot: the bits of np.eye and @, for less
+    call overhead.
     """
     runs: list[tuple[set[int], list[tuple[int, ...]]]] = []  # (the run's wires, its gates)
     for targets in filter(None, shift):
@@ -162,11 +172,13 @@ def shift_passes(qubit_count: int, shift: tuple[tuple[int, ...] | None, ...], st
         if not _pays_back(steps, len(run), len(wires), qubit_count):
             passes += [(targets, gatelib.ckx(len(targets), gate_set.param_a, gate_errors)) for targets in run]
             continue
-        matrix = np.eye(2 ** len(wires), dtype=np.complex128)
+        dim = 2 ** len(wires)
+        matrix = np.zeros((dim, dim), dtype=np.complex128)
         flat = matrix.reshape(-1)
+        flat[:: dim + 1] = 1.0
         for targets in run:
             plan = gate_plan(2 * len(wires), tuple(wires.index(q) for q in targets))
-            flat[plan] = gatelib.ckx(len(targets), gate_set.param_a, gate_errors) @ flat[plan]
+            flat[plan] = gatelib.ckx(len(targets), gate_set.param_a, gate_errors).dot(flat[plan])
         matrix.setflags(write=False)
         passes.append((wires, matrix))
     return tuple(passes)

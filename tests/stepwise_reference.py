@@ -13,13 +13,18 @@ reads its steps out in batches.
 run_ideal_stepwise is run_ideal's walk with the coin built afresh and
 the position marginal summed at every step, where run_ideal builds each
 distinct coin once and sums every step's marginal after the walk.
+
+gate_plan_moveaxis and fused_block_eye are gate_plan and shift_passes'
+block build in the form they first took: the index array moved by
+np.moveaxis, and a block started from np.eye with each gate applied by
+@. The library's cheaper forms must give the same arrays.
 """
 
 import numpy as np
 
 from ringwalk import noise as noiselib
 from ringwalk.circuits import MoveMarker, build_step_circuit
-from ringwalk.gates import _ry, ckx_from_ckz, effective_ckz
+from ringwalk.gates import _ry, ckx, ckx_from_ckz, effective_ckz
 from ringwalk.simulate import apply_gate, marginal_probabilities, scale_amplitudes
 
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)  # the one-wire shift gate
@@ -88,3 +93,20 @@ def run_ideal_stepwise(spec):
         psi = (psi @ coin.T)[rows, cols]
         tables[t] = np.sum(psi**2, axis=1)
     return tables
+
+
+def gate_plan_moveaxis(qubit_count, targets):
+    """gate_plan's (2^r, 2^(n-r)) index array, its target axes moved to the front by np.moveaxis."""
+    r = len(targets)
+    indices = np.arange(2**qubit_count).reshape((2,) * qubit_count)
+    return np.ascontiguousarray(np.moveaxis(indices, targets, range(r)).reshape(2**r, -1))
+
+
+def fused_block_eye(wires, pass_gates, gate_set, gate_errors):
+    """A fused pass's matrix: the 2^w identity as a flat 2w-qubit state, each gate of the pass applied by @."""
+    matrix = np.eye(2 ** len(wires), dtype=np.complex128)
+    flat = matrix.reshape(-1)
+    for targets in pass_gates:
+        plan = gate_plan_moveaxis(2 * len(wires), tuple(wires.index(q) for q in targets))
+        flat[plan] = ckx(len(targets), gate_set.param_a, gate_errors) @ flat[plan]
+    return matrix

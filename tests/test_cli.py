@@ -347,10 +347,15 @@ FAILING_RUNS = {
              "composite fidelity under G(3) underflows to 0", "work", argv=("--format", fmt))
         for fmt in ("csv", "json")
     ],
+    # A missing directory or a directory is refused before the walk; a path
+    # that opens but cannot take the payload (/dev/full) fails as it is written.
     "test_main_unwritable_out_exit_code": [
-        Fail("simulate", None, f"config error: cannot write output.path '{target}': ...", "work",
+        Fail("simulate", None, f"config error: cannot write output.path '{target}': {reason}", stage,
              argv=("--out", target))
-        for target in ("{tmp}/missing/x.csv", "{tmp}")
+        for target, reason, stage in [("{tmp}/missing/x.csv", "No such file or directory", "main"),
+                                      ("/dev/null/x.csv", "Not a directory", "main"),
+                                      ("{tmp}", "Is a directory", "main")]
+        + ([("/dev/full", "No space left on device", "work")] if os.path.exists("/dev/full") else [])
     ],
     # A 2^6 ring compiles to 11 qubits under the 1q coin and 13 under the
     # lazy coin at G(3); the one stderr line names the count and the bound.
@@ -366,7 +371,8 @@ FAILING_RUNS = {
 @pytest.fixture
 def check_failing_run(tmp_path_factory, capsys, monkeypatch):
     """Check a Fail under each of its subcommands: the exit code, exactly its stderr line, nothing on stdout, and no
-    walk or census unless its stage is "work"; for a config, the same again with --out added, and no file made.
+    walk or census unless its stage is "work"; for a config, the same again with --out a new path and with --out an
+    existing file: no file made, none truncated.
     A "read" row's message is load_config's, and nothing past reading builds a walk schedule; a "spec" row's is
     .walk_spec()'s; any other row's config loads."""
     work = []
@@ -383,7 +389,8 @@ def check_failing_run(tmp_path_factory, capsys, monkeypatch):
 
     def check(row):
         directory = tmp_path_factory.mktemp("run")
-        path, out = directory / "exp.ini", directory / "run.out"
+        path, out, kept = directory / "exp.ini", directory / "run.out", directory / "kept.out"
+        kept.write_text("kept\n")
         if row.config is not None:
             path.write_bytes(row.config if isinstance(row.config, bytes) else row.config.encode("utf-8"))
         names = {"path": path, "tmp": directory}
@@ -406,14 +413,14 @@ def check_failing_run(tmp_path_factory, capsys, monkeypatch):
             elif row.config is not None:
                 load_config(path)
             for command in row.commands.split() or [""]:
-                for extra in ([], ["--out", str(out)]) if row.config is not None else ([],):
+                for extra in ([], ["--out", str(out)], ["--out", str(kept)]) if row.config is not None else ([],):
                     work.clear()
                     assert main(([command] if command else []) + argv + extra) == row.code
                     captured = capsys.readouterr()
                     assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.endswith("\n")
                     assert_line(captured.err[:-1], line)
                     assert bool(work) == (row.stage == "work"), work
-                assert not out.exists()
+                assert not out.exists() and kept.read_text() == "kept\n"
     return check
 
 
@@ -480,6 +487,25 @@ def run_module(*args, config=None, cwd, **env):
         args += ("--config", write_config(cwd, config))
     return subprocess.run([sys.executable, "-m", "ringwalk.cli", *args], cwd=cwd, env={**MODULE_ENV, **env},
                           capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_cli_runs_one_blas_thread_unless_the_caller_sets_a_count(given, tmp_path):
+    # cli sets OPENBLAS_NUM_THREADS before it loads numpy, so OpenBLAS starts no
+    # thread beside the main one; a count the caller set stands. The thread count
+    # is read from /proc where there is one.
+    env = {key: value for key, value in MODULE_ENV.items() if key != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = ("import os, ringwalk.cli; print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    count, threads = done.stdout.split()
+    assert count == (given or "1")
+    if given is None:
+        assert threads == "1"
 
 
 def test_closed_stdout_exits_one_without_a_traceback(tmp_path):

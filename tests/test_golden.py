@@ -77,11 +77,12 @@ def test_report_matches_golden(case, fmt, tmp_path):
 def test_fused_block_payload_does_not_depend_on_the_blas_thread_count(case, tmp_path):
     # The fused shift blocks of these lazy walks are matmuls large enough for
     # BLAS to split across threads, and no byte may depend on how many it uses.
-    # OpenBLAS reads the count once, as numpy loads, hence the child process.
+    # OpenBLAS reads the count once, as numpy loads, hence the child processes.
     command, config_text = CASES[case]
-    done = run_module(command, "--format", "json", config=config_text, cwd=tmp_path, OPENBLAS_NUM_THREADS="1")
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == (GOLDEN / f"{case}.json").read_bytes()
+    for threads in ("1", "2"):
+        done = run_module(command, "--format", "json", config=config_text, cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (GOLDEN / f"{case}.json").read_bytes(), threads
 
 
 if __name__ == "__main__":

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import run_ideal_dense_oracle
-from stepwise_reference import IDEAL, X, run_ideal_stepwise, run_noisy_stepwise
+from stepwise_reference import (
+    IDEAL,
+    X,
+    fused_block_eye,
+    gate_plan_moveaxis,
+    run_ideal_stepwise,
+    run_noisy_stepwise,
+)
+from test_cli import ADMITTED_SHAPES
 from ringwalk import noise as noiselib
 from ringwalk import simulate
 from ringwalk.circuits import (
@@ -314,7 +322,7 @@ def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
     assert np.array_equal(fused.scalar_factor, unfused.scalar_factor)
 
 
-def gates_by_pass(passes, gates, gate_errors):
+def gates_by_pass(passes, gates, gate_errors, param_a=None):
     """Each pass's gates, read back in circuit order.
 
     A lone pass is one gate on its own targets, running its rank's ckx; a
@@ -323,7 +331,7 @@ def gates_by_pass(passes, gates, gate_errors):
     rest = list(gates)
     by_pass = []
     for wires, matrix in passes:
-        if rest and wires == rest[0] and np.array_equal(matrix, ckx(len(wires), None, gate_errors)):
+        if rest and wires == rest[0] and np.array_equal(matrix, ckx(len(wires), param_a, gate_errors)):
             taken = 1
         else:
             taken = next((i for i, targets in enumerate(rest) if not set(targets) <= set(wires)), len(rest))
@@ -369,6 +377,31 @@ def test_shift_block_plan_invariants(n, nc, rho):
     if (n, nc, rho) == (4, 2, 3):
         assert n_q == 9 and len(gates) == 58
         assert [len(shift_passes(n_q, shift, steps, NativeGateSet(rho), True)) for steps in (4, 8, 21)] == [44, 20, 20]
+
+
+@pytest.mark.parametrize("n,nc,rho", sorted(ADMITTED_SHAPES))
+def test_plans_and_blocks_match_their_first_forms_bit_for_bit(n, nc, rho, monkeypatch):
+    # gate_plan's one transpose and the block build's strided diagonal and
+    # ndarray.dot give the arrays np.moveaxis, np.eye and @ gave: every plan a
+    # walk asks for, C-contiguous and read-only, and every block it fuses.
+    keys = set()
+    monkeypatch.setattr(simulate, "gate_plan", lambda *key: keys.add(key) or gate_plan(*key))
+    n_q, shift, gates = shift_gates(n, nc, rho)
+    for steps in (1, 4, 8, 21):
+        for gate_set, gate_errors in ((NativeGateSet(rho), True), (NativeGateSet(rho), False),
+                                      (NativeGateSet(rho, param_a=13.0), True)):
+            shift_passes.cache_clear()
+            chain_plans.cache_clear()  # so that both build again, and ask for every plan they use
+            run_noisy(uniform_spec(n, nc, steps=steps), gate_set, noiselib.NoiseParams(gate_errors=gate_errors))
+            passes = shift_passes(n_q, shift, steps, gate_set, gate_errors)
+            for (wires, matrix), pass_gates in zip(passes, gates_by_pass(passes, gates, gate_errors, gate_set.param_a)):
+                if len(pass_gates) > 1:
+                    assert np.array_equal(matrix, fused_block_eye(wires, pass_gates, gate_set, gate_errors))
+    assert {(n_q, targets) for targets in gates} <= keys
+    for key in keys:
+        plan, reference = gate_plan(*key), gate_plan_moveaxis(*key)
+        assert np.array_equal(plan, reference) and plan.dtype == reference.dtype
+        assert plan.flags.c_contiguous and not plan.flags.writeable
 
 
 def recorded_folds(monkeypatch, allow=True):
@@ -601,6 +634,9 @@ def test_one_pass_step_matches_gather_scatter_step(n, nc, rho, schedule, rows, m
 def test_exact_shift_gate_is_the_ideal_ckx(rank):
     exact = ckx(rank, 13.0, effective=False)
     assert np.allclose(exact, ckx_from_ckz(ideal_ckz(rank - 1)), rtol=0, atol=1e-12)
+    swapped = np.eye(2**rank, dtype=np.complex128)  # the identity with its last two rows swapped, to the bit
+    swapped[[-2, -1]] = swapped[[-1, -2]]
+    assert np.array_equal(exact.view(np.uint64), swapped.view(np.uint64))
     effective = ckx(rank, 13.0)
     assert np.array_equal(effective, ckx_from_ckz(effective_ckz(rank - 1, 13.0 if rank < 4 else None)))
     assert effective.shape == (2**rank, 2**rank)
