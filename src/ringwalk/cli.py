@@ -77,7 +77,9 @@ from .simulate import (
 )
 
 DEFAULT_A_LIST = (0.0, 13.0 / 3, 26.0 / 3, 13.0, 52.0 / 3, 65.0 / 3, 26.0)
-MAX_STEPS = 10_000  # desk scale: the worst admitted sweep-a (2^6 ring, 1q coin, G(4)) takes about 50 s at 93 MB RSS
+# Desk scale: the worst admitted sweep-a (2^6 ring, 1q coin, G(4)) took 35 s at 75 MB RSS in CSV and 40 s at
+# 92 MB in JSON (313 MB written), one BLAS thread on a 2-CPU AVX-512 Xeon; see README "Limits".
+MAX_STEPS = 10_000
 KINDS = ("simulate", "sweep-a", "tolerance", "composite")  # the subcommands, and the values of experiment.kind
 FORMATS = ("csv", "json")
 

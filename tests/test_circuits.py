@@ -339,16 +339,31 @@ def test_step_circuit_matches_object_reference(n, nc, rho):
 # ------------------------------------------------------------- census
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", range(2, 21))
 @pytest.mark.parametrize("nc", [1, 2])
-@pytest.mark.parametrize("rho", [3, 4])
+@pytest.mark.parametrize("rho", [3, 4, 5])
 def test_census_agrees_with_compiled_circuit(n, nc, rho):
-    # Compiles only, so rings past the simulated sizes are cheap to check.
-    spec = uniform_spec(n, nc, steps=1)
-    circ = build_step_circuit(spec, NativeGateSet(max_rank=rho), 0)
+    # Every shift composite counts, rank 5 included, is compiled and run
+    # classically on a batch of basis states at once, one row per qubit: every
+    # basis state for n <= 4, else 2,048 seeded random ones, ancillas dirty. It
+    # moves the walker as its coin says and hands coins and ancillas back.
+    qubit_count, shift, _ = _compiled_shift(n, nc, rho)
+    if n <= 4:
+        before = (np.arange(2**qubit_count) >> np.arange(qubit_count - 1, -1, -1)[:, None]) & 1 == 1
+    else:
+        before = np.random.default_rng(100 * n + 10 * nc + rho).integers(0, 2, (qubit_count, 2048)) == 1
+    after = before.copy()
+    for targets in filter(None, shift):
+        after[targets[-1]] ^= after[list(targets[:-1])].all(axis=0)
+    move = 2 * before[n].astype(int) - 1  # up on coin 1, down on coin 0
+    if nc == 2:
+        move[~before[n + 1]] = 0  # the lazy coin (c1 c2) rests while c2 = 0, else c1 says which way
+    weights = 1 << np.arange(n - 1, -1, -1)  # the position qubits lead, big-endian
+    assert not np.any((weights @ after[:n] - weights @ before[:n] - move) % 2**n)
+    assert np.array_equal(after[n:], before[n:])
     counted = {}
-    for targets in circ.shift:
-        if targets is not None and len(targets) >= 2:
+    for targets in filter(None, shift):
+        if len(targets) >= 2:
             counted[len(targets)] = counted.get(len(targets), 0) + 1
     assert counted == count_multiqubit_gates(n, nc, rho)
 

@@ -10,7 +10,6 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 from typing import NamedTuple
 
 import jsonschema
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 import payload_reference
 import ringwalk
 from payload_schemas import SCHEMAS
+from shared import ADMITTED_SHAPES, LARGER_SHAPES, MODULE_ENV, run_module, write_config
 from ringwalk import circuits, cli, gates, simulate
 from ringwalk.circuits import NativeGateSet, uniform_spec
 from ringwalk.cli import (
@@ -33,12 +33,6 @@ from ringwalk.cli import (
 )
 from ringwalk.noise import NoiseParams
 from ringwalk.simulate import RunResult, UnsupportedSizeError, run_noisy
-
-
-def write_config(tmp_path, text, name="exp.ini"):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return str(path)
 
 
 SIMULATE_INI = """
@@ -477,18 +471,6 @@ def test_only_an_error_led_by_a_key_is_labelled(error, printed, capsys, monkeypa
 # ------------------------------------------------------------ exit codes
 
 
-MODULE_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-
-
-def run_module(*args, config=None, cwd, **env):
-    """Run ``python -m ringwalk.cli`` in a fresh process on this checkout's sources, with
-    ``env`` added to its environment; its stdout and stderr are bytes."""
-    if config is not None:
-        args += ("--config", write_config(cwd, config))
-    return subprocess.run([sys.executable, "-m", "ringwalk.cli", *args], cwd=cwd, env={**MODULE_ENV, **env},
-                          capture_output=True, timeout=120)
-
-
 @pytest.mark.parametrize("given", [None, "2"])
 def test_cli_runs_one_blas_thread_unless_the_caller_sets_a_count(given, tmp_path):
     # cli sets OPENBLAS_NUM_THREADS before it loads numpy, so OpenBLAS starts no
@@ -580,12 +562,6 @@ def test_step_count_at_bound_is_accepted(tmp_path):
     assert load_config(write_config(tmp_path, f"[walk]\nsteps = {cli.MAX_STEPS}\n")).steps == cli.MAX_STEPS
 
 
-# (position qubits, coin qubits, max rank): the 12 shapes tolerance runs,
-# plus the 4 larger ones that also fit in 9 qubits.
-LARGER_SHAPES = [(5, 1, 3), (5, 1, 4), (5, 2, 4), (6, 1, 4)]
-ADMITTED_SHAPES = {(n, coins, rank) for n in (2, 3, 4) for coins in (1, 2) for rank in (3, 4)} | set(LARGER_SHAPES)
-
-
 def test_admitted_walks_compile_to_at_most_nine_qubits(monkeypatch):
     # The one size check bounds the compiled step, ancillas included, by 9
     # qubits. It admits exactly ADMITTED_SHAPES, and the width it checks is
@@ -636,6 +612,26 @@ def test_out_file_and_report(tmp_path, capsys):
     body = out.read_text(encoding="utf-8")
     assert body.splitlines()[0] == "step,fidelity,total_probability"
     assert len(body.splitlines()) == 5
+
+
+def test_config_output_path_holds_the_payload_unless_out_overrides_it(tmp_path, capsys, monkeypatch):
+    # A relative [output] path resolves against the working directory, not the config's directory.
+    (tmp_path / "configs").mkdir()
+    plain = write_config(tmp_path / "configs", SIMULATE_INI, name="plain.ini")
+    config = write_config(tmp_path / "configs", SIMULATE_INI + "[output]\npath = run.csv\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", plain]) == 0
+    payload = capsys.readouterr().out
+    assert main(["simulate", "--config", config]) == 0
+    stdout = capsys.readouterr().out
+    assert "steps within tolerance" in stdout and stdout.endswith("\nwrote run.csv\n")
+    assert (tmp_path / "run.csv").read_text(encoding="utf-8") == payload
+    assert not (tmp_path / "configs" / "run.csv").exists()
+    (tmp_path / "run.csv").unlink()
+    assert main(["simulate", "--config", config, "--out", "other.csv"]) == 0
+    assert capsys.readouterr().out.endswith("\nwrote other.csv\n")
+    assert (tmp_path / "other.csv").read_text(encoding="utf-8") == payload
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_runs_are_byte_identical(tmp_path, capsys):

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from ringwalk.cli import main
-from test_cli import run_module
+from shared import run_module
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -1,5 +1,6 @@
-import contextlib
 import math
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import run_ideal_dense_oracle
+from shared import ADMITTED_SHAPES
 from stepwise_reference import (
     IDEAL,
     X,
@@ -15,11 +17,9 @@ from stepwise_reference import (
     run_ideal_stepwise,
     run_noisy_stepwise,
 )
-from test_cli import ADMITTED_SHAPES
 from ringwalk import noise as noiselib
 from ringwalk import simulate
 from ringwalk.circuits import (
-    GateApplication,
     NativeGateSet,
     WalkSpec,
     _compiled_shift,
@@ -32,7 +32,6 @@ from ringwalk.simulate import (
     DEFAULT_FIDELITY_SETS,
     FUSED_MAX_WIRES,
     TOLERANCES,
-    RunResult,
     UnsupportedSizeError,
     apply_gate,
     chain_plans,
@@ -201,12 +200,8 @@ def test_disabled_noise_reproduces_ideal_walk():
 
 
 @pytest.mark.parametrize("rho", [3, 4])
-def test_scalar_factor_audit(rho):
-    spec = uniform_spec(2, 2, steps=4)
-    result = run_noisy(spec, NativeGateSet(rho), FULL)
-    # The stepwise reference multiplies the same factors in the same order.
-    assert result.scalar_factor.tolist() == [s for _, s, _ in run_noisy_stepwise(spec, NativeGateSet(rho), FULL)]
-    # Effective gates only remove additional population.
+def test_gate_errors_only_remove_population(rho):
+    result = run_noisy(uniform_spec(2, 2, steps=4), NativeGateSet(rho), FULL)
     assert np.all(result.total_probability <= result.scalar_factor**2 + 1e-12)
 
 
@@ -217,27 +212,11 @@ def test_scalar_only_noise_loses_exactly_the_scalar():
     assert result.total_probability == pytest.approx(result.scalar_factor**2, rel=1e-12)
 
 
-def test_moves_per_step_override():
+def test_zero_moves_beat_the_marker_schedule():
     spec = uniform_spec(2, 2, steps=3)
-    fixed = noiselib.NoiseParams(moves_per_step=2)
-    result = run_noisy(spec, NativeGateSet(3), fixed)
-    assert result.scalar_factor.tolist() == [s for _, s, _ in run_noisy_stepwise(spec, NativeGateSet(3), fixed)]
-    # Zero moves must beat the marker-driven schedule.
     frozen = run_noisy(spec, NativeGateSet(3), noiselib.NoiseParams(moves_per_step=0))
     marked = run_noisy(spec, NativeGateSet(3), FULL)
     assert frozen.scalar_factor[-1] > marked.scalar_factor[-1]
-
-
-@contextlib.contextmanager
-def never_fused(monkeypatch):
-    """Run the shift gate by gate: no run of gates pays back its block."""
-    shift_passes.cache_clear()
-    with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_pays_back", lambda *args: False)
-        try:
-            yield
-        finally:
-            shift_passes.cache_clear()
 
 
 def random_spec(n, nc, steps, seed):
@@ -260,66 +239,6 @@ def shift_gates(n, nc, rho):
     """(qubit count, compiled shift, its gates' targets in circuit order) of the compiled step."""
     compiled = build_step_circuit(uniform_spec(n, nc, steps=1), NativeGateSet(rho), 0)
     return compiled.qubit_count, compiled.shift, tuple(targets for targets in compiled.shift if targets is not None)
-
-
-@pytest.mark.parametrize("nc", [1, 2])
-@pytest.mark.parametrize("rho", [3, 4])
-@pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), IDEAL],
-                         ids=["full", "two-moves", "ideal"])
-def test_compiled_once_matches_stepwise_reference(nc, rho, noise, monkeypatch):
-    # The unfused path does the reference's arithmetic in the same order.
-    assert_matches_stepwise_reference(random_spec(3, nc, 6, 10 * nc + rho), NativeGateSet(max_rank=rho), noise,
-                                      monkeypatch)
-
-
-@pytest.mark.parametrize("nc", [1, 2])
-def test_batched_readout_matches_stepwise_reference(nc, monkeypatch):
-    # A buffer of four states reads the 6-step walk out as 4 steps, then 2.
-    # Each batch scores its own rows, and the walk read out in one batch
-    # scores them to the same bits.
-    spec = random_spec(3, nc, 6, 50 + nc)
-    gate_set = NativeGateSet(max_rank=3)
-    sizes = checked_batches(monkeypatch)
-    whole = run_noisy(spec, gate_set, FULL)
-    monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", 4 * 2 ** build_step_circuit(spec, gate_set, 0).qubit_count)
-    batched = run_noisy(spec, gate_set, FULL)
-    assert sizes == [6, 4, 2]
-    assert np.array_equal(batched.fidelities, whole.fidelities)
-    assert_matches_stepwise_reference(spec, gate_set, FULL, monkeypatch)
-
-
-def assert_matches_stepwise_reference(spec, gate_set, noise, monkeypatch):
-    with never_fused(monkeypatch):
-        result = run_noisy(spec, gate_set, noise)
-    reference = run_noisy_stepwise(spec, gate_set, noise)
-    assert len(result.noisy_positions) == len(result.scalar_factor) == len(reference) == spec.steps
-    for positions, factor, total, (table, scalar_factor, total_probability) in zip(
-            result.noisy_positions, result.scalar_factor, result.total_probability, reference):
-        assert np.array_equal(positions, table)
-        assert factor == scalar_factor
-        assert total == total_probability
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("nc", [1, 2])
-@pytest.mark.parametrize("rho", [3, 4])
-@pytest.mark.parametrize("noise,param_a", [
-    (FULL, None), (noiselib.NoiseParams(moves_per_step=2), None), (IDEAL, None),
-    (noiselib.NoiseParams(gate_errors=False), None), (FULL, 13.0),
-], ids=["full", "two-moves", "ideal", "no-gate-errors", "a13"])
-def test_fused_shift_matches_unfused(n, nc, rho, noise, param_a, monkeypatch):
-    # Blocks change the summation order, so the two paths agree to rounding.
-    steps = 8
-    spec = random_spec(n, nc, steps, 100 * n + 10 * nc + rho)
-    gate_set = NativeGateSet(max_rank=rho, param_a=param_a)
-    n_q, shift, gates = shift_gates(n, nc, rho)
-    assert len(shift_passes(n_q, shift, steps, gate_set, noise.gate_errors)) < len(gates)
-    fused = run_noisy(spec, gate_set, noise)
-    with never_fused(monkeypatch):
-        unfused = run_noisy(spec, gate_set, noise)
-    for name in ("noisy_positions", "fidelities", "total_probability"):
-        assert np.max(np.abs(getattr(fused, name) - getattr(unfused, name))) < 1e-12
-    assert np.array_equal(fused.scalar_factor, unfused.scalar_factor)
 
 
 def gates_by_pass(passes, gates, gate_errors, param_a=None):
@@ -404,80 +323,16 @@ def test_plans_and_blocks_match_their_first_forms_bit_for_bit(n, nc, rho, monkey
         assert plan.flags.c_contiguous and not plan.flags.writeable
 
 
-def recorded_folds(monkeypatch, allow=True):
-    """Record run_noisy's coin-fold decisions; with allow=False it never folds.
-
-    Only the fold's _pays_back call passes a fifth argument, its build
-    count; shift_passes' calls go through unchanged.
-    """
-    decisions = []
-    pays_back = simulate._pays_back
-
-    def deciding(*args):
-        if len(args) < 5:
-            return pays_back(*args)
-        decisions.append(allow and pays_back(*args))
-        return decisions[-1]
-
-    monkeypatch.setattr(simulate, "_pays_back", deciding)
-    return decisions
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("nc", [1, 2])
-@pytest.mark.parametrize("rho", [3, 4])
-@pytest.mark.parametrize("noise", [FULL, noiselib.NoiseParams(moves_per_step=2), IDEAL],
-                         ids=["full", "two-moves", "ideal"])
-@pytest.mark.parametrize("schedule", ["uniform", "alternating", "random"])
-def test_folded_coin_matches_unfolded(n, nc, rho, noise, schedule, monkeypatch):
-    # The folded block sums in another order, so the two agree to rounding.
-    # A fresh angle every step would cost a build a step, so random never folds.
-    steps = 30
-    spec = {"uniform": uniform_spec(n, nc, steps=steps), "alternating": alternating_spec(n, nc, steps),
-            "random": random_spec(n, nc, steps, 100 * n + 10 * nc + rho)}[schedule]
-    gate_set = NativeGateSet(max_rank=rho)
-    with monkeypatch.context() as patch:
-        decisions = recorded_folds(patch)
-        folded = run_noisy(spec, gate_set, noise)
-    assert decisions == [schedule != "random"]
-    with monkeypatch.context() as patch:
-        decisions = recorded_folds(patch, allow=False)
-        unfolded = run_noisy(spec, gate_set, noise)
-    assert decisions == [False]
-    for name in ("noisy_positions", "fidelities", "total_probability"):
-        assert np.max(np.abs(getattr(folded, name) - getattr(unfolded, name))) < 1e-12
-    assert np.array_equal(folded.scalar_factor, unfolded.scalar_factor)
-
-
-@pytest.mark.parametrize("nc", [1, 2])
-@pytest.mark.parametrize("rho", [3, 4])
-def test_folded_coin_is_not_built_for_fresh_angles_every_step(nc, rho, monkeypatch):
-    decisions = recorded_folds(monkeypatch)
-    run_noisy(random_spec(2, nc, 150, 300 + 10 * nc + rho), NativeGateSet(max_rank=rho), FULL)
-    assert decisions == [False]
-
-
-def step_wires(spec, gate_set):
-    """(qubit count, each pass's wires in order), from the one chain_plans call run_noisy makes for the walk.
-
-    A walk that folds its coin runs no coin pass; one that does not runs a
-    pass per coin wire before the shift's.
-    """
-    calls = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulate, "chain_plans", lambda *args: calls.append(args) or chain_plans(*args))
-        run_noisy(spec, gate_set, FULL)
-    (call,) = calls
-    return call
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("nc", [1, 2])
 @pytest.mark.parametrize("rho", [3, 4])
 def test_step_chain_gathers_are_permutations(n, nc, rho):
     rng = np.random.default_rng(100 * n + 10 * nc + rho)
     for steps in (1, 4, 8, 21):
-        n_q, wires = step_wires(uniform_spec(n, nc, steps=steps), NativeGateSet(rho))
+        with pytest.MonkeyPatch.context() as patch:
+            seen = watch(patch, DEFAULT)
+            run_noisy(uniform_spec(n, nc, steps=steps), NativeGateSet(rho), FULL)
+        n_q, wires = seen.qubit_count, seen.wires
         gathers = chain_plans(n_q, wires)
         assert len(gathers) == len(wires)
         for gather, targets in zip(gathers, wires):
@@ -493,141 +348,6 @@ def test_step_chain_gathers_are_permutations(n, nc, rho):
         back = np.empty_like(state)
         back[gate_plan(n_q, wires[-1])] = amps
         assert np.array_equal(back, state)
-
-
-def force_stop_batch(monkeypatch, spec, gate_set, steps):
-    """Set STOP_CHECK_CALLS so run_noisy checks a stop every ``steps`` steps."""
-    n_q, wires = step_wires(spec, gate_set)
-    step_cost = len(wires) * (2**n_q + simulate.CALL_AMPLITUDES)
-    monkeypatch.setattr(simulate, "STOP_CHECK_CALLS", -(-steps * step_cost // simulate.CALL_AMPLITUDES))
-
-
-def checked_batches(monkeypatch):
-    """Record the number of steps each readout batch of run_noisy scores, and so checks for a stop."""
-    sizes = []
-    hellinger = simulate.hellinger_fidelity
-
-    def recording(p, q):
-        sizes.append(len(p))
-        return hellinger(p, q)
-
-    monkeypatch.setattr(simulate, "hellinger_fidelity", recording)
-    return sizes
-
-
-@pytest.mark.parametrize("nc", [1, 2])
-@pytest.mark.parametrize("batch", [1, 3, 7])
-@pytest.mark.parametrize("stop_step", [None, 5])
-def test_stop_batches_match_stepwise_reference(nc, batch, stop_step, monkeypatch):
-    # 7 steps checked in batches of 1 and 3 steps, and as one whole-walk
-    # batch. Fidelity falls every step of this walk, so a bound just above
-    # step 5's stops the walk there, inside the batches of 3 and of 7; a
-    # bound of 0 never stops it.
-    spec = random_spec(3, nc, 7, 70 + nc)
-    gate_set = NativeGateSet(max_rank=3)
-    reference = run_noisy_stepwise(spec, gate_set, FULL)
-    sizes = checked_batches(monkeypatch)
-    with never_fused(monkeypatch):
-        full = run_noisy(spec, gate_set, FULL)
-        stop_below = 0.0 if stop_step is None else np.nextafter(full.fidelities[stop_step - 1], 1.0)
-        force_stop_batch(monkeypatch, spec, gate_set, batch)
-        sizes.clear()
-        result = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
-    steps_run = stop_step or spec.steps
-    assert np.all(np.diff(full.fidelities) < 0)
-    assert len(result.scalar_factor) == steps_run
-    # One check per batch up to the one holding the stop; no row is scored again.
-    assert sizes == [min(batch, spec.steps - first) for first in range(0, steps_run, batch)]
-    for positions, factor, total, (table, scalar_factor, total_probability) in zip(
-            result.noisy_positions, result.scalar_factor, result.total_probability, reference[:steps_run]):
-        assert np.array_equal(positions, table)
-        assert factor == scalar_factor
-        assert total == total_probability
-
-
-@pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (2, 2, 4), (3, 2, 3), (4, 2, 3)])
-def test_batched_stop_returns_the_rows_of_a_stepwise_stop(n, nc, rho, monkeypatch):
-    spec = random_spec(n, nc, 12, 200 + 10 * n + nc)
-    gate_set = NativeGateSet(max_rank=rho)
-    full = run_noisy(spec, gate_set, FULL)
-    for stop_below in (0.0, float(np.median(full.fidelities)), 1.0):
-        force_stop_batch(monkeypatch, spec, gate_set, 1)
-        stepwise = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
-        for batch in (2, 5, 12):
-            force_stop_batch(monkeypatch, spec, gate_set, batch)
-            batched = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
-            for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
-                assert np.array_equal(getattr(batched, name), getattr(stepwise, name))
-
-
-@pytest.mark.parametrize("n,nc", [(2, 1), (3, 1), (3, 2), (4, 2)])
-@pytest.mark.parametrize("batch", [1, 3, 12])
-def test_folded_walk_stop_batches_hold_the_steps_asked_for(n, nc, batch, monkeypatch):
-    # A uniform coin folds into the shift's first pass, so a step runs no
-    # coin pass; force_stop_batch must count only the passes that run.
-    spec = uniform_spec(n, nc, steps=12)
-    gate_set = NativeGateSet(max_rank=3)
-    decisions = recorded_folds(monkeypatch)
-    full = run_noisy(spec, gate_set, FULL)
-    assert decisions == [True]
-    sizes = checked_batches(monkeypatch)
-    for stop_below in (0.0, float(np.median(full.fidelities))):
-        force_stop_batch(monkeypatch, spec, gate_set, batch)
-        sizes.clear()
-        result = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
-        steps_run = int(np.argmax(full.fidelities < stop_below)) + 1 if stop_below else spec.steps
-        assert sizes == [min(batch, spec.steps - first) for first in range(0, steps_run, batch)]
-        for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
-            assert np.array_equal(getattr(result, name), getattr(full, name)[:steps_run])
-
-
-class UnequalWires(tuple):
-    """Wires equal to no other tuple, so run_noisy never finds its step one pass over every wire in order."""
-
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other):
-        return False
-
-
-def gather_scatter_step(monkeypatch):
-    """Make run_noisy run even a one-pass step as a gather, a product and a scatter into the readout row."""
-    passes = simulate.shift_passes
-
-    def unequal_first_wires(*args):
-        (wires, matrix), *rest = passes(*args)
-        return ((UnequalWires(wires), matrix), *rest)
-
-    monkeypatch.setattr(simulate, "shift_passes", unequal_first_wires)
-
-
-# Every admitted shape whose step, its coin folded, is one fused pass over all its wires.
-@pytest.mark.parametrize("n,nc,rho", [(2, 1, 3), (2, 1, 4), (2, 2, 3), (2, 2, 4), (3, 1, 3), (3, 1, 4)])
-@pytest.mark.parametrize("schedule", ["uniform", "alternating"])
-@pytest.mark.parametrize("rows", [2, 3, None], ids=["rows2", "rows3", "rows-default"])
-def test_one_pass_step_matches_gather_scatter_step(n, nc, rho, schedule, rows, monkeypatch):
-    # The one-call step multiplies into its readout row with out=; a buffer
-    # of 2 or 3 rows puts each step's input and output rows next to each
-    # other across batch boundaries. A stop_below run reads out in the
-    # batches its stop checks set.
-    steps = 30
-    spec = uniform_spec(n, nc, steps=steps) if schedule == "uniform" else alternating_spec(n, nc, steps)
-    gate_set = NativeGateSet(max_rank=rho)
-    n_q, wires = step_wires(spec, gate_set)
-    assert wires == (tuple(range(n_q)),)
-    if rows is not None:
-        monkeypatch.setattr(simulate, "READOUT_AMPLITUDES", rows * 2**n_q)
-    full = run_noisy(spec, gate_set, FULL)
-    median = float(np.median(full.fidelities))
-    for stop_below, steps_run in ((None, steps), (median, int(np.argmax(full.fidelities < median)) + 1)):
-        one_call = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
-        with monkeypatch.context() as patch:
-            gather_scatter_step(patch)
-            assert step_wires(spec, gate_set)[1] != (tuple(range(n_q)),)
-            reference = run_noisy(spec, gate_set, FULL, stop_below=stop_below)
-        assert len(one_call.fidelities) == steps_run
-        for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
-            assert np.array_equal(getattr(one_call, name), getattr(reference, name))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -663,26 +383,16 @@ def test_compiled_step_is_the_step_zero_circuit(n, nc, rho, monkeypatch):
     assert other.shift is compiled.shift and other.coin_angles != compiled.coin_angles
 
 
-def test_shared_compiled_step_and_ideal_tables():
-    # Walks of one spec share one read-only ideal array and one shift tuple,
-    # with the bits of a walk run after both caches are cleared.
+def test_walks_of_one_spec_share_the_ideal_array_and_the_shift():
     spec = uniform_spec(3, 2, steps=4)
     ideal = run_ideal(spec)
     assert ideal.shape == (4, 8) and not ideal.flags.writeable
     with pytest.raises(ValueError):
         ideal[0, 0] = 0.5
     tuned = NativeGateSet(3, param_a=13.0)
-    shared = run_noisy(spec, tuned, FULL)
-    assert shared.ideal_positions is ideal  # one array serves every walk of the spec
+    assert run_noisy(spec, tuned, FULL).ideal_positions is ideal  # one array serves every walk of the spec
     assert run_noisy(spec, NativeGateSet(4), FULL).ideal_positions is ideal
-    shift = build_step_circuit(spec, tuned, 0).shift
-    assert build_step_circuit(spec, NativeGateSet(3), 0).shift is shift
-    run_ideal.cache_clear()
-    _compiled_shift.cache_clear()
-    alone = run_noisy(spec, tuned, FULL)
-    assert alone.ideal_positions is not ideal and build_step_circuit(spec, tuned, 0).shift is not shift
-    for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
-        assert np.array_equal(getattr(shared, name), getattr(alone, name))
+    assert build_step_circuit(spec, NativeGateSet(3), 0).shift is build_step_circuit(spec, tuned, 0).shift
 
 
 def test_fidelity_decreases_with_worse_preparation():
@@ -698,12 +408,284 @@ def test_noisy_marginal_total_matches_probability():
     assert result.ideal_positions.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
 
 
-def test_runs_are_deterministic():
-    spec = uniform_spec(2, 2, steps=5)
-    a = run_noisy(spec, NativeGateSet(3), FULL)
-    b = run_noisy(spec, NativeGateSet(3), FULL)
-    assert np.array_equal(a.fidelities, b.fidelities)
-    assert np.array_equal(a.scalar_factor, b.scalar_factor)
+# ------------------------------------------------- executor equivalences
+#
+# Each of run_noisy's shortcuts (fused shift blocks, the folded coin,
+# batched readout, the early stop and the one-pass step) promises the
+# numbers of a plainer path. A row of EQUIVALENCES names a walk, two paths
+# to run it along and the rule the two readouts must meet. The runner
+# forces each path through run_noisy's seams and checks that every forcing
+# took effect, so no row can pass because both sides ran the same code.
+
+# A rule: (readout arrays equal bit for bit, readout arrays within 1e-12).
+READOUT = ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor")
+BIT_FOR_BIT = (READOUT, ())
+AS_STEPWISE = (("noisy_positions", "scalar_factor", "total_probability"), ())  # run_noisy_stepwise's tuple order
+TO_ROUNDING = (("scalar_factor",), ("noisy_positions", "fidelities", "total_probability"))  # sums reordered
+
+
+class Walk(NamedTuple):
+    spec: WalkSpec
+    gate_set: NativeGateSet = NativeGateSet(3)
+    noise: noiselib.NoiseParams = FULL
+    stop_below: float | Callable[[np.ndarray], float] | None = None  # a callable reads it off the first full walk
+
+
+class Path(NamedTuple):
+    """How run_noisy runs a walk, and what it must be seen to do; None forces and checks nothing."""
+
+    fused: bool | None = None  # True: fewer shift passes than gates; False: a pass per gate, the coin unfolded
+    folds: bool | None = None  # the coin-fold decision run_noisy must record
+    unfolded: bool | None = None  # the fold forced off, so the coin runs a pass per wire
+    rows: int | None = None  # readout batches of this many rows
+    stop_every: int | None = None  # a stop check every this many steps
+    one_pass: bool | None = None  # the step is one pass over every wire in order; False: run as gather and scatter
+    fresh_caches: bool | None = None  # run_ideal's and _compiled_shift's caches cleared first
+    cut: bool | None = None  # the full walk, cut to the rows the first path's stop leaves
+    stepwise: bool | None = None  # run_noisy_stepwise, cut as the full walk is
+
+
+class Row(NamedTuple):
+    walk: Walk
+    first: Path  # a run_noisy path that runs the stop itself: a callable stop_below reads its full walk
+    second: Path
+    rule: tuple[tuple[str, ...], tuple[str, ...]] = BIT_FOR_BIT
+
+
+DEFAULT, FUSED, UNFUSED, UNFOLDED = Path(), Path(fused=True), Path(fused=False), Path(unfolded=True)
+FRESH, CUT, STEPWISE = Path(fresh_caches=True), Path(cut=True), Path(stepwise=True)
+
+
+class UnequalWires(tuple):
+    """Wires equal to no other tuple, so run_noisy never finds its step one pass over every wire in order."""
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return False
+
+
+def watch(patch, path):
+    """Force ``path`` on run_noisy's seams; record the shift's gates and pass count, the step's chained
+    (qubit count, pass wires), the coin-fold decisions and the steps each readout batch scores."""
+    seen = SimpleNamespace(folds=[], batches=[])
+    pays_back, passes, chain, score = simulate._pays_back, shift_passes, chain_plans, hellinger_fidelity
+
+    def deciding(*args):
+        if len(args) < 5:  # only the coin fold's call passes a fifth argument, its build count
+            return path.fused is not False and pays_back(*args)
+        seen.folds.append(path.fused is not False and not path.unfolded and pays_back(*args))
+        return seen.folds[-1]
+
+    def planning(qubit_count, shift, *rest):
+        # An unfused plan bypasses the cache, so it neither reads a fused plan nor leaves one behind.
+        planned = (passes.__wrapped__ if path.fused is False else passes)(qubit_count, shift, *rest)
+        seen.gates, seen.passes = tuple(filter(None, shift)), len(planned)
+        if path.one_pass is False:
+            (wires, matrix), *others = planned
+            planned = ((UnequalWires(wires), matrix), *others)
+        return planned
+
+    def chaining(*args):
+        seen.qubit_count, seen.wires = args
+        return chain(*args)
+
+    def scoring(p, q):
+        seen.batches.append(len(p))
+        return score(p, q)
+
+    for name, seam in dict(_pays_back=deciding, shift_passes=planning, chain_plans=chaining,
+                           hellinger_fidelity=scoring).items():
+        patch.setattr(simulate, name, seam)
+    return seen
+
+
+def run_path(walk, path, stop_below):
+    """``walk`` along ``path``: its readout arrays by name, its full walk's fidelities (None for the stepwise
+    reference) and stop_below, read off those fidelities where it is a callable."""
+    spec, gate_set, noise, _ = walk
+    if path.stepwise:
+        steps = run_noisy_stepwise(spec, gate_set, noise)
+        return dict(zip(AS_STEPWISE[0], map(np.array, zip(*steps)))), None, stop_below
+    with pytest.MonkeyPatch.context() as patch:
+        qubit_count = build_step_circuit(spec, gate_set, 0).qubit_count
+        if path.rows:
+            patch.setattr(simulate, "READOUT_AMPLITUDES", path.rows * 2**qubit_count)
+        if path.fresh_caches:
+            run_ideal.cache_clear()
+            _compiled_shift.cache_clear()
+        seen = watch(patch, path)
+        result = run_noisy(spec, gate_set, noise)
+        coin_passes = tuple((wire,) for wire in spec.coin_indices)
+        every_wire = (tuple(range(qubit_count)),)
+        took_effect = {
+            "fused": seen.passes < len(seen.gates) if path.fused else seen.wires == coin_passes + seen.gates,
+            "folds": seen.folds == [path.folds],
+            "unfolded": seen.folds == [False] and seen.wires[: len(coin_passes)] == coin_passes,
+            "one_pass": seen.wires == every_wire if path.one_pass
+                        else tuple(map(tuple, seen.wires)) == every_wire != seen.wires,
+            "fresh_caches": run_ideal.cache_info().misses == _compiled_shift.cache_info().misses == 1,
+        }
+        for name, held in took_effect.items():
+            assert getattr(path, name) is None or held, f"{name}={getattr(path, name)} took no effect"
+        full = result.fidelities
+        if callable(stop_below):
+            stop_below = stop_below(full)
+        if stop_below is not None and not path.cut:
+            if path.stop_every:  # so many steps cost what one batch's readout and stop check cost
+                step_cost = len(seen.wires) * (2**qubit_count + simulate.CALL_AMPLITUDES)
+                patch.setattr(simulate, "STOP_CHECK_CALLS", -(-path.stop_every * step_cost // simulate.CALL_AMPLITUDES))
+            seen.batches.clear()
+            result = run_noisy(spec, gate_set, noise, stop_below=stop_below)
+        if batch := path.stop_every or path.rows:  # one score per batch, up to the one holding the stop
+            assert seen.batches == [min(batch, spec.steps - first) for first in range(0, len(result.fidelities), batch)]
+        return {name: getattr(result, name) for name in READOUT}, full, stop_below
+
+
+def assert_walks_agree(row):
+    """Run the row's walk along both paths and compare their readouts by the row's rule."""
+    first, full, stop_below = run_path(row.walk, row.first, row.walk.stop_below)
+    second = run_path(row.walk, row.second, stop_below)[0]
+    below = np.flatnonzero(full < stop_below) if stop_below is not None else []
+    steps_run = below[0] + 1 if len(below) else row.walk.spec.steps
+    if row.second.cut or row.second.stepwise:
+        second = {name: array[:steps_run] for name, array in second.items()}
+    for side in (first, second):
+        assert {len(array) for array in side.values()} == {steps_run}
+    exact, close = row.rule
+    for name in exact:
+        assert np.array_equal(first[name], second[name]), name
+    for name in close:
+        np.testing.assert_allclose(first[name], second[name], rtol=0, atol=1e-12, equal_nan=False, err_msg=name)
+
+
+def just_above(step):
+    """A stop_below that stops a walk whose fidelity falls every step at ``step``."""
+    def stop_below(fidelities):
+        assert np.all(np.diff(fidelities) < 0)
+        return np.nextafter(fidelities[step - 1], 1.0)
+    return stop_below
+
+
+def stops_early(bound):
+    """``bound`` as a stop_below, checked to stop the walk before its last step."""
+    def stop_below(fidelities):
+        assert fidelities[:-1].min() < bound
+        return bound
+    return stop_below
+
+
+NOISES = {"full": FULL, "two-moves": noiselib.NoiseParams(moves_per_step=2), "ideal": IDEAL}
+SHAPES = [(n, nc, rho) for n in (2, 3, 4) for nc in (1, 2) for rho in (3, 4)]
+# The admitted shapes whose step, its coin folded, is one fused pass over every wire.
+ONE_PASS_SHAPES = [(2, 1, 3), (2, 1, 4), (2, 2, 3), (2, 2, 4), (3, 1, 3), (3, 1, 4)]
+
+# Test name -> {case ID: row}, or a lone row for a test without parameters.
+EQUIVALENCES = {
+    # The unfused path does the stepwise reference's arithmetic in the same order.
+    "test_compiled_once_matches_stepwise_reference": {
+        f"{key}-{rho}-{nc}": Row(Walk(random_spec(3, nc, 6, 10 * nc + rho), NativeGateSet(rho), noise),
+                                 UNFUSED, STEPWISE, AS_STEPWISE)
+        for nc in (1, 2) for rho in (3, 4) for key, noise in NOISES.items()
+    },
+    "test_scalar_factor_audit": {
+        f"{rho}": Row(Walk(uniform_spec(2, 2, steps=4), NativeGateSet(rho)), UNFUSED, STEPWISE, AS_STEPWISE)
+        for rho in (3, 4)
+    },
+    "test_moves_per_step_override": Row(Walk(uniform_spec(2, 2, steps=3), noise=NOISES["two-moves"]),
+                                        UNFUSED, STEPWISE, AS_STEPWISE),
+    # A buffer of four states reads the 6-step walk out as 4 steps, then 2; each batch scores its own rows,
+    # to the bits of the walk read out in one batch.
+    "test_batched_readout_matches_stepwise_reference": {
+        f"{nc}{suffix}": Row(Walk(random_spec(3, nc, 6, 50 + nc)), Path(fused=fused, rows=4), *other)
+        for nc in (1, 2)
+        for suffix, fused, other in (("", False, (STEPWISE, AS_STEPWISE)), ("-whole", None, (DEFAULT,)))
+    },
+    # Blocks change the summation order, so the two paths agree to rounding.
+    "test_fused_shift_matches_unfused": {
+        f"{key}-{rho}-{nc}-{n}": Row(Walk(random_spec(n, nc, 8, 100 * n + 10 * nc + rho),
+                                          NativeGateSet(rho, param_a=13.0 if key == "a13" else None), noise),
+                                     FUSED, UNFUSED, TO_ROUNDING)
+        for n, nc, rho in SHAPES
+        for key, noise in {**NOISES, "no-gate-errors": noiselib.NoiseParams(gate_errors=False), "a13": FULL}.items()
+    },
+    # The folded block sums in another order, so the two agree to rounding. A fresh angle every step would
+    # cost a build a step, so a random schedule never folds and runs the unfolded path's bits.
+    "test_folded_coin_matches_unfolded": {
+        f"{schedule}-{key}-{rho}-{nc}-{n}": Row(
+            Walk({"uniform": uniform_spec(n, nc, steps=30), "alternating": alternating_spec(n, nc, 30),
+                  "random": random_spec(n, nc, 30, 100 * n + 10 * nc + rho)}[schedule], NativeGateSet(rho), noise),
+            Path(folds=schedule != "random"), UNFOLDED, BIT_FOR_BIT if schedule == "random" else TO_ROUNDING)
+        for n, nc, rho in SHAPES for key, noise in NOISES.items() for schedule in ("uniform", "alternating", "random")
+    },
+    "test_folded_coin_is_not_built_for_fresh_angles_every_step": {
+        f"{rho}-{nc}": Row(Walk(random_spec(2, nc, 150, 300 + 10 * nc + rho), NativeGateSet(rho)),
+                           Path(folds=False), UNFOLDED)
+        for nc in (1, 2) for rho in (3, 4)
+    },
+    # 7 steps checked in batches of 1 and 3 steps, and as one whole-walk batch. Fidelity falls every step of
+    # this walk, so a bound just above step 5's stops the walk there, inside the batches of 3 and of 7; a
+    # bound of 0 never stops it.
+    "test_stop_batches_match_stepwise_reference": {
+        f"{stop}-{batch}-{nc}": Row(Walk(random_spec(3, nc, 7, 70 + nc), stop_below=just_above(stop) if stop else 0.0),
+                                    Path(fused=False, stop_every=batch), STEPWISE, AS_STEPWISE)
+        for nc in (1, 2) for batch in (1, 3, 7) for stop in (None, 5)
+    },
+    # Each ID without a suffix stops at the median fidelity, checking every 5 steps.
+    "test_batched_stop_returns_the_rows_of_a_stepwise_stop": {
+        f"{n}-{nc}-{rho}" + ("" if (key, batch) == ("median", 5) else f"-{key}-{batch}"): Row(
+            Walk(random_spec(n, nc, 12, 200 + 10 * n + nc), NativeGateSet(rho), stop_below=bound),
+            Path(stop_every=batch), Path(stop_every=1))
+        for n, nc, rho in [(2, 1, 3), (2, 2, 4), (3, 2, 3), (4, 2, 3)]
+        for key, bound in (("zero", 0.0), ("median", np.median), ("one", 1.0)) for batch in (2, 5, 12)
+    },
+    # A uniform coin folds into the shift's first pass, so a step runs no coin pass: a stop check every k
+    # steps counts only the passes that run. Each ID without a suffix stops at the median fidelity.
+    "test_folded_walk_stop_batches_hold_the_steps_asked_for": {
+        f"{batch}-{n}-{nc}{suffix}": Row(Walk(uniform_spec(n, nc, steps=12), stop_below=bound),
+                                         Path(folds=True, stop_every=batch), CUT)
+        for n, nc in [(2, 1), (3, 1), (3, 2), (4, 2)] for batch in (1, 3, 12)
+        for suffix, bound in (("", np.median), ("-zero", 0.0))
+    },
+    # The one-call step multiplies into its readout row with out=; a buffer of 2 or 3 rows puts each step's
+    # input and output rows next to each other across batch boundaries. A stopped walk reads out in the
+    # batches its stop checks set. Each ID without a suffix stops at the median fidelity.
+    "test_one_pass_step_matches_gather_scatter_step": {
+        f"{key}-{schedule}-{n}-{nc}-{rho}{suffix}": Row(
+            Walk(uniform_spec(n, nc, steps=30) if schedule == "uniform" else alternating_spec(n, nc, 30),
+                 NativeGateSet(rho), stop_below=bound),
+            Path(one_pass=True, rows=rows), Path(one_pass=False, rows=rows))
+        for n, nc, rho in ONE_PASS_SHAPES for schedule in ("uniform", "alternating")
+        for key, rows in (("rows2", 2), ("rows3", 3), ("rows-default", None))
+        for suffix, bound in (("", np.median), ("-no-stop", None))
+    },
+    # cmd_tolerance stops each walk at its first step below the lowest tolerance, and every one of these
+    # stops early. The ID without a suffix is the 2^4 lazy walk.
+    "test_stopped_tolerance_walks_are_prefixes_of_full_walks": {
+        f"{rho}" + ("" if (n, nc) == (4, 2) else f"-{n}-{nc}"): Row(
+            Walk(uniform_spec(n, nc, steps=21), NativeGateSet(rho), stop_below=stops_early(min(TOLERANCES))),
+            DEFAULT, CUT)
+        for rho in (3, 4) for nc in (1, 2) for n in (2, 3, 4)
+    },
+    # A walk run from cleared caches fills them, and the same walk read from them has its bits.
+    "test_shared_compiled_step_and_ideal_tables": Row(
+        Walk(uniform_spec(3, 2, steps=4), NativeGateSet(3, param_a=13.0)), FRESH, DEFAULT),
+    "test_runs_are_deterministic": Row(Walk(uniform_spec(2, 2, steps=5)), DEFAULT, DEFAULT),
+}
+
+
+def table_test(rows):
+    """A test that runs each row through assert_walks_agree, one case per ID."""
+    if isinstance(rows, Row):
+        return lambda: assert_walks_agree(rows)
+
+    @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+    def test(row):
+        assert_walks_agree(row)
+    return test
+
+
+globals().update((name, table_test(rows)) for name, rows in EQUIVALENCES.items())
 
 
 # --------------------------------------------------------------- reports
@@ -718,27 +700,6 @@ def test_tolerance_report_matches_recount():
         assert row["steps_within"] == {f"{tol:.12g}": steps_within_tolerance(fids, tol) for tol in TOLERANCES}
         counts = list(row["steps_within"].values())
         assert counts == sorted(counts, reverse=True)
-
-
-@pytest.mark.parametrize("max_rank", [3, 4])
-def test_stopped_tolerance_walks_are_prefixes_of_full_walks(max_rank):
-    # cmd_tolerance stops each walk at its first step below the lowest
-    # tolerance; the steps it ran must be the full walk's, bit for bit.
-    stopped_early = 0
-    for coin_qubits in (1, 2):
-        for position_qubits in (2, 3, 4):
-            spec = uniform_spec(position_qubits, coin_qubits, steps=21)
-            full = run_noisy(spec, NativeGateSet(max_rank), FULL)
-            stopped = run_noisy(spec, NativeGateSet(max_rank), FULL, stop_below=min(TOLERANCES))
-            below = np.flatnonzero(full.fidelities < min(TOLERANCES))
-            steps_run = below[0] + 1 if below.size else spec.steps
-            stopped_early += steps_run < spec.steps
-            assert stopped.spec == spec
-            for name in ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor"):
-                assert np.array_equal(getattr(stopped, name), getattr(full, name)[:steps_run])
-            for tol in TOLERANCES:
-                assert steps_within_tolerance(stopped.fidelities, tol) == steps_within_tolerance(full.fidelities, tol)
-    assert stopped_early == 6
 
 
 def test_composite_fidelity_product():
