@@ -412,10 +412,11 @@ def test_noisy_marginal_total_matches_probability():
 #
 # Each of run_noisy's shortcuts (fused shift blocks, the folded coin,
 # batched readout, the early stop and the one-pass step) promises the
-# numbers of a plainer path. A row of EQUIVALENCES names a walk, two paths
-# to run it along and the rule the two readouts must meet. The runner
+# numbers of a plainer path. A row of the table below names a walk, two
+# paths to run it along and the rule the two readouts must meet. The runner
 # forces each path through run_noisy's seams and checks that every forcing
-# took effect, so no row can pass because both sides ran the same code.
+# took effect, so a row whose paths differ cannot pass because both sides
+# ran the same code.
 
 # A rule: (readout arrays equal bit for bit, readout arrays within 1e-12).
 READOUT = ("ideal_positions", "noisy_positions", "fidelities", "total_probability", "scalar_factor")
@@ -531,13 +532,15 @@ def run_path(walk, path, stop_below):
         full = result.fidelities
         if callable(stop_below):
             stop_below = stop_below(full)
-        if stop_below is not None and not path.cut:
+        stopped = stop_below is not None and not path.cut
+        if stopped:
             if path.stop_every:  # so many steps cost what one batch's readout and stop check cost
                 step_cost = len(seen.wires) * (2**qubit_count + simulate.CALL_AMPLITUDES)
                 patch.setattr(simulate, "STOP_CHECK_CALLS", -(-path.stop_every * step_cost // simulate.CALL_AMPLITUDES))
             seen.batches.clear()
             result = run_noisy(spec, gate_set, noise, stop_below=stop_below)
-        if batch := path.stop_every or path.rows:  # one score per batch, up to the one holding the stop
+        # One score per batch, up to the one holding the stop; unforced, a walk without a stop fills the buffer.
+        if batch := path.stop_every or path.rows or not stopped and simulate.READOUT_AMPLITUDES // 2**qubit_count:
             assert seen.batches == [min(batch, spec.steps - first) for first in range(0, len(result.fidelities), batch)]
         return {name: getattr(result, name) for name in READOUT}, full, stop_below
 
@@ -580,104 +583,13 @@ SHAPES = [(n, nc, rho) for n in (2, 3, 4) for nc in (1, 2) for rho in (3, 4)]
 # The admitted shapes whose step, its coin folded, is one fused pass over every wire.
 ONE_PASS_SHAPES = [(2, 1, 3), (2, 1, 4), (2, 2, 3), (2, 2, 4), (3, 1, 3), (3, 1, 4)]
 
-# Test name -> {case ID: row}, or a lone row for a test without parameters.
-EQUIVALENCES = {
-    # The unfused path does the stepwise reference's arithmetic in the same order.
-    "test_compiled_once_matches_stepwise_reference": {
-        f"{key}-{rho}-{nc}": Row(Walk(random_spec(3, nc, 6, 10 * nc + rho), NativeGateSet(rho), noise),
-                                 UNFUSED, STEPWISE, AS_STEPWISE)
-        for nc in (1, 2) for rho in (3, 4) for key, noise in NOISES.items()
-    },
-    "test_scalar_factor_audit": {
-        f"{rho}": Row(Walk(uniform_spec(2, 2, steps=4), NativeGateSet(rho)), UNFUSED, STEPWISE, AS_STEPWISE)
-        for rho in (3, 4)
-    },
-    "test_moves_per_step_override": Row(Walk(uniform_spec(2, 2, steps=3), noise=NOISES["two-moves"]),
-                                        UNFUSED, STEPWISE, AS_STEPWISE),
-    # A buffer of four states reads the 6-step walk out as 4 steps, then 2; each batch scores its own rows,
-    # to the bits of the walk read out in one batch.
-    "test_batched_readout_matches_stepwise_reference": {
-        f"{nc}{suffix}": Row(Walk(random_spec(3, nc, 6, 50 + nc)), Path(fused=fused, rows=4), *other)
-        for nc in (1, 2)
-        for suffix, fused, other in (("", False, (STEPWISE, AS_STEPWISE)), ("-whole", None, (DEFAULT,)))
-    },
-    # Blocks change the summation order, so the two paths agree to rounding.
-    "test_fused_shift_matches_unfused": {
-        f"{key}-{rho}-{nc}-{n}": Row(Walk(random_spec(n, nc, 8, 100 * n + 10 * nc + rho),
-                                          NativeGateSet(rho, param_a=13.0 if key == "a13" else None), noise),
-                                     FUSED, UNFUSED, TO_ROUNDING)
-        for n, nc, rho in SHAPES
-        for key, noise in {**NOISES, "no-gate-errors": noiselib.NoiseParams(gate_errors=False), "a13": FULL}.items()
-    },
-    # The folded block sums in another order, so the two agree to rounding. A fresh angle every step would
-    # cost a build a step, so a random schedule never folds and runs the unfolded path's bits.
-    "test_folded_coin_matches_unfolded": {
-        f"{schedule}-{key}-{rho}-{nc}-{n}": Row(
-            Walk({"uniform": uniform_spec(n, nc, steps=30), "alternating": alternating_spec(n, nc, 30),
-                  "random": random_spec(n, nc, 30, 100 * n + 10 * nc + rho)}[schedule], NativeGateSet(rho), noise),
-            Path(folds=schedule != "random"), UNFOLDED, BIT_FOR_BIT if schedule == "random" else TO_ROUNDING)
-        for n, nc, rho in SHAPES for key, noise in NOISES.items() for schedule in ("uniform", "alternating", "random")
-    },
-    "test_folded_coin_is_not_built_for_fresh_angles_every_step": {
-        f"{rho}-{nc}": Row(Walk(random_spec(2, nc, 150, 300 + 10 * nc + rho), NativeGateSet(rho)),
-                           Path(folds=False), UNFOLDED)
-        for nc in (1, 2) for rho in (3, 4)
-    },
-    # 7 steps checked in batches of 1 and 3 steps, and as one whole-walk batch. Fidelity falls every step of
-    # this walk, so a bound just above step 5's stops the walk there, inside the batches of 3 and of 7; a
-    # bound of 0 never stops it.
-    "test_stop_batches_match_stepwise_reference": {
-        f"{stop}-{batch}-{nc}": Row(Walk(random_spec(3, nc, 7, 70 + nc), stop_below=just_above(stop) if stop else 0.0),
-                                    Path(fused=False, stop_every=batch), STEPWISE, AS_STEPWISE)
-        for nc in (1, 2) for batch in (1, 3, 7) for stop in (None, 5)
-    },
-    # Each ID without a suffix stops at the median fidelity, checking every 5 steps.
-    "test_batched_stop_returns_the_rows_of_a_stepwise_stop": {
-        f"{n}-{nc}-{rho}" + ("" if (key, batch) == ("median", 5) else f"-{key}-{batch}"): Row(
-            Walk(random_spec(n, nc, 12, 200 + 10 * n + nc), NativeGateSet(rho), stop_below=bound),
-            Path(stop_every=batch), Path(stop_every=1))
-        for n, nc, rho in [(2, 1, 3), (2, 2, 4), (3, 2, 3), (4, 2, 3)]
-        for key, bound in (("zero", 0.0), ("median", np.median), ("one", 1.0)) for batch in (2, 5, 12)
-    },
-    # A uniform coin folds into the shift's first pass, so a step runs no coin pass: a stop check every k
-    # steps counts only the passes that run. Each ID without a suffix stops at the median fidelity.
-    "test_folded_walk_stop_batches_hold_the_steps_asked_for": {
-        f"{batch}-{n}-{nc}{suffix}": Row(Walk(uniform_spec(n, nc, steps=12), stop_below=bound),
-                                         Path(folds=True, stop_every=batch), CUT)
-        for n, nc in [(2, 1), (3, 1), (3, 2), (4, 2)] for batch in (1, 3, 12)
-        for suffix, bound in (("", np.median), ("-zero", 0.0))
-    },
-    # The one-call step multiplies into its readout row with out=; a buffer of 2 or 3 rows puts each step's
-    # input and output rows next to each other across batch boundaries. A stopped walk reads out in the
-    # batches its stop checks set. Each ID without a suffix stops at the median fidelity.
-    "test_one_pass_step_matches_gather_scatter_step": {
-        f"{key}-{schedule}-{n}-{nc}-{rho}{suffix}": Row(
-            Walk(uniform_spec(n, nc, steps=30) if schedule == "uniform" else alternating_spec(n, nc, 30),
-                 NativeGateSet(rho), stop_below=bound),
-            Path(one_pass=True, rows=rows), Path(one_pass=False, rows=rows))
-        for n, nc, rho in ONE_PASS_SHAPES for schedule in ("uniform", "alternating")
-        for key, rows in (("rows2", 2), ("rows3", 3), ("rows-default", None))
-        for suffix, bound in (("", np.median), ("-no-stop", None))
-    },
-    # cmd_tolerance stops each walk at its first step below the lowest tolerance, and every one of these
-    # stops early. The ID without a suffix is the 2^4 lazy walk.
-    "test_stopped_tolerance_walks_are_prefixes_of_full_walks": {
-        f"{rho}" + ("" if (n, nc) == (4, 2) else f"-{n}-{nc}"): Row(
-            Walk(uniform_spec(n, nc, steps=21), NativeGateSet(rho), stop_below=stops_early(min(TOLERANCES))),
-            DEFAULT, CUT)
-        for rho in (3, 4) for nc in (1, 2) for n in (2, 3, 4)
-    },
-    # A walk run from cleared caches fills them, and the same walk read from them has its bits.
-    "test_shared_compiled_step_and_ideal_tables": Row(
-        Walk(uniform_spec(3, 2, steps=4), NativeGateSet(3, param_a=13.0)), FRESH, DEFAULT),
-    "test_runs_are_deterministic": Row(Walk(uniform_spec(2, 2, steps=5)), DEFAULT, DEFAULT),
-}
-
 
 def table_test(rows):
-    """A test that runs each row through assert_walks_agree, one case per ID."""
+    """A test that runs each row of {case ID: row} through assert_walks_agree, or a lone row as a test without cases."""
     if isinstance(rows, Row):
-        return lambda: assert_walks_agree(rows)
+        def test():
+            assert_walks_agree(rows)
+        return test
 
     @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
     def test(row):
@@ -685,7 +597,97 @@ def table_test(rows):
     return test
 
 
-globals().update((name, table_test(rows)) for name, rows in EQUIVALENCES.items())
+# The equivalence table: each test below is a table_test of its rows.
+
+# The unfused path does the stepwise reference's arithmetic in the same order.
+test_compiled_once_matches_stepwise_reference = table_test({
+    f"{key}-{rho}-{nc}": Row(Walk(random_spec(3, nc, 6, 10 * nc + rho), NativeGateSet(rho), noise),
+                             UNFUSED, STEPWISE, AS_STEPWISE)
+    for nc in (1, 2) for rho in (3, 4) for key, noise in NOISES.items()
+})
+test_scalar_factor_audit = table_test({
+    f"{rho}": Row(Walk(uniform_spec(2, 2, steps=4), NativeGateSet(rho)), UNFUSED, STEPWISE, AS_STEPWISE)
+    for rho in (3, 4)
+})
+test_moves_per_step_override = table_test(Row(Walk(uniform_spec(2, 2, steps=3), noise=NOISES["two-moves"]),
+                                              UNFUSED, STEPWISE, AS_STEPWISE))
+# A buffer of four states reads the 6-step walk out as 4 steps, then 2; each batch scores its own rows,
+# to the bits of the walk read out in one batch.
+test_batched_readout_matches_stepwise_reference = table_test({
+    f"{nc}{suffix}": Row(Walk(random_spec(3, nc, 6, 50 + nc)), Path(fused=fused, rows=4), *other)
+    for nc in (1, 2)
+    for suffix, fused, other in (("", False, (STEPWISE, AS_STEPWISE)), ("-whole", None, (DEFAULT,)))
+})
+# Blocks change the summation order, so the two paths agree to rounding.
+test_fused_shift_matches_unfused = table_test({
+    f"{key}-{rho}-{nc}-{n}": Row(Walk(random_spec(n, nc, 8, 100 * n + 10 * nc + rho),
+                                      NativeGateSet(rho, param_a=13.0 if key == "a13" else None), noise),
+                                 FUSED, UNFUSED, TO_ROUNDING)
+    for n, nc, rho in SHAPES
+    for key, noise in {**NOISES, "no-gate-errors": noiselib.NoiseParams(gate_errors=False), "a13": FULL}.items()
+})
+# The folded block sums in another order, so the two agree to rounding. A fresh angle every step would
+# cost a build a step, so a random schedule never folds and runs the unfolded path's bits.
+test_folded_coin_matches_unfolded = table_test({
+    f"{schedule}-{key}-{rho}-{nc}-{n}": Row(
+        Walk({"uniform": uniform_spec(n, nc, steps=30), "alternating": alternating_spec(n, nc, 30),
+              "random": random_spec(n, nc, 30, 100 * n + 10 * nc + rho)}[schedule], NativeGateSet(rho), noise),
+        Path(folds=schedule != "random"), UNFOLDED, BIT_FOR_BIT if schedule == "random" else TO_ROUNDING)
+    for n, nc, rho in SHAPES for key, noise in NOISES.items() for schedule in ("uniform", "alternating", "random")
+})
+test_folded_coin_is_not_built_for_fresh_angles_every_step = table_test({
+    f"{rho}-{nc}": Row(Walk(random_spec(2, nc, 150, 300 + 10 * nc + rho), NativeGateSet(rho)),
+                       Path(folds=False), UNFOLDED)
+    for nc in (1, 2) for rho in (3, 4)
+})
+# 7 steps checked in batches of 1 and 3 steps, and as one whole-walk batch. Fidelity falls every step of
+# this walk, so a bound just above step 5's stops the walk there, inside the batches of 3 and of 7; a
+# bound of 0 never stops it.
+test_stop_batches_match_stepwise_reference = table_test({
+    f"{stop}-{batch}-{nc}": Row(Walk(random_spec(3, nc, 7, 70 + nc), stop_below=just_above(stop) if stop else 0.0),
+                                Path(fused=False, stop_every=batch), STEPWISE, AS_STEPWISE)
+    for nc in (1, 2) for batch in (1, 3, 7) for stop in (None, 5)
+})
+# Each ID without a suffix stops at the median fidelity, checking every 5 steps.
+test_batched_stop_returns_the_rows_of_a_stepwise_stop = table_test({
+    f"{n}-{nc}-{rho}" + ("" if (key, batch) == ("median", 5) else f"-{key}-{batch}"): Row(
+        Walk(random_spec(n, nc, 12, 200 + 10 * n + nc), NativeGateSet(rho), stop_below=bound),
+        Path(stop_every=batch), Path(stop_every=1))
+    for n, nc, rho in [(2, 1, 3), (2, 2, 4), (3, 2, 3), (4, 2, 3)]
+    for key, bound in (("zero", 0.0), ("median", np.median), ("one", 1.0)) for batch in (2, 5, 12)
+})
+# A uniform coin folds into the shift's first pass, so a step runs no coin pass: a stop check every k
+# steps counts only the passes that run. Each ID without a suffix stops at the median fidelity.
+test_folded_walk_stop_batches_hold_the_steps_asked_for = table_test({
+    f"{batch}-{n}-{nc}{suffix}": Row(Walk(uniform_spec(n, nc, steps=12), stop_below=bound),
+                                     Path(folds=True, stop_every=batch), CUT)
+    for n, nc in [(2, 1), (3, 1), (3, 2), (4, 2)] for batch in (1, 3, 12)
+    for suffix, bound in (("", np.median), ("-zero", 0.0))
+})
+# The one-call step multiplies into its readout row with out=; a buffer of 2 or 3 rows puts each step's
+# input and output rows next to each other across batch boundaries. A stopped walk reads out in the
+# batches its stop checks set. Each ID without a suffix stops at the median fidelity.
+test_one_pass_step_matches_gather_scatter_step = table_test({
+    f"{key}-{schedule}-{n}-{nc}-{rho}{suffix}": Row(
+        Walk(uniform_spec(n, nc, steps=30) if schedule == "uniform" else alternating_spec(n, nc, 30),
+             NativeGateSet(rho), stop_below=bound),
+        Path(one_pass=True, rows=rows), Path(one_pass=False, rows=rows))
+    for n, nc, rho in ONE_PASS_SHAPES for schedule in ("uniform", "alternating")
+    for key, rows in (("rows2", 2), ("rows3", 3), ("rows-default", None))
+    for suffix, bound in (("", np.median), ("-no-stop", None))
+})
+# cmd_tolerance stops each walk at its first step below the lowest tolerance, and every one of these
+# stops early. The ID without a suffix is the 2^4 lazy walk.
+test_stopped_tolerance_walks_are_prefixes_of_full_walks = table_test({
+    f"{rho}" + ("" if (n, nc) == (4, 2) else f"-{n}-{nc}"): Row(
+        Walk(uniform_spec(n, nc, steps=21), NativeGateSet(rho), stop_below=stops_early(min(TOLERANCES))),
+        DEFAULT, CUT)
+    for rho in (3, 4) for nc in (1, 2) for n in (2, 3, 4)
+})
+# A walk run from cleared caches fills them, and the same walk read from them has its bits.
+test_shared_compiled_step_and_ideal_tables = table_test(Row(
+    Walk(uniform_spec(3, 2, steps=4), NativeGateSet(3, param_a=13.0)), FRESH, DEFAULT))
+test_runs_are_deterministic = table_test(Row(Walk(uniform_spec(2, 2, steps=5)), DEFAULT, DEFAULT))
 
 
 # --------------------------------------------------------------- reports
