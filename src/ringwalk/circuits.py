@@ -265,23 +265,39 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
     return Circuit(qubit_count, shift, tuple(s[step_index] for s in spec.coin_schedules), ancillas)
 
 
-def count_multiqubit_gates(position_qubits: int, coin_qubits: int, max_rank: int) -> dict[int, int]:
-    """Per-step census of multiqubit gates (rank >= 2) after rank bounding.
-
-    max_rank may be 5, above any NativeGateSet, for the forward-looking
-    gate-set comparison. Pure arithmetic on ladder sizes, so ring exponents
-    up to 20 cost nothing.
-    """
-    if max_rank < 3:
-        raise ValueError("native rank must be at least 3")
+@lru_cache(maxsize=8)  # one table per rank bound: composite asks for 3 to 5
+def _census_prefix(max_rank: int) -> tuple[dict[int, int], ...]:
+    """Prefix sums of the census: row i counts, by rank in ascending order,
+    the multiqubit gates of one CkX for each k = 1 .. i - 1, after rank
+    bounding and in both cascades. Rows run to i = 22, the 2q-coin walk
+    on 2^20 nodes."""
     counts: dict[int, int] = {}
-    for j in range(1, position_qubits + 1):
-        k = position_qubits - j + coin_qubits
+    rows = [{}, {}]
+    for k in range(1, 22):
         # Each CkX appears once in the increment and once in the decrement.
         if k + 1 <= max_rank:
             counts[k + 1] = counts.get(k + 1, 0) + 2
-            continue
-        m, q = _ladder_shape(k, max_rank)
-        counts[max_rank] = counts.get(max_rank, 0) + 2 * (2 + 4 * (m - 1))
-        counts[q + 1] = counts.get(q + 1, 0) + 2 * 2
-    return dict(sorted(counts.items()))
+        else:
+            m, q = _ladder_shape(k, max_rank)
+            counts[max_rank] = counts.get(max_rank, 0) + 2 * (2 + 4 * (m - 1))
+            counts[q + 1] = counts.get(q + 1, 0) + 2 * 2
+        rows.append(dict(sorted(counts.items())))
+    return tuple(rows)
+
+
+def count_multiqubit_gates(position_qubits: int, coin_qubits: int, max_rank: int) -> dict[int, int]:
+    """Per-step census of multiqubit gates (rank >= 2) after rank bounding, by rank in ascending order.
+
+    max_rank may be 5, above any NativeGateSet, for the forward-looking
+    gate-set comparison. The shift's CkX gates have k = coin_qubits to
+    position_qubits + coin_qubits - 1, so the census is the difference of
+    two rows of the rank bound's prefix table (_census_prefix), and ring
+    exponents up to 20 cost nothing. Each call returns a fresh dict.
+    """
+    if max_rank < 3:
+        raise ValueError("native rank must be at least 3")
+    if not (0 <= position_qubits <= 20 and coin_qubits in (1, 2)):
+        raise ValueError(f"no census for {position_qubits} position and {coin_qubits} coin qubits")
+    table = _census_prefix(max_rank)
+    high, low = table[position_qubits + coin_qubits], table[coin_qubits]
+    return {rank: count - low.get(rank, 0) for rank, count in high.items() if count > low.get(rank, 0)}

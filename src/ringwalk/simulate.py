@@ -36,7 +36,9 @@ multiply into one logged factor. The buffer is read out a batch of steps
 at a time: each batch's rows are scored once by hellinger_fidelity, and
 an early stop checked on those scores, so a walk's readout is one set of
 arrays with a row per step (RunResult) at a few numpy calls per batch
-rather than per step.
+rather than per step. A long walk's state decays under the gates; between
+batches it is scaled back up by a power of two (_rescale) long before it
+nears the subnormal range, and the readout takes that power back off.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ FUSED_MAX_WIRES = 5
 CALL_AMPLITUDES = 650  # one numpy call's overhead, as the amplitudes a gate pass moves in that time
 READOUT_AMPLITUDES = 2**16  # amplitudes run_noisy holds between readouts (1 MiB)
 STOP_CHECK_CALLS = 15  # numpy calls one batch's readout and early-stop check make
+RESCALE_BELOW = 2.0**-256  # a peak |amplitude| below this is scaled back up between readouts, far above subnormals
 
 
 class UnsupportedSizeError(ValueError):
@@ -267,6 +270,13 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
     the batch's rows against run_ideal's cached array, so each row is
     scored once.
 
+    Between batches, _rescale multiplies a state whose peak |amplitude|
+    is below RESCALE_BELOW by a power of two 2^-e, and the walk sums those
+    exponents e into k: later batches are read out with their scalar
+    factors times 2^k (np.ldexp), so each readout product rounds as the
+    unscaled walk's did, or underflows to 0 on both where the scaled
+    factor is subnormal. RunResult.scalar_factor holds them unscaled.
+
     With stop_below, the walk stops after the first step whose fidelity
     is below it; the result holds the steps up to that one. Each batch's
     scores are its stop check, and a batch then holds as many steps as
@@ -321,6 +331,7 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
 
     state = np.zeros(2**n_q, dtype=np.complex128)
     state[0] = 1.0
+    shift = 0  # the state is the walk's times 2^-shift
     running_factor = noiselib.state_prep_factor(noise, n_q)
     batch = max(1, READOUT_AMPLITUDES // state.size)
     if stop_below is not None:
@@ -351,7 +362,10 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
         scalar_factors[t] = running_factor * read
         stop = t + 1
         if stop - start == len(states) or stop == steps:
-            probs = np.abs(states[: stop - start] * scalar_factors[start:stop, None]) ** 2
+            factors = scalar_factors[start:stop, None]
+            if shift:
+                factors = np.ldexp(factors, shift)
+            probs = np.abs(states[: stop - start] * factors) ** 2
             probs.sum(1, out=totals[start:stop])
             probs.reshape(stop - start, nodes, -1).sum(2, out=noisy[start:stop])
             fidelities[start:stop] = hellinger_fidelity(ideal_tables[start:stop], noisy[start:stop])
@@ -362,8 +376,32 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
                     stop = start + first_below + 1
                     break
             start = stop
+            if stop < steps:
+                shift += _rescale(state, totals[stop - 1], factors[-1, 0])
     arrays = ideal_tables, noisy, fidelities, totals, scalar_factors
     return RunResult(spec, *(a[:stop] if stop < steps else a for a in arrays))
+
+
+def _rescale(state: np.ndarray, total: float, factor: float) -> int:
+    """Scale ``state`` up in place if its peak |amplitude| is below RESCALE_BELOW; return the exponent e taken off.
+
+    e is the peak's binary exponent, so the peak lands in [1/2, 1) (a
+    subnormal peak stops short, as 2^1023 is the largest power of two a
+    float holds); e is 0 where the state is left alone. Multiplying by
+    2^-e is exact in the normal range. ``total`` is the state's total
+    probability as read out with ``factor``: a total of at least 2^n
+    (RESCALE_BELOW * factor)^2 puts the peak at RESCALE_BELOW or above,
+    so the peak is looked at only where it may have fallen below, or
+    where that bar underflows to 0.
+    """
+    if 0 < state.size * (RESCALE_BELOW * factor) ** 2 <= total:
+        return 0
+    peak = np.abs(state).max()
+    if peak >= RESCALE_BELOW:
+        return 0
+    exponent = max(math.frexp(peak)[1], -1023)
+    state *= 2.0**-exponent
+    return exponent
 
 
 def _qubit_count(amps: np.ndarray) -> int:
@@ -504,20 +542,19 @@ def gate_set_comparison(
             raise ValueError(f"n_list entry {n} outside [2, 20]")
 
     ranks = sorted({rank for transition in transitions for rank in transition})
+    by_rank = [dict(zip((3, 4, 5), s)) for s in sets]
     entries = []
     for n in n_list:
         census = {rank: count_multiqubit_gates(n, 2, rank) for rank in ranks}  # G(4) serves both 3->4 and 4->5
+        # One product per rank and set: G(4)'s is f_high of 3->4 and f_low of 4->5.
+        products = {rank: [composite_fidelity(counts, f) for f in by_rank] for rank, counts in census.items()}
         for low, high in transitions:
-            counts_low, counts_high = census[low], census[high]
             rows = []
-            for s in sets:
-                by_rank = {3: s[0], 4: s[1], 5: s[2]}
-                f_low = composite_fidelity(counts_low, by_rank)
-                f_high = composite_fidelity(counts_high, by_rank)
+            for s, f_low, f_high in zip(sets, products[low], products[high]):
                 if f_low == 0:
                     raise ValueError(
                         f"fidelity_sets entry {s} at n = {n}: composite fidelity under G({low}) underflows to 0"
                     )
                 rows.append((s, f_low, f_high, (f_high - f_low) / f_low * 100.0))
-            entries.append((n, low, high, counts_low, counts_high, rows))
+            entries.append((n, low, high, census[low], census[high], rows))
     return entries

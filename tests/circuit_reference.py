@@ -5,7 +5,10 @@ gate a GateApplication, every move point a MoveMarker, and the circuit's
 ops one tuple of both. ringwalk.circuits.build_step_circuit must produce
 the same ops (through Circuit.ops), the same qubit count and the same
 ancillas; tests/test_circuits.py checks that. serialize prints either
-circuit as text, one line per op.
+circuit as text, one line per op. count_multiqubit_gates_loop is the
+census as a loop over the shift's CkX gates, the form
+ringwalk.circuits.count_multiqubit_gates had before it read a prefix
+table.
 """
 
 from __future__ import annotations
@@ -152,3 +155,20 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
         ops=_with_move_markers(compiled),
         ancilla_indices=ancillas,
     )
+
+
+def count_multiqubit_gates_loop(position_qubits: int, coin_qubits: int, max_rank: int) -> dict[int, int]:
+    """Per-step census of multiqubit gates after rank bounding, one CkX at a time."""
+    if max_rank < 3:
+        raise ValueError("native rank must be at least 3")
+    counts: dict[int, int] = {}
+    for j in range(1, position_qubits + 1):
+        k = position_qubits - j + coin_qubits
+        # Each CkX appears once in the increment and once in the decrement.
+        if k + 1 <= max_rank:
+            counts[k + 1] = counts.get(k + 1, 0) + 2
+            continue
+        m, q = _ladder_shape(k, max_rank)
+        counts[max_rank] = counts.get(max_rank, 0) + 2 * (2 + 4 * (m - 1))
+        counts[q + 1] = counts.get(q + 1, 0) + 2 * 2
+    return dict(sorted(counts.items()))

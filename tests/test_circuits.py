@@ -375,8 +375,29 @@ def test_census_frozen_ring32_lazy():
 
 
 def test_census_rejects_tiny_rank():
-    with pytest.raises(ValueError):
-        count_multiqubit_gates(3, 1, 2)
+    for census in (count_multiqubit_gates, circuit_reference.count_multiqubit_gates_loop):
+        with pytest.raises(ValueError, match="^native rank must be at least 3$"):
+            census(3, 1, 2)
+
+
+@pytest.mark.parametrize("rho", [3, 4, 5, 6])
+@pytest.mark.parametrize("nc", [1, 2])
+def test_census_table_matches_the_loop(nc, rho):
+    # Two rows of the prefix table give the census the loop over the shift's
+    # CkX gates gives: the same counts, keys in the same ascending order.
+    for n in range(21):
+        counted = count_multiqubit_gates(n, nc, rho)
+        assert list(counted.items()) == list(circuit_reference.count_multiqubit_gates_loop(n, nc, rho).items())
+        # Each call returns a dict of its own: changing one leaves the next call's alone.
+        counted[rho] = -1
+        counted[99] = 1
+        assert count_multiqubit_gates(n, nc, rho) == circuit_reference.count_multiqubit_gates_loop(n, nc, rho)
+
+
+def test_census_rejects_shapes_past_its_table():
+    for n, nc in ((21, 1), (-1, 2), (3, 0), (3, 3)):
+        with pytest.raises(ValueError, match=f"^no census for {n} position and {nc} coin qubits$"):
+            count_multiqubit_gates(n, nc, 3)
 
 
 # ------------------------------------------------------------ plumbing

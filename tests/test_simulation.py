@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -27,7 +28,7 @@ from ringwalk.circuits import (
     count_multiqubit_gates,
     uniform_spec,
 )
-from ringwalk.cli import ExperimentConfig, cmd_tolerance
+from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_tolerance
 from ringwalk.simulate import (
     DEFAULT_FIDELITY_SETS,
     FUSED_MAX_WIRES,
@@ -444,6 +445,7 @@ class Path(NamedTuple):
     fresh_caches: bool | None = None  # run_ideal's and _compiled_shift's caches cleared first
     cut: bool | None = None  # the full walk, cut to the rows the first path's stop leaves
     stepwise: bool | None = None  # run_noisy_stepwise, cut as the full walk is
+    rescaled: bool | None = None  # RESCALE_BELOW = 2, above the peaks: each readout but the last looks and may rescale
 
 
 class Row(NamedTuple):
@@ -468,9 +470,11 @@ class UnequalWires(tuple):
 
 def watch(patch, path):
     """Force ``path`` on run_noisy's seams; record the shift's gates and pass count, the step's chained
-    (qubit count, pass wires), the coin-fold decisions and the steps each readout batch scores."""
-    seen = SimpleNamespace(folds=[], batches=[])
-    pays_back, passes, chain, score = simulate._pays_back, shift_passes, chain_plans, hellinger_fidelity
+    (qubit count, pass wires), the coin-fold decisions, the steps each readout batch scores and the
+    exponents each rescale takes off."""
+    seen = SimpleNamespace(folds=[], batches=[], exponents=[])
+    pays_back, passes, chain, score, rescale = (simulate._pays_back, shift_passes, chain_plans, hellinger_fidelity,
+                                                simulate._rescale)
 
     def deciding(*args):
         if len(args) < 5:  # only the coin fold's call passes a fifth argument, its build count
@@ -495,8 +499,14 @@ def watch(patch, path):
         seen.batches.append(len(p))
         return score(p, q)
 
+    def rescaling(*args):
+        seen.exponents.append(rescale(*args))
+        return seen.exponents[-1]
+
+    if path.rescaled:
+        patch.setattr(simulate, "RESCALE_BELOW", 2.0)
     for name, seam in dict(_pays_back=deciding, shift_passes=planning, chain_plans=chaining,
-                           hellinger_fidelity=scoring).items():
+                           hellinger_fidelity=scoring, _rescale=rescaling).items():
         patch.setattr(simulate, name, seam)
     return seen
 
@@ -526,6 +536,7 @@ def run_path(walk, path, stop_below):
             "one_pass": seen.wires == every_wire if path.one_pass
                         else tuple(map(tuple, seen.wires)) == every_wire != seen.wires,
             "fresh_caches": run_ideal.cache_info().misses == _compiled_shift.cache_info().misses == 1,
+            "rescaled": any(seen.exponents),
         }
         for name, held in took_effect.items():
             assert getattr(path, name) is None or held, f"{name}={getattr(path, name)} took no effect"
@@ -684,10 +695,61 @@ test_stopped_tolerance_walks_are_prefixes_of_full_walks = table_test({
         DEFAULT, CUT)
     for rho in (3, 4) for nc in (1, 2) for n in (2, 3, 4)
 })
+# Rescaled after every step's readout, the state is the walk's times a power of two that each step's
+# factor takes back off before the readout: the bits of the walk that never rescales. A uniform coin's
+# peak |amplitude| swings across 1/2, so every walk here rescales by 2 or 1/2. A median stop puts the
+# stop check before the rescale at each step. Vanishing noise zeroes the factor, so its total bounds
+# nothing and the rescale must look at the peak.
+test_rescaled_state_reads_out_the_plain_walk = table_test({
+    f"{key}-{n}-{nc}-{rho}{suffix}": Row(
+        Walk(uniform_spec(n, nc, steps=30), NativeGateSet(rho), noise, stop_below=bound),
+        Path(rescaled=True, rows=1, stop_every=every), Path(rows=1, stop_every=every))
+    for n, nc, rho in SHAPES
+    for key, noise in {**NOISES, "vanishing": noiselib.NoiseParams(t1_seconds=1e-300)}.items()
+    for suffix, bound, every in (("", None, None), ("-median", np.median, 1)) if bound is None or key == "full"
+})
 # A walk run from cleared caches fills them, and the same walk read from them has its bits.
 test_shared_compiled_step_and_ideal_tables = table_test(Row(
     Walk(uniform_spec(3, 2, steps=4), NativeGateSet(3, param_a=13.0)), FRESH, DEFAULT))
 test_runs_are_deterministic = table_test(Row(Walk(uniform_spec(2, 2, steps=5)), DEFAULT, DEFAULT))
+
+
+# md5 of the five readout arrays of the 7,500-step 2^4 lazy G(3) walk under default noise, recorded before
+# run_noisy rescaled its state, by the OpenBLAS kernel that ran it: each kernel family rounds the BLAS
+# products its own way (ROADMAP item 9).
+LONG_WALK_DIGESTS = {
+    "166c61a288c7283738e2ec1817cc7e89": "SkylakeX",
+    "3ee6247dd9a4a16521d1284a4f69ab62": "Haswell, also the one Zen gets",
+    "daa22a3339ec2fa44f117888b7ece20b": "Sandybridge and Prescott",
+}
+
+
+def test_long_walk_rescales_to_its_own_bits_and_holds_no_subnormal(monkeypatch):
+    # The state's peak |amplitude| falls below RESCALE_BELOW a few times in these steps. The rescaled walk
+    # has the bits of the walk that never rescales, and the bits it had before rescaling existed; at every
+    # readout boundary no part of any amplitude is subnormal.
+    spec = uniform_spec(4, 2, steps=7500)
+    smallest, exponents = [], []
+    rescale = simulate._rescale
+
+    def recording(state, *args):
+        parts = np.abs(state.view(np.float64))
+        smallest.append(parts[parts != 0].min())
+        exponents.append(rescale(state, *args))
+        return exponents[-1]
+
+    monkeypatch.setattr(simulate, "_rescale", recording)
+    rescaled = run_noisy(spec, NativeGateSet(3), FULL)
+    taken = [e for e in exponents if e]
+    assert taken and max(taken) <= math.log2(simulate.RESCALE_BELOW) + 1
+    assert min(smallest) >= np.finfo(np.float64).tiny
+    monkeypatch.setattr(simulate, "RESCALE_BELOW", 0.0)
+    plain = run_noisy(spec, NativeGateSet(3), FULL)
+    digest = hashlib.md5()
+    for name in READOUT:
+        assert np.array_equal(getattr(rescaled, name), getattr(plain, name)), name
+        digest.update(getattr(rescaled, name).tobytes())
+    assert digest.hexdigest() in LONG_WALK_DIGESTS
 
 
 # --------------------------------------------------------------- reports
@@ -719,9 +781,14 @@ def test_gate_set_comparison_structure(monkeypatch):
     monkeypatch.setattr(simulate, "count_multiqubit_gates",
                         lambda n, coin_qubits, rank: census.append((n, rank)) or counted(n, coin_qubits, rank))
     entries = gate_set_comparison(n_list=(4, 5))
-    monkeypatch.undo()
     # G(4) serves both default transitions and is counted once per ring.
     assert census == [(4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (5, 5)]
+    # Default composite on rings of 2^2 to 2^20 nodes, as the bench runs it: one census per ring and rank
+    # bound, n-major, all through simulate's global, where the bench's work counter and tracer count them.
+    census.clear()
+    cmd_composite(ExperimentConfig(n_list=tuple(range(2, 21))))
+    monkeypatch.undo()
+    assert census == [(n, rank) for n in range(2, 21) for rank in (3, 4, 5)]
     # n-major: 2 ring sizes x 2 transitions
     assert [entry[:3] for entry in entries] == [(4, 3, 4), (4, 4, 5), (5, 3, 4), (5, 4, 5)]
     for n, low, high, counts_low, counts_high, rows in entries:
