@@ -20,6 +20,8 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable
 
+MAX_POSITION_QUBITS = 20  # the largest ring the compiler and the census take is 2^20 nodes
+
 
 @dataclass(frozen=True)
 class GateApplication:
@@ -83,8 +85,8 @@ class WalkSpec:
         for name in ("position_qubits", "coin_qubits"):
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"{name} = {getattr(self, name)!r} is not an integer")
-        if not 2 <= self.position_qubits <= 20:
-            raise ValueError(f"position_qubits {self.position_qubits} outside [2, 20]")
+        if not 2 <= self.position_qubits <= MAX_POSITION_QUBITS:
+            raise ValueError(f"position_qubits {self.position_qubits} outside [2, {MAX_POSITION_QUBITS}]")
         if self.coin_qubits not in (1, 2):
             raise ValueError(f"coin_qubits must be 1 or 2, got {self.coin_qubits}")
         if not self.theta_schedule:
@@ -269,11 +271,11 @@ def build_step_circuit(spec: WalkSpec, gates: NativeGateSet, step_index: int) ->
 def _census_prefix(max_rank: int) -> tuple[dict[int, int], ...]:
     """Prefix sums of the census: row i counts, by rank in ascending order,
     the multiqubit gates of one CkX for each k = 1 .. i - 1, after rank
-    bounding and in both cascades. Rows run to i = 22, the 2q-coin walk
-    on 2^20 nodes."""
+    bounding and in both cascades. Rows run to i = MAX_POSITION_QUBITS + 2,
+    the 2q-coin walk on the largest ring."""
     counts: dict[int, int] = {}
     rows = [{}, {}]
-    for k in range(1, 22):
+    for k in range(1, MAX_POSITION_QUBITS + 2):
         # Each CkX appears once in the increment and once in the decrement.
         if k + 1 <= max_rank:
             counts[k + 1] = counts.get(k + 1, 0) + 2
@@ -292,11 +294,12 @@ def count_multiqubit_gates(position_qubits: int, coin_qubits: int, max_rank: int
     gate-set comparison. The shift's CkX gates have k = coin_qubits to
     position_qubits + coin_qubits - 1, so the census is the difference of
     two rows of the rank bound's prefix table (_census_prefix), and ring
-    exponents up to 20 cost nothing. Each call returns a fresh dict.
+    exponents up to MAX_POSITION_QUBITS cost nothing. Each call returns a
+    fresh dict.
     """
     if max_rank < 3:
         raise ValueError("native rank must be at least 3")
-    if not (0 <= position_qubits <= 20 and coin_qubits in (1, 2)):
+    if not (0 <= position_qubits <= MAX_POSITION_QUBITS and coin_qubits in (1, 2)):
         raise ValueError(f"no census for {position_qubits} position and {coin_qubits} coin qubits")
     table = _census_prefix(max_rank)
     high, low = table[position_qubits + coin_qubits], table[coin_qubits]

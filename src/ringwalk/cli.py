@@ -47,6 +47,7 @@ import configparser
 import errno
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -398,22 +399,16 @@ def _entry_template(low_ranks: tuple[int, ...], high_ranks: tuple[int, ...], set
                       "counts_low": dict.fromkeys(map(str, low_ranks), _HOLE), "per_set": [per_set] * sets}, depth)
 
 
-def _json_entries(comparison: list[tuple], texts: list[str], depth: int):
-    """The text of composite's ``entries`` array at ``depth``.
-
-    ``texts`` holds the ``.12g`` texts of each entry's mean increase and
-    then of each set's f_high, f_low and increase, entry by entry; each is
-    written as _json_text gives it. Every entry lists the same fidelity
-    sets, so each set's text is taken once.
-    """
-    texts = iter(map(_json_text, texts))
-    sets = [_items(_json_numbers(list(s)), depth + 4) for s, *_ in comparison[0][-1]]
+def _json_entries(rows: list[tuple], depth: int):
+    """The text of composite's ``entries`` array at ``depth`` from cmd_composite's rows, each number's text as
+    _json_text gives it. Every entry lists the same fidelity sets, so each set's text is taken once."""
+    sets = [_items(_json_numbers(list(s)), depth + 4) for s, *_ in rows[0][0][-1]]
     entries = []
-    for n, low, high, counts_low, counts_high, rows in comparison:
-        fields = [*counts_high.values(), *counts_low.values(), next(texts)]
-        for fidelities in sets:
-            fields += (next(texts), next(texts), fidelities, next(texts))
-        template = _entry_template(tuple(counts_low), tuple(counts_high), len(rows), depth + 1)
+    for (n, low, high, counts_low, counts_high, _), mean, per_set in rows:
+        fields = [*counts_high.values(), *counts_low.values(), _json_text(mean)]
+        for fidelities, (f_low, f_high, pct) in zip(sets, per_set):
+            fields += (_json_text(f_high), _json_text(f_low), fidelities, _json_text(pct))
+        template = _entry_template(tuple(counts_low), tuple(counts_high), len(per_set), depth + 1)
         entries.append(template % (*fields, n, f'"{low}->{high}"'))
     return (_items(entries, depth),)
 
@@ -425,12 +420,6 @@ def _json_chunks(pieces: list[str], holes: list):
         line = piece.rpartition("\n")[2]  # the indented '"key": ' or list item before the hole
         yield from fill((len(line) - len(line.lstrip(" "))) // 2)
     yield pieces[-1]
-
-
-def _csv_chunks(output: Output):
-    """The CSV text: the ``header`` line, then the chunks ``rows()`` yields."""
-    yield ",".join(output.header) + "\n"
-    yield from output.rows()
 
 
 def _walk_rows(result: RunResult, lead: tuple = (), tail: tuple = ()):
@@ -467,7 +456,7 @@ def payload_chunks(output: Output, fmt: str):
     writes the skeleton, and the holes are filled in document order.
     """
     if fmt != "json":
-        return _csv_chunks(output)
+        return itertools.chain([",".join(output.header) + "\n"], output.rows())
     holes = []  # json.dumps meets them in document order
     skeleton = json.dumps(output.payload, indent=2, sort_keys=True, allow_nan=False,
                           default=lambda fill: holes.append(fill) or _HOLE) + "\n"
@@ -557,36 +546,30 @@ def cmd_tolerance(config: ExperimentConfig) -> Output:
     )
 
 
-def _composite_rows(comparison: list[tuple], texts: list[list[str]]):
-    """composite's CSV lines, an entry a chunk: each set's, then the mean's, from the entry's texts."""
-    for (n, low, high, *_), (mean, *per_set) in zip(comparison, texts):
+def _composite_rows(rows: list[tuple]):
+    """composite's CSV lines, an entry a chunk: each set's, then the mean's, from cmd_composite's rows."""
+    for (n, low, high, *_), mean, per_set in rows:
         lead = f"{n},{low}->{high},"
         yield "".join(f"{lead}{i},{f_low},{f_high},{pct}\n"
-                      for i, (f_high, f_low, pct) in enumerate(zip(*_by_set(per_set)))) + f"{lead}mean,,,{mean}\n"
-
-
-def _by_set(per_set: list[str]) -> tuple[list[str], list[str], list[str]]:
-    """An entry's set texts, f_high, f_low and increase set by set, as the three columns."""
-    return per_set[0::3], per_set[1::3], per_set[2::3]
+                      for i, (f_low, f_high, pct) in enumerate(per_set)) + f"{lead}mean,,,{mean}\n"
 
 
 def cmd_composite(config: ExperimentConfig) -> Output:
     comparison = gate_set_comparison(config.n_list, config.fidelity_sets, config.transitions)
-    means = [sum(row[3] for row in rows) / len(rows) for *_, rows in comparison]
-    numbers = [x for (*_, rows), mean in zip(comparison, means)  # in the order _json_entries takes them
-               for x in (mean, *(v for _, f_low, f_high, pct in rows for v in (f_high, f_low, pct)))]
+    numbers = [x for *_, sets in comparison  # in the order the rows below take them
+               for x in (sum(pct for *_, pct in sets) / len(sets), *(v for _, *values in sets for v in values))]
     if not all(map(math.isfinite, numbers)):
         raise ValueError("a composite fidelity or increase is not finite")
-    # Every number's text, in one .12g pass: the report, the CSV lines and the JSON entries all take these.
-    texts = ("%.12g " * len(numbers) % tuple(numbers)).split()
-    width = len(texts) // len(comparison)
-    by_entry = [texts[i:i + width] for i in range(0, len(texts), width)]
+    # Every number's text, in one .12g pass. One row per entry: the entry, the text of its mean increase and each
+    # set's (f_low, f_high, increase) texts; the report, the CSV lines and the JSON entries all read these rows.
+    texts = iter(("%.12g " * len(numbers) % tuple(numbers)).split())
+    rows = [(entry, next(texts), [(next(texts), next(texts), next(texts)) for _ in entry[-1]]) for entry in comparison]
     labels = [str(tuple(map(_round12, s))) for s in config.fidelity_sets]
     report = ["composite fidelity gains (2q-coin walk, per-step gate census)"]
-    for (n, low, high, counts_low, counts_high, _), (mean, *per_set) in zip(comparison, by_entry):
+    for (n, low, high, counts_low, counts_high, _), mean, per_set in rows:
         report.append(f"n={n} G({low})->G({high}): counts {counts_low} -> {counts_high}")
         report += [f"  set {label}: f {f_low} -> {f_high}  ({pct}%)"
-                   for label, f_high, f_low, pct in zip(labels, *_by_set(per_set))]
+                   for label, (f_low, f_high, pct) in zip(labels, per_set)]
         report.append(f"  mean increase: {mean}%")
     return Output(
         payload={
@@ -596,10 +579,10 @@ def cmd_composite(config: ExperimentConfig) -> Output:
                 "fidelity_sets": [[_round12(f) for f in s] for s in config.fidelity_sets],
                 "transitions": [f"{lo}->{hi}" for lo, hi in config.transitions],
             },
-            "entries": functools.partial(_json_entries, comparison, texts),
+            "entries": functools.partial(_json_entries, rows),
         },
         header=("position_qubits", "transition", "set_index", "f_low", "f_high", "percent_increase"),
-        rows=functools.partial(_composite_rows, comparison, by_entry),
+        rows=functools.partial(_composite_rows, rows),
         report=report,
     )
 

@@ -52,7 +52,8 @@ import numpy as np
 
 from . import gates as gatelib
 from . import noise as noiselib
-from .circuits import NativeGateSet, WalkSpec, ancilla_requirement, build_step_circuit, count_multiqubit_gates
+from .circuits import (MAX_POSITION_QUBITS, NativeGateSet, WalkSpec, ancilla_requirement, build_step_circuit,
+                       count_multiqubit_gates)
 
 MAX_SIMULATED_QUBITS = 9  # 2^9 amplitudes: the 2^4 lazy walk at G(3), ancillas included
 FUSED_MAX_WIRES = 5
@@ -515,10 +516,10 @@ def gate_set_comparison(
     Each fidelity set lists F(CCZ-level), F(C3Z-level), F(C4Z-level), i.e.
     ranks 3, 4, 5 in order, and must be non-increasing (wider gates are
     never better). Each transition raises the bound from low to high, so
-    3 <= low < high <= 5. Each n is a ring exponent in [2, 20]. Counts come
-    from the 2q-coin walk census, which only uses gates of rank 3 and up,
-    matching the composite product's range. Every argument is checked
-    before the first census.
+    3 <= low < high <= 5. Each n is a ring exponent in
+    [2, MAX_POSITION_QUBITS]. Counts come from the 2q-coin walk census,
+    which only uses gates of rank 3 and up, matching the composite
+    product's range. Every argument is checked before the first census.
     """
     sets = [tuple(s) for s in fidelity_sets]
     if not sets:
@@ -538,8 +539,8 @@ def gate_set_comparison(
         if not 3 <= low < high <= 5:
             raise ValueError(f"transitions entry {low}->{high} needs 3 <= low < high <= 5")
     for n in n_list:
-        if not 2 <= n <= 20:
-            raise ValueError(f"n_list entry {n} outside [2, 20]")
+        if not 2 <= n <= MAX_POSITION_QUBITS:
+            raise ValueError(f"n_list entry {n} outside [2, {MAX_POSITION_QUBITS}]")
 
     ranks = sorted({rank for transition in transitions for rank in transition})
     by_rank = [dict(zip((3, 4, 5), s)) for s in sets]

@@ -1,5 +1,6 @@
 """What more than one test module uses: the walk shapes ringwalk admits,
-and a run of its CLI in a fresh process.
+the CLI cases the golden snapshots pin, and a run of the CLI in a fresh
+process.
 
 No test module imports another, so a per-file pytest run loads only the
 module it runs and these helpers.
@@ -14,6 +15,23 @@ from pathlib import Path
 # plus the 4 larger ones that also fit in 9 qubits.
 LARGER_SHAPES = [(5, 1, 3), (5, 1, 4), (5, 2, 4), (6, 1, 4)]
 ADMITTED_SHAPES = {(n, coins, rank) for n in (2, 3, 4) for coins in (1, 2) for rank in (3, 4)} | set(LARGER_SHAPES)
+
+# The golden cases: name -> (subcommand, config text or None for the defaults).
+CASES = {
+    "simulate": ("simulate", None),
+    "sweep-a": ("sweep-a", None),
+    "tolerance": ("tolerance", None),
+    "composite": ("composite", None),
+    "simulate-lazy16-rank4": (
+        "simulate",
+        "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n[gates]\nmax_rank = 4\n",
+    ),
+    "sweep-a-list": (
+        "sweep-a",
+        "[walk]\nposition_qubits = 3\ncoin_qubits = 2\nsteps = 10\n[gates]\na_list = 0, 5, 1e3\n",
+    ),
+}
+FORMATS = ("csv", "json")
 
 MODULE_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 

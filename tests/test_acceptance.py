@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import run_ideal_dense_oracle
+from shared import ADMITTED_SHAPES
 from stepwise_reference import IDEAL
 from ringwalk import gates as gatelib
 from ringwalk import noise as noiselib
@@ -26,7 +27,7 @@ from ringwalk.circuits import (
     decompose_ckx,
     uniform_spec,
 )
-from ringwalk.cli import ExperimentConfig, cmd_composite, cmd_simulate, payload_chunks
+from ringwalk.cli import ExperimentConfig, cmd_composite
 from ringwalk.simulate import (
     TOLERANCES,
     apply_gate,
@@ -195,10 +196,8 @@ def test_first_step_fidelity_falls_with_register_size():
         assert min(smaller) > max(larger)
 
 
-# Every walk run_noisy admits: the 12 tolerance-grid shapes and the 4 larger ones that fit in 9 qubits
-# (test_cli.py's ADMITTED_SHAPES, which test_admitted_walks_compile_to_at_most_nine_qubits pins).
-ADMITTED = [(n, nc, rank) for n in (2, 3, 4) for nc in (1, 2) for rank in (3, 4)] + [
-    (5, 1, 3), (5, 1, 4), (5, 2, 4), (6, 1, 4)]
+# Every walk run_noisy admits, which test_cli.py's test_admitted_walks_compile_to_at_most_nine_qubits pins.
+ADMITTED = sorted(ADMITTED_SHAPES)
 
 
 @pytest.mark.parametrize("n,nc,max_rank", ADMITTED)
@@ -354,11 +353,3 @@ def test_property_tolerance_report_monotone():
     counts = [steps_within_tolerance(fidelities, tol) for tol in sorted(TOLERANCES)]
     assert counts == sorted(counts, reverse=True)
 
-
-def test_property_output_determinism():
-    config = ExperimentConfig(position_qubits=2, coin_qubits=2, steps=4)
-    first = cmd_simulate(config)
-    second = cmd_simulate(config)
-    assert first.report == second.report
-    for fmt in ("csv", "json"):
-        assert "".join(payload_chunks(first, fmt)) == "".join(payload_chunks(second, fmt))

@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 
 import jsonschema
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import payload_reference
 import ringwalk
 from payload_schemas import SCHEMAS
-from shared import ADMITTED_SHAPES, LARGER_SHAPES, MODULE_ENV, run_module, write_config
+from shared import ADMITTED_SHAPES, CASES, FORMATS, LARGER_SHAPES, MODULE_ENV, run_module, write_config
 from ringwalk import circuits, cli, gates, simulate
 from ringwalk.circuits import NativeGateSet, uniform_spec
 from ringwalk.cli import (
@@ -146,221 +147,6 @@ class Fail(NamedTuple):
 BAD = "config error: bad value for "
 CHOICES = "(choose from simulate, sweep-a, tolerance, composite)"
 
-# Every run the CLI must refuse, grouped under the test name each case has
-# always run under. Cases of one shape are listed as tuples.
-FAILING_RUNS = {
-    # (argv, the head of the line, which the case's ID holds, and the rest of the line)
-    "test_usage_errors_exit_two_on_one_line": [
-        Fail("", None, head + tail, argv=argv, id=f"argv{i}-{head}") for i, (argv, head, tail) in enumerate([
-            ((), "ringwalk: error: no subcommand", f" {CHOICES}"),
-            (("simulte",), "ringwalk: error: invalid subcommand 'simulte'", f" {CHOICES}"),
-            (("--format", "json", "simulate"), "ringwalk: error: invalid subcommand '--format'", f" {CHOICES}"),
-            (("simulate", "--bogus"), "ringwalk: error: unrecognized argument '--bogus'", ""),
-            (("simulate", "--conf", "exp.ini"), "ringwalk: error: unrecognized argument '--conf'", ""),
-            (("simulate", "stray"), "ringwalk: error: unrecognized argument 'stray'", ""),
-            (("tolerance", "--seedless", "--", "x"), "ringwalk: error: unrecognized argument '--'", ""),
-            (("simulate", "--config"), "ringwalk simulate: error: argument --config: expected one value", ""),
-            (("sweep-a", "--out", "--format", "csv"), "ringwalk sweep-a: error: argument --out: expected one value",
-             ""),
-            (("simulate", "--format"), "ringwalk simulate: error: argument --format: expected one value", ""),
-            (("simulate", "--config="), "ringwalk simulate: error: argument --config: expected one value", ""),
-            (("simulate", "--out", ""), "ringwalk simulate: error: argument --out: expected one value", ""),
-            (("composite", "--format", "xml"), "ringwalk composite: error: argument --format: invalid choice: 'xml'",
-             " (choose from csv, json)"),
-            (("simulate", "--format=JSON", "--format", "json"), "ringwalk simulate: error: argument --format: invalid",
-             " choice: 'JSON' (choose from csv, json)"),
-            (("simulate", "--config", "missing.ini", "--format=xml"),
-             "ringwalk simulate: error: argument --format: invalid", " choice: 'xml' (choose from csv, json)"),
-            (("simulate", "--seedless=yes"), "ringwalk simulate: error: argument --seedless: takes no value",
-             ", got 'yes'"),
-        ])
-    ],
-    "test_config_rejects_unknown_section": [
-        Fail("simulate", "[walks]\nsteps = 3\n", "config error: unknown config section [walks]", "read"),
-    ],
-    "test_config_rejects_unknown_key": [
-        Fail("simulate", "[walk]\nstep_count = 3\n", "config error: unknown key 'step_count' in section [walk]",
-             "read"),
-    ],
-    "test_main_config_error_exit_code": [
-        Fail("simulate", "[walk]\nbogus = 1\n", "config error: unknown key 'bogus' in section [walk]", "read"),
-    ],
-    # configparser's own [DEFAULT] would give its keys to every section: these
-    # would run the default walk, set walk.steps, or blame bogus on [walk].
-    "test_default_section_is_an_unknown_section": [
-        Fail("simulate sweep-a", text, "config error: unknown config section [DEFAULT]", "read", id=text)
-        for text in ("[DEFAULT]\nfoo = 1\n", "[DEFAULT]\nsteps = 3\n", "[walk]\nsteps = 3\n[DEFAULT]\nbogus = 2\n")
-    ],
-    # configparser's own messages span two or three lines.
-    "test_malformed_config_error_is_one_line": [
-        Fail("simulate", text, "config error: malformed config {path}: ...", "read", id=name)
-        for text, name in (("[walk]\nsteps\n", "key-without-value"), ("steps = 3\n", "no-section-header"))
-    ],
-    "test_config_that_is_not_utf8_names_its_file": [
-        Fail("simulate", b"\xff[walk]\nsteps = 3\n", "config error: cannot read config {path}: ...", "read"),
-    ],
-    "test_config_rejects_bad_values": [
-        Fail("simulate", None, "config error: cannot read config {path}: ...", "read", argv=("--config", "{path}")),
-    ] + [
-        Fail("simulate sweep-a", text, f"{BAD}{key}: {reason}", "read") for text, key, reason in [
-            ("[walk]\ntheta = three\n", "walk.theta", "cannot parse number 'three'"),
-            ("[walk]\ntheta = 1/0\n", "walk.theta", "division by zero in '1/0'"),
-            ("[walk]\ntheta = nan\n", "walk.theta", "'nan' is not a finite number"),
-            ("[gates]\nparam_a = nan\n", "gates.param_a", "'nan' is not a finite number"),
-            ("[gates]\nparam_a = 1e309\n", "gates.param_a", "'1e309' is not a finite number"),
-            ("[gates]\na_list = 0, 1e308/1e-308\n", "gates.a_list", "'1e308/1e-308' is not a finite number"),
-            ("[gates]\na_list =\n", "gates.a_list", "a_list must list at least one effort"),
-            ("[noise]\ntau_move_seconds = inf\n", "noise.tau_move_seconds", "'inf' is not a finite number"),
-            ("[noise]\nspam = maybe\n", "noise.spam", "cannot parse boolean 'maybe'"),
-            ("[noise]\ngate_errors = maybe\n", "noise.gate_errors", "cannot parse boolean 'maybe'"),
-            ("[noise]\npassive = 2\n", "noise.passive", "cannot parse boolean '2'"),
-            ("[composite]\nn_list = 2.5\n", "composite.n_list", "expected whole numbers, got '2.5'"),
-            ("[composite]\ntransitions = 3->4->5\n", "composite.transitions",
-             "expected one low->high pair, got '3->4->5'"),
-            ("[experiment]\nkind = walkabout\n", "experiment.kind", f"invalid choice: 'walkabout' {CHOICES}"),
-            ("[output]\nformat = yaml\n", "output.format", "invalid choice: 'yaml' (choose from csv, json)"),
-            ("[output]\npath =\n", "output.path", "empty path; leave the key out to write to stdout"),
-        ]
-    ],
-    "test_noise_params_checks_name_the_key": [
-        Fail("simulate", f"[noise]\n{key} = {value}\n", f"{BAD}noise.{key}: {reason}", "read",
-             id=f"{key}-{value}-{reason}")
-        for key, value, reason in [
-            ("eps_init", "2", "eps_init = 2.0 outside [0, 1]"),
-            ("eps_read", "1.5", "eps_read = 1.5 outside [0, 1]"),
-            ("t1_seconds", "-1", "t1_seconds = -1.0 must be finite and positive"),
-            ("tau_gate_seconds", "0", "tau_gate_seconds = 0.0 must be finite and positive"),
-            ("tau_move_seconds", "0", "tau_move_seconds = 0.0 must be finite and positive"),
-            ("moves_per_step", "-1", "moves_per_step = -1 must be a nonnegative integer"),
-        ]
-    ],
-    "test_walk_errors_name_the_key": [
-        Fail("simulate sweep-a", text, f"{BAD}{key}: {reason}", stage, id=f"{text}-{key}")
-        for text, key, reason, stage in [
-            ("[walk]\nsteps = 0\n", "walk.steps", "0 steps; a walk needs at least one", "read"),
-            ("[walk]\ntheta = pi, pi\n", "walk.theta", "2 angles for 21 steps; give one angle or one per step", "spec"),
-            ("[walk]\ntheta =\n", "walk.theta", "0 angles for 21 steps; give one angle or one per step", "spec"),
-            ("[walk]\ncoin_qubits = 2\nphi = 1, 2\nsteps = 1\n", "walk.phi",
-             "2 angles for 1 steps; give one angle or one per step", "spec"),
-        ]
-    ],
-    # Angle lists with an item _number rejects: the first such item's own error.
-    "test_angle_list_errors_are_the_per_item_parse_errors": [
-        Fail("simulate sweep-a", "[walk]\n" + text, f"config error: {message}", stage, id=f"{text}-{message}")
-        for text, message, stage in [
-            ("theta = 0.5, inf\n", "bad value for walk.theta: 'inf' is not a finite number", "read"),
-            ("theta = 1e999\n", "bad value for walk.theta: '1e999' is not a finite number", "read"),
-            ("coin_qubits = 2\nphi = pi/2, 0.25\n",
-             "bad value for walk.phi: 2 angles for 21 steps; give one angle or one per step", "spec"),
-            ("theta = pi/2, x\n", "bad value for walk.theta: cannot parse number 'x'", "read"),
-            ("theta = -pi/2, --pi, x\n", "bad value for walk.theta: cannot parse number '--pi'", "read"),
-        ]
-    ],
-    "test_config_surfaces_walk_validation_as_config_error": [
-        Fail("simulate", "[walk]\ncoin_qubits = 3\n", BAD + "walk.coin_qubits: coin_qubits must be 1 or 2, got 3",
-             "spec"),
-    ],
-    "test_main_walk_and_gate_errors_name_the_key": [
-        Fail(command, text, f"config error: {message}", stage, id=f"{command}-{text}-{message}")
-        for command, text, message, stage in [
-            ("simulate", "[walk]\nposition_qubits = 21\n",
-             "bad value for walk.position_qubits: position_qubits 21 outside [2, 20]", "spec"),
-            ("sweep-a", "[walk]\nposition_qubits = 1\n",
-             "bad value for walk.position_qubits: position_qubits 1 outside [2, 20]", "spec"),
-            ("simulate", "[walk]\ncoin_qubits = 3\n",
-             "bad value for walk.coin_qubits: coin_qubits must be 1 or 2, got 3", "spec"),
-            ("simulate", "[gates]\nmax_rank = 5\n", "bad value for gates.max_rank: max_rank must be 3 or 4, got 5",
-             "read"),
-            ("sweep-a", "[gates]\nmax_rank = 2\n", "bad value for gates.max_rank: max_rank must be 3 or 4, got 2",
-             "read"),
-            ("simulate", "[gates]\nparam_a = -1\n",
-             "bad value for gates.param_a: param_a = -1.0 must be finite and nonnegative", "read"),
-            ("tolerance", "[gates]\nparam_a = -2\n",
-             "bad value for gates.param_a: param_a = -2.0 must be finite and nonnegative", "read"),
-            ("sweep-a", "[gates]\nmax_rank = 5\na_list =\n",
-             "bad value for gates.max_rank: max_rank must be 3 or 4, got 5", "read"),
-        ]
-    ],
-    # [gates] parses into a NativeGateSet, which checks the value as the
-    # config is read, as NoiseParams does for [noise].
-    "test_bad_gate_value_is_rejected_as_read_before_the_unread_check": [
-        Fail(command, "[gates]\nmax_rank = 5\n", BAD + "gates.max_rank: max_rank must be 3 or 4, got 5", "read",
-             id=command)
-        for command in ("composite", "tolerance")
-    ],
-    "test_sweep_a_checks_a_list_before_any_walk": [
-        Fail("sweep-a", "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n[gates]\na_list = 0, 13, 26, -1\n",
-             BAD + "gates.a_list: efforts must be nonnegative, got '0, 13, 26, -1'", "read"),
-    ],
-    # Without the bound a schedule of 10^12 angles runs out of memory.
-    "test_step_count_above_bound_is_rejected_before_any_walk": [
-        Fail(command, f"[walk]\nsteps = {steps}\n",
-             f"{BAD}walk.steps: {steps} steps is above the desk-scale bound {cli.MAX_STEPS}", "read",
-             id=f"{steps}-{command}")
-        for steps in (cli.MAX_STEPS + 1, 10**12, 10**20) for command in ("simulate", "sweep-a", "tolerance")
-    ],
-    "test_main_kind_mismatch_exit_code": [
-        Fail("simulate", "[experiment]\nkind = tolerance\n",
-             "config error: experiment.kind 'tolerance' does not match subcommand 'simulate'"),
-    ],
-    "test_main_rejects_keys_the_subcommand_does_not_read": [
-        Fail(command, text, f"config error: {command} does not read {key}", id=f"{command}-{text}-{key}")
-        for command, text, key in [
-            ("tolerance", "[gates]\nmax_rank = 4\n", "gates.max_rank"),
-            ("tolerance", "[walk]\ncoin_qubits = 3\n", "walk.coin_qubits"),
-            ("tolerance", "[walk]\ntheta = 0\n", "walk.theta"),
-            ("composite", "[walk]\nposition_qubits = 6\n", "walk.position_qubits"),
-            ("composite", "[noise]\nspam = off\n", "noise.spam"),
-            ("sweep-a", "[gates]\nparam_a = 5\n", "gates.param_a"),
-            ("simulate", "[gates]\na_list = 0, 13\n", "gates.a_list"),
-            ("simulate", "[composite]\nn_list = 5\n", "composite.n_list"),
-            # phi is read only on a 2-qubit coin.
-            ("simulate", "[walk]\nphi = pi\nsteps = 2\n", "walk.phi"),
-            ("sweep-a", "[walk]\ncoin_qubits = 1\nphi = pi/4\n", "walk.phi"),
-        ]
-    ],
-    # gate_set_comparison checks every argument before the first census.
-    "test_main_composite_range_errors_name_the_key": [
-        Fail("composite", f"[composite]\n{line}\n", f"{BAD}composite.{line.partition(' ')[0]}: {message}",
-             id=f"{line}-{message}")
-        for line, message in [
-            ("n_list = 1", "n_list entry 1 outside [2, 20]"),
-            ("n_list = 5, 21", "n_list entry 21 outside [2, 20]"),
-            ("transitions = 3->4, 3->6", "transitions entry 3->6 needs 3 <= low < high <= 5"),
-            ("fidelity_sets =", "fidelity_sets must list at least one set"),
-            ("n_list =", "n_list must list at least one ring exponent"),
-            ("transitions =", "transitions must list at least one low->high pair"),
-            ("fidelity_sets = 0.99 0.98", "fidelity_sets entry (0.99, 0.98) must list ranks 3, 4, 5"),
-            ("fidelity_sets = 0.99 0.98 0", "fidelity_sets entry (0.99, 0.98, 0.0) outside (0, 1]"),
-            ("fidelity_sets = 0.99 0.995 0.99", "fidelity_sets entry (0.99, 0.995, 0.99) increases with rank"),
-        ]
-    ],
-    "test_main_composite_underflow_exit_code": [
-        Fail("composite", "[composite]\nfidelity_sets = 0.5 0.4 0.3\nn_list = 20\n",
-             BAD + "composite.fidelity_sets: fidelity_sets entry (0.5, 0.4, 0.3) at n = 20: "
-             "composite fidelity under G(3) underflows to 0", "work", argv=("--format", fmt))
-        for fmt in ("csv", "json")
-    ],
-    # A missing directory or a directory is refused before the walk; a path
-    # that opens but cannot take the payload (/dev/full) fails as it is written.
-    "test_main_unwritable_out_exit_code": [
-        Fail("simulate", None, f"config error: cannot write output.path '{target}': {reason}", stage,
-             argv=("--out", target))
-        for target, reason, stage in [("{tmp}/missing/x.csv", "No such file or directory", "main"),
-                                      ("/dev/null/x.csv", "Not a directory", "main"),
-                                      ("{tmp}", "Is a directory", "main")]
-        + ([("/dev/full", "No space left on device", "work")] if os.path.exists("/dev/full") else [])
-    ],
-    # A 2^6 ring compiles to 11 qubits under the 1q coin and 13 under the
-    # lazy coin at G(3); the one stderr line names the count and the bound.
-    "test_main_unsupported_size_exit_code": [
-        Fail("simulate", f"[walk]\nposition_qubits = 6\ncoin_qubits = {coins}\nsteps = 1\n",
-             f"unsupported size: simulation supports walks of up to 9 qubits; this walk needs {qubits} "
-             "(counting still works at this size)", code=3)
-        for coins, qubits in ((1, 11), (2, 13))
-    ],
-}
-
 
 @pytest.fixture
 def check_failing_run(tmp_path_factory, capsys, monkeypatch):
@@ -425,27 +211,282 @@ def assert_line(text, expected):
 
 
 def failing_runs_test(rows):
-    """A test that checks ``rows``: one case per row ID, or, for rows without IDs, one case for them all."""
+    """A test that checks ``rows``, which it keeps as its ``rows``: one case per row ID, or, for rows without IDs,
+    one case for them all."""
     if rows[0].id is None:
         def test(check_failing_run):
             for row in rows:
                 check_failing_run(row)
-        return test
-
-    @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
-    def test(row, check_failing_run):
-        check_failing_run(row)
+    else:
+        @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+        def test(row, check_failing_run):
+            check_failing_run(row)
+    test.rows = rows
     return test
 
 
-# A group runs under its name, so each case keeps the test ID it has always had.
-for _name, _rows in FAILING_RUNS.items():
-    globals()[_name] = failing_runs_test(_rows)
+# Every run the CLI must refuse. Each test below is a failing_runs_test of its
+# rows and keeps the name and case IDs its cases have always run under.
+# Cases of one shape are listed as tuples.
+
+# (argv, the head of the line, which the case's ID holds, and the rest of the line)
+test_usage_errors_exit_two_on_one_line = failing_runs_test([
+    Fail("", None, head + tail, argv=argv, id=f"argv{i}-{head}") for i, (argv, head, tail) in enumerate([
+        ((), "ringwalk: error: no subcommand", f" {CHOICES}"),
+        (("simulte",), "ringwalk: error: invalid subcommand 'simulte'", f" {CHOICES}"),
+        (("--format", "json", "simulate"), "ringwalk: error: invalid subcommand '--format'", f" {CHOICES}"),
+        (("simulate", "--bogus"), "ringwalk: error: unrecognized argument '--bogus'", ""),
+        (("simulate", "--conf", "exp.ini"), "ringwalk: error: unrecognized argument '--conf'", ""),
+        (("simulate", "stray"), "ringwalk: error: unrecognized argument 'stray'", ""),
+        (("tolerance", "--seedless", "--", "x"), "ringwalk: error: unrecognized argument '--'", ""),
+        (("simulate", "--config"), "ringwalk simulate: error: argument --config: expected one value", ""),
+        (("sweep-a", "--out", "--format", "csv"), "ringwalk sweep-a: error: argument --out: expected one value",
+         ""),
+        (("simulate", "--format"), "ringwalk simulate: error: argument --format: expected one value", ""),
+        (("simulate", "--config="), "ringwalk simulate: error: argument --config: expected one value", ""),
+        (("simulate", "--out", ""), "ringwalk simulate: error: argument --out: expected one value", ""),
+        (("composite", "--format", "xml"), "ringwalk composite: error: argument --format: invalid choice: 'xml'",
+         " (choose from csv, json)"),
+        (("simulate", "--format=JSON", "--format", "json"), "ringwalk simulate: error: argument --format: invalid",
+         " choice: 'JSON' (choose from csv, json)"),
+        (("simulate", "--config", "missing.ini", "--format=xml"),
+         "ringwalk simulate: error: argument --format: invalid", " choice: 'xml' (choose from csv, json)"),
+        (("simulate", "--seedless=yes"), "ringwalk simulate: error: argument --seedless: takes no value",
+         ", got 'yes'"),
+    ])
+])
+
+
+test_config_rejects_unknown_section = failing_runs_test([
+    Fail("simulate", "[walks]\nsteps = 3\n", "config error: unknown config section [walks]", "read"),
+])
+
+
+test_config_rejects_unknown_key = failing_runs_test([
+    Fail("simulate", "[walk]\nstep_count = 3\n", "config error: unknown key 'step_count' in section [walk]",
+         "read"),
+])
+
+
+test_main_config_error_exit_code = failing_runs_test([
+    Fail("simulate", "[walk]\nbogus = 1\n", "config error: unknown key 'bogus' in section [walk]", "read"),
+])
+
+
+# configparser's own [DEFAULT] would give its keys to every section: these
+# would run the default walk, set walk.steps, or blame bogus on [walk].
+test_default_section_is_an_unknown_section = failing_runs_test([
+    Fail("simulate sweep-a", text, "config error: unknown config section [DEFAULT]", "read", id=text)
+    for text in ("[DEFAULT]\nfoo = 1\n", "[DEFAULT]\nsteps = 3\n", "[walk]\nsteps = 3\n[DEFAULT]\nbogus = 2\n")
+])
+
+
+# configparser's own messages span two or three lines.
+test_malformed_config_error_is_one_line = failing_runs_test([
+    Fail("simulate", text, "config error: malformed config {path}: ...", "read", id=name)
+    for text, name in (("[walk]\nsteps\n", "key-without-value"), ("steps = 3\n", "no-section-header"))
+])
+
+
+test_config_that_is_not_utf8_names_its_file = failing_runs_test([
+    Fail("simulate", b"\xff[walk]\nsteps = 3\n", "config error: cannot read config {path}: ...", "read"),
+])
+
+
+test_config_rejects_bad_values = failing_runs_test([
+    Fail("simulate", None, "config error: cannot read config {path}: ...", "read", argv=("--config", "{path}")),
+] + [
+    Fail("simulate sweep-a", text, f"{BAD}{key}: {reason}", "read") for text, key, reason in [
+        ("[walk]\ntheta = three\n", "walk.theta", "cannot parse number 'three'"),
+        ("[walk]\ntheta = 1/0\n", "walk.theta", "division by zero in '1/0'"),
+        ("[walk]\ntheta = nan\n", "walk.theta", "'nan' is not a finite number"),
+        ("[gates]\nparam_a = nan\n", "gates.param_a", "'nan' is not a finite number"),
+        ("[gates]\nparam_a = 1e309\n", "gates.param_a", "'1e309' is not a finite number"),
+        ("[gates]\na_list = 0, 1e308/1e-308\n", "gates.a_list", "'1e308/1e-308' is not a finite number"),
+        ("[gates]\na_list =\n", "gates.a_list", "a_list must list at least one effort"),
+        ("[noise]\ntau_move_seconds = inf\n", "noise.tau_move_seconds", "'inf' is not a finite number"),
+        ("[noise]\nspam = maybe\n", "noise.spam", "cannot parse boolean 'maybe'"),
+        ("[noise]\ngate_errors = maybe\n", "noise.gate_errors", "cannot parse boolean 'maybe'"),
+        ("[noise]\npassive = 2\n", "noise.passive", "cannot parse boolean '2'"),
+        ("[composite]\nn_list = 2.5\n", "composite.n_list", "expected whole numbers, got '2.5'"),
+        ("[composite]\ntransitions = 3->4->5\n", "composite.transitions",
+         "expected one low->high pair, got '3->4->5'"),
+        ("[experiment]\nkind = walkabout\n", "experiment.kind", f"invalid choice: 'walkabout' {CHOICES}"),
+        ("[output]\nformat = yaml\n", "output.format", "invalid choice: 'yaml' (choose from csv, json)"),
+        ("[output]\npath =\n", "output.path", "empty path; leave the key out to write to stdout"),
+    ]
+])
+
+
+test_noise_params_checks_name_the_key = failing_runs_test([
+    Fail("simulate", f"[noise]\n{key} = {value}\n", f"{BAD}noise.{key}: {reason}", "read",
+         id=f"{key}-{value}-{reason}")
+    for key, value, reason in [
+        ("eps_init", "2", "eps_init = 2.0 outside [0, 1]"),
+        ("eps_read", "1.5", "eps_read = 1.5 outside [0, 1]"),
+        ("t1_seconds", "-1", "t1_seconds = -1.0 must be finite and positive"),
+        ("tau_gate_seconds", "0", "tau_gate_seconds = 0.0 must be finite and positive"),
+        ("tau_move_seconds", "0", "tau_move_seconds = 0.0 must be finite and positive"),
+        ("moves_per_step", "-1", "moves_per_step = -1 must be a nonnegative integer"),
+    ]
+])
+
+
+test_walk_errors_name_the_key = failing_runs_test([
+    Fail("simulate sweep-a", text, f"{BAD}{key}: {reason}", stage, id=f"{text}-{key}")
+    for text, key, reason, stage in [
+        ("[walk]\nsteps = 0\n", "walk.steps", "0 steps; a walk needs at least one", "read"),
+        ("[walk]\ntheta = pi, pi\n", "walk.theta", "2 angles for 21 steps; give one angle or one per step", "spec"),
+        ("[walk]\ntheta =\n", "walk.theta", "0 angles for 21 steps; give one angle or one per step", "spec"),
+        ("[walk]\ncoin_qubits = 2\nphi = 1, 2\nsteps = 1\n", "walk.phi",
+         "2 angles for 1 steps; give one angle or one per step", "spec"),
+    ]
+])
+
+
+# Angle lists with an item _number rejects: the first such item's own error.
+test_angle_list_errors_are_the_per_item_parse_errors = failing_runs_test([
+    Fail("simulate sweep-a", "[walk]\n" + text, f"config error: {message}", stage, id=f"{text}-{message}")
+    for text, message, stage in [
+        ("theta = 0.5, inf\n", "bad value for walk.theta: 'inf' is not a finite number", "read"),
+        ("theta = 1e999\n", "bad value for walk.theta: '1e999' is not a finite number", "read"),
+        ("coin_qubits = 2\nphi = pi/2, 0.25\n",
+         "bad value for walk.phi: 2 angles for 21 steps; give one angle or one per step", "spec"),
+        ("theta = pi/2, x\n", "bad value for walk.theta: cannot parse number 'x'", "read"),
+        ("theta = -pi/2, --pi, x\n", "bad value for walk.theta: cannot parse number '--pi'", "read"),
+    ]
+])
+
+
+test_config_surfaces_walk_validation_as_config_error = failing_runs_test([
+    Fail("simulate", "[walk]\ncoin_qubits = 3\n", BAD + "walk.coin_qubits: coin_qubits must be 1 or 2, got 3",
+         "spec"),
+])
+
+
+test_main_walk_and_gate_errors_name_the_key = failing_runs_test([
+    Fail(command, text, f"config error: {message}", stage, id=f"{command}-{text}-{message}")
+    for command, text, message, stage in [
+        ("simulate", "[walk]\nposition_qubits = 21\n",
+         "bad value for walk.position_qubits: position_qubits 21 outside [2, 20]", "spec"),
+        ("sweep-a", "[walk]\nposition_qubits = 1\n",
+         "bad value for walk.position_qubits: position_qubits 1 outside [2, 20]", "spec"),
+        ("simulate", "[walk]\ncoin_qubits = 3\n",
+         "bad value for walk.coin_qubits: coin_qubits must be 1 or 2, got 3", "spec"),
+        ("simulate", "[gates]\nmax_rank = 5\n", "bad value for gates.max_rank: max_rank must be 3 or 4, got 5",
+         "read"),
+        ("sweep-a", "[gates]\nmax_rank = 2\n", "bad value for gates.max_rank: max_rank must be 3 or 4, got 2",
+         "read"),
+        ("simulate", "[gates]\nparam_a = -1\n",
+         "bad value for gates.param_a: param_a = -1.0 must be finite and nonnegative", "read"),
+        ("tolerance", "[gates]\nparam_a = -2\n",
+         "bad value for gates.param_a: param_a = -2.0 must be finite and nonnegative", "read"),
+        ("sweep-a", "[gates]\nmax_rank = 5\na_list =\n",
+         "bad value for gates.max_rank: max_rank must be 3 or 4, got 5", "read"),
+    ]
+])
+
+
+# [gates] parses into a NativeGateSet, which checks the value as the
+# config is read, as NoiseParams does for [noise].
+test_bad_gate_value_is_rejected_as_read_before_the_unread_check = failing_runs_test([
+    Fail(command, "[gates]\nmax_rank = 5\n", BAD + "gates.max_rank: max_rank must be 3 or 4, got 5", "read",
+         id=command)
+    for command in ("composite", "tolerance")
+])
+
+
+test_sweep_a_checks_a_list_before_any_walk = failing_runs_test([
+    Fail("sweep-a", "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n[gates]\na_list = 0, 13, 26, -1\n",
+         BAD + "gates.a_list: efforts must be nonnegative, got '0, 13, 26, -1'", "read"),
+])
+
+
+# Without the bound a schedule of 10^12 angles runs out of memory.
+test_step_count_above_bound_is_rejected_before_any_walk = failing_runs_test([
+    Fail(command, f"[walk]\nsteps = {steps}\n",
+         f"{BAD}walk.steps: {steps} steps is above the desk-scale bound {cli.MAX_STEPS}", "read",
+         id=f"{steps}-{command}")
+    for steps in (cli.MAX_STEPS + 1, 10**12, 10**20) for command in ("simulate", "sweep-a", "tolerance")
+])
+
+
+test_main_kind_mismatch_exit_code = failing_runs_test([
+    Fail("simulate", "[experiment]\nkind = tolerance\n",
+         "config error: experiment.kind 'tolerance' does not match subcommand 'simulate'"),
+])
+
+
+test_main_rejects_keys_the_subcommand_does_not_read = failing_runs_test([
+    Fail(command, text, f"config error: {command} does not read {key}", id=f"{command}-{text}-{key}")
+    for command, text, key in [
+        ("tolerance", "[gates]\nmax_rank = 4\n", "gates.max_rank"),
+        ("tolerance", "[walk]\ncoin_qubits = 3\n", "walk.coin_qubits"),
+        ("tolerance", "[walk]\ntheta = 0\n", "walk.theta"),
+        ("composite", "[walk]\nposition_qubits = 6\n", "walk.position_qubits"),
+        ("composite", "[noise]\nspam = off\n", "noise.spam"),
+        ("sweep-a", "[gates]\nparam_a = 5\n", "gates.param_a"),
+        ("simulate", "[gates]\na_list = 0, 13\n", "gates.a_list"),
+        ("simulate", "[composite]\nn_list = 5\n", "composite.n_list"),
+        # phi is read only on a 2-qubit coin.
+        ("simulate", "[walk]\nphi = pi\nsteps = 2\n", "walk.phi"),
+        ("sweep-a", "[walk]\ncoin_qubits = 1\nphi = pi/4\n", "walk.phi"),
+    ]
+])
+
+
+# gate_set_comparison checks every argument before the first census.
+test_main_composite_range_errors_name_the_key = failing_runs_test([
+    Fail("composite", f"[composite]\n{line}\n", f"{BAD}composite.{line.partition(' ')[0]}: {message}",
+         id=f"{line}-{message}")
+    for line, message in [
+        ("n_list = 1", "n_list entry 1 outside [2, 20]"),
+        ("n_list = 5, 21", "n_list entry 21 outside [2, 20]"),
+        ("transitions = 3->4, 3->6", "transitions entry 3->6 needs 3 <= low < high <= 5"),
+        ("fidelity_sets =", "fidelity_sets must list at least one set"),
+        ("n_list =", "n_list must list at least one ring exponent"),
+        ("transitions =", "transitions must list at least one low->high pair"),
+        ("fidelity_sets = 0.99 0.98", "fidelity_sets entry (0.99, 0.98) must list ranks 3, 4, 5"),
+        ("fidelity_sets = 0.99 0.98 0", "fidelity_sets entry (0.99, 0.98, 0.0) outside (0, 1]"),
+        ("fidelity_sets = 0.99 0.995 0.99", "fidelity_sets entry (0.99, 0.995, 0.99) increases with rank"),
+    ]
+])
+
+
+test_main_composite_underflow_exit_code = failing_runs_test([
+    Fail("composite", "[composite]\nfidelity_sets = 0.5 0.4 0.3\nn_list = 20\n",
+         BAD + "composite.fidelity_sets: fidelity_sets entry (0.5, 0.4, 0.3) at n = 20: "
+         "composite fidelity under G(3) underflows to 0", "work", argv=("--format", fmt))
+    for fmt in ("csv", "json")
+])
+
+
+# A missing directory or a directory is refused before the walk; a path
+# that opens but cannot take the payload (/dev/full) fails as it is written.
+test_main_unwritable_out_exit_code = failing_runs_test([
+    Fail("simulate", None, f"config error: cannot write output.path '{target}': {reason}", stage,
+         argv=("--out", target))
+    for target, reason, stage in [("{tmp}/missing/x.csv", "No such file or directory", "main"),
+                                  ("/dev/null/x.csv", "Not a directory", "main"),
+                                  ("{tmp}", "Is a directory", "main")]
+    + ([("/dev/full", "No space left on device", "work")] if os.path.exists("/dev/full") else [])
+])
+
+
+# A 2^6 ring compiles to 11 qubits under the 1q coin and 13 under the
+# lazy coin at G(3); the one stderr line names the count and the bound.
+test_main_unsupported_size_exit_code = failing_runs_test([
+    Fail("simulate", f"[walk]\nposition_qubits = 6\ncoin_qubits = {coins}\nsteps = 1\n",
+         f"unsupported size: simulation supports walks of up to 9 qubits; this walk needs {qubits} "
+         "(counting still works at this size)", code=3)
+    for coins, qubits in ((1, 11), (2, 13))
+])
 
 
 def test_every_config_key_has_a_failing_run():
-    # A key added to the schema needs a case here that names it.
-    lines = "\n".join(row.stderr for rows in FAILING_RUNS.values() for row in rows)
+    # A key added to the schema needs a case above that names it.
+    rows = [row for name, test in globals().items() if name.startswith("test_") for row in getattr(test, "rows", ())]
+    lines = "\n".join(row.stderr for row in rows)
     assert [f"{s}.{k}" for s, keys in cli._CONFIG_SCHEMA.items() for k in keys if f"{s}.{k}" not in lines] == []
 
 
@@ -534,23 +575,6 @@ def test_module_exit_codes_through_a_process(tmp_path):
     assert done.stdout.startswith(b"usage: ringwalk ")
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep-a"])
-def test_piped_stdout_matches_the_out_file(command, tmp_path):
-    # The payload is written in chunks, its holes filled after the skeleton;
-    # through a real pipe it must come out byte for byte as in the --out
-    # file. 1,100 steps of the 2^2 lazy walk span three chunks of walk steps.
-    assert 2 * cli.WRITE_STEPS < 1100 <= 3 * cli.WRITE_STEPS
-    config = "[walk]\ncoin_qubits = 2\nsteps = 1100\n"
-    for fmt in ("json", "csv"):
-        out = tmp_path / f"run.{fmt}"
-        piped = run_module(command, "--format", fmt, config=config, cwd=tmp_path)
-        written = run_module(command, "--format", fmt, "--out", str(out), config=config, cwd=tmp_path)
-        assert (piped.returncode, piped.stderr, written.returncode, written.stderr) == (0, b"", 0, b"")
-        assert piped.stdout == out.read_bytes()
-        if fmt == "json":
-            json.loads(piped.stdout, parse_constant=_reject_constant)
-
-
 def test_main_default_simulate_exits_zero(capsys):
     assert main(["simulate", "--seedless"]) == 0
     out = capsys.readouterr().out
@@ -614,36 +638,6 @@ def test_out_file_and_report(tmp_path, capsys):
     assert len(body.splitlines()) == 5
 
 
-def test_config_output_path_holds_the_payload_unless_out_overrides_it(tmp_path, capsys, monkeypatch):
-    # A relative [output] path resolves against the working directory, not the config's directory.
-    (tmp_path / "configs").mkdir()
-    plain = write_config(tmp_path / "configs", SIMULATE_INI, name="plain.ini")
-    config = write_config(tmp_path / "configs", SIMULATE_INI + "[output]\npath = run.csv\n")
-    monkeypatch.chdir(tmp_path)
-    assert main(["simulate", "--config", plain]) == 0
-    payload = capsys.readouterr().out
-    assert main(["simulate", "--config", config]) == 0
-    stdout = capsys.readouterr().out
-    assert "steps within tolerance" in stdout and stdout.endswith("\nwrote run.csv\n")
-    assert (tmp_path / "run.csv").read_text(encoding="utf-8") == payload
-    assert not (tmp_path / "configs" / "run.csv").exists()
-    (tmp_path / "run.csv").unlink()
-    assert main(["simulate", "--config", config, "--out", "other.csv"]) == 0
-    assert capsys.readouterr().out.endswith("\nwrote other.csv\n")
-    assert (tmp_path / "other.csv").read_text(encoding="utf-8") == payload
-    assert not (tmp_path / "run.csv").exists()
-
-
-def test_runs_are_byte_identical(tmp_path, capsys):
-    config = write_config(tmp_path, SIMULATE_INI)
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    for target in (first, second):
-        assert main(["simulate", "--config", config, "--format", "json", "--out", str(target)]) == 0
-    capsys.readouterr()
-    assert first.read_bytes() == second.read_bytes()
-
-
 CSV_HEADERS = {
     "simulate": "step,fidelity,total_probability",
     "sweep-a": "a,step,fidelity,total_probability,f_cz,f_ccz",
@@ -704,34 +698,6 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert capsys.readouterr().out.splitlines()[0] == CSV_HEADERS["simulate"]
 
 
-# Each row: argument lists that must print the same bytes as the first.
-OPTION_FORMS = [
-    (["simulate", "--config", "{ini}", "--format", "json"],
-     ["simulate", "--config={ini}", "--format=json"],
-     ["simulate", "--format=json", "--seedless", "--config", "{ini}"]),
-    (["simulate", "--config", "{ini}", "--format", "csv"],
-     ["simulate", "--config", "{ini}", "--format", "json", "--format", "csv"],
-     ["simulate", "--format=json", "--config", "{ini}", "--format=csv"],
-     ["simulate", "--config", "{ini}"]),
-    (["simulate", "--config", "{ini}", "--out", "{run}"],
-     ["simulate", "--config", "{ini}", "--out={run}"],
-     ["simulate", "--out", "{other}", "--config", "{ini}", "--out", "{run}"]),
-]
-
-
-@pytest.mark.parametrize("forms", OPTION_FORMS)
-def test_option_forms_print_the_same_bytes(forms, tmp_path, capsys):
-    names = {"ini": write_config(tmp_path, SIMULATE_INI), "run": tmp_path / "run.csv", "other": tmp_path / "other"}
-    printed = []
-    for argv in forms:
-        assert main([arg.format(**names) for arg in argv]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        printed.append(captured.out)
-    assert printed == printed[:1] * len(forms)
-    assert not names["other"].exists()
-
-
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["simulate", "--help"], ["composite", "-h"],
                                   ["simulte", "--format", "xml", "--help"]])
 def test_help_prints_usage_and_exits_zero(argv, capsys):
@@ -765,49 +731,100 @@ def clear_caches():
     return len(caches)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("command,other", [("simulate", "tolerance"), ("tolerance", "sweep-a")])
-def test_walk_bytes_do_not_depend_on_the_caches(command, other, fmt, capsys):
-    # Cold, warm, and after another subcommand has filled the caches with
-    # the same walks (at other efforts or rank bounds): the same bytes.
-    def run(name):
-        assert main([name, "--format", fmt]) == 0
-        return capsys.readouterr().out
+# Every way the CLI must print the same bytes. A row runs a case in a format one way, and the payload that run
+# prints or writes must be the bytes the case's plain run prints: in-process, to stdout, caches as they are.
+LAZY16 = "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n"
+SAME_BYTES_CASES = {
+    **CASES,
+    "simulate-lazy4-1100-steps": ("simulate", "[walk]\ncoin_qubits = 2\nsteps = 1100\n"),  # three chunks of steps
+    "sweep-a-lazy16-4-steps": ("sweep-a", LAZY16 + "steps = 4\n"),
+}
+PLAIN = "--config configs/exp.ini --format {fmt}"
+OUT = PLAIN + " --out run.out"
+# way -> (argv after the subcommand, a line for the config's [output] section, the file the payload goes to or None
+# for stdout); a way not listed runs PLAIN to stdout. {default} is no --format for CSV, the default.
+WAYS = {
+    **dict.fromkeys(("plain", "again"), ("--config configs/exp.ini {default}", "", None)),
+    **dict.fromkeys(("out", "chunks-1", "chunks-3", "child-out"), (OUT, "", "run.out")),
+    "config-path": (PLAIN, "path = run.out", "run.out"),  # relative: in the working directory, not the config's
+    "out-over-config-path": (PLAIN + " --out other.out", "path = run.out", "other.out"),
+    "format-from-config": ("--config configs/exp.ini", "format = {fmt}", None),
+    "equals": ("--config=configs/exp.ini --seedless --format={fmt} --out=run.out", "", "run.out"),
+    "last-one-wins": ("--format {other} --out lost.out " + OUT, "", "run.out"),
+}
+EVERY_CASE_WAYS = ("again", "out", "chunks-1", "chunks-3", "cold", "config-path", "out-over-config-path",
+                   "format-from-config", "equals", "last-one-wins")
+CASE_WAYS = {
+    # After another subcommand has filled the caches with the same walks at other efforts or rank bounds.
+    "simulate": ("after-tolerance",),
+    "tolerance": ("after-sweep-a",),
+    # These walks' fused shift blocks are matmuls large enough for BLAS to split across threads.
+    "simulate-lazy16-rank4": ("threads-1", "threads-2"),
+    "sweep-a-list": ("threads-1", "threads-2"),
+    "simulate-lazy4-1100-steps": ("pipe", "child-out"),
+    "sweep-a-lazy16-4-steps": ("after-21-steps",),
+}
+SAME_BYTES = [(case, fmt, way) for case in SAME_BYTES_CASES for fmt in FORMATS
+              for way in EVERY_CASE_WAYS + CASE_WAYS.get(case, ())]
 
-    assert clear_caches() == 9  # every cache in src/: a change that adds or drops one changes this on purpose
-    cold = run(command)
-    assert run(command) == cold
-    run(other)
-    assert run(command) == cold
 
-
-def test_lazy_sweep_bytes_do_not_depend_on_earlier_walks(tmp_path, capsys, monkeypatch):
-    # Fusion is decided from the walk alone: the blocks a longer walk of the
-    # same shape leaves in the caches must not change how 4 steps are summed.
-    walks = []
-
-    def recorded(*args, **kwargs):
-        walks.append(run_noisy(*args, **kwargs))
-        return walks[-1]
-
-    monkeypatch.setattr(cli, "run_noisy", recorded)
-
-    def sweep(steps):
+def run_case(case, fmt, way, tmp_path, capsys, monkeypatch):
+    """The payload bytes a run of ``case`` in ``fmt``, made the ``way`` way, prints or writes. A run that writes a
+    file prints the report and its ``wrote`` line, and leaves no other file, none beside the config."""
+    command, config = SAME_BYTES_CASES[case]
+    template, output, target = WAYS.get(way, (PLAIN, "", None))
+    other = {"csv": "json", "json": "csv"}[fmt]
+    names = {"fmt": fmt, "other": other, "default": "" if fmt == "csv" else "--format json"}
+    argv = [command, *template.format(**names).split()]
+    monkeypatch.chdir(tmp_path)
+    os.makedirs("configs", exist_ok=True)
+    write_config(tmp_path / "configs", (config or "") + (f"[output]\n{output.format(**names)}\n" if output else ""))
+    if way.startswith("chunks-"):
+        monkeypatch.setattr(cli, "WRITE_STEPS", int(way.removeprefix("chunks-")))
+    if way == "cold" or way.startswith("after-"):
+        assert clear_caches() == 9  # every cache in src/: a change that adds or drops one changes this on purpose
+    if way == "after-21-steps":  # fusion is decided from the walk alone: a longer walk of its shape moves no bit
+        walks = []
+        monkeypatch.setattr(cli, "run_noisy", lambda *args, **kw: walks.append(run_noisy(*args, **kw)) or walks[-1])
+        assert main(argv) == 0
+        fresh = walk_bits(walks)
+        clear_caches()
+        assert main(["sweep-a", "--config", write_config(tmp_path / "configs", LAZY16, name="longer.ini")]) == 0
         walks.clear()
-        path = write_config(tmp_path, f"[walk]\nposition_qubits = 4\ncoin_qubits = 2\nsteps = {steps}\n")
-        assert main(["sweep-a", "--config", path, "--format", "json"]) == 0
-        return capsys.readouterr().out, list(walks)
+    elif way.startswith("after-"):
+        assert main([way.removeprefix("after-"), "--format", fmt]) == 0
+    if way in ("pipe", "child-out") or way.startswith("threads-"):
+        done = run_module(*argv, cwd=tmp_path, **({"OPENBLAS_NUM_THREADS": way[-1]} if "threads" in way else {}))
+        assert (done.returncode, done.stderr) == (0, b"")
+        stdout = done.stdout.decode()
+    else:
+        capsys.readouterr()
+        assert main(argv) == 0
+        stdout, err = capsys.readouterr()
+        assert err == ""
+    if way == "after-21-steps":
+        assert walk_bits(walks) == fresh
+    if way == "pipe" and fmt == "json":  # strict JSON, across three chunks
+        assert 2 * cli.WRITE_STEPS < 1100 <= 3 * cli.WRITE_STEPS
+        json.loads(stdout, parse_constant=_reject_constant)
+    assert sorted(os.listdir()) == sorted({"configs", target} - {None})
+    assert not [name for name in os.listdir("configs") if name.endswith(".out")]
+    if target is None:
+        return stdout.encode()
+    report, wrote, tail = stdout.rpartition(f"\nwrote {target}\n")
+    assert report and wrote and not tail
+    return Path(target).read_bytes()
 
-    clear_caches()
-    fresh, fresh_walks = sweep(4)
-    clear_caches()
-    sweep(21)
-    text, later_walks = sweep(4)
-    assert text == fresh
-    # The payload rounds to 12 digits; the walks must agree bit for bit.
-    for a, b in zip(fresh_walks, later_walks, strict=True):
-        for name in ("noisy_positions", "fidelities", "total_probability", "scalar_factor"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+def walk_bits(walks):
+    """Each walk's arrays, as their bytes."""
+    return [b"".join(getattr(walk, name).tobytes() for name in WALK_ARRAYS) for walk in walks]
+
+
+@pytest.mark.parametrize("case,fmt,way", SAME_BYTES, ids=["-".join(row) for row in SAME_BYTES])
+def test_every_way_prints_the_same_bytes(case, fmt, way, tmp_path, capsys, monkeypatch):
+    expected = run_case(case, fmt, "plain", tmp_path, capsys, monkeypatch)
+    assert run_case(case, fmt, way, tmp_path, capsys, monkeypatch) == expected
 
 
 def test_rank4_sweep_builds_each_effort_free_gate_once(tmp_path, capsys):
@@ -970,18 +987,6 @@ def test_property_walk_writer_matches_step_rows(data, command, position_qubits, 
             patch.setattr(cli, "WRITE_STEPS", write_steps)
             for fmt, text in expected.items():
                 assert "".join(cli.payload_chunks(output, fmt)) == text
-
-
-@pytest.mark.parametrize("command", ["simulate", "sweep-a", "tolerance", "composite"])
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_stdout_and_out_file_get_the_same_chunks(command, fmt, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "WRITE_STEPS", 3)
-    assert main([command, "--format", fmt]) == 0
-    printed = capsys.readouterr().out
-    out = tmp_path / f"run.{fmt}"
-    assert main([command, "--format", fmt, "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.read_text(encoding="utf-8") == printed
 
 
 def traced_peak(argv):

@@ -20,26 +20,9 @@ from pathlib import Path
 import pytest
 
 from ringwalk.cli import main
-from shared import run_module
+from shared import CASES, FORMATS
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# case name -> (subcommand, config text or None for the defaults)
-CASES = {
-    "simulate": ("simulate", None),
-    "sweep-a": ("sweep-a", None),
-    "tolerance": ("tolerance", None),
-    "composite": ("composite", None),
-    "simulate-lazy16-rank4": (
-        "simulate",
-        "[walk]\nposition_qubits = 4\ncoin_qubits = 2\n[gates]\nmax_rank = 4\n",
-    ),
-    "sweep-a-list": (
-        "sweep-a",
-        "[walk]\nposition_qubits = 3\ncoin_qubits = 2\nsteps = 10\n[gates]\na_list = 0, 5, 1e3\n",
-    ),
-}
-FORMATS = ("csv", "json")
 
 
 def render(case: str, fmt: str, workdir: Path) -> tuple[str, str]:
@@ -71,18 +54,6 @@ def test_payload_matches_golden(case, fmt, tmp_path):
 def test_report_matches_golden(case, fmt, tmp_path):
     expected = (GOLDEN / f"{case}.report.txt").read_text(encoding="utf-8")
     assert render(case, fmt, tmp_path)[1] == expected
-
-
-@pytest.mark.parametrize("case", ["simulate-lazy16-rank4", "sweep-a-list"])
-def test_fused_block_payload_does_not_depend_on_the_blas_thread_count(case, tmp_path):
-    # The fused shift blocks of these lazy walks are matmuls large enough for
-    # BLAS to split across threads, and no byte may depend on how many it uses.
-    # OpenBLAS reads the count once, as numpy loads, hence the child processes.
-    command, config_text = CASES[case]
-    for threads in ("1", "2"):
-        done = run_module(command, "--format", "json", config=config_text, cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
-        assert (done.returncode, done.stderr) == (0, b"")
-        assert done.stdout == (GOLDEN / f"{case}.json").read_bytes(), threads
 
 
 if __name__ == "__main__":
