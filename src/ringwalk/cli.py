@@ -24,13 +24,15 @@ lines. The skeleton's bulky parts are holes: each walk's steps, the
 config's angle lists, composite's entries. payload_chunks has
 json.dumps(indent=2, sort_keys=True, allow_nan=False) write the skeleton
 and fills its holes in document order, straight from the results: each
-number's text taken once, each walk step and composite entry filled into
-one template per shape and depth, at most WRITE_STEPS walk steps a
-chunk, each chunk's numbers formatted in one pass and filled into its
-repeated step template in one more. The whole is byte for byte
-json.dumps of the payload with every float rounded to 12 significant
-digits. CSV goes out at most WRITE_STEPS walk lines a chunk, each
-chunk's numbers filled into its repeated line template in one pass.
+number's text taken once, each composite entry filled into one template
+per shape and depth, at most WRITE_STEPS walk steps a chunk, and each
+chunk's numbers filled into the chunk's printf format in one pass. A
+step's format gives each number the field of its kind: %.12g for a plain
+value, %.1f for an exact zero and %s for the fixed text of a subnormal
+or a value near 1 or above. The whole is byte for byte json.dumps of the
+payload with every float rounded to 12 significant digits. CSV goes out
+at most WRITE_STEPS walk lines a chunk, each chunk's numbers filled into
+its repeated line template in one pass.
 Only the format asked for is built, and every check, for NaN and
 infinities included, runs before the first byte goes out. With
 --out the chunks go to that file and the report to stdout; without it
@@ -333,38 +335,49 @@ def _template(value, depth: int) -> str:
     return text.replace("%", "%%").replace(_HOLE_TEXT, "%s")
 
 
-@functools.cache
-def _step_template(position_qubits: int, depth: int) -> str:
-    """Template of one walk step at ``depth``.
-
-    Its fields take the step's numbers in document order: fidelity, the
-    ideal then the noisy position marginals, scalar factor, step, total
-    probability.
-    """
-    positions = dict.fromkeys((format(i, f"0{position_qubits}b") for i in range(2**position_qubits)), _HOLE)
-    step = dict.fromkeys(("fidelity", "scalar_factor", "step", "total_probability"), _HOLE)
-    return _template({**step, "ideal_positions": positions, "noisy_positions": positions}, depth)
-
-
 # A value v with sys.float_info.min <= |v| < _PLAIN_BELOW has a .12g text that is json.dumps's of the rounded
 # float: it rounds to no whole number, has no exponent at 1e12 or above, and its digits survive rounding.
 _PLAIN_BELOW = 0.99999999999
+# The printf field of each kind of walk-step number: plain (its .12g text), exact zero (0.0 or -0.0, as json.dumps
+# writes them) and fix (_json_text's string, for a subnormal or a value of at least _PLAIN_BELOW in magnitude).
+_KIND_FIELDS = ("%.12g", "%.1f", "%s")
+
+
+@functools.lru_cache(maxsize=256)
+def _step_format(position_qubits: int, depth: int, kinds: bytes) -> str:
+    """printf format of one walk step at ``depth``, as json.dumps writes it, whose numbers have these ``kinds``.
+
+    Its fields take the step's numbers in document order: fidelity, the
+    ideal then the noisy position marginals, scalar factor, step, total
+    probability; ``kinds`` holds one index into _KIND_FIELDS per number.
+    """
+    field = iter([_KIND_FIELDS[kind] for kind in kinds]).__next__
+    indent = "\n" + "  " * (depth + 1)
+    keys = [format(i, f"0{position_qubits}b") for i in range(2**position_qubits)]
+
+    def positions() -> str:
+        return "{" + ",".join(f'{indent}  "{key}": {field()}' for key in keys) + indent + "}"
+
+    members = (("fidelity", field()), ("ideal_positions", positions()), ("noisy_positions", positions()),
+               ("scalar_factor", field()), ("step", field()), ("total_probability", field()))  # in field order
+    return "{" + ",".join(f'{indent}"{key}": {text}' for key, text in members) + "\n" + "  " * depth + "}"
 
 
 def _json_steps(result: RunResult, depth: int):
     """The text of a walk's ``steps`` array at ``depth``, WRITE_STEPS steps a chunk.
 
-    A chunk's numbers are stacked into one table, a row per step in the
-    template's field order, and formatted in one ``.12g`` pass; the step
-    template, repeated once per row, takes the texts in one ``%``. Only
-    the texts of values outside the _PLAIN_BELOW range go through
-    _json_text: exact zeros (about half the ideal marginals of a
-    1-qubit-coin walk, by its parity), subnormals, and values near 1 or
-    above. The step column is whole numbers, written as such.
+    A chunk's numbers are stacked into one table, a row per step in
+    field order, and one vectorised mask sorts each into its kind: exact
+    zeros (about half the ideal marginals of a 1-qubit-coin walk, by its
+    parity), values that need _json_text's fix (subnormals, and values
+    near 1 or above), and plain values, whose ``.12g`` text is already
+    json.dumps's. The step column is whole numbers, written as such. Each
+    step's format, cached by its kinds, goes into the chunk's format, and
+    one ``%`` fills it.
     """
     import numpy as np  # cli imports no numpy at module level
 
-    template = _step_template(result.spec.position_qubits, depth + 1)
+    position_qubits = result.spec.position_qubits
     separator = ",\n" + "  " * (depth + 1)
     opening = "[\n" + "  " * (depth + 1)
     for lo in range(0, len(result.fidelities), WRITE_STEPS):
@@ -376,10 +389,13 @@ def _json_steps(result: RunResult, depth: int):
         magnitude = np.abs(table)
         fix = (magnitude < sys.float_info.min) | (magnitude >= _PLAIN_BELOW)
         fix[:, -2] = False
-        texts = ("%.12g " * table.size % tuple(table.ravel().tolist())).split()
-        for i in np.flatnonzero(fix).tolist():
-            texts[i] = _json_text(texts[i])
-        yield opening + separator.join([template] * steps) % tuple(texts)
+        kinds = (2 * fix - (magnitude == 0)).astype(np.uint8)  # 0 plain, 1 exact zero, 2 fix
+        values = table.ravel().tolist()
+        for i in np.flatnonzero(kinds == 2).tolist():
+            values[i] = _json_text("%.12g" % values[i])
+        data, width = kinds.tobytes(), table.shape[1]
+        formats = [_step_format(position_qubits, depth + 1, data[i:i + width]) for i in range(0, len(data), width)]
+        yield opening + separator.join(formats) % tuple(values)
         opening = separator
     yield "\n" + "  " * depth + "]"
 
@@ -565,9 +581,12 @@ def cmd_composite(config: ExperimentConfig) -> Output:
     texts = iter(("%.12g " * len(numbers) % tuple(numbers)).split())
     rows = [(entry, next(texts), [(next(texts), next(texts), next(texts)) for _ in entry[-1]]) for entry in comparison]
     labels = [str(tuple(map(_round12, s))) for s in config.fidelity_sets]
+    census = {}  # one text per (ring, rank bound): G(4)'s census is the high side of 3->4 and the low side of 4->5
     report = ["composite fidelity gains (2q-coin walk, per-step gate census)"]
     for (n, low, high, counts_low, counts_high, _), mean, per_set in rows:
-        report.append(f"n={n} G({low})->G({high}): counts {counts_low} -> {counts_high}")
+        low_text = census.get((n, low)) or census.setdefault((n, low), str(counts_low))
+        high_text = census.get((n, high)) or census.setdefault((n, high), str(counts_high))
+        report.append(f"n={n} G({low})->G({high}): counts {low_text} -> {high_text}")
         report += [f"  set {label}: f {f_low} -> {f_high}  ({pct}%)"
                    for label, (f_low, f_high, pct) in zip(labels, per_set)]
         report.append(f"  mean increase: {mean}%")
@@ -626,7 +645,9 @@ def _write_stdout(chunks: Iterable[str]) -> int:
     except OSError as exc:
         # Point stdout at devnull, so that the flush at exit does not fail again, and exit 1
         # without a traceback: silently if the reader went away (as head does), else with a line.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return 1

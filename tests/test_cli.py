@@ -546,6 +546,24 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
         assert (child.returncode, stderr) == (1, b""), config
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc/self/fd")
+def test_failed_stdout_writes_leave_no_descriptor_open(monkeypatch):
+    # Each failed write points stdout at devnull through a descriptor of
+    # its own, which must be closed once it is duplicated.
+    def open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_descriptors()
+    for _ in range(3):
+        read, write = os.pipe()
+        os.close(read)  # the reader went away before the first byte
+        with open(write, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert cli._write_stdout(["x" * 100]) == 1
+        monkeypatch.undo()
+    assert open_descriptors() == before
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose writes fail with ENOSPC")
 def test_unwritable_stdout_exits_one_with_one_line(tmp_path):
     # The write fails and the reason takes one stderr line; the flush at
@@ -950,30 +968,18 @@ def drawn_result(draw, spec):
 ANGLES = st.sampled_from([0.0, -0.0, 1e-7, 5e-324, 1.5e12, 1e16]) | st.floats(-10.0, 10.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), command=st.sampled_from(["simulate", "sweep-a"]), position_qubits=st.integers(2, 3),
-       coin_qubits=st.integers(1, 2), steps=st.integers(1, 7), efforts=st.integers(0, 3))
-def test_property_walk_writer_matches_step_rows(data, command, position_qubits, coin_qubits, steps, efforts):
-    # simulate writes its steps at depth 1, sweep-a at depth 3; a chunk of
-    # 1 or 3 steps splits the text elsewhere but must not change a byte.
-    # theta and phi hold one angle or one per step, and go through the
-    # number-list hole at depth 2.
-    theta, phi = (tuple(data.draw(st.lists(ANGLES, min_size=n, max_size=n)))
-                  for n in data.draw(st.sampled_from([(1, 1), (steps, steps), (1, steps), (steps, 1)])))
-    config = ExperimentConfig(position_qubits=position_qubits, coin_qubits=coin_qubits, steps=steps,
-                              theta=theta, phi=phi, a_list=cli.DEFAULT_A_LIST[:efforts])
+def check_walk_writer(command, config, run):
+    """``command``'s JSON and CSV text on ``config``, with ``run`` in place of run_noisy, must be the reference
+    writer's at the default WRITE_STEPS, 1 and 3; return the walks ``run`` made. simulate writes its steps at depth
+    1, sweep-a at depth 3; a chunk of 1 or 3 steps splits the text elsewhere but must not change a byte. theta and
+    phi go through the number-list hole."""
     results = []
-
-    def drawn_run(spec, *args, **kwargs):
-        results.append(drawn_result(data.draw, spec))
-        return results[-1]
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "run_noisy", drawn_run)
+        patch.setattr(cli, "run_noisy", lambda *args, **kwargs: results.append(run(*args, **kwargs)) or results[-1])
         output = cli._COMMANDS[command](config)
         rows = [payload_reference.step_rows(result) for result in results]
-        echo = {**output.payload["config"], "theta": [payload_reference.round12(v) for v in theta],
-                "phi": [payload_reference.round12(v) for v in phi] if coin_qubits == 2 else None}
+        echo = {**output.payload["config"], "theta": [payload_reference.round12(v) for v in config.theta],
+                "phi": [payload_reference.round12(v) for v in config.phi] if config.coin_qubits == 2 else None}
         if command == "simulate":
             payload = {**output.payload, "config": echo, "steps": rows[0]}
             records = rows[0]
@@ -987,6 +993,53 @@ def test_property_walk_writer_matches_step_rows(data, command, position_qubits, 
             patch.setattr(cli, "WRITE_STEPS", write_steps)
             for fmt, text in expected.items():
                 assert "".join(cli.payload_chunks(output, fmt)) == text
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["simulate", "sweep-a"]), position_qubits=st.integers(2, 3),
+       coin_qubits=st.integers(1, 2), steps=st.integers(1, 7), efforts=st.integers(0, 3))
+def test_property_walk_writer_matches_step_rows(data, command, position_qubits, coin_qubits, steps, efforts):
+    # theta and phi hold one angle or one per step.
+    theta, phi = (tuple(data.draw(st.lists(ANGLES, min_size=n, max_size=n)))
+                  for n in data.draw(st.sampled_from([(1, 1), (steps, steps), (1, steps), (steps, 1)])))
+    config = ExperimentConfig(position_qubits=position_qubits, coin_qubits=coin_qubits, steps=steps,
+                              theta=theta, phi=phi, a_list=cli.DEFAULT_A_LIST[:efforts])
+    check_walk_writer(command, config, lambda spec, *args, **kwargs: drawn_result(data.draw, spec))
+
+
+def test_walk_writer_matches_step_rows_past_its_format_cache():
+    # A step's format is cached by the kinds of its numbers, and this walk
+    # has more kind patterns than the cache holds: each number is as likely
+    # an exact zero as a value to fix (a subnormal, a value near one, 1e16)
+    # or a plain value.
+    groups = ([0.0, -0.0], [5e-324, 2.225e-308, 0.99999999999, 0.9999999999995001, 1.0, 1e16], [0.25, 1e-5, 0.5])
+    pool = [value for group in groups for value in group]
+    weights = [1 / (len(groups) * len(group)) for group in groups for _ in group]
+    rng = np.random.default_rng(39)
+
+    def random_run(spec, *args, **kwargs):
+        def column(*shape):
+            return rng.choice(pool, size=shape, p=weights)
+
+        return RunResult(spec, column(spec.steps, spec.node_count), column(spec.steps, spec.node_count),
+                         column(spec.steps), column(spec.steps), column(spec.steps))
+
+    (result,) = check_walk_writer("simulate", ExperimentConfig(steps=320), random_run)
+    columns = (result.fidelities[:, None], result.ideal_positions, result.noisy_positions,
+               result.scalar_factor[:, None], result.total_probability[:, None])
+    magnitude = np.abs(np.hstack(columns))
+    kinds = np.where(magnitude == 0, 1, 2 * ((magnitude < sys.float_info.min) | (magnitude >= cli._PLAIN_BELOW)))
+    assert len(np.unique(kinds, axis=0)) > cli._step_format.cache_info().maxsize
+
+
+@pytest.mark.parametrize("noise", ["exact-gates", "default-noise"])
+@pytest.mark.parametrize("n,coins,rank", sorted(ADMITTED_SHAPES))
+def test_walk_writer_matches_step_rows_on_admitted_walks(n, coins, rank, noise):
+    # Exact gates leave the noisy marginals the ideal walk's structured zeros.
+    config = ExperimentConfig(position_qubits=n, coin_qubits=coins, steps=7, gates=NativeGateSet(rank),
+                              noise=NoiseParams(gate_errors=noise == "default-noise"))
+    check_walk_writer("simulate", config, run_noisy)
 
 
 def traced_peak(argv):
@@ -1040,6 +1093,26 @@ def test_composite_report_prints_per_rank_counts():
     report = cmd_composite(config).report
     assert "n=5 G(3)->G(4): counts {3: 82} -> {3: 10, 4: 26}" in report
     assert any(line.startswith("  mean increase:") for line in report)
+
+
+def test_composite_report_writes_each_census_once(monkeypatch):
+    # G(4)'s census on a ring is both the high side of 3->4 and the low side
+    # of 4->5; the report writes one text per (ring, rank bound).
+    written = []
+
+    class Census(dict):
+        def __repr__(self):
+            written.append(self)
+            return super().__repr__()
+
+    comparison = cli.gate_set_comparison
+    monkeypatch.setattr(cli, "gate_set_comparison", lambda *args: [
+        (n, low, high, Census(counts_low), Census(counts_high), sets)
+        for n, low, high, counts_low, counts_high, sets in comparison(*args)])
+    config = ExperimentConfig(n_list=(5, 10), transitions=((3, 4), (4, 5), (3, 5)))
+    report = cmd_composite(config).report
+    assert "n=5 G(4)->G(5): counts {3: 10, 4: 26} -> {3: 6, 4: 6, 5: 10}" in report
+    assert len(written) == 2 * 3  # ranks 3, 4 and 5 on each of two rings
 
 
 # 0.999999999999 makes increases of about 1e-9 %, 0.5 and below make f_low
