@@ -22,17 +22,19 @@ Each subcommand computes its results once and returns one Output: the
 JSON payload's skeleton, its CSV lines under a header and the report
 lines. The skeleton's bulky parts are holes: each walk's steps, the
 config's angle lists, composite's entries. payload_chunks has
-json.dumps(indent=2, sort_keys=True, allow_nan=False) write the skeleton
-and fills its holes in document order, straight from the results: each
-number's text taken once, each composite entry filled into one template
-per shape and depth, at most WRITE_STEPS walk steps a chunk, and each
-chunk's numbers filled into the chunk's printf format in one pass. A
-step's format gives each number the field of its kind: %.12g for a plain
-value, %.1f for an exact zero and %s for the fixed text of a subnormal
-or a value near 1 or above. The whole is byte for byte json.dumps of the
-payload with every float rounded to 12 significant digits. CSV goes out
-at most WRITE_STEPS walk lines a chunk, each chunk's numbers filled into
-its repeated line template in one pass.
+json.dumps(indent=2, sort_keys=True, allow_nan=False) write only the
+skeleton and fills its holes in document order, straight from the
+results: each number's text taken once, each composite entry filled into
+one template per shape and depth, at most WRITE_STEPS walk steps a chunk,
+and each chunk's numbers filled into the chunk's printf format in one
+pass. _layout lays out every array, template and format in the holes as
+json.dumps would, with their strings as they stand. A step's format
+gives each number the field of its kind: %.12g for a plain value, %.1f
+for an exact zero and %s for the fixed text of a subnormal or a value
+near 1 or above. The whole is byte for byte json.dumps of the payload
+with every float rounded to 12 significant digits. CSV goes out at most
+WRITE_STEPS walk lines a chunk, each chunk's numbers filled into its
+repeated line template in one pass.
 Only the format asked for is built, and every check, for NaN and
 infinities included, runs before the first byte goes out. With
 --out the chunks go to that file and the report to stdout; without it
@@ -277,8 +279,7 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-# Stands in for each hole of a payload and each field of a template. Encoded
-# it reads _HOLE_TEXT, which no other string in a payload does.
+# Stands in for each hole of a payload. Encoded it reads _HOLE_TEXT, which no other string in a payload does.
 _HOLE = "\x00"
 _HOLE_TEXT = '"\\u0000"'
 WRITE_STEPS = 512  # walk steps (JSON) or lines (CSV) formatted per chunk of payload text
@@ -318,21 +319,21 @@ def _json_numbers(values: list[float]) -> list[str]:
     return [_json_text(t) for t in ("%.12g " * len(values) % tuple(values)).split()]
 
 
-def _items(texts: list[str], depth: int) -> str:
-    """The JSON array at ``depth`` whose items' texts are ``texts``, of which there is at least one."""
+def _layout(value, depth: int) -> str:
+    """``value``, a non-empty dict or list, at ``depth`` as ``json.dumps(indent=2, sort_keys=True)`` writes it, but
+    each string in it as it stands: a number's JSON text or a printf field. Keys are plain ASCII names with no
+    ``"``, ``\\`` or ``%``, because they are quoted without escaping."""
     inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        texts = [f'"{key}": {v if isinstance(v, str) else _layout(v, depth + 1)}' for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(texts) + "\n" + "  " * depth + "}"
+    texts = [v if isinstance(v, str) else _layout(v, depth + 1) for v in value]
     return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * depth + "]"
 
 
 def _json_list(values, depth: int):
     """The text of a list of floats at ``depth``."""
-    return (_items(_json_numbers(list(values)), depth),)
-
-
-def _template(value, depth: int) -> str:
-    """printf template of ``value`` written by ``json.dumps`` at ``depth``; each ``_HOLE`` is a ``%s`` field."""
-    text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-    return text.replace("%", "%%").replace(_HOLE_TEXT, "%s")
+    return (_layout(_json_numbers(list(values)), depth),)
 
 
 # A value v with sys.float_info.min <= |v| < _PLAIN_BELOW has a .12g text that is json.dumps's of the rounded
@@ -351,16 +352,11 @@ def _step_format(position_qubits: int, depth: int, kinds: bytes) -> str:
     ideal then the noisy position marginals, scalar factor, step, total
     probability; ``kinds`` holds one index into _KIND_FIELDS per number.
     """
-    field = iter([_KIND_FIELDS[kind] for kind in kinds]).__next__
-    indent = "\n" + "  " * (depth + 1)
+    fields = iter([_KIND_FIELDS[kind] for kind in kinds])
     keys = [format(i, f"0{position_qubits}b") for i in range(2**position_qubits)]
-
-    def positions() -> str:
-        return "{" + ",".join(f'{indent}  "{key}": {field()}' for key in keys) + indent + "}"
-
-    members = (("fidelity", field()), ("ideal_positions", positions()), ("noisy_positions", positions()),
-               ("scalar_factor", field()), ("step", field()), ("total_probability", field()))  # in field order
-    return "{" + ",".join(f'{indent}"{key}": {text}' for key, text in members) + "\n" + "  " * depth + "}"
+    return _layout({"fidelity": next(fields), "ideal_positions": {key: next(fields) for key in keys},
+                    "noisy_positions": {key: next(fields) for key in keys}, "scalar_factor": next(fields),
+                    "step": next(fields), "total_probability": next(fields)}, depth)
 
 
 def _json_steps(result: RunResult, depth: int):
@@ -409,16 +405,16 @@ def _entry_template(low_ranks: tuple[int, ...], high_ranks: tuple[int, ...], set
     keys), the mean increase, each set's f_high, f_low, fidelities text and
     increase, the ring exponent and the transition's text.
     """
-    per_set = dict.fromkeys(("f_high", "f_low", "fidelities", "percent_increase"), _HOLE)
-    entry = dict.fromkeys(("mean_percent_increase", "position_qubits", "transition"), _HOLE)
-    return _template({**entry, "counts_high": dict.fromkeys(map(str, high_ranks), _HOLE),
-                      "counts_low": dict.fromkeys(map(str, low_ranks), _HOLE), "per_set": [per_set] * sets}, depth)
+    per_set = dict.fromkeys(("f_high", "f_low", "fidelities", "percent_increase"), "%s")
+    entry = dict.fromkeys(("mean_percent_increase", "position_qubits", "transition"), "%s")
+    return _layout({**entry, "counts_high": dict.fromkeys(map(str, high_ranks), "%s"),
+                    "counts_low": dict.fromkeys(map(str, low_ranks), "%s"), "per_set": [per_set] * sets}, depth)
 
 
 def _json_entries(rows: list[tuple], depth: int):
     """The text of composite's ``entries`` array at ``depth`` from cmd_composite's rows, each number's text as
     _json_text gives it. Every entry lists the same fidelity sets, so each set's text is taken once."""
-    sets = [_items(_json_numbers(list(s)), depth + 4) for s, *_ in rows[0][0][-1]]
+    sets = [_layout(_json_numbers(list(s)), depth + 4) for s, *_ in rows[0][0][-1]]
     entries = []
     for (n, low, high, counts_low, counts_high, _), mean, per_set in rows:
         fields = [*counts_high.values(), *counts_low.values(), _json_text(mean)]
@@ -426,7 +422,7 @@ def _json_entries(rows: list[tuple], depth: int):
             fields += (_json_text(f_high), _json_text(f_low), fidelities, _json_text(pct))
         template = _entry_template(tuple(counts_low), tuple(counts_high), len(per_set), depth + 1)
         entries.append(template % (*fields, n, f'"{low}->{high}"'))
-    return (_items(entries, depth),)
+    return (_layout(entries, depth),)
 
 
 def _json_chunks(pieces: list[str], holes: list):

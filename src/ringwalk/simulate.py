@@ -273,10 +273,11 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
 
     Between batches, _rescale multiplies a state whose peak |amplitude|
     is below RESCALE_BELOW by a power of two 2^-e, and the walk sums those
-    exponents e into k: later batches are read out with their scalar
-    factors times 2^k (np.ldexp), so each readout product rounds as the
-    unscaled walk's did, or underflows to 0 on both where the scaled
-    factor is subnormal. RunResult.scalar_factor holds them unscaled.
+    exponents e into scale_exponent: later batches are read out with their
+    scalar factors times 2^scale_exponent (np.ldexp), so each readout
+    product rounds as the unscaled walk's did, or underflows to 0 on both
+    where the scaled factor is subnormal. RunResult.scalar_factor holds
+    them unscaled.
 
     With stop_below, the walk stops after the first step whose fidelity
     is below it; the result holds the steps up to that one. Each batch's
@@ -332,7 +333,7 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
 
     state = np.zeros(2**n_q, dtype=np.complex128)
     state[0] = 1.0
-    shift = 0  # the state is the walk's times 2^-shift
+    scale_exponent = 0  # the state is the walk's times 2^-scale_exponent
     running_factor = noiselib.state_prep_factor(noise, n_q)
     batch = max(1, READOUT_AMPLITUDES // state.size)
     if stop_below is not None:
@@ -364,8 +365,8 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
         stop = t + 1
         if stop - start == len(states) or stop == steps:
             factors = scalar_factors[start:stop, None]
-            if shift:
-                factors = np.ldexp(factors, shift)
+            if scale_exponent:
+                factors = np.ldexp(factors, scale_exponent)
             probs = np.abs(states[: stop - start] * factors) ** 2
             probs.sum(1, out=totals[start:stop])
             probs.reshape(stop - start, nodes, -1).sum(2, out=noisy[start:stop])
@@ -378,7 +379,7 @@ def run_noisy(spec: WalkSpec, gate_set: NativeGateSet, noise: noiselib.NoisePara
                     break
             start = stop
             if stop < steps:
-                shift += _rescale(state, totals[stop - 1], factors[-1, 0])
+                scale_exponent += _rescale(state, totals[stop - 1], factors[-1, 0])
     arrays = ideal_tables, noisy, fidelities, totals, scalar_factors
     return RunResult(spec, *(a[:stop] if stop < steps else a for a in arrays))
 

@@ -692,7 +692,7 @@ def test_csv_run_never_encodes_json(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("JSON encoded on a CSV run")
 
-    for name in ("_json_steps", "_json_list", "_json_entries"):
+    for name in ("_json_steps", "_json_list", "_json_entries", "_layout"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(cli.json, "dumps", refuse)
     for command in sorted(CSV_HEADERS):
@@ -910,6 +910,28 @@ JSON_TREES = st.recursive(
 def test_property_json_writer_matches_stdlib(payload):
     written = "".join(cli.payload_chunks(cli.Output(payload, (), [], []), "json"))
     assert written == payload_reference.json_text(payload)
+
+
+# Keys are the names _layout is given: field names, census ranks and position bit strings. Leaves are printf
+# fields and number texts, which it writes as they stand; no key is also a leaf.
+LAYOUT_KEYS = st.sampled_from(["f_high", "f_low", "per_set", "3", "4", "00", "01", "10"])
+LAYOUT_LEAVES = ("%s", "%.12g", "%.1f", "0.5", "-0.0", "1e-07", "21")
+LAYOUT_TREES = st.recursive(
+    st.sampled_from(LAYOUT_LEAVES),
+    lambda children: (st.lists(children, min_size=1, max_size=3)
+                      | st.dictionaries(LAYOUT_KEYS, children, min_size=1, max_size=3)),
+    max_leaves=16,
+).filter(lambda tree: not isinstance(tree, str))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=LAYOUT_TREES, depth=st.integers(0, 4))
+@example(tree=[[["%s"]], {"01": {"3": "0.5"}, "f_high": ["%.12g", "%.1f"]}], depth=2)
+def test_property_layout_matches_stdlib(tree, depth):
+    expected = json.dumps(tree, indent=2, sort_keys=True)
+    for leaf in LAYOUT_LEAVES:
+        expected = expected.replace(f'"{leaf}"', leaf)
+    assert cli._layout(tree, depth) == expected.replace("\n", "\n" + "  " * depth)
 
 
 WALK_ARRAYS = ("fidelities", "total_probability", "scalar_factor", "ideal_positions", "noisy_positions")
